@@ -5,17 +5,21 @@ from one second to the next, as other tenants load the cores and caches.
 Those swings last seconds, so they move whole runs and would swamp any
 change to the program. The clock therefore runs a fixed calibration kernel
 (dict, tuple and small-object work, as tablink does, and no tablink code)
-right before and right after each timed operation, and scales the
-operation's wall time by REFERENCE_S over the kernel's mean time around it.
-A reference second is a second on a machine where the kernel takes
-REFERENCE_S. A change to tablink moves the operation and not the kernel, so
-it shows in full; a change in machine speed moves both and cancels.
+right before and right after each timed operation, never during it, and
+scales the operation's wall time by REFERENCE_S over the kernel's mean time
+around it. A reference second is a second on a machine where the kernel
+takes REFERENCE_S. The kernel runs with the garbage collector off, so that
+its time depends on the machine and not on the heap the timed code left
+behind. perfbench/README.md gives the check that a known change to the
+timed code comes through at its full size.
 
 Raw wall times are kept next to the scaled ones in every result file.
 """
 
 from __future__ import annotations
 
+import gc
+import os
 import time
 from dataclasses import dataclass
 
@@ -46,11 +50,36 @@ def kernel() -> int:
 
 def kernel_seconds(repeats: int = 2) -> float:
     """Median wall time of ``repeats`` kernel runs (of two, their mean)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            kernel()
+            times.append(time.perf_counter() - start)
+    finally:
+        if enabled:
+            gc.enable()
+    times.sort()
+    mid = len(times) // 2
+    return times[mid] if len(times) % 2 else (times[mid - 1] + times[mid]) / 2
+
+
+def cpus_kernel_seconds(repeats: int = 5) -> float:
+    """Median kernel time over ``repeats`` runs on each CPU this process may
+    use. The calling thread visits the CPUs in turn and ends allowed on all
+    of them again, so that children it starts afterwards are not pinned."""
+    if not hasattr(os, "sched_setaffinity"):
+        return kernel_seconds(repeats)
+    allowed = os.sched_getaffinity(0)
     times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        kernel()
-        times.append(time.perf_counter() - start)
+    try:
+        for cpu in sorted(allowed):
+            os.sched_setaffinity(0, {cpu})
+            times += [kernel_seconds(1) for _ in range(repeats)]
+    finally:
+        os.sched_setaffinity(0, allowed)
     times.sort()
     mid = len(times) // 2
     return times[mid] if len(times) % 2 else (times[mid - 1] + times[mid]) / 2

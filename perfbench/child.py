@@ -5,7 +5,7 @@ the tracer installed and appends its spans to TRACE.
 
 ``child.py batch SPEC`` is the in-process phase: it loads the KB as a
 library user does, links the workload's tables with ``link_table`` for the
-time the spec allows, checks the annotations, and writes its measurements
+rounds the spec sets, checks the annotations, and writes its measurements
 to the spec's ``out`` file.
 """
 
@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import gc
 import json
-import math
 import random
 import shutil
 import statistics
 import sys
-import time
 from pathlib import Path
 
 import tablink.cli
 import tablink.closure
+import tablink.evalbench
 import tablink.index
 import tablink.kb
 import tablink.linker
@@ -60,27 +59,32 @@ def load_kb(spec: dict):
 
 
 class Phase:
-    """The in-process phase: every table is linked once per round, and its
-    latency is its best round. A shared machine only ever adds time, in
-    bursts, so the best of several rounds is the steadiest estimate of what
-    the code costs. Every pass must reproduce the first pass's annotations
-    byte for byte."""
+    """The in-process phase: a fixed number of rounds, each linking every
+    table once (on the rerun workload, a cold and then a warm pass). Each
+    estimate is the median over rounds of that round's value: the linkable
+    cells its ``link_table`` calls annotated over their summed reference
+    seconds, and the p50 and p90 of its call latencies (on the rerun
+    workload, of the warm pass). A cost that every round pays counts in
+    full; a burst of machine noise in one round does not; and as the round
+    count is fixed, a faster build gets no more samples. Every pass must
+    reproduce the first pass's annotations byte for byte."""
 
-    def __init__(self, clock: calibrate.Clock, n_tables: int, scratch: Path):
+    def __init__(self, clock: calibrate.Clock, scratch: Path):
         self.clock = clock
         self.scratch = scratch
-        self.best: dict[str, list[float]] = {}   # pass kind -> per table
-        self.n_tables = n_tables
+        self.per_round: list[dict] = []
         self.raw_seconds = 0.0
-        self.rounds = 0
         self.attempted = 0
         self.failures: list[str] = []
         self.first: list[bytes] | None = None
-        self.linkable = 0                          # cells in one pass
+        self.linkable: list[int] = []                 # per table
+        self._round = {"cells": 0, "seconds": 0.0, "latencies": []}
 
-    def run_pass(self, kind: str, kb, tables, cache) -> float:
-        """Link every table once; returns the pass's reference seconds."""
-        best = self.best.setdefault(kind, [math.inf] * self.n_tables)
+    def run_pass(self, kb, tables, cache, timed: bool = True) -> float:
+        """Link every table once; returns the pass's reference seconds. The
+        calls' latencies count towards the round's percentiles if
+        ``timed``."""
+        rnd = self._round
         out, total = [], 0.0
         for i, table in enumerate(tables):
             self.attempted += 1
@@ -89,31 +93,49 @@ class Phase:
                     tablink.tables.link_table, table, *kb, cache=cache)
             except Exception as exc:  # counted as a failed operation
                 self.failures.append(f"{table.table_id}: {exc!r}")
+                if self.first is None:
+                    self.linkable.append(0)
                 out.append(b"")
                 continue
-            best[i] = min(best[i], scaled)
+            if timed:
+                rnd["latencies"].append(scaled)
             total += scaled
             self.raw_seconds += raw
             data = annotation_bytes(ann, self.scratch)
-            if self.first is not None and data != self.first[i]:
-                self.failures.append(f"{table.table_id}: annotation differs "
-                                     "from the first pass")
+            if self.first is None:
+                self.linkable.append(linkable_cells(data))
+            elif data != self.first[i]:
+                self.failures.append(f"{table.table_id}: annotation "
+                                     "differs from the first pass")
+            rnd["cells"] += self.linkable[i]
             out.append(data)
         if self.first is None:
             self.first = out
-            self.linkable = sum(linkable_cells(d) for d in out if d)
+        rnd["seconds"] += total
         return total
 
+    def end_round(self) -> None:
+        rnd = self._round
+        lat = rnd["latencies"]
+        self.per_round.append({
+            "cells": rnd["cells"], "calls": len(lat),
+            "cells_per_s": rnd["cells"] / rnd["seconds"],
+            "p50": statistics.median(lat),
+            "p90": statistics.quantiles(lat, n=10)[8]})
+        self._round = {"cells": 0, "seconds": 0.0, "latencies": []}
+
     def to_obj(self) -> dict:
-        def done(xs):
-            return [x for x in xs if x != math.inf]
-        # table_ms is the rerun's warm pass, or the one pass of a round.
-        timed = self.best.get("warm", self.best.get("pass", []))
-        return {"latencies": done(timed),
-                "link_seconds": sum(sum(done(b)) for b in self.best.values()),
-                "cells": self.linkable * len(self.best),
-                "raw_link_seconds": self.raw_seconds / max(1, self.rounds),
-                "rounds": self.rounds, "attempted": self.attempted,
+        rounds = self.per_round
+
+        def med(key):
+            return statistics.median(r[key] for r in rounds)
+
+        return {"cells_per_s": med("cells_per_s"), "p50": med("p50"),
+                "p90": med("p90"),
+                "cells": sum(r["cells"] for r in rounds),
+                "calls": sum(r["calls"] for r in rounds),
+                "raw_link_seconds": self.raw_seconds / len(rounds),
+                "rounds": len(rounds), "attempted": self.attempted,
                 "failures": self.failures}
 
 
@@ -128,44 +150,39 @@ def dir_usage(path: Path) -> tuple[int, int]:
     return len(files), sum(p.stat().st_size for p in files)
 
 
-def measure(spec: dict, kb, tables, clock: calibrate.Clock, seconds: float,
-            one_round: bool, tracer: tracing.Tracer | None,
-            tag: str) -> tuple[Phase, dict]:
-    """Link rounds until ``seconds`` have gone by (at least one round; exactly
-    one with ``one_round``). A round is one pass without a cache, or on the
+def measure(spec: dict, kb, tables, clock: calibrate.Clock, rounds: int,
+            tracer: tracing.Tracer | None, tag: str) -> tuple[Phase, dict]:
+    """Link ``rounds`` rounds. A round is one pass without a cache, or on the
     rerun workload a cold pass that fills an empty cache directory followed
     by a warm pass through a fresh LinkCache over the same directory, as a
     rerun in a new process sees it."""
-    phase = Phase(clock, len(tables), Path(spec["scratch"]))
+    phase = Phase(clock, Path(spec["scratch"]))
     cache_info: dict = {}
-    deadline = time.perf_counter() + seconds
-    while phase.rounds == 0 or (not one_round and time.perf_counter() < deadline):
+    for r in range(rounds):
         if spec["rerun"]:
-            cache_dir = Path(spec["cache_root"]) / f"{tag}{phase.rounds}"
+            cache_dir = Path(spec["cache_root"]) / f"{tag}{r}"
             for kind in ("cold", "warm"):
                 if tracer:
                     tracer.phase = f"batch-{kind}"
-                spent = phase.run_pass(kind, kb, tables,
-                                       tablink.linker.LinkCache(cache_dir))
+                spent = phase.run_pass(kb, tables,
+                                       tablink.linker.LinkCache(cache_dir),
+                                       timed=kind == "warm")
                 cache_info.setdefault(f"{kind}_pass_s", spent)
             if "files" not in cache_info:
                 cache_info["files"], cache_info["bytes"] = dir_usage(cache_dir)
         else:
-            phase.run_pass("pass", kb, tables, None)
-        phase.rounds += 1
+            phase.run_pass(kb, tables, None)
+        phase.end_round()
     # Removed only now, so that deleting files never overlaps a timed pass.
     shutil.rmtree(spec["cache_root"], ignore_errors=True)
     return phase, cache_info
 
 
 def check_gold(spec: dict, first: list[bytes], tables) -> tuple[int, list[str]]:
-    gold = reference.read_gold(spec["gold"])
-    failures = []
-    for table, data in zip(tables, first):
-        if data:
-            failures += reference.gold_mismatches(json.loads(data),
-                                                  gold.get(table.table_id, {}))
-    return len(tables), failures
+    anns = [tablink.tables.annotation_from_obj(json.loads(data))
+            for data in first if data]
+    return len(tables), reference.gold_failures(
+        anns, tablink.evalbench.read_gold(spec["gold"]))
 
 
 def check_search(spec: dict, kb, first: list[bytes]) -> tuple[int, list[str]]:
@@ -252,8 +269,8 @@ def run_batch(spec_path: str) -> int:
         result["raw_loads"].append(raw)
     tables = [read_table(p) for p in spec["tables"]]
 
-    phase, cache_info = measure(spec, kb, tables, clock, spec["seconds"],
-                                spec["trace"] is not None, None, "u")
+    phase, cache_info = measure(spec, kb, tables, clock, spec["rounds"],
+                                None, "u")
     first = phase.first
     result["untraced"] = phase.to_obj()
     result["cache"] = cache_info
@@ -274,7 +291,7 @@ def run_batch(spec_path: str) -> int:
         tracer.install()
         try:
             kb, _, result["traced_load"] = clock.time(load_kb, spec)
-            traced, traced_cache = measure(spec, kb, tables, clock, 0, True,
+            traced, traced_cache = measure(spec, kb, tables, clock, 1,
                                            tracer, "t")
         finally:
             tracer.uninstall()

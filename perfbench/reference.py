@@ -6,9 +6,9 @@ of the records file. It reads the records as plain JSON and does not call
 ``tablink.index``; only the shipped stopword list is shared, since it is
 data the rules refer to.
 
-``gold_mismatches`` scores an annotation against gen-kb's rule-derived gold
-the way ``tablink eval`` defines precision and candidate recall, and lists
-every gold cell that either metric misses.
+``gold_failures`` scores annotations against gen-kb's rule-derived gold
+with ``tablink.evalbench.evaluate``, the scorer ``tablink eval`` ships; the
+gold comes from gen-kb's generation rules, not from the linker.
 """
 
 from __future__ import annotations
@@ -17,8 +17,12 @@ import json
 import math
 import re
 import unicodedata
+from collections.abc import Iterable
 from pathlib import Path
 
+from tablink.errors import GoldMismatch
+from tablink.evalbench import GoldRecord, evaluate
+from tablink.tables import TableAnnotation
 from tablink.text import STOPWORDS
 
 _WS = re.compile(r"\s+")
@@ -74,29 +78,28 @@ class LinearSearch:
         return [(h[4], h[5], h[6]) for h in hits[:k]]
 
 
-def read_gold(path: str | Path) -> dict[str, dict[tuple[int, int], str | None]]:
-    gold: dict[str, dict[tuple[int, int], str | None]] = {}
-    with open(path, encoding="utf-8") as fp:
-        for line in fp:
-            if line.strip():
-                g = json.loads(line)
-                gold.setdefault(g["table_id"], {})[(g["row"], g["col"])] = \
-                    g["expected"]
-    return gold
-
-
-def gold_mismatches(annotation: dict,
-                    gold: dict[tuple[int, int], str | None]) -> list[str]:
-    """Gold cells (expected id not null) whose annotation does not choose
-    the expected id or does not list it among the candidates."""
-    cells = {(c["row"], c["col"]): c
-             for c in annotation["headers"] + annotation["cells"]}
-    bad = []
-    for coord, expected in sorted(gold.items()):
-        if expected is None:
+def gold_failures(annotations: Iterable[TableAnnotation],
+                  gold: Iterable[GoldRecord]) -> list[str]:
+    """One failure per annotated table whose precision or candidate recall
+    against gen-kb's gold, as ``tablink eval`` scores them with
+    ``evaluate``, is below 1.0."""
+    by_table: dict[str, list[GoldRecord]] = {}
+    for g in gold:
+        by_table.setdefault(g.table_id, []).append(g)
+    failures = []
+    for ann in annotations:
+        mine = by_table.get(ann.table_id, [])
+        if not any(g.expected is not None for g in mine):
             continue
-        cell = cells.get(coord)
-        if (cell is None or cell["outcome"].get("id") != expected
-                or expected not in cell["candidates"]):
-            bad.append(f"{annotation['table_id']}{list(coord)}: want {expected}")
-    return bad
+        try:
+            score = evaluate([ann], mine).per_table[ann.table_id]
+        except GoldMismatch as exc:
+            failures.append(f"{ann.table_id}: {exc}")
+            continue
+        if score.precision_hits < score.cells_with_gold \
+                or score.recall_hits < score.cells_with_gold:
+            failures.append(
+                f"{ann.table_id}: precision {score.precision_hits}/"
+                f"{score.cells_with_gold}, candidate recall "
+                f"{score.recall_hits}/{score.cells_with_gold}")
+    return failures

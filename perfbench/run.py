@@ -29,7 +29,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from statistics import mean, median, quantiles
+from statistics import median, quantiles
 
 import calibrate
 
@@ -39,13 +39,18 @@ SRC = ROOT / "src"
 
 WORKLOADS = ("cli-tables", "batch-skew", "rerun-cached")
 SETUPS = 3                # set-ups per run; setup_s is their median
-CLI_SHARE = {"cli-tables": 0.7, "batch-skew": 0.3, "rerun-cached": 0.2}
-MIN_CLI_TABLES = 3
+CLI_SHARE = {"cli-tables": 0.7, "batch-skew": 0.5, "rerun-cached": 0.5}
+MIN_CLI_TABLES = 8
+# In-process rounds (each links every table once; on rerun-cached, twice).
+# Fixed, so that a faster build gets no more samples; at least three, so
+# that the median over rounds drops a burst of machine noise in one round.
+# rerun-cached gets five: its cold pass, which writes a cache file per
+# distinct key, varies by about 15% from round to round.
+ROUNDS = {"cli-tables": 9, "batch-skew": 3, "rerun-cached": 5}
 TRACED_CLI_TABLES = 3
 STARTUP_SAMPLES = 3
 REFERENCE_SAMPLE = 40     # mentions checked against the linear scan
 PROCESS_TIMEOUT = 150.0
-SAMPLE_EVERY = 0.05       # seconds between calibration samples
 
 # Per-layer metrics that every workload measures and that are never 0; the
 # result file also holds the workload-specific ones (cache pass times, hit
@@ -87,12 +92,13 @@ class Processes:
     """Starts the benchmark's child processes one at a time, times each from
     spawn to exit, and reads its peak RSS from the OS when reaping it.
 
-    While a child runs, this process wakes every SAMPLE_EVERY seconds and
-    runs the calibration kernel once. The benchmark is pinned to one CPU, so
-    the samples see the speed of the CPU the child runs on, over the child's
-    whole life; the child's wall time is scaled by REFERENCE_S over their
-    mean. The samples take about 2% of the child's CPU, the same share in
-    every run."""
+    Children run as the program is deployed, free to use every CPU. Nothing
+    of the benchmark runs while a child does: between two children this
+    process runs the calibration kernel on each CPU in turn
+    (``calibrate.cpus_kernel_seconds``), and a child's wall time is scaled
+    by REFERENCE_S over the mean of the samples right before and right after
+    it. The scale therefore depends on the machine around the child and not
+    on how the child uses the CPUs."""
 
     def __init__(self, work: Path):
         self.work = work
@@ -100,47 +106,33 @@ class Processes:
         self.n = 0
         for _ in range(20):
             calibrate.kernel()
+        self.last = calibrate.cpus_kernel_seconds()
 
-    def run(self, argv: list[str], sample: bool = True) -> Proc:
-        """Run one child. With ``sample`` false (a child that calibrates its
-        own timings) the reported wall time is raw."""
+    def run(self, argv: list[str]) -> Proc:
         self.n += 1
         log = self.work / f"proc{self.n:04d}.out"
-        samples = [calibrate.kernel_seconds(1)]
-        reaped: dict = {}
-        done = threading.Event()
+        before = self.last
         with open(log, "wb") as out, open(log.with_suffix(".err"), "wb") as err:
             start = time.perf_counter()
             proc = subprocess.Popen(argv, stdout=out, stderr=err, env=self.env,
                                     cwd=ROOT)
-
-            def reap():
-                _, status, usage = os.wait4(proc.pid, 0)
-                reaped.update(end=time.perf_counter(), status=status,
-                              usage=usage)
-                done.set()
-
-            waiter = threading.Thread(target=reap)
-            waiter.start()
+            timer = threading.Timer(PROCESS_TIMEOUT, proc.kill)
+            timer.start()
             try:
-                while not done.wait(SAMPLE_EVERY):
-                    if time.perf_counter() - start > PROCESS_TIMEOUT:
-                        proc.kill()
-                    if sample:
-                        samples.append(calibrate.kernel_seconds(1))
+                _, status, usage = os.wait4(proc.pid, 0)
+                end = time.perf_counter()
             except BaseException:
                 proc.kill()
+                proc.wait()
                 raise
             finally:
-                waiter.join()
-        samples.append(calibrate.kernel_seconds(1))
-        # Reaped by the waiter, so Popen must not wait for it again.
-        proc.returncode = os.waitstatus_to_exitcode(reaped["status"])
-        raw = reaped["end"] - start
-        wall = raw * calibrate.REFERENCE_S / mean(samples) \
-            if sample else raw
-        return Proc(proc.returncode, wall, raw,
-                    reaped["usage"].ru_maxrss / 1024.0, log)
+                timer.cancel()
+        # Reaped by wait4, so Popen must not wait for it again.
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        self.last = calibrate.cpus_kernel_seconds()
+        raw = end - start
+        wall = raw * calibrate.REFERENCE_S * 2 / (before + self.last)
+        return Proc(proc.returncode, wall, raw, usage.ru_maxrss / 1024.0, log)
 
 
 def tablink_argv(args: list[str], trace: Path | None = None, phase: str = "",
@@ -236,7 +228,7 @@ class Run:
             runs.append({"table": table, "proc": p, "annotation": dest})
         return runs
 
-    def batch(self, seconds: float, loads: int) -> tuple[dict, float]:
+    def batch(self, rounds: int, loads: int) -> tuple[dict, float]:
         """The in-process phase, in a child process so that its peak RSS is
         its own. Returns the child's result and peak RSS in MB."""
         spec = {
@@ -250,7 +242,7 @@ class Run:
             "cache_root": str(self.work / "batch-cache"),
             "scratch": str(self.work / "annotation.json"),
             "annotations_dir": str(self.work / "batch-out"),
-            "seconds": seconds,
+            "rounds": rounds,
             "loads": loads,
             "seed": self.seed,
             "reference_sample": REFERENCE_SAMPLE,
@@ -260,8 +252,7 @@ class Run:
         spec_path = self.work / "batch-spec.json"
         spec_path.write_text(json.dumps(spec), encoding="utf-8")
         p = self.procs.run(
-            [sys.executable, str(BENCH / "child.py"), "batch", str(spec_path)],
-            sample=False)
+            [sys.executable, str(BENCH / "child.py"), "batch", str(spec_path)])
         if p.rc != 0:
             raise RunFailed(f"in-process phase exited {p.rc}: "
                               + stderr_tail(p.out))
@@ -271,8 +262,10 @@ class Run:
 
     def check_cli(self, runs: list[dict]) -> None:
         import reference
+        from tablink.evalbench import read_gold
+        from tablink.tables import read_annotation
 
-        gold = reference.read_gold(self.inputs.gold) if self.inputs.gold else None
+        gold = read_gold(self.inputs.gold) if self.inputs.gold else None
         for r in runs:
             self.attempted += 1
             name, p = r["table"].stem, r["proc"]
@@ -280,9 +273,8 @@ class Run:
                 self.failures.append(f"link-table {name} exited {p.rc}: "
                                      + stderr_tail(p.out))
             elif gold is not None:
-                ann = json.loads(r["annotation"].read_text(encoding="utf-8"))
-                self.failures += reference.gold_mismatches(
-                    ann, gold.get(ann["table_id"], {}))
+                self.failures += reference.gold_failures(
+                    [read_annotation(r["annotation"])], gold)
             elif (r["annotation"].read_bytes()
                   != (self.work / "batch-out" / r["table"].name).read_bytes()):
                 # The in-process annotation passed the reference checks; the
@@ -306,7 +298,7 @@ class Run:
         if not self.traced:
             chains = [self.setup() for _ in range(SETUPS)]
             runs = self.cli_tables(cli_seconds, "u")
-            batch, batch_rss = self.batch(self.seconds - cli_seconds,
+            batch, batch_rss = self.batch(ROUNDS[self.workload],
                                           SETUPS if in_process_load else 1)
             self.check_cli(runs)
             self.absorb(batch)
@@ -329,7 +321,7 @@ class Run:
         chain_t, _, docs = self.setup(self.trace_path)
         runs = self.cli_tables(0, "u", TRACED_CLI_TABLES)
         runs_t = self.cli_tables(0, "t", TRACED_CLI_TABLES, self.trace_path)
-        batch, batch_rss = self.batch(0, 1)
+        batch, batch_rss = self.batch(1, 1)
         self.check_cli(runs + runs_t)
         self.absorb(batch)
         startup = [self.procs.run(tablink_argv(["--version"])).raw_wall
@@ -360,16 +352,14 @@ class Run:
     @staticmethod
     def e2e(chains, loads, runs, phase, batch_rss) -> dict:
         """End-to-end metrics as {name: (value, sample count)}."""
-        lat_ms = [x * 1000.0 for x in phase["latencies"]]
         walls = [r["proc"].wall for r in runs]
         return {
             "setup_s": (median([c + l for c, l in zip(chains, loads)]),
                         len(chains)),
             "table_cli_s.p50": (median(walls), len(walls)),
-            "cells_per_s": (phase["cells"] / phase["link_seconds"],
-                            phase["cells"]),
-            "table_ms.p50": (median(lat_ms), len(lat_ms)),
-            "table_ms.p90": (quantiles(lat_ms, n=10)[8], len(lat_ms)),
+            "cells_per_s": (phase["cells_per_s"], phase["cells"]),
+            "table_ms.p50": (phase["p50"] * 1e3, phase["calls"]),
+            "table_ms.p90": (phase["p90"] * 1e3, phase["calls"]),
             "peak_rss_mb": (max([r["proc"].rss for r in runs] + [batch_rss]),
                             len(runs) + 1),
         }
@@ -485,9 +475,6 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(SRC))
     # Stop cleanly on SIGTERM too: Processes kills the running child.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
-    if hasattr(os, "sched_setaffinity"):
-        # One CPU for the benchmark and every child it starts (see Processes).
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
     run = Run(args.workload, args.seed, args.seconds, bool(args.trace))
     try:

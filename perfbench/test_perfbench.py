@@ -16,9 +16,11 @@ import calibrate
 import reference
 import tracing
 import workloads
+from tablink.evalbench import GoldRecord
 from tablink.index import Index, search
-from tablink.kb import read_records
+from tablink.kb import EntityId, read_records
 from tablink.synth import generate_synthetic_kb
+from tablink.tables import CellAnnotation, TableAnnotation
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +152,27 @@ def test_linear_search_matches_index_on_gen_kb(small_kb):
     assert checked > 100
 
 
+def _annotation(table_id, chosen, candidates):
+    cell = CellAnnotation(row=0, col=0, mention="m", kind="entity",
+                          entity_id=EntityId.parse(chosen), entity_label="m",
+                          final_score=1.0,
+                          candidates=tuple(map(EntityId.parse, candidates)))
+    return TableAnnotation(table_id, "horizontal", {}, (), (cell,))
+
+
+def test_gold_failures_flags_tables_below_full_precision_or_recall():
+    gold = [GoldRecord("a", 0, 0, EntityId.parse("Q1")),
+            GoldRecord("b", 0, 0, EntityId.parse("Q1")),
+            GoldRecord("c", 0, 0, EntityId.parse("Q1")),
+            GoldRecord("d", 0, 0, None)]
+    anns = [_annotation("a", "Q1", ["Q1", "Q2"]),   # right link and candidate
+            _annotation("b", "Q2", ["Q1", "Q2"]),   # wrong link
+            _annotation("c", "Q1", ["Q2"]),         # expected not a candidate
+            _annotation("d", "Q2", ["Q2"])]         # no gold link to check
+    failures = reference.gold_failures(anns, gold)
+    assert [f.split(":")[0] for f in failures] == ["b", "c"]
+
+
 def test_clock_scales_by_kernel_time_around_the_call(monkeypatch):
     times = iter([2e-3, 4e-3])
     monkeypatch.setattr(calibrate, "kernel_seconds", lambda repeats=2: next(times))
@@ -161,3 +184,15 @@ def test_clock_scales_by_kernel_time_around_the_call(monkeypatch):
     assert raw == pytest.approx(0.5)
     # Mean kernel time around the call is 3 ms, so 0.5 s is 1/6 s at 1 ms.
     assert scaled == pytest.approx(0.5 * calibrate.REFERENCE_S / 3e-3)
+
+
+@pytest.mark.skipif(not hasattr(calibrate.os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_cpus_kernel_seconds_visits_each_cpu_and_unpins(monkeypatch):
+    allowed = calibrate.os.sched_getaffinity(0)
+    visited = []
+    monkeypatch.setattr(calibrate, "kernel_seconds", lambda repeats=2: (
+        visited.append(frozenset(calibrate.os.sched_getaffinity(0))) or 1e-3))
+    assert calibrate.cpus_kernel_seconds(repeats=2) == pytest.approx(1e-3)
+    assert visited == [frozenset({c}) for c in sorted(allowed) for _ in (0, 1)]
+    assert calibrate.os.sched_getaffinity(0) == allowed

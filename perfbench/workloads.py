@@ -5,9 +5,10 @@ byte-identical dumps, configs and tables. The program under test only ever
 sees the generated files.
 
 The default-profile corpus comes from the public ``generate_synthetic_kb``.
-The skewed workloads rewrite its dump so that labels share domain nouns the
-way real knowledge-base labels do, then compose their own table corpus over
-the rewritten labels.
+The skewed workloads rewrite its dump so that labels share domain nouns,
+then compose their own table corpus over the rewritten labels. The shape of
+the skew and the mix of mentions are assumptions, not measurements of a real
+knowledge base; see the comments at SKEW_SHARE and _MentionSource.
 """
 
 from __future__ import annotations
@@ -28,14 +29,16 @@ from tablink.synth import generate_synthetic_kb
 NOUNS = ("virus", "protein", "strain", "gene", "receptor", "antigen",
          "enzyme", "factor", "kinase", "syndrome", "toxin", "plasmid")
 
-# Why the skew has this shape: in real KB dumps a minority of labels end in a
-# domain head noun, and those nouns follow a rank-frequency power law (a few,
-# like "protein" or "gene", sit in thousands of labels; most in few). A
-# Zipf draw with exponent 1 over twelve nouns, applied to 30% of item labels,
-# gives the longest posting list about a tenth of all labels and leaves the
-# rest of the vocabulary unique. That is the regime where partial-tier
-# search merges long posting lists (Li, Lu & Lu, ICDE 2008), which the
-# default synthetic profile (posting lists of length 1 to 5) never reaches.
+# Why the skew has this shape: partial-tier search only does list-merging
+# work when mention tokens have long posting lists (the regime of Li, Lu &
+# Lu, ICDE 2008), and the default synthetic profile never gets there: its
+# posting lists hold 1 to 5 records. Shared head nouns make long lists. The
+# numbers are unverified assumptions with no source: a minority of labels
+# (30%) carries one noun, and the nouns follow a rank-frequency power law
+# (Zipf exponent 1 over twelve nouns). Together they give the longest
+# posting list about a tenth of all labels (workload.top_token_share
+# reports it) and leave the rest of the vocabulary unique. Replace them with
+# figures measured on a real dump once one is in the repository.
 SKEW_SHARE = 0.30
 ZIPF_S = 1.0
 
@@ -61,11 +64,12 @@ class Profile:
 
 PROFILES = {
     # Big enough that loading the index dominates a link-table process.
-    "cli-tables": Profile(items=30000, types=600, gen_tables=120, tables=120),
+    "cli-tables": Profile(items=20000, types=600, gen_tables=120, tables=120),
     "batch-skew": Profile(items=10000, types=300, gen_tables=1, tables=120,
                           skew_share=SKEW_SHARE, zipf_s=ZIPF_S),
-    # About three quarters of cells repeat an earlier cell, as in a corpus of
-    # papers that keep citing the same handful of agents and genes.
+    # About three quarters of cells repeat an earlier cell. The share is an
+    # unverified assumption (no measured corpus behind it); the run reports
+    # the exact share it got as workload.repeat_share.
     "rerun-cached": Profile(items=10000, types=300, gen_tables=1, tables=120,
                             skew_share=SKEW_SHARE, zipf_s=ZIPF_S,
                             repeat_target=0.75),
@@ -140,8 +144,12 @@ def _surfaces(dump: Path) -> tuple[list[str], list[str], list[str]]:
 
 class _MentionSource:
     """Cell mentions mixed 40% exact labels, 20% aliases and 40% partial
-    variants (a real label word plus a shared noun, often a combination no
-    label has)."""
+    variants (a word of an existing label plus a shared noun, often a
+    combination no label has).
+
+    The mix is an unverified assumption with no measured source. The partial
+    share is what makes search dominate batch-skew; the run reports the
+    share of mentions with partial-tier hits as workload.partial_share."""
 
     def __init__(self, rng: random.Random, labels: list[str],
                  aliases: list[str], s: float):
