@@ -87,7 +87,7 @@ def _comma_list(raw: str | None) -> list[str]:
 def _cmd_ingest(args) -> dict:
     watchlist = [EntityId.parse(p) for p in _comma_list(args.watchlist)]
     stats = ingest_dump(args.dump, args.out_records, args.out_edges,
-                        watchlist=watchlist, jobs=args.jobs)
+                        watchlist=watchlist)
     _emit(stats.to_obj(), None)
     return {}
 
@@ -139,8 +139,7 @@ def _cmd_link_table(args) -> dict:
     config = load_config(args.config)
     cache = LinkCache(args.cache) if args.cache else None
     table = _load_table(args.table, args.has_header)
-    annotation = link_table(table, index, closure, config, cache=cache,
-                            jobs=args.jobs)
+    annotation = link_table(table, index, closure, config, cache=cache)
     if args.out:
         write_annotation(args.out, annotation)
     else:
@@ -207,7 +206,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-records", required=True)
     p.add_argument("--out-edges", required=True)
     p.add_argument("--watchlist", help="comma-separated property ids to flag")
-    p.add_argument("--jobs", type=int, default=1)
+    # --jobs is accepted for old command lines and ignored: ingest and
+    # link-table run on one thread.
+    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("closure", help="build the type-ancestor closure from edges")
@@ -241,7 +242,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--closure", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--cache", help="cache directory")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_link_table)
 

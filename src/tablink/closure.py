@@ -7,9 +7,11 @@ through subclass_of (items) or subproperty_of (properties) edges, so that
 
 from __future__ import annotations
 
+import hashlib
 import logging
 from collections import deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
+from functools import cached_property
 from pathlib import Path
 
 from .kb import EntityId, ItemRecord, TypeEdge
@@ -40,6 +42,22 @@ class TypeClosure:
 
     def reaches(self, child: EntityId, ancestor: EntityId) -> bool:
         return ancestor in self._ancestors.get(child, frozenset())
+
+    def lines(self) -> Iterator[str]:
+        """Canonical text form, one line per node: the node id, then its
+        ancestors in ascending order, space-separated."""
+        for node in self.nodes():
+            ancestors = sorted(self._ancestors[node], key=EntityId.sort_key)
+            yield " ".join([node.raw] + [a.raw for a in ancestors]) + "\n"
+
+    @cached_property
+    def digest(self) -> str:
+        """sha256 of the canonical lines, equal to the hash of the file
+        write_closure() writes. Rejected edges do not count."""
+        h = hashlib.sha256()
+        for line in self.lines():
+            h.update(line.encode("utf-8"))
+        return h.hexdigest()
 
 
 def build_closure(edges: Iterable[TypeEdge],
@@ -91,13 +109,11 @@ def has_type(record: ItemRecord, type_id: EntityId, closure: TypeClosure) -> boo
 
 
 def write_closure(path: str | Path, closure: TypeClosure) -> int:
-    """One line per node: the node id, then its ancestors in ascending order,
-    space-separated."""
+    """Write closure.lines(); returns the node count."""
     n = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        for node in closure.nodes():
-            ancestors = sorted(closure.ancestors_of(node), key=EntityId.sort_key)
-            fp.write(" ".join([node.raw] + [a.raw for a in ancestors]) + "\n")
+        for line in closure.lines():
+            fp.write(line)
             n += 1
     return n
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Iterable, Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,15 +44,6 @@ class IngestStats:
     def check(self) -> None:
         if self.docs_seen != self.records_emitted + self.skipped_no_label + self.parse_errors:
             raise AssertionError(f"inconsistent ingest stats: {self}")
-
-    def merged(self, other: "IngestStats") -> "IngestStats":
-        return IngestStats(
-            self.docs_seen + other.docs_seen,
-            self.records_emitted + other.records_emitted,
-            self.skipped_no_label + other.skipped_no_label,
-            self.edges_emitted + other.edges_emitted,
-            self.parse_errors + other.parse_errors,
-        )
 
     def to_obj(self) -> dict:
         return {
@@ -173,65 +163,35 @@ def strip_decoration(line: str) -> str:
     return s
 
 
-def _parse_chunk(lines: list[str], watchlist: frozenset[EntityId]
-                 ) -> tuple[list[ItemRecord], list[TypeEdge], IngestStats]:
-    records: list[ItemRecord] = []
-    edges: list[TypeEdge] = []
-    stats = IngestStats()
-    for line in lines:
-        body = strip_decoration(line)
-        if not body:
-            continue
-        stats.docs_seen += 1
-        try:
-            doc = json.loads(body)
-            record, doc_edges = parse_entity_doc(doc, watchlist)
-        except (json.JSONDecodeError, ParseError) as exc:
-            stats.parse_errors += 1
-            log.debug("skipping malformed dump line: %s", exc)
-            continue
-        edges.extend(doc_edges)
-        stats.edges_emitted += len(doc_edges)
-        if record is None:
-            stats.skipped_no_label += 1
-        else:
-            records.append(record)
-            stats.records_emitted += 1
-    return records, edges, stats
-
-
 def ingest_dump(dump_path: str | Path,
                 out_records: str | Path,
                 out_edges: str | Path,
-                watchlist: Iterable[EntityId] = (),
-                jobs: int = 1) -> IngestStats:
-    """Parse a dump file into record and edge files.
-
-    With jobs > 1 the input lines are split into contiguous shards parsed in
-    parallel; shard outputs are concatenated in shard order, so the result is
-    byte-identical for any job count.
-    """
+                watchlist: Iterable[EntityId] = ()) -> IngestStats:
+    """Parse a dump file into record and edge files, one line at a time, so
+    memory stays bounded by the longest line whatever the dump's size."""
     watch = frozenset(watchlist)
-    with open(dump_path, "r", encoding="utf-8") as fp:
-        lines = fp.readlines()
-
-    jobs = max(1, jobs)
-    if jobs == 1 or len(lines) < 2 * jobs:
-        chunks = [_parse_chunk(lines, watch)]
-    else:
-        size = (len(lines) + jobs - 1) // jobs
-        shards = [lines[i:i + size] for i in range(0, len(lines), size)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda sh: _parse_chunk(sh, watch), shards))
-
     stats = IngestStats()
-    with open(out_records, "w", encoding="utf-8", newline="\n") as rec_fp, \
+    with open(dump_path, "r", encoding="utf-8") as dump_fp, \
+            open(out_records, "w", encoding="utf-8", newline="\n") as rec_fp, \
             open(out_edges, "w", encoding="utf-8", newline="\n") as edge_fp:
-        for records, edges, chunk_stats in chunks:
-            for record in records:
-                rec_fp.write(dump_json_line(record_to_obj(record)) + "\n")
+        for line in dump_fp:
+            body = strip_decoration(line)
+            if not body:
+                continue
+            stats.docs_seen += 1
+            try:
+                record, edges = parse_entity_doc(json.loads(body), watch)
+            except (json.JSONDecodeError, ParseError) as exc:
+                stats.parse_errors += 1
+                log.debug("skipping malformed dump line: %s", exc)
+                continue
             for edge in edges:
                 edge_fp.write(dump_json_line(edge_to_obj(edge)) + "\n")
-            stats = stats.merged(chunk_stats)
+            stats.edges_emitted += len(edges)
+            if record is None:
+                stats.skipped_no_label += 1
+            else:
+                rec_fp.write(dump_json_line(record_to_obj(record)) + "\n")
+                stats.records_emitted += 1
     stats.check()
     return stats

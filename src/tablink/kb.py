@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -412,9 +413,11 @@ def parse_config_obj(obj: Mapping) -> DomainConfig:
         raise ConfigError("params.sample_size must be >= 1")
     if not (0.0 < params.support_threshold <= 1.0):
         raise ConfigError("params.support_threshold must be in (0, 1]")
-    for name in ("header_property_boost", "column_type_boost", "header_column_boost"):
-        if getattr(params, name) < 0:
-            raise ConfigError(f"params.{name} must be >= 0")
+    for name in ("min_link_score", "header_property_boost", "column_type_boost",
+                 "header_column_boost"):
+        value = getattr(params, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"params.{name} must be a finite number >= 0")
 
     return DomainConfig(type_dictionary, tiers, near_miss_map, tuple(rules),
                         weights, params)

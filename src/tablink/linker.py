@@ -8,6 +8,7 @@ normalized mention, which keeps the memoizing cache exactly transparent.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -32,7 +33,6 @@ from .kb import (
     InferenceRule,
     ItemRecord,
     ValidatedConfig,
-    record_from_obj,
     record_to_obj,
 )
 from .text import normalize, tf_cosine, tokenize
@@ -126,17 +126,6 @@ class ScoredCandidate:
     boosts: float
     weighted_base: float
     final_score: float
-
-    def with_extra_boost(self, delta: float) -> "ScoredCandidate":
-        boosts = self.boosts + delta
-        return ScoredCandidate(
-            record=self.record, match_tier=self.match_tier,
-            type_tier=self.type_tier, inferred_type_names=self.inferred_type_names,
-            token_overlap=self.token_overlap, type_score=self.type_score,
-            match_score=self.match_score, prominence=self.prominence,
-            context_sim=self.context_sim, boosts=boosts,
-            weighted_base=self.weighted_base,
-            final_score=self.weighted_base + boosts)
 
 
 def scored_sort_key(c: ScoredCandidate) -> tuple:
@@ -255,38 +244,21 @@ def link(mention: str,
                                 closure, config, context_scorer)
 
 
+# Every field of ScoredCandidate except the record, in declaration order.
+_SCALAR_FIELDS = tuple(f.name for f in dataclasses.fields(ScoredCandidate)
+                       if f.name != "record")
+
+
+def _scalar_obj(c: ScoredCandidate) -> dict:
+    obj = {}
+    for name in _SCALAR_FIELDS:
+        value = getattr(c, name)
+        obj[name] = sorted(value) if isinstance(value, frozenset) else value
+    return obj
+
+
 def candidate_to_obj(c: ScoredCandidate) -> dict:
-    return {
-        "record": record_to_obj(c.record),
-        "match_tier": c.match_tier,
-        "type_tier": c.type_tier,
-        "inferred_type_names": sorted(c.inferred_type_names),
-        "token_overlap": c.token_overlap,
-        "type_score": c.type_score,
-        "match_score": c.match_score,
-        "prominence": c.prominence,
-        "context_sim": c.context_sim,
-        "boosts": c.boosts,
-        "weighted_base": c.weighted_base,
-        "final_score": c.final_score,
-    }
-
-
-def candidate_from_obj(obj: dict) -> ScoredCandidate:
-    return ScoredCandidate(
-        record=record_from_obj(obj["record"]),
-        match_tier=obj["match_tier"],
-        type_tier=obj["type_tier"],
-        inferred_type_names=frozenset(obj["inferred_type_names"]),
-        token_overlap=obj["token_overlap"],
-        type_score=obj["type_score"],
-        match_score=obj["match_score"],
-        prominence=obj["prominence"],
-        context_sim=obj["context_sim"],
-        boosts=obj["boosts"],
-        weighted_base=obj["weighted_base"],
-        final_score=obj["final_score"],
-    )
+    return {"record": record_to_obj(c.record), **_scalar_obj(c)}
 
 
 def result_to_obj(result: LinkResult) -> dict:
@@ -299,24 +271,44 @@ def result_to_obj(result: LinkResult) -> dict:
     }
 
 
-def result_from_obj(obj: dict) -> LinkResult:
-    diag = obj.get("diagnostics", {})
+def _entry_obj(result: LinkResult) -> dict:
+    """A disk cache entry: result_to_obj() with each record reduced to its
+    id, rehydrated from the index the key names, and the chosen candidate
+    given by position."""
+    return {
+        "mention": result.mention,
+        "mode": result.mode,
+        "chosen": (None if result.chosen is None
+                   else result.candidates.index(result.chosen)),
+        "candidates": [{"id": c.record.id.raw, **_scalar_obj(c)}
+                       for c in result.candidates],
+        "diagnostics": result.diagnostics.to_obj(),
+    }
+
+
+def _entry_result(obj: dict, index: Index) -> LinkResult:
+    """Raises KeyError when a candidate id is not in the index."""
+    candidates = []
+    for c in obj["candidates"]:
+        fields = {name: c[name] for name in _SCALAR_FIELDS}
+        fields["inferred_type_names"] = frozenset(fields["inferred_type_names"])
+        record = index.records_by_id[EntityId.parse(c["id"])]
+        candidates.append(ScoredCandidate(record=record, **fields))
+    chosen = obj["chosen"]
     return LinkResult(
-        mention=obj["mention"],
-        mode=obj["mode"],
-        chosen=candidate_from_obj(obj["chosen"]) if obj.get("chosen") else None,
-        candidates=tuple(candidate_from_obj(c) for c in obj["candidates"]),
-        diagnostics=Diagnostics(diag.get("retrieved", 0), diag.get("rejected_bad", 0),
-                                diag.get("below_threshold", 0)),
-    )
+        mention=obj["mention"], mode=obj["mode"],
+        chosen=None if chosen is None else candidates[chosen],
+        candidates=tuple(candidates),
+        diagnostics=Diagnostics(**obj["diagnostics"]))
 
 
 class LinkCache:
     """Memoizes link results in memory and optionally on disk.
 
     Keys cover everything the result depends on, so a hit is always safe to
-    return verbatim. Any disk trouble degrades to plain computation; the
-    cache can slow things down when broken but never change an answer.
+    return verbatim. Any disk trouble, including an entry naming an id the
+    index lacks, degrades to plain computation; the cache can slow things
+    down when broken but never change an answer.
     """
 
     def __init__(self, cache_dir: str | Path | None = None):
@@ -336,7 +328,8 @@ class LinkCache:
     @staticmethod
     def key(mention: str, mode: str, context: str | None,
             expected_types: Iterable[str] | None,
-            config: ValidatedConfig, build_id: str) -> str:
+            config: ValidatedConfig, build_id: str,
+            closure: TypeClosure) -> str:
         doc = {
             "mention": normalize(mention),
             "mode": mode,
@@ -344,6 +337,7 @@ class LinkCache:
             "expected_types": sorted(set(expected_types)) if expected_types else [],
             "config": config.content_hash,
             "index": build_id,
+            "closure": closure.digest,
         }
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -351,15 +345,15 @@ class LinkCache:
     def _disk_path(self, key: str) -> Path:
         return self.cache_dir / (key + ".json")
 
-    def _disk_get(self, key: str) -> LinkResult | None:
+    def _disk_get(self, key: str, index: Index) -> LinkResult | None:
         if self.cache_dir is None:
             return None
         try:
             with open(self._disk_path(key), "r", encoding="utf-8") as fp:
-                return result_from_obj(json.load(fp))
+                return _entry_result(json.load(fp), index)
         except FileNotFoundError:
             return None
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
             log.debug("cache read failed for %s: %s", key, exc)
             return None
 
@@ -369,25 +363,29 @@ class LinkCache:
         try:
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fp:
-                json.dump(result_to_obj(result), fp, ensure_ascii=False,
+                json.dump(_entry_obj(result), fp, ensure_ascii=False,
                           separators=(",", ":"))
             os.replace(tmp, self._disk_path(key))
         except OSError as exc:
             log.debug("cache write failed for %s: %s", key, exc)
 
-    def get_or_compute(self, key: str, compute: Callable[[], LinkResult]) -> LinkResult:
+    def get_or_compute(self, key: str, compute: Callable[[], LinkResult], *,
+                       index: Index) -> LinkResult:
+        """The cached result for key, else compute()'s. index must be the one
+        the key names; disk entries rehydrate their records from it."""
         with self._lock:
             cached = self._memory.get(key)
+            if cached is not None:
+                self.hits += 1
+                return cached
+        cached = self._disk_get(key, index)
         if cached is not None:
-            self.hits += 1
-            return cached
-        cached = self._disk_get(key)
-        if cached is not None:
-            self.hits += 1
             with self._lock:
+                self.hits += 1
                 self._memory[key] = cached
             return cached
-        self.misses += 1
+        with self._lock:
+            self.misses += 1
         result = compute()
         with self._lock:
             self._memory[key] = result
@@ -405,12 +403,16 @@ def cached_link(mention: str,
                 cache: LinkCache | None = None,
                 context_scorer: ContextScorer | None = None) -> LinkResult:
     """link() behind the memoizing cache. Exactly equivalent to link() for
-    every input; without a cache it simply computes."""
+    every input; without a cache it simply computes. The key cannot name a
+    custom context_scorer, so a cache together with one is refused."""
     if cache is None:
         return link(mention, mode, index, closure, config, context,
                     expected_types, context_scorer)
+    if context_scorer is not None:
+        raise ValueError("a link cache cannot be combined with a custom "
+                         "context_scorer")
     key = LinkCache.key(mention, mode, context, expected_types, config,
-                        index.build_id)
+                        index.build_id, closure)
     return cache.get_or_compute(
         key, lambda: link(mention, mode, index, closure, config, context,
-                          expected_types, context_scorer))
+                          expected_types), index=index)

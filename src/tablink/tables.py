@@ -13,8 +13,7 @@ import json
 import logging
 import re
 from collections.abc import Iterable, Mapping
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .closure import TypeClosure, has_type
@@ -163,7 +162,6 @@ def classify_orientation(table: Table) -> str:
 
 
 def column_type_vote(candidate_sets: list[tuple[ScoredCandidate, ...]],
-                     closure: TypeClosure,
                      threshold: float) -> EntityId | None:
     """Pick a column's dominant direct type by score-weighted voting.
 
@@ -172,7 +170,6 @@ def column_type_vote(candidate_sets: list[tuple[ScoredCandidate, ...]],
     it appears (as a direct type of some candidate) in at least the threshold
     fraction of the sampled cells' candidate sets.
     """
-    del closure  # reserved: voting is over direct types only
     weights: dict[EntityId, float] = {}
     for cands in candidate_sets:
         for cand in cands:
@@ -325,7 +322,6 @@ def link_table(table: Table,
                closure: TypeClosure,
                config: ValidatedConfig,
                cache: LinkCache | None = None,
-               jobs: int = 1,
                context_scorer: ContextScorer | None = None) -> TableAnnotation:
     """Two-pass linking of one table.
 
@@ -372,22 +368,13 @@ def link_table(table: Table,
         parts = [table.caption] + [h for j, h in enumerate(wheader) if j != wc]
         return " ".join(p for p in parts if p)
 
-    tasks = []
     for cell in headers:
         if cell.literal is None:
-            tasks.append((cell, header_context(cell.wcol), HEADER))
+            _link_one(cell, header_context(cell.wcol), HEADER, index, closure,
+                      config, cache, context_scorer)
     for cell in body:
         if cell.literal is None:
-            tasks.append((cell, None, CELL))
-
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(lambda t: _link_one(t[0], t[1], t[2], index, closure,
-                                              config, cache, context_scorer),
-                          tasks))
-    else:
-        for cell, ctx, mode in tasks:
-            _link_one(cell, ctx, mode, index, closure, config, cache,
+            _link_one(cell, None, CELL, index, closure, config, cache,
                       context_scorer)
 
     by_col: dict[int, list[_WorkCell]] = {wc: [] for wc in range(len(wheader))}
@@ -400,15 +387,17 @@ def link_table(table: Table,
     for wc, cells in by_col.items():
         sampled = [c for c in cells if c.is_linked][:params.sample_size]
         dominant = column_type_vote([c.result.candidates for c in sampled],
-                                    closure, params.support_threshold)
+                                    params.support_threshold)
         dominant_types[wc] = dominant
         if dominant is None:
             continue
+        boost = params.column_type_boost
         for cell in cells:
             if not cell.is_linked:
                 continue
             boosted = [
-                c.with_extra_boost(params.column_type_boost)
+                replace(c, boosts=c.boosts + boost,
+                        final_score=c.weighted_base + (c.boosts + boost))
                 if has_type(c.record, dominant, closure) else c
                 for c in cell.result.candidates]
             cell.result = _rerank(cell.result, boosted, params.min_link_score)
@@ -416,13 +405,14 @@ def link_table(table: Table,
         dom_record = index.get(dominant)
         dom_tokens = frozenset(tokenize(dom_record.label)) if dom_record else frozenset()
         if header_cell.is_linked and dom_tokens:
+            boost = params.header_column_boost
             boosted = []
             for c in header_cell.result.candidates:
                 cand_tokens = tokenize(c.record.label + " " + c.record.description)
                 if any(t in dom_tokens for t in cand_tokens):
-                    boosted.append(c.with_extra_boost(params.header_column_boost))
-                else:
-                    boosted.append(c)
+                    c = replace(c, boosts=c.boosts + boost,
+                                final_score=c.weighted_base + (c.boosts + boost))
+                boosted.append(c)
             header_cell.result = _rerank(header_cell.result, boosted,
                                          params.min_link_score)
 

@@ -1,13 +1,21 @@
+import hashlib
+import json
+
+import pytest
+
 from tablink import (
     EntityId,
     ItemRecord,
     LinkCache,
+    TypeEdge,
     build_closure,
     build_index,
     cached_link,
     link,
     parse_config_obj,
+    read_closure,
     validate_config,
+    write_closure,
 )
 
 q = EntityId.parse
@@ -67,7 +75,7 @@ def test_disk_persistence_across_instances(tmp_path):
     first = LinkCache(tmp_path / "cache")
     result = cached_link("alpha", "cell", index, CLOSURE, CONFIG, cache=first)
     assert first.misses == 1
-    key = LinkCache.key("alpha", "cell", None, None, CONFIG, index.build_id)
+    key = LinkCache.key("alpha", "cell", None, None, CONFIG, index.build_id, CLOSURE)
     assert (tmp_path / "cache" / f"{key}.json").is_file()
 
     second = LinkCache(tmp_path / "cache")
@@ -78,7 +86,7 @@ def test_disk_persistence_across_instances(tmp_path):
 
 def test_corrupt_disk_entry_degrades_to_computation(tmp_path):
     index = make_index()
-    key = LinkCache.key("alpha", "cell", None, None, CONFIG, index.build_id)
+    key = LinkCache.key("alpha", "cell", None, None, CONFIG, index.build_id, CLOSURE)
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
     (cache_dir / f"{key}.json").write_text("{not json", encoding="utf-8")
@@ -100,34 +108,38 @@ def test_unusable_cache_dir_falls_back_to_memory(tmp_path):
 
 def test_key_normalizes_inputs():
     index = make_index()
-    base = LinkCache.key("alpha", "cell", None, None, CONFIG, index.build_id)
+    base = LinkCache.key("alpha", "cell", None, None, CONFIG, index.build_id, CLOSURE)
     assert LinkCache.key(" ALPHA ", "cell", None, None, CONFIG,
-                         index.build_id) == base
+                         index.build_id, CLOSURE) == base
     assert LinkCache.key("alpha", "cell", "", None, CONFIG,
-                         index.build_id) == base
+                         index.build_id, CLOSURE) == base
     assert LinkCache.key("alpha", "cell", None, [], CONFIG,
-                         index.build_id) == base
-    a = LinkCache.key("alpha", "cell", None, ["x", "y"], CONFIG, index.build_id)
+                         index.build_id, CLOSURE) == base
+    a = LinkCache.key("alpha", "cell", None, ["x", "y"], CONFIG, index.build_id, CLOSURE)
     b = LinkCache.key("alpha", "cell", None, ["y", "x", "x"], CONFIG,
-                      index.build_id)
+                      index.build_id, CLOSURE)
     assert a == b
 
 
 def test_key_separates_every_input():
     index = make_index()
-    base = LinkCache.key("alpha", "cell", None, None, CONFIG, index.build_id)
+    base = LinkCache.key("alpha", "cell", None, None, CONFIG, index.build_id, CLOSURE)
     variants = [
-        LinkCache.key("beta", "cell", None, None, CONFIG, index.build_id),
-        LinkCache.key("alpha", "header", None, None, CONFIG, index.build_id),
+        LinkCache.key("beta", "cell", None, None, CONFIG, index.build_id, CLOSURE),
+        LinkCache.key("alpha", "header", None, None, CONFIG, index.build_id, CLOSURE),
         LinkCache.key("alpha", "cell", "some context", None, CONFIG,
-                      index.build_id),
+                      index.build_id, CLOSURE),
         LinkCache.key("alpha", "cell", None, ["good-type"], CONFIG,
-                      index.build_id),
-        LinkCache.key("alpha", "cell", None, None, CONFIG, "other-build"),
+                      index.build_id, CLOSURE),
+        LinkCache.key("alpha", "cell", None, None, CONFIG, "other-build",
+                      CLOSURE),
         LinkCache.key("alpha", "cell", None, None,
-                      cfg({"min_link_score": 0.5}), index.build_id),
+                      cfg({"min_link_score": 0.5}), index.build_id, CLOSURE),
+        LinkCache.key("alpha", "cell", None, None, CONFIG, index.build_id,
+                      build_closure([TypeEdge(q("Q200"), q("Q100"),
+                                              "subclass_of")])),
     ]
-    assert len({base, *variants}) == 7
+    assert len({base, *variants}) == 8
 
 
 def test_stale_entries_are_keyed_away_not_returned(tmp_path):
@@ -141,3 +153,72 @@ def test_stale_entries_are_keyed_away_not_returned(tmp_path):
     assert a.chosen.record.id.raw == "Q1"
     assert b.chosen.record.id.raw == "Q9"
     assert cache.misses == 2
+
+
+def test_reused_cache_dir_sees_a_changed_closure(tmp_path):
+    # Q1's type Q200 is not good until the closure gains Q200 below Q100.
+    index = build_index([rec("Q1", "alpha", types=["Q200"], sitelinks=1)])
+    grown = build_closure([TypeEdge(q("Q200"), q("Q100"), "subclass_of")])
+    before = cached_link("alpha", "cell", index, CLOSURE, CONFIG,
+                         cache=LinkCache(tmp_path / "cache"))
+    assert before.chosen.type_tier == "UNKNOWN"
+    after = cached_link("alpha", "cell", index, grown, CONFIG,
+                        cache=LinkCache(tmp_path / "cache"))
+    assert after.chosen.type_tier == "GOOD"
+    assert after == link("alpha", "cell", index, grown, CONFIG)
+
+
+def test_closure_digest_is_the_written_file_hash(tmp_path):
+    closure = build_closure([TypeEdge(q("Q200"), q("Q100"), "subclass_of"),
+                             TypeEdge(q("Q300"), q("Q200"), "subclass_of")])
+    path = tmp_path / "closure.txt"
+    write_closure(path, closure)
+    assert closure.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert read_closure(path).digest == closure.digest
+    assert CLOSURE.digest != closure.digest
+
+
+def test_cache_with_custom_scorer_is_refused():
+    index = make_index()
+    with pytest.raises(ValueError):
+        cached_link("alpha", "cell", index, CLOSURE, CONFIG,
+                    cache=LinkCache(), context_scorer=lambda ctx, r: 1.0)
+
+
+def test_disk_entry_holds_ids_not_record_text(tmp_path):
+    index = build_index([
+        ItemRecord(id=q("Q7"), label="zanzibar red colobus",
+                   aliases=("kirk colobus monkey",),
+                   description="primate endemic to unguja island",
+                   direct_types=(q("Q100"),), sitelinks_count=3),
+        rec("Q8", "black and white colobus", sitelinks=2),
+    ])
+    cache = LinkCache(tmp_path / "cache")
+    result = cached_link("colobus", "cell", index, CLOSURE, CONFIG,
+                         cache=cache)
+    assert {c.record.id.raw for c in result.candidates} == {"Q7", "Q8"}
+    [entry] = (tmp_path / "cache").iterdir()
+    text = entry.read_text(encoding="utf-8")
+    for fragment in ("zanzibar red colobus", "kirk colobus monkey",
+                     "unguja", "black and white colobus"):
+        assert fragment not in text
+    assert [c["id"] for c in json.loads(text)["candidates"]] == \
+        [c.record.id.raw for c in result.candidates]
+    again = cached_link("colobus", "cell", index, CLOSURE, CONFIG,
+                        cache=LinkCache(tmp_path / "cache"))
+    assert again == result
+
+
+def test_entry_naming_an_unknown_id_is_recomputed(tmp_path):
+    index = make_index()
+    cache_dir = tmp_path / "cache"
+    cached_link("alpha", "cell", index, CLOSURE, CONFIG,
+                cache=LinkCache(cache_dir))
+    [entry] = cache_dir.iterdir()
+    obj = json.loads(entry.read_text(encoding="utf-8"))
+    obj["candidates"][0]["id"] = "Q999"
+    entry.write_text(json.dumps(obj), encoding="utf-8")
+    cache = LinkCache(cache_dir)
+    result = cached_link("alpha", "cell", index, CLOSURE, CONFIG, cache=cache)
+    assert result == link("alpha", "cell", index, CLOSURE, CONFIG)
+    assert cache.misses == 1 and cache.hits == 0

@@ -70,6 +70,11 @@ def test_version_and_help():
     code, out, _ = quiet_run(["--help"])
     assert code == 0
     assert "SUBCOMMAND" in out
+    # --jobs is still accepted (the pipeline fixture passes it) but hidden.
+    for command in ("ingest", "link-table"):
+        code, out, _ = quiet_run([command, "--help"])
+        assert code == 0
+        assert "--jobs" not in out
 
 
 def test_usage_errors_exit_1():

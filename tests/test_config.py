@@ -131,6 +131,17 @@ def test_param_range_validation():
             parse_config_obj(obj)
 
 
+@pytest.mark.parametrize("name", ["min_link_score", "header_property_boost",
+                                  "column_type_boost", "header_column_boost"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                   -0.01])
+def test_score_params_must_be_finite_and_non_negative(name, value):
+    obj = minimal_obj()
+    obj["params"] = {name: value}
+    with pytest.raises(ConfigError):
+        parse_config_obj(obj)
+
+
 def test_save_load_round_trip_and_stable_hash(tmp_path):
     cfg = validate_config(parse_config_obj(minimal_obj()))
     path = tmp_path / "config.json"

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -186,17 +187,29 @@ def test_ingest_counts_and_outputs(tmp_path):
     assert len(edges) == 1 and edges[0].child == q("Q2")
 
 
-def test_ingest_parallel_byte_identical(tmp_path, small_kb):
-    dump = small_kb.result.dump_path
-    watch = [q(p) for p in small_kb.truth["watch_props"]]
-    outs = []
-    for jobs in (1, 3, 8):
-        r = tmp_path / f"r{jobs}.jsonl"
-        e = tmp_path / f"e{jobs}.jsonl"
-        stats = ingest_dump(dump, r, e, watchlist=watch, jobs=jobs)
-        stats.check()
-        outs.append((r.read_bytes(), e.read_bytes()))
-    assert outs[0] == outs[1] == outs[2]
+def test_ingest_memory_is_bounded_by_a_line_not_the_dump(tmp_path):
+    # Each document carries a long description, so holding the dump's lines
+    # at once would cost several times the tracked peak allowed below.
+    lines = ["["]
+    for i in range(1, 2001):
+        lines.append(json.dumps(doc(f"Q{i}", f"item {i}",
+                                    description="d" * 1500,
+                                    claims={"P279": [claim("P279", "Q1")]}))
+                     + ",")
+    lines.append("]")
+    dump = tmp_path / "dump.jsonl"
+    _write_dump(dump, lines)
+    size = dump.stat().st_size
+    assert size > 3_000_000
+
+    tracemalloc.start()
+    try:
+        stats = ingest_dump(dump, tmp_path / "r.jsonl", tmp_path / "e.jsonl")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.records_emitted == 2000 and stats.edges_emitted == 2000
+    assert peak < size / 20, f"peak {peak} B for a {size} B dump"
 
 
 def test_ingest_stats_match_generator_truth(small_kb):

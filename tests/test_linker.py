@@ -14,12 +14,7 @@ from tablink import (
     parse_config_obj,
     validate_config,
 )
-from tablink.linker import (
-    ScoredCandidate,
-    choose,
-    result_from_obj,
-    result_to_obj,
-)
+from tablink.linker import ScoredCandidate, choose
 
 from fixture_kb import near_miss_fixture, prevalence_fixture, virus_fixture
 
@@ -267,18 +262,6 @@ def test_choose_tie_breaks():
     assert choose(item_before_property, 0.25).record.id.raw == "Q9"
     assert choose([], 0.25) is None
     assert choose([_hand_candidate("Q1", 0.2, 0)], 0.25) is None
-
-
-def test_result_round_trip():
-    index = build_index([
-        rec("Q1", "alpha", types=["Q100"], sitelinks=10,
-            aliases=("first letter",), description="greek letter"),
-        rec("Q2", "alpha", sitelinks=5),
-    ])
-    result = link("alpha", "cell", index, EMPTY_CLOSURE, SCORE_CFG,
-                  context="greek letter")
-    again = result_from_obj(result_to_obj(result))
-    assert again == result
 
 
 def test_virus_disambiguation():

@@ -5,7 +5,6 @@ from tablink import (
     ItemRecord,
     ParseError,
     Table,
-    build_closure,
     build_index,
     classify_orientation,
     column_type_vote,
@@ -137,26 +136,24 @@ def _vote_candidate(eid, final, types):
 
 
 def test_column_type_vote_weights_and_support():
-    closure = build_closure([])
     sets = [
         (_vote_candidate("Q1", 0.9, ["Q100"]), _vote_candidate("Q2", 0.3, ["Q200"])),
         (_vote_candidate("Q3", 0.8, ["Q100"]),),
         (_vote_candidate("Q4", 0.7, ["Q200"]),),
     ]
     # Q100 weight 1.7 in 2/3 of the cells; Q200 weight 1.0.
-    assert column_type_vote(sets, closure, 0.5) == q("Q100")
-    assert column_type_vote(sets, closure, 0.7) is None  # support 2/3 < 0.7
-    assert column_type_vote([], closure, 0.5) is None
-    assert column_type_vote([()], closure, 0.5) is None
+    assert column_type_vote(sets, 0.5) == q("Q100")
+    assert column_type_vote(sets, 0.7) is None  # support 2/3 < 0.7
+    assert column_type_vote([], 0.5) is None
+    assert column_type_vote([()], 0.5) is None
 
 
 def test_column_type_vote_tie_goes_to_lowest_id():
-    closure = build_closure([])
     sets = [
         (_vote_candidate("Q1", 0.5, ["Q300"]),),
         (_vote_candidate("Q2", 0.5, ["Q200"]),),
     ]
-    assert column_type_vote(sets, closure, 0.5) == q("Q200")
+    assert column_type_vote(sets, 0.5) == q("Q200")
 
 
 def _lineage_setup():
@@ -279,13 +276,6 @@ def test_link_table_vertical_coordinates():
     assert by_coord[(1, 1)].literal == "PERCENT"
     # The transposed entity lane still votes a dominant type.
     assert q("Q104450895") in ann.dominant_types.values()
-
-
-def test_link_table_jobs_deterministic():
-    index, closure, config, table = _lineage_setup()
-    solo = annotation_to_obj(link_table(table, index, closure, config, jobs=1))
-    multi = annotation_to_obj(link_table(table, index, closure, config, jobs=4))
-    assert solo == multi
 
 
 def test_annotation_round_trip(tmp_path):
