@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation or usage error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -88,7 +89,7 @@ def _cmd_ingest(args) -> dict:
     watchlist = [EntityId.parse(p) for p in _comma_list(args.watchlist)]
     stats = ingest_dump(args.dump, args.out_records, args.out_edges,
                         watchlist=watchlist)
-    _emit(stats.to_obj(), None)
+    _emit(dataclasses.asdict(stats), None)
     return {}
 
 
@@ -118,25 +119,31 @@ def _cmd_build_index(args) -> dict:
     return {"index_build_id": index.build_id}
 
 
-def _cmd_link(args) -> dict:
+def _load_kb(args):
+    """The index, closure and config named by --index, --closure and
+    --config, plus the manifest fields that pin them."""
     index = load_index(args.index)
     closure = read_closure(args.closure)
     config = load_config(args.config)
+    manifest = {"config_hash": config.content_hash,
+                "index_build_id": index.build_id,
+                "closure_hash": _file_hash(args.closure)}
+    return index, closure, config, manifest
+
+
+def _cmd_link(args) -> dict:
+    index, closure, config, manifest = _load_kb(args)
     cache = LinkCache(args.cache) if args.cache else None
     expected = _comma_list(args.expect) or None
     result = cached_link(args.mention, args.mode, index, closure, config,
                          context=args.context, expected_types=expected,
                          cache=cache)
     _emit(result_to_obj(result), args.out)
-    return {"config_hash": config.content_hash,
-            "index_build_id": index.build_id,
-            "closure_hash": _file_hash(args.closure)}
+    return manifest
 
 
 def _cmd_link_table(args) -> dict:
-    index = load_index(args.index)
-    closure = read_closure(args.closure)
-    config = load_config(args.config)
+    index, closure, config, manifest = _load_kb(args)
     cache = LinkCache(args.cache) if args.cache else None
     table = _load_table(args.table, args.has_header)
     annotation = link_table(table, index, closure, config, cache=cache)
@@ -144,9 +151,7 @@ def _cmd_link_table(args) -> dict:
         write_annotation(args.out, annotation)
     else:
         _emit(annotation_to_obj(annotation), None)
-    return {"config_hash": config.content_hash,
-            "index_build_id": index.build_id,
-            "closure_hash": _file_hash(args.closure)}
+    return manifest
 
 
 def _cmd_eval(args) -> dict:
@@ -159,9 +164,7 @@ def _cmd_eval(args) -> dict:
 
 
 def _cmd_bench(args) -> dict:
-    index = load_index(args.index)
-    closure = read_closure(args.closure)
-    config = load_config(args.config)
+    index, closure, config, manifest = _load_kb(args)
     with open(args.mentions, "r", encoding="utf-8") as fp:
         mentions = [line.rstrip("\n") for line in fp if line.strip()]
     latencies = [float(x) for x in _comma_list(args.online_latency)]
@@ -177,9 +180,7 @@ def _cmd_bench(args) -> dict:
                    online_latencies=(latencies[0], latencies[1]),
                    scale=args.scale, projection=projection)
     _emit(report.to_obj(), args.out)
-    return {"config_hash": config.content_hash,
-            "index_build_id": index.build_id,
-            "closure_hash": _file_hash(args.closure)}
+    return manifest
 
 
 def _cmd_gen_kb(args) -> dict:

@@ -8,7 +8,7 @@ without touching a rate-limited public API.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import logging
 import time
 from collections.abc import Iterable
@@ -19,7 +19,7 @@ from statistics import median
 from .closure import TypeClosure
 from .errors import EmptyMention, GoldMismatch
 from .index import Index, search
-from .kb import EntityId, ValidatedConfig
+from .kb import EntityId, ValidatedConfig, read_jsonl, write_jsonl
 from .linker import CELL, LinkResult, link_from_candidates
 from .tables import TableAnnotation
 
@@ -40,31 +40,20 @@ class GoldRecord:
 
 
 def read_gold(path: str | Path) -> list[GoldRecord]:
-    gold = []
-    with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            expected = obj.get("expected")
-            gold.append(GoldRecord(
-                table_id=str(obj["table_id"]), row=int(obj["row"]),
-                col=int(obj["col"]),
-                expected=EntityId.parse(expected) if expected else None))
-    return gold
+    return [GoldRecord(table_id=str(obj["table_id"]), row=int(obj["row"]),
+                       col=int(obj["col"]),
+                       expected=(EntityId.parse(obj["expected"])
+                                 if obj.get("expected") else None))
+            for obj in read_jsonl(path)]
+
+
+def _gold_obj(g: GoldRecord) -> dict:
+    return {"table_id": g.table_id, "row": g.row, "col": g.col,
+            "expected": g.expected.raw if g.expected else None}
 
 
 def write_gold(path: str | Path, gold: Iterable[GoldRecord]) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        for g in gold:
-            obj = {"table_id": g.table_id, "row": g.row, "col": g.col,
-                   "expected": g.expected.raw if g.expected else None}
-            fp.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
-                     + "\n")
-            n += 1
-    return n
+    return write_jsonl(path, map(_gold_obj, gold))
 
 
 @dataclass(frozen=True)
@@ -81,24 +70,13 @@ class EvalReport:
     linked_cells: int
     candidate_recall: float
     precision: float
-    per_table: dict[str, TableScore] = field(default_factory=dict)
     degenerate: bool = False
+    per_table: dict[str, TableScore] = field(default_factory=dict)
 
     def to_obj(self) -> dict:
-        return {
-            "cells_with_gold": self.cells_with_gold,
-            "linked_cells": self.linked_cells,
-            "candidate_recall": self.candidate_recall,
-            "precision": self.precision,
-            "degenerate": self.degenerate,
-            "per_table": {
-                tid: {"cells_with_gold": s.cells_with_gold,
-                      "recall_hits": s.recall_hits,
-                      "precision_hits": s.precision_hits,
-                      "linked_cells": s.linked_cells}
-                for tid, s in sorted(self.per_table.items())
-            },
-        }
+        obj = dataclasses.asdict(self)
+        obj["per_table"] = dict(sorted(obj["per_table"].items()))
+        return obj
 
 
 def evaluate(annotations: Iterable[TableAnnotation],
@@ -144,7 +122,7 @@ def evaluate(annotations: Iterable[TableAnnotation],
     linked = sum(t["linked"] for t in per_table.values())
     if cells_with_gold == 0:
         log.warning("no gold cells with expected annotations; metrics degenerate")
-        return EvalReport(0, 0, 0.0, 0.0, {}, degenerate=True)
+        return EvalReport(0, 0, 0.0, 0.0, degenerate=True)
     return EvalReport(
         cells_with_gold=cells_with_gold,
         linked_cells=linked,

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EmptyMention, IndexUnavailable
-from .kb import EntityId, ItemRecord, dump_json_line, read_records, record_to_obj
+from .kb import (
+    EntityId,
+    ItemRecord,
+    dump_json_line,
+    read_records,
+    record_to_obj,
+    write_records,
+)
 from .text import NORMALIZATION_VERSION, STOPWORDS_VERSION, normalize, tokenize
 from .version import FORMAT_VERSION, __version__
 
@@ -66,7 +73,6 @@ class Index:
         self._by_label: dict[str, list[EntityId]] = {}
         self._by_alias: dict[str, list[EntityId]] = {}
         self._postings: dict[str, list[EntityId]] = {}
-        self._tokens: dict[EntityId, frozenset[str]] = {}
         # Insertion over sorted ids keeps every bucket deterministically
         # ordered no matter how the records file was ordered.
         for eid in sorted(self.records_by_id, key=EntityId.sort_key):
@@ -81,7 +87,6 @@ class Index:
             tokens = set(tokenize(record.label))
             for alias in record.aliases:
                 tokens.update(tokenize(alias))
-            self._tokens[eid] = frozenset(tokens)
             for token in sorted(tokens):
                 self._postings.setdefault(token, []).append(eid)
 
@@ -91,7 +96,6 @@ class Index:
         for eid in sorted(self.records_by_id, key=EntityId.sort_key):
             digest.update(dump_json_line(record_to_obj(self.records_by_id[eid]))
                           .encode("utf-8"))
-            digest.update(b"\n")
         self.build_id = digest.hexdigest()
 
     def __len__(self) -> int:
@@ -106,15 +110,8 @@ class Index:
     def exact_alias(self, norm_mention: str) -> list[EntityId]:
         return self._by_alias.get(norm_mention, [])
 
-    def token_set(self, eid: EntityId) -> frozenset[str]:
-        return self._tokens[eid]
-
     def postings(self, token: str) -> list[EntityId]:
         return self._postings.get(token, [])
-
-
-def build_index(records: Iterable[ItemRecord]) -> Index:
-    return Index(records)
 
 
 def search(index: Index, mention: str, k: int) -> list[RawCandidate]:
@@ -167,9 +164,9 @@ def save_index(index: Index, out_dir: str | Path) -> None:
     structures, which are deterministic functions of the records."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / RECORDS_NAME, "w", encoding="utf-8", newline="\n") as fp:
-        for eid in sorted(index.records_by_id, key=EntityId.sort_key):
-            fp.write(dump_json_line(record_to_obj(index.records_by_id[eid])) + "\n")
+    write_records(out / RECORDS_NAME,
+                  (index.records_by_id[eid]
+                   for eid in sorted(index.records_by_id, key=EntityId.sort_key)))
     manifest = {
         "artifact_version": __version__,
         "format_version": FORMAT_VERSION,

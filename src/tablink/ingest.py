@@ -45,15 +45,6 @@ class IngestStats:
         if self.docs_seen != self.records_emitted + self.skipped_no_label + self.parse_errors:
             raise AssertionError(f"inconsistent ingest stats: {self}")
 
-    def to_obj(self) -> dict:
-        return {
-            "docs_seen": self.docs_seen,
-            "records_emitted": self.records_emitted,
-            "skipped_no_label": self.skipped_no_label,
-            "edges_emitted": self.edges_emitted,
-            "parse_errors": self.parse_errors,
-        }
-
 
 def _claim_targets(statements, want_kind: str) -> list[EntityId]:
     """Ids of non-deprecated, entity-valued main claims of the wanted kind.
@@ -186,12 +177,12 @@ def ingest_dump(dump_path: str | Path,
                 log.debug("skipping malformed dump line: %s", exc)
                 continue
             for edge in edges:
-                edge_fp.write(dump_json_line(edge_to_obj(edge)) + "\n")
+                edge_fp.write(dump_json_line(edge_to_obj(edge)))
             stats.edges_emitted += len(edges)
             if record is None:
                 stats.skipped_no_label += 1
             else:
-                rec_fp.write(dump_json_line(record_to_obj(record)) + "\n")
+                rec_fp.write(dump_json_line(record_to_obj(record)))
                 stats.records_emitted += 1
     stats.check()
     return stats

@@ -7,6 +7,7 @@ unrestricted concurrent reads.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -45,7 +46,7 @@ class EntityId:
 
     @classmethod
     def parse(cls, raw: str) -> "EntityId":
-        m = _ID_RE.match(raw)
+        m = _ID_RE.match(raw) if isinstance(raw, str) else None
         if m is None:
             raise InvalidEntityId(f"not a Q/P identifier: {raw!r}")
         return cls(ITEM if m.group(1) == "Q" else PROPERTY, int(m.group(2)))
@@ -153,24 +154,34 @@ def record_from_obj(obj: Mapping) -> ItemRecord:
 
 
 def dump_json_line(obj: Mapping) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    """The one JSON Lines encoder: compact, non-ASCII kept, newline ended."""
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
-def write_records(path: str | Path, records: Iterable[ItemRecord]) -> int:
+def write_jsonl(path: str | Path, objs: Iterable[Mapping]) -> int:
     n = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        for record in records:
-            fp.write(dump_json_line(record_to_obj(record)) + "\n")
+        for obj in objs:
+            fp.write(dump_json_line(obj))
             n += 1
     return n
 
 
-def read_records(path: str | Path) -> Iterator[ItemRecord]:
+def read_jsonl(path: str | Path) -> Iterator[dict]:
+    """One object per non-blank line."""
     with open(path, "r", encoding="utf-8") as fp:
         for line in fp:
             line = line.strip()
             if line:
-                yield record_from_obj(json.loads(line))
+                yield json.loads(line)
+
+
+def write_records(path: str | Path, records: Iterable[ItemRecord]) -> int:
+    return write_jsonl(path, map(record_to_obj, records))
+
+
+def read_records(path: str | Path) -> Iterator[ItemRecord]:
+    yield from map(record_from_obj, read_jsonl(path))
 
 
 @dataclass(frozen=True)
@@ -204,21 +215,8 @@ def edge_from_obj(obj: Mapping) -> TypeEdge:
                     obj["relation"])
 
 
-def write_edges(path: str | Path, edges: Iterable[TypeEdge]) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        for edge in edges:
-            fp.write(dump_json_line(edge_to_obj(edge)) + "\n")
-            n += 1
-    return n
-
-
 def read_edges(path: str | Path) -> Iterator[TypeEdge]:
-    with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if line:
-                yield edge_from_obj(json.loads(line))
+    yield from map(edge_from_obj, read_jsonl(path))
 
 
 @dataclass(frozen=True)
@@ -239,11 +237,13 @@ class Weights:
     w_ctx: float = 0.15
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.w_type, self.w_match, self.w_prom, self.w_ctx)
+        return dataclasses.astuple(self)
 
 
 @dataclass(frozen=True)
 class Params:
+    """Linking parameters. Construction refuses out-of-range values."""
+
     k: int = 20
     sample_size: int = 5
     support_threshold: float = 0.5
@@ -251,6 +251,18 @@ class Params:
     header_property_boost: float = 0.10
     column_type_boost: float = 0.20
     header_column_boost: float = 0.10
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ConfigError("params.k must be >= 1")
+        if self.sample_size < 1:
+            raise ConfigError("params.sample_size must be >= 1")
+        if not 0.0 < self.support_threshold <= 1.0:
+            raise ConfigError("params.support_threshold must be in (0, 1]")
+        for name in ("min_link_score", "header_property_boost",
+                     "column_type_boost", "header_column_boost"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ConfigError(f"params.{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -312,28 +324,63 @@ class ValidatedConfig:
                 for r in sorted(self.property_inference,
                                 key=lambda r: (r.if_property.sort_key(), r.then_type_name))
             ],
-            "weights": {
-                "w_type": self.weights.w_type,
-                "w_match": self.weights.w_match,
-                "w_prom": self.weights.w_prom,
-                "w_ctx": self.weights.w_ctx,
-            },
-            "params": {
-                "k": self.params.k,
-                "sample_size": self.params.sample_size,
-                "support_threshold": self.params.support_threshold,
-                "min_link_score": self.params.min_link_score,
-                "header_property_boost": self.params.header_property_boost,
-                "column_type_boost": self.params.column_type_boost,
-                "header_column_boost": self.params.header_column_boost,
-            },
+            "weights": dataclasses.asdict(self.weights),
+            "params": dataclasses.asdict(self.params),
         }
 
 
 def _require_keys(obj: Mapping, allowed: Iterable[str], where: str) -> None:
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+
+
+def _section(obj: Mapping, key: str, kind: type = Mapping):
+    """The config section under key, of the given kind (Mapping or list).
+    An absent or null section reads as empty."""
+    value = obj.get(key)
+    if value is None:
+        return {} if kind is Mapping else []
+    if not isinstance(value, kind):
+        raise ConfigError(
+            f"{key} must be a JSON {'object' if kind is Mapping else 'array'}")
+    return value
+
+
+def _number(value, kind: str, where: str) -> int | float:
+    """A config value checked against its field's annotation, "int" or
+    "float" (annotations are strings in this module). Bools, non-numbers,
+    non-finite values and non-integral ints are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, not {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, not {value!r}")
+    if kind == "int":
+        if value != int(value):
+            raise ConfigError(f"{where} must be an integer, not {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is out of range") from None
+
+
+def _parse_fields(cls, obj: Mapping, key: str, *, require_all: bool):
+    """An instance of the dataclass cls (Weights or Params) from the section
+    under key, field by field. An absent or null section gives the defaults;
+    otherwise fields it leaves out keep their defaults unless require_all."""
+    if obj.get(key) is None:
+        return cls()
+    section = obj[key]
+    fields = dataclasses.fields(cls)
+    _require_keys(section, [f.name for f in fields], key)
+    missing = [f.name for f in fields if f.name not in section]
+    if require_all and missing:
+        raise ConfigError(f"{key} missing: {', '.join(missing)}")
+    return cls(**{f.name: _number(section[f.name], f.type, f"{key}.{f.name}")
+                  for f in fields if f.name in section})
 
 
 def parse_config_obj(obj: Mapping) -> DomainConfig:
@@ -342,18 +389,16 @@ def parse_config_obj(obj: Mapping) -> DomainConfig:
     Unknown keys are rejected everywhere; missing sections fall back to
     empty/default values.
     """
-    if not isinstance(obj, Mapping):
-        raise ConfigError("config document must be a JSON object")
-    _require_keys(obj, ("type_dictionary", "tiers", "near_miss_map",
-                        "property_inference", "weights", "params"), "config")
+    _require_keys(obj, [f.name for f in dataclasses.fields(DomainConfig)],
+                  "config document")
 
     type_dictionary = {}
-    for name, raws in (obj.get("type_dictionary") or {}).items():
+    for name, raws in _section(obj, "type_dictionary").items():
         if not isinstance(raws, list):
             raise ConfigError(f"type_dictionary[{name!r}] must be a list of ids")
         type_dictionary[str(name)] = parse_id_list(raws)
 
-    tiers_obj = obj.get("tiers") or {}
+    tiers_obj = _section(obj, "tiers")
     _require_keys(tiers_obj, TIER_NAMES, "tiers")
     tiers = {}
     for tier in TIER_NAMES:
@@ -363,13 +408,13 @@ def parse_config_obj(obj: Mapping) -> DomainConfig:
         tiers[tier] = tuple(str(n) for n in names)
 
     near_miss_map = {}
-    for name, vals in (obj.get("near_miss_map") or {}).items():
+    for name, vals in _section(obj, "near_miss_map").items():
         if not isinstance(vals, list):
             raise ConfigError(f"near_miss_map[{name!r}] must be a list of type names")
         near_miss_map[str(name)] = tuple(str(v) for v in vals)
 
     rules = []
-    for entry in obj.get("property_inference") or []:
+    for entry in _section(obj, "property_inference", list):
         _require_keys(entry, ("if_property", "then_type_name"), "property_inference rule")
         if "if_property" not in entry or "then_type_name" not in entry:
             raise ConfigError("property_inference rule needs if_property and then_type_name")
@@ -378,56 +423,24 @@ def parse_config_obj(obj: Mapping) -> DomainConfig:
             raise ConfigError(f"property_inference.if_property {pid} is not a property id")
         rules.append(InferenceRule(pid, str(entry["then_type_name"])))
 
-    weights_obj = obj.get("weights")
-    if weights_obj is None:
-        weights = Weights()
-    else:
-        _require_keys(weights_obj, ("w_type", "w_match", "w_prom", "w_ctx"), "weights")
-        missing = {"w_type", "w_match", "w_prom", "w_ctx"} - set(weights_obj)
-        if missing:
-            raise ConfigError(f"weights missing: {', '.join(sorted(missing))}")
-        weights = Weights(float(weights_obj["w_type"]), float(weights_obj["w_match"]),
-                          float(weights_obj["w_prom"]), float(weights_obj["w_ctx"]))
-
-    params_obj = obj.get("params") or {}
-    defaults = Params()
-    _require_keys(params_obj, ("k", "sample_size", "support_threshold",
-                               "min_link_score", "header_property_boost",
-                               "column_type_boost", "header_column_boost"), "params")
-    params = Params(
-        k=int(params_obj.get("k", defaults.k)),
-        sample_size=int(params_obj.get("sample_size", defaults.sample_size)),
-        support_threshold=float(params_obj.get("support_threshold",
-                                               defaults.support_threshold)),
-        min_link_score=float(params_obj.get("min_link_score", defaults.min_link_score)),
-        header_property_boost=float(params_obj.get("header_property_boost",
-                                                   defaults.header_property_boost)),
-        column_type_boost=float(params_obj.get("column_type_boost",
-                                               defaults.column_type_boost)),
-        header_column_boost=float(params_obj.get("header_column_boost",
-                                                 defaults.header_column_boost)),
-    )
-    if params.k < 1:
-        raise ConfigError("params.k must be >= 1")
-    if params.sample_size < 1:
-        raise ConfigError("params.sample_size must be >= 1")
-    if not (0.0 < params.support_threshold <= 1.0):
-        raise ConfigError("params.support_threshold must be in (0, 1]")
-    for name in ("min_link_score", "header_property_boost", "column_type_boost",
-                 "header_column_boost"):
-        value = getattr(params, name)
-        if not (math.isfinite(value) and value >= 0):
-            raise ConfigError(f"params.{name} must be a finite number >= 0")
-
     return DomainConfig(type_dictionary, tiers, near_miss_map, tuple(rules),
-                        weights, params)
+                        _parse_fields(Weights, obj, "weights", require_all=True),
+                        _parse_fields(Params, obj, "params", require_all=False))
+
+
+def _total(values: Iterable[float]) -> float:
+    """Left-to-right float sum; the builtin sum() compensates on 3.12+."""
+    total = 0.0
+    for w in values:
+        total += w
+    return total
 
 
 def _renormalized(weights: Weights) -> Weights:
     values = weights.as_tuple()
     if any(w < 0 for w in values):
         raise BadWeights(f"negative weight in {values}")
-    total = values[0] + values[1] + values[2] + values[3]
+    total = _total(values)
     if abs(total - 1.0) > 1e-6:
         raise BadWeights(f"weights sum to {total!r}, expected 1.0 within 1e-6")
     # Iterate to an exact floating-point fixpoint so validation is idempotent
@@ -436,7 +449,15 @@ def _renormalized(weights: Weights) -> Weights:
         if total == 1.0:
             return Weights(*values)
         values = tuple(w / total for w in values)
-        total = values[0] + values[1] + values[2] + values[3]
+        total = _total(values)
+    # The division can oscillate an ulp either side of 1.0. Then the largest
+    # weight that can absorb the rounding error takes it.
+    for i in sorted(range(len(values)), key=lambda i: -values[i]):
+        fixed = list(values)
+        fixed[i] = 0.0
+        fixed[i] = 1.0 - _total(fixed)
+        if fixed[i] >= 0 and _total(fixed) == 1.0:
+            return Weights(*fixed)
     raise BadWeights(f"weight renormalization did not converge for {weights}")
 
 

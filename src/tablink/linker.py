@@ -98,8 +98,7 @@ def classify_type_tier(record: ItemRecord,
 
 def context_similarity(context: str | None, record: ItemRecord) -> float:
     """Term-frequency cosine between the context and the record's label,
-    description, and aliases. The default scorer; link() accepts any callable
-    with this signature so a smarter model can be dropped in."""
+    description, and aliases."""
     if not context:
         return 0.0
     ctx_tokens = tokenize(context)
@@ -107,9 +106,6 @@ def context_similarity(context: str | None, record: ItemRecord) -> float:
         return 0.0
     rec_tokens = tokenize(" ".join([record.label, record.description, *record.aliases]))
     return tf_cosine(ctx_tokens, rec_tokens)
-
-
-ContextScorer = Callable[[str | None, ItemRecord], float]
 
 
 @dataclass(frozen=True)
@@ -138,10 +134,6 @@ class Diagnostics:
     rejected_bad: int = 0
     below_threshold: int = 0
 
-    def to_obj(self) -> dict:
-        return {"retrieved": self.retrieved, "rejected_bad": self.rejected_bad,
-                "below_threshold": self.below_threshold}
-
 
 @dataclass(frozen=True)
 class LinkResult:
@@ -150,10 +142,6 @@ class LinkResult:
     chosen: ScoredCandidate | None
     candidates: tuple[ScoredCandidate, ...]
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
-
-    @property
-    def chosen_id(self) -> EntityId | None:
-        return self.chosen.record.id if self.chosen else None
 
 
 def _match_score(candidate: RawCandidate) -> float:
@@ -176,14 +164,12 @@ def link_from_candidates(mention: str,
                          context: str | None,
                          expected_types: Iterable[str] | None,
                          closure: TypeClosure,
-                         config: ValidatedConfig,
-                         context_scorer: ContextScorer | None = None) -> LinkResult:
+                         config: ValidatedConfig) -> LinkResult:
     """Score an already-retrieved candidate list and select the link.
 
     Split out from link() so staged callers (the benchmark, table pass 2) can
     time or reuse the ranking phase on its own.
     """
-    scorer = context_scorer or context_similarity
     expected = tuple(sorted(set(expected_types))) if expected_types else ()
     w = config.weights
     params = config.params
@@ -204,7 +190,7 @@ def link_from_candidates(mention: str,
         type_score = TIER_SCORES[tier]
         match_score = _match_score(cand)
         prominence = record.sitelinks_count / s_max if s_max else 0.0
-        context_sim = scorer(context, record)
+        context_sim = context_similarity(context, record)
         boosts = 0.0
         if mode == HEADER and record.id.is_property:
             boosts += params.header_property_boost
@@ -234,14 +220,13 @@ def link(mention: str,
          closure: TypeClosure,
          config: ValidatedConfig,
          context: str | None = None,
-         expected_types: Iterable[str] | None = None,
-         context_scorer: ContextScorer | None = None) -> LinkResult:
+         expected_types: Iterable[str] | None = None) -> LinkResult:
     """Full pipeline for one mention. Raises EmptyMention when the mention
     normalizes to nothing searchable; returns NIL when nothing scores above
     min_link_score."""
     raw = search(index, mention, config.params.k)
     return link_from_candidates(mention, raw, mode, context, expected_types,
-                                closure, config, context_scorer)
+                                closure, config)
 
 
 # Every field of ScoredCandidate except the record, in declaration order.
@@ -267,7 +252,7 @@ def result_to_obj(result: LinkResult) -> dict:
         "mode": result.mode,
         "chosen": candidate_to_obj(result.chosen) if result.chosen else None,
         "candidates": [candidate_to_obj(c) for c in result.candidates],
-        "diagnostics": result.diagnostics.to_obj(),
+        "diagnostics": dataclasses.asdict(result.diagnostics),
     }
 
 
@@ -282,7 +267,7 @@ def _entry_obj(result: LinkResult) -> dict:
                    else result.candidates.index(result.chosen)),
         "candidates": [{"id": c.record.id.raw, **_scalar_obj(c)}
                        for c in result.candidates],
-        "diagnostics": result.diagnostics.to_obj(),
+        "diagnostics": dataclasses.asdict(result.diagnostics),
     }
 
 
@@ -400,17 +385,12 @@ def cached_link(mention: str,
                 config: ValidatedConfig,
                 context: str | None = None,
                 expected_types: Iterable[str] | None = None,
-                cache: LinkCache | None = None,
-                context_scorer: ContextScorer | None = None) -> LinkResult:
+                cache: LinkCache | None = None) -> LinkResult:
     """link() behind the memoizing cache. Exactly equivalent to link() for
-    every input; without a cache it simply computes. The key cannot name a
-    custom context_scorer, so a cache together with one is refused."""
+    every input; without a cache it simply computes."""
     if cache is None:
         return link(mention, mode, index, closure, config, context,
-                    expected_types, context_scorer)
-    if context_scorer is not None:
-        raise ValueError("a link cache cannot be combined with a custom "
-                         "context_scorer")
+                    expected_types)
     key = LinkCache.key(mention, mode, context, expected_types, config,
                         index.build_id, closure)
     return cache.get_or_compute(

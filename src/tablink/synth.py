@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .evalbench import GoldRecord, write_gold
 from .ingest import ingest_dump
-from .kb import EntityId, parse_config_obj, save_config, validate_config
+from .kb import EntityId, dump_json_line, parse_config_obj, save_config, validate_config
 from .tables import Table, classify_orientation, table_to_obj
 from .text import STOPWORDS
 
@@ -643,8 +643,8 @@ class _Builder:
 
     def build_dump_lines(self) -> tuple[list[str], int, int]:
         rng = self.rng
-        doc_lines = [json.dumps(self._doc_for(e), ensure_ascii=False,
-                                separators=(",", ":")) + ","
+        # Dump-array lines end in a comma where JSON Lines end the line.
+        doc_lines = [dump_json_line(self._doc_for(e))[:-1] + ","
                      for e in self.entities]
 
         n_unlabeled = max(5, self.n_items // 2000)
@@ -658,8 +658,7 @@ class _Builder:
                 "claims": {"P279": [self._entity_claim(
                     "P279", rng.choice(neutral_pool))]},
             }
-            doc_lines.append(json.dumps(doc, ensure_ascii=False,
-                                        separators=(",", ":")) + ",")
+            doc_lines.append(dump_json_line(doc)[:-1] + ",")
 
         bad_docs = [
             '{"id":"X5","labels":{"en":{"language":"en","value":"broken"}}},',

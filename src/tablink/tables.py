@@ -23,7 +23,6 @@ from .kb import EntityId, ValidatedConfig
 from .linker import (
     CELL,
     HEADER,
-    ContextScorer,
     LinkCache,
     LinkResult,
     ScoredCandidate,
@@ -299,11 +298,10 @@ class _WorkCell:
 
 def _link_one(cell: _WorkCell, context: str | None, mode: str, index: Index,
               closure: TypeClosure, config: ValidatedConfig,
-              cache: LinkCache | None, scorer: ContextScorer | None) -> None:
+              cache: LinkCache | None) -> None:
     try:
         cell.result = cached_link(cell.mention, mode, index, closure, config,
-                                  context=context, cache=cache,
-                                  context_scorer=scorer)
+                                  context=context, cache=cache)
     except EmptyMention as exc:
         cell.error = str(exc)
 
@@ -321,8 +319,7 @@ def link_table(table: Table,
                index: Index,
                closure: TypeClosure,
                config: ValidatedConfig,
-               cache: LinkCache | None = None,
-               context_scorer: ContextScorer | None = None) -> TableAnnotation:
+               cache: LinkCache | None = None) -> TableAnnotation:
     """Two-pass linking of one table.
 
     Pass 1 detects literals and links every other cell (cell mode) and header
@@ -371,11 +368,10 @@ def link_table(table: Table,
     for cell in headers:
         if cell.literal is None:
             _link_one(cell, header_context(cell.wcol), HEADER, index, closure,
-                      config, cache, context_scorer)
+                      config, cache)
     for cell in body:
         if cell.literal is None:
-            _link_one(cell, None, CELL, index, closure, config, cache,
-                      context_scorer)
+            _link_one(cell, None, CELL, index, closure, config, cache)
 
     by_col: dict[int, list[_WorkCell]] = {wc: [] for wc in range(len(wheader))}
     for cell in body:

@@ -2,10 +2,10 @@ import pytest
 
 from tablink import (
     EntityId,
+    Index,
     ItemRecord,
     bench,
     build_closure,
-    build_index,
     link,
     parse_config_obj,
     project_corpus_days,
@@ -26,7 +26,7 @@ def make_index():
                           direct_types=(q("Q100"),) if i % 2 == 0 else (),
                           sitelinks_count=i % 30)
                for i in range(40)]
-    return build_index(records)
+    return Index(records)
 
 
 MENTIONS = [f"item number{i + 1}" for i in range(30)]

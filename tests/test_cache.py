@@ -1,15 +1,13 @@
 import hashlib
 import json
 
-import pytest
-
 from tablink import (
     EntityId,
+    Index,
     ItemRecord,
     LinkCache,
     TypeEdge,
     build_closure,
-    build_index,
     cached_link,
     link,
     parse_config_obj,
@@ -42,7 +40,7 @@ CLOSURE = build_closure([])
 
 
 def make_index():
-    return build_index([
+    return Index([
         rec("Q1", "alpha", types=["Q100"], sitelinks=10),
         rec("Q2", "alpha", sitelinks=5),
         rec("Q3", "beta", sitelinks=2),
@@ -147,7 +145,7 @@ def test_stale_entries_are_keyed_away_not_returned(tmp_path):
     # never cross-contaminate.
     cache = LinkCache(tmp_path / "cache")
     index_a = make_index()
-    index_b = build_index([rec("Q9", "alpha", sitelinks=1)])
+    index_b = Index([rec("Q9", "alpha", sitelinks=1)])
     a = cached_link("alpha", "cell", index_a, CLOSURE, CONFIG, cache=cache)
     b = cached_link("alpha", "cell", index_b, CLOSURE, CONFIG, cache=cache)
     assert a.chosen.record.id.raw == "Q1"
@@ -157,7 +155,7 @@ def test_stale_entries_are_keyed_away_not_returned(tmp_path):
 
 def test_reused_cache_dir_sees_a_changed_closure(tmp_path):
     # Q1's type Q200 is not good until the closure gains Q200 below Q100.
-    index = build_index([rec("Q1", "alpha", types=["Q200"], sitelinks=1)])
+    index = Index([rec("Q1", "alpha", types=["Q200"], sitelinks=1)])
     grown = build_closure([TypeEdge(q("Q200"), q("Q100"), "subclass_of")])
     before = cached_link("alpha", "cell", index, CLOSURE, CONFIG,
                          cache=LinkCache(tmp_path / "cache"))
@@ -178,15 +176,8 @@ def test_closure_digest_is_the_written_file_hash(tmp_path):
     assert CLOSURE.digest != closure.digest
 
 
-def test_cache_with_custom_scorer_is_refused():
-    index = make_index()
-    with pytest.raises(ValueError):
-        cached_link("alpha", "cell", index, CLOSURE, CONFIG,
-                    cache=LinkCache(), context_scorer=lambda ctx, r: 1.0)
-
-
 def test_disk_entry_holds_ids_not_record_text(tmp_path):
-    index = build_index([
+    index = Index([
         ItemRecord(id=q("Q7"), label="zanzibar red colobus",
                    aliases=("kirk colobus monkey",),
                    description="primate endemic to unguja island",

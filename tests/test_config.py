@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import math
+import random
 
 import pytest
 
@@ -6,13 +9,22 @@ from tablink import (
     BadWeights,
     ConfigError,
     EntityId,
+    Index,
+    InvalidEntityId,
+    ItemRecord,
+    Params,
     TierConflict,
     UnresolvedTypeName,
+    Weights,
+    build_closure,
     load_config,
     parse_config_obj,
     save_config,
+    save_index,
     validate_config,
+    write_closure,
 )
+from tablink.cli import run
 
 
 def minimal_obj():
@@ -122,6 +134,21 @@ def test_weights_within_tolerance_renormalize_exactly():
     assert sum(cfg.weights.as_tuple()) == 1.0
 
 
+@pytest.mark.parametrize("weights", [(0.01, 0.07, 0.57, 0.35),
+                                     (0.41, 0.47, 0.12, 0.0)])
+def test_weights_whose_division_oscillates_still_renormalize(weights):
+    # Dividing these by their float sum flips between 1 - 2**-53 and
+    # 1 + 2**-52 forever.
+    obj = minimal_obj()
+    obj["weights"] = dict(zip(("w_type", "w_match", "w_prom", "w_ctx"), weights))
+    cfg = validate_config(parse_config_obj(obj))
+    values = cfg.weights.as_tuple()
+    assert ((values[0] + values[1]) + values[2]) + values[3] == 1.0
+    assert max(abs(a - b) for a, b in zip(values, weights)) < 1e-15
+    assert [v == 0 for v in values] == [w == 0 for w in weights]
+    assert validate_config(parse_config_obj(cfg.to_obj())) == cfg
+
+
 def test_param_range_validation():
     for params in ({"k": 0}, {"sample_size": 0}, {"support_threshold": 0.0},
                    {"support_threshold": 1.5}, {"column_type_boost": -0.1}):
@@ -165,3 +192,145 @@ def test_content_hash_tracks_content_not_key_order(tmp_path):
     changed["params"] = {"k": 21}
     c = validate_config(parse_config_obj(changed))
     assert c.content_hash != a.content_hash
+
+
+WEIGHTS = '"w_match": 0.25, "w_prom": 0.15, "w_ctx": 0.15'
+
+
+@pytest.mark.parametrize("section", [
+    '"params": {"k": NaN}',
+    '"params": {"k": 1e999}',
+    '"params": {"k": "abc"}',
+    '"params": {"k": null}',
+    '"params": {"k": 2.5}',
+    '"params": {"k": true}',
+    '"params": {"sample_size": -Infinity}',
+    '"params": {"support_threshold": false}',
+    '"params": {"min_link_score": "0.3"}',
+    '"params": {"column_type_boost": [0.2]}',
+    '"params": []',
+    '"params": "k=3"',
+    '"weights": {"w_type": "0.45", ' + WEIGHTS + '}',
+    '"weights": {"w_type": NaN, ' + WEIGHTS + '}',
+    '"weights": {"w_type": true, ' + WEIGHTS + '}',
+    '"weights": [0.45, 0.25, 0.15, 0.15]',
+    '"type_dictionary": []',
+    '"tiers": "target"',
+    '"near_miss_map": 1',
+    '"property_inference": {}',
+    '"property_inference": ["P486"]',
+])
+def test_config_values_of_the_wrong_type_are_refused(section):
+    with pytest.raises(ConfigError):
+        parse_config_obj(json.loads("{" + section + "}"))
+
+
+@pytest.mark.parametrize("section", [
+    '"type_dictionary": {"place": [17334923]}',
+    '"property_inference": [{"if_property": 486, "then_type_name": "place"}]',
+])
+def test_config_ids_that_are_not_strings_are_refused(section):
+    with pytest.raises(InvalidEntityId):
+        parse_config_obj(json.loads("{" + section + "}"))
+
+
+def test_cli_reports_a_bad_config_value(tmp_path, capsys):
+    save_index(Index([ItemRecord(EntityId.parse("Q1"), "alpha")]),
+               tmp_path / "index")
+    write_closure(tmp_path / "closure.txt", build_closure([]))
+    (tmp_path / "config.json").write_text('{"params": {"k": NaN}}',
+                                          encoding="utf-8")
+    assert run(["link", "--mention", "alpha", "--index", str(tmp_path / "index"),
+                "--closure", str(tmp_path / "closure.txt"),
+                "--config", str(tmp_path / "config.json")]) == 1
+    assert capsys.readouterr().err == \
+        "error: params.k must be finite, not nan\n"
+
+
+# Values no Params or Weights field accepts.
+_ALWAYS_BAD = (float("nan"), float("inf"), float("-inf"), True, False, None,
+               "0.3", "7", [], {})
+
+
+def _draw_valid(rng, f):
+    if f.type == "int":
+        n = rng.randint(1, 60)
+        return float(n) if rng.random() < 0.2 else n
+    if f.name == "support_threshold":
+        return rng.choice([1, 1.0, rng.uniform(1e-9, 1.0)])
+    return rng.choice([0, 1, 0.0, rng.uniform(0.0, 2.0)])
+
+
+def _draw_invalid(rng, f):
+    if f.type == "int" and rng.random() < 0.3:
+        return rng.choice([0, -rng.randint(1, 9), rng.randint(1, 60) + 0.5])
+    if rng.random() < 0.3:
+        return -rng.uniform(1e-9, 5.0)
+    if f.name == "support_threshold" and rng.random() < 0.3:
+        return rng.choice([0, 0.0, 1.0000001, rng.uniform(1.0001, 9.0)])
+    return rng.choice(_ALWAYS_BAD)
+
+
+def _draw_weights(rng) -> tuple[dict, bool]:
+    fields = dataclasses.fields(Weights)
+    raw = [rng.uniform(0.0, 1.0) if rng.random() < 0.9 else 0 for _ in fields]
+    total = sum(raw) or 1.0
+    weights, bad = {}, not any(raw)
+    for f, w in zip(fields, raw):
+        if rng.random() < 0.08:
+            weights[f.name] = _draw_invalid(rng, f)
+            bad = True
+        else:
+            weights[f.name] = w / total
+    return weights, bad
+
+
+def _draw_params(rng) -> tuple[dict, bool]:
+    params, bad = {}, False
+    for f in dataclasses.fields(Params):
+        roll = rng.random()
+        if roll < 0.2:
+            continue  # absent: keeps its default
+        if roll < 0.28:
+            params[f.name] = _draw_invalid(rng, f)
+            bad = True
+        else:
+            params[f.name] = _draw_valid(rng, f)
+    return params, bad
+
+
+def test_config_fuzz_refuses_or_round_trips():
+    """Seeded property suite over every Params and Weights field: a config
+    with any out-of-domain value is refused with ConfigError at load, and
+    every other config round-trips to_obj -> parse -> validate to an equal
+    config with the same content hash."""
+    rng = random.Random(0xC0F1)
+    accepted = refused = 0
+    for _ in range(2000):
+        obj = minimal_obj()
+        bad = False
+        if rng.random() < 0.7:
+            obj["weights"], bad = _draw_weights(rng)
+        if rng.random() < 0.9:
+            obj["params"], params_bad = _draw_params(rng)
+            bad = bad or params_bad
+        if rng.random() < 0.02:
+            obj[rng.choice(["weights", "params"])] = rng.choice(
+                [[], "params", 3, [0.5]])
+            bad = True
+        try:
+            cfg = validate_config(parse_config_obj(json.loads(json.dumps(obj))))
+        except ConfigError as exc:
+            assert bad, (obj, exc)
+            refused += 1
+            continue
+        assert not bad, obj
+        for f in dataclasses.fields(Params):
+            value = getattr(cfg.params, f.name)
+            assert type(value).__name__ == f.type and math.isfinite(value)
+        again = validate_config(parse_config_obj(
+            json.loads(json.dumps(cfg.to_obj()))))
+        assert again == cfg
+        assert again.content_hash == cfg.content_hash
+        accepted += 1
+    assert accepted >= 500 and refused >= 500

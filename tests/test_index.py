@@ -9,7 +9,6 @@ from tablink import (
     Index,
     IndexUnavailable,
     ItemRecord,
-    build_index,
     load_index,
     save_index,
     search,
@@ -28,7 +27,7 @@ def rec(eid, label, aliases=(), sitelinks=0, types=()):
 
 @pytest.fixture()
 def small_index():
-    return build_index([
+    return Index([
         rec("Q1", "measles", aliases=("rubeola",), sitelinks=80),
         rec("Q2", "measles virus", sitelinks=40),
         rec("Q3", "german measles", aliases=("rubella",), sitelinks=60),
@@ -51,7 +50,7 @@ def test_exact_label_beats_alias_beats_partial(small_index):
 
 
 def test_alias_tier_and_best_tier_wins():
-    idx = build_index([
+    idx = Index([
         rec("Q1", "rubeola", aliases=("rubeola",)),  # label shadows alias
         rec("Q2", "x", aliases=("rubeola",)),
     ])
@@ -61,7 +60,7 @@ def test_alias_tier_and_best_tier_wins():
 
 
 def test_partial_needs_half_of_distinct_tokens_rounded_up():
-    idx = build_index([
+    idx = Index([
         rec("Q1", "alpha beta gamma"),
         rec("Q2", "alpha"),
         rec("Q3", "delta"),
@@ -76,7 +75,7 @@ def test_partial_needs_half_of_distinct_tokens_rounded_up():
 
 
 def test_ordering_overlap_then_sitelinks_then_id():
-    idx = build_index([
+    idx = Index([
         rec("Q9", "alpha beta", sitelinks=5),
         rec("Q2", "alpha gamma", sitelinks=9),
         rec("Q7", "alpha delta", sitelinks=9),
@@ -105,7 +104,7 @@ def test_mention_normalization_applies(small_index):
 
 
 def test_duplicate_ids_last_wins():
-    idx = build_index([
+    idx = Index([
         rec("Q1", "first"),
         rec("Q1", "second"),
     ])
@@ -130,14 +129,14 @@ def test_save_load_round_trip(tmp_path, small_index):
 
 def test_build_id_independent_of_record_order():
     records = [rec("Q1", "a"), rec("Q2", "b"), rec("Q3", "c")]
-    forward = build_index(records)
-    backward = build_index(reversed(records))
+    forward = Index(records)
+    backward = Index(reversed(records))
     assert forward.build_id == backward.build_id
 
 
 def test_build_id_sensitive_to_content():
-    base = build_index([rec("Q1", "a", sitelinks=1)])
-    bumped = build_index([rec("Q1", "a", sitelinks=2)])
+    base = Index([rec("Q1", "a", sitelinks=1)])
+    bumped = Index([rec("Q1", "a", sitelinks=2)])
     assert base.build_id != bumped.build_id
 
 

@@ -3,10 +3,10 @@ import pytest
 from tablink import (
     EmptyMention,
     EntityId,
+    Index,
     ItemRecord,
     TypeEdge,
     build_closure,
-    build_index,
     classify_type_tier,
     context_similarity,
     infer_domain_types,
@@ -137,7 +137,7 @@ SCORE_CFG = cfg({
 
 
 def test_score_composition_exact():
-    index = build_index([
+    index = Index([
         rec("Q1", "alpha", types=["Q100"], sitelinks=10),
         rec("Q2", "alpha", sitelinks=5, description="greek letter"),
     ])
@@ -157,7 +157,7 @@ def test_score_composition_exact():
 
 
 def test_context_term_feeds_final_score():
-    index = build_index([
+    index = Index([
         rec("Q2", "alpha", sitelinks=5, description="greek letter"),
     ])
     plain = link("alpha", "cell", index, EMPTY_CLOSURE, SCORE_CFG)
@@ -169,13 +169,6 @@ def test_context_term_feeds_final_score():
         plain.candidates[0].final_score + 0.15 * sim)
 
 
-def test_custom_context_scorer_is_used():
-    index = build_index([rec("Q2", "alpha", sitelinks=5)])
-    result = link("alpha", "cell", index, EMPTY_CLOSURE, SCORE_CFG,
-                  context="anything", context_scorer=lambda ctx, r: 1.0)
-    assert result.candidates[0].context_sim == 1.0
-
-
 def test_prominence_uses_surviving_candidates_only():
     # The bad-typed record has the highest sitelinks count; it must not set
     # the prominence scale after rejection.
@@ -183,7 +176,7 @@ def test_prominence_uses_surviving_candidates_only():
         "type_dictionary": {"bad-type": ["Q140"]},
         "tiers": {"bad": ["bad-type"]},
     })
-    index = build_index([
+    index = Index([
         rec("Q1", "alpha", types=["Q140"], sitelinks=200),
         rec("Q2", "alpha", sitelinks=50),
         rec("Q3", "alpha", sitelinks=25),
@@ -198,13 +191,13 @@ def test_prominence_uses_surviving_candidates_only():
 
 
 def test_zero_sitelinks_pool_scores_zero_prominence():
-    index = build_index([rec("Q1", "alpha"), rec("Q2", "alpha")])
+    index = Index([rec("Q1", "alpha"), rec("Q2", "alpha")])
     result = link("alpha", "cell", index, EMPTY_CLOSURE, SCORE_CFG)
     assert all(c.prominence == 0.0 for c in result.candidates)
 
 
 def test_header_property_boost_mode_and_kind_gated():
-    index = build_index([
+    index = Index([
         rec("Q1", "duration"),
         rec("P2047", "duration"),
     ])
@@ -220,7 +213,7 @@ def test_header_property_boost_mode_and_kind_gated():
 
 
 def test_nil_below_threshold():
-    index = build_index([rec("Q1", "gamma delta")])
+    index = Index([rec("Q1", "gamma delta")])
     result = link("gamma epsilon", "cell", index, EMPTY_CLOSURE, SCORE_CFG)
     # Partial match at overlap 1/2: 0.45*0.2 + 0.25*(0.4*0.5) = 0.14 < 0.25.
     assert result.chosen is None
@@ -235,7 +228,7 @@ def test_empty_mention_raises(small_kb):
 
 
 def test_mention_is_stored_normalized():
-    index = build_index([rec("Q1", "alpha")])
+    index = Index([rec("Q1", "alpha")])
     result = link("  ALPHA  ", "cell", index, EMPTY_CLOSURE, SCORE_CFG)
     assert result.mention == "alpha"
     assert result.chosen.record.id.raw == "Q1"
@@ -266,7 +259,7 @@ def test_choose_tie_breaks():
 
 def test_virus_disambiguation():
     records, closure, config = virus_fixture()
-    index = build_index(records)
+    index = Index(records)
     result = link("virus", "cell", index, closure, config,
                   context="infectious disease outbreak")
     assert result.chosen.record.id.raw == "Q808"
@@ -278,7 +271,7 @@ def test_virus_disambiguation():
 
 def test_prevalence_header_vs_cell():
     records, closure, config = prevalence_fixture()
-    index = build_index(records)
+    index = Index(records)
     as_cell = link("Prevalence", "cell", index, closure, config)
     assert as_cell.chosen.record.id.raw == "Q719602"
     as_header = link("Prevalence", "header", index, closure, config)
@@ -288,7 +281,7 @@ def test_prevalence_header_vs_cell():
 
 def test_near_miss_acceptance():
     records, closure, config = near_miss_fixture()
-    index = build_index(records)
+    index = Index(records)
     result = link("Wuhan Institute of Virology", "cell", index, closure, config,
                   expected_types=["location"])
     assert result.chosen.record.id.raw == "Q1333425"

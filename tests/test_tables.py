@@ -2,10 +2,10 @@ import pytest
 
 from tablink import (
     EntityId,
+    Index,
     ItemRecord,
     ParseError,
     Table,
-    build_index,
     classify_orientation,
     column_type_vote,
     detect_literal,
@@ -158,7 +158,7 @@ def test_column_type_vote_tie_goes_to_lowest_id():
 
 def _lineage_setup():
     records, closure, config, table = lineage_fixture()
-    return build_index(records), closure, config, table
+    return Index(records), closure, config, table
 
 
 def test_link_table_two_pass_header_flip():
