@@ -80,6 +80,17 @@ def _comma_list(raw: str | None) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
+def _numbers(raw: str | None, types: tuple[type, ...], usage: str) -> tuple:
+    """The comma-separated parts of raw, one per type, converted by it."""
+    parts = _comma_list(raw)
+    try:
+        if len(parts) == len(types):
+            return tuple(t(part) for t, part in zip(types, parts))
+    except ValueError:
+        pass
+    raise _UsageError(usage)
+
+
 # subcommand bodies -----------------------------------------------------------
 # Each returns (payload-emitted?, manifest fields). Payload writing happens
 # inside so --out targets work uniformly.
@@ -167,17 +178,13 @@ def _cmd_bench(args) -> dict:
     index, closure, config, manifest = _load_kb(args)
     with open(args.mentions, "r", encoding="utf-8") as fp:
         mentions = [line.rstrip("\n") for line in fp if line.strip()]
-    latencies = [float(x) for x in _comma_list(args.online_latency)]
-    if len(latencies) != 2:
-        raise _UsageError("--online-latency needs two comma-separated numbers")
-    projection = None
-    if args.projection:
-        parts = _comma_list(args.projection)
-        if len(parts) != 3:
-            raise _UsageError("--projection needs tables,cells,seconds")
-        projection = (int(parts[0]), int(parts[1]), float(parts[2]))
+    latencies = _numbers(args.online_latency, (float, float),
+                         "--online-latency needs two comma-separated numbers")
+    projection = (_numbers(args.projection, (int, int, float),
+                           "--projection needs tables,cells,seconds")
+                  if args.projection else None)
     report = bench(mentions, index, closure, config,
-                   online_latencies=(latencies[0], latencies[1]),
+                   online_latencies=latencies,
                    scale=args.scale, projection=projection)
     _emit(report.to_obj(), args.out)
     return manifest

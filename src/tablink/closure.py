@@ -35,7 +35,7 @@ class TypeClosure:
         return len(self._ancestors)
 
     def nodes(self) -> list[EntityId]:
-        return sorted(self._ancestors, key=EntityId.sort_key)
+        return sorted(self._ancestors)
 
     def ancestors_of(self, type_id: EntityId) -> frozenset[EntityId]:
         return self._ancestors.get(type_id, frozenset())
@@ -47,7 +47,7 @@ class TypeClosure:
         """Canonical text form, one line per node: the node id, then its
         ancestors in ascending order, space-separated."""
         for node in self.nodes():
-            ancestors = sorted(self._ancestors[node], key=EntityId.sort_key)
+            ancestors = sorted(self._ancestors[node])
             yield " ".join([node.raw] + [a.raw for a in ancestors]) + "\n"
 
     @cached_property

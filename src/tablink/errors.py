@@ -27,7 +27,7 @@ class BadWeights(ConfigError):
 
 
 class ParseError(TablinkError):
-    """A single entity document from the dump is malformed."""
+    """An input document (dump entity, table, JSON Lines line) is malformed."""
 
 
 class EmptyMention(TablinkError):

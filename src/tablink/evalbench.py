@@ -39,12 +39,15 @@ class GoldRecord:
     expected: EntityId | None
 
 
+def _gold_from_obj(obj: dict) -> GoldRecord:
+    return GoldRecord(table_id=str(obj["table_id"]), row=int(obj["row"]),
+                      col=int(obj["col"]),
+                      expected=(EntityId.parse(obj["expected"])
+                                if obj.get("expected") else None))
+
+
 def read_gold(path: str | Path) -> list[GoldRecord]:
-    return [GoldRecord(table_id=str(obj["table_id"]), row=int(obj["row"]),
-                       col=int(obj["col"]),
-                       expected=(EntityId.parse(obj["expected"])
-                                 if obj.get("expected") else None))
-            for obj in read_jsonl(path)]
+    return list(read_jsonl(path, _gold_from_obj))
 
 
 def _gold_obj(g: GoldRecord) -> dict:

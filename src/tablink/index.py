@@ -9,11 +9,14 @@ pins the build parameters, so a loaded index always matches what was built.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import logging
 import math
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .errors import EmptyMention, IndexUnavailable
@@ -34,7 +37,8 @@ EXACT_LABEL = "exact_label"
 EXACT_ALIAS = "exact_alias"
 PARTIAL = "partial"
 
-_TIER_RANK = {EXACT_LABEL: 2, EXACT_ALIAS: 1, PARTIAL: 0}
+# Position of each match tier in the ranking, best first.
+_TIER_ORDER = {EXACT_LABEL: 0, EXACT_ALIAS: 1, PARTIAL: 2}
 
 MANIFEST_NAME = "manifest.json"
 RECORDS_NAME = "records.jsonl"
@@ -47,15 +51,6 @@ class RawCandidate:
     record: ItemRecord
     match_tier: str
     token_overlap: float
-
-    @property
-    def tier_rank(self) -> int:
-        return _TIER_RANK[self.match_tier]
-
-
-def candidate_sort_key(c: RawCandidate) -> tuple:
-    return (-c.tier_rank, -c.token_overlap, -c.record.sitelinks_count,
-            c.record.id.sort_key())
 
 
 class Index:
@@ -73,29 +68,23 @@ class Index:
         self._by_label: dict[str, list[EntityId]] = {}
         self._by_alias: dict[str, list[EntityId]] = {}
         self._postings: dict[str, list[EntityId]] = {}
-        # Insertion over sorted ids keeps every bucket deterministically
-        # ordered no matter how the records file was ordered.
-        for eid in sorted(self.records_by_id, key=EntityId.sort_key):
-            record = self.records_by_id[eid]
-            self._by_label.setdefault(normalize(record.label), []).append(eid)
-            alias_norms = set()
-            for alias in record.aliases:
-                norm = normalize(alias)
-                if norm not in alias_norms:
-                    alias_norms.add(norm)
-                    self._by_alias.setdefault(norm, []).append(eid)
-            tokens = set(tokenize(record.label))
-            for alias in record.aliases:
-                tokens.update(tokenize(alias))
-            for token in sorted(tokens):
-                self._postings.setdefault(token, []).append(eid)
-
         digest = hashlib.sha256()
         digest.update(f"{FORMAT_VERSION}|{NORMALIZATION_VERSION}|{STOPWORDS_VERSION}\n"
                       .encode("utf-8"))
-        for eid in sorted(self.records_by_id, key=EntityId.sort_key):
-            digest.update(dump_json_line(record_to_obj(self.records_by_id[eid]))
-                          .encode("utf-8"))
+        # Insertion over sorted ids keeps every bucket deterministically
+        # ordered no matter how the records file was ordered. Aliases are
+        # already distinct by normalized form (ItemRecord sees to it).
+        for eid in sorted(self.records_by_id):
+            record = self.records_by_id[eid]
+            digest.update(dump_json_line(record_to_obj(record)).encode("utf-8"))
+            self._by_label.setdefault(normalize(record.label), []).append(eid)
+            for alias in record.aliases:
+                self._by_alias.setdefault(normalize(alias), []).append(eid)
+            tokens = set(tokenize(record.label))
+            for alias in record.aliases:
+                tokens.update(tokenize(alias))
+            for token in tokens:
+                self._postings.setdefault(token, []).append(eid)
         self.build_id = digest.hexdigest()
 
     def __len__(self) -> int:
@@ -128,35 +117,28 @@ def search(index: Index, mention: str, k: int) -> list[RawCandidate]:
     if not norm or not tokens:
         raise EmptyMention(f"mention {mention!r} normalizes to nothing linkable")
 
-    best: dict[EntityId, RawCandidate] = {}
-
-    def offer(eid: EntityId, tier: str, overlap: float) -> None:
-        cur = best.get(eid)
-        if cur is None or _TIER_RANK[tier] > cur.tier_rank:
-            best[eid] = RawCandidate(index.records_by_id[eid], tier, overlap)
-
-    distinct = []
-    seen_tokens = set()
-    for t in tokens:
-        if t not in seen_tokens:
-            seen_tokens.add(t)
-            distinct.append(t)
+    distinct = list(dict.fromkeys(tokens))
     needed = math.ceil(len(distinct) / 2)
 
-    counts: dict[EntityId, int] = {}
-    for t in distinct:
-        for eid in index.postings(t):
-            counts[eid] = counts.get(eid, 0) + 1
+    # id -> (tier, overlap), filled worst tier first so a better one overwrites.
+    pool: dict[EntityId, tuple[str, float]] = {}
+    counts = Counter(chain.from_iterable(map(index.postings, distinct)))
     for eid, covered in counts.items():
         if covered >= needed:
-            offer(eid, PARTIAL, covered / len(distinct))
+            pool[eid] = (PARTIAL, covered / len(distinct))
     for eid in index.exact_alias(norm):
-        offer(eid, EXACT_ALIAS, 1.0)
+        pool[eid] = (EXACT_ALIAS, 1.0)
     for eid in index.exact_label(norm):
-        offer(eid, EXACT_LABEL, 1.0)
+        pool[eid] = (EXACT_LABEL, 1.0)
 
-    ranked = sorted(best.values(), key=candidate_sort_key)
-    return ranked[:k]
+    records = index.records_by_id
+
+    def rank(item: tuple[EntityId, tuple[str, float]]) -> tuple:
+        eid, (tier, overlap) = item
+        return (_TIER_ORDER[tier], -overlap, -records[eid].sitelinks_count, eid)
+
+    return [RawCandidate(records[eid], tier, overlap)
+            for eid, (tier, overlap) in heapq.nsmallest(k, pool.items(), key=rank)]
 
 
 def save_index(index: Index, out_dir: str | Path) -> None:
@@ -166,7 +148,7 @@ def save_index(index: Index, out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_records(out / RECORDS_NAME,
                   (index.records_by_id[eid]
-                   for eid in sorted(index.records_by_id, key=EntityId.sort_key)))
+                   for eid in sorted(index.records_by_id)))
     manifest = {
         "artifact_version": __version__,
         "format_version": FORMAT_VERSION,

@@ -12,14 +12,16 @@ import hashlib
 import json
 import math
 import re
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple, TypeVar
 
 from .errors import (
     BadWeights,
     ConfigError,
     InvalidEntityId,
+    ParseError,
     TierConflict,
     UnresolvedTypeName,
 )
@@ -35,11 +37,13 @@ TIER_NAMES = ("target", "near_miss", "good", "ok", "bad")
 
 _ID_RE = re.compile(r"^([QP])(0|[1-9][0-9]*)$")
 
+T = TypeVar("T")
 
-@dataclass(frozen=True)
-class EntityId:
-    """A Q-item or P-property identifier. Ordering is (kind, num) with
-    items before properties, used for every deterministic tie-break."""
+
+class EntityId(NamedTuple):
+    """A Q-item or P-property identifier. As a tuple it orders by (kind,
+    num), and "item" < "property", so items sort before properties and
+    then by number; every deterministic tie-break uses this order."""
 
     kind: str
     num: int
@@ -62,12 +66,6 @@ class EntityId:
     @property
     def is_property(self) -> bool:
         return self.kind == PROPERTY
-
-    def sort_key(self) -> tuple[int, int]:
-        return (0 if self.kind == ITEM else 1, self.num)
-
-    def __lt__(self, other: "EntityId") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __str__(self) -> str:
         return self.raw
@@ -136,8 +134,7 @@ def record_to_obj(record: ItemRecord) -> dict:
         "description": record.description,
         "direct_types": [t.raw for t in record.direct_types],
         "sitelinks_count": record.sitelinks_count,
-        "flagged_props": sorted((p.raw for p in record.flagged_props),
-                                key=lambda r: EntityId.parse(r).sort_key()),
+        "flagged_props": [p.raw for p in sorted(record.flagged_props)],
     }
 
 
@@ -167,13 +164,20 @@ def write_jsonl(path: str | Path, objs: Iterable[Mapping]) -> int:
     return n
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """One object per non-blank line."""
+def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> Iterator[T]:
+    """decode() of the object on each non-blank line. A line that is not
+    JSON, or that decode() fails on (a missing field, a value of the wrong
+    type), raises ParseError naming the file and line."""
     with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        for lineno, line in enumerate(fp, 1):
+            if not line.strip():
+                continue
+            try:
+                value = decode(json.loads(line))
+            except (AttributeError, LookupError, TypeError, ValueError) as exc:
+                raise ParseError(f"{path}:{lineno}: bad line "
+                                 f"({type(exc).__name__}: {exc})") from exc
+            yield value
 
 
 def write_records(path: str | Path, records: Iterable[ItemRecord]) -> int:
@@ -181,7 +185,7 @@ def write_records(path: str | Path, records: Iterable[ItemRecord]) -> int:
 
 
 def read_records(path: str | Path) -> Iterator[ItemRecord]:
-    yield from map(record_from_obj, read_jsonl(path))
+    yield from read_jsonl(path, record_from_obj)
 
 
 @dataclass(frozen=True)
@@ -216,7 +220,7 @@ def edge_from_obj(obj: Mapping) -> TypeEdge:
 
 
 def read_edges(path: str | Path) -> Iterator[TypeEdge]:
-    yield from map(edge_from_obj, read_jsonl(path))
+    yield from read_jsonl(path, edge_from_obj)
 
 
 @dataclass(frozen=True)
@@ -289,7 +293,6 @@ class ValidatedConfig:
     weights: Weights
     params: Params
     target_ids: frozenset[EntityId]
-    near_miss_tier_ids: frozenset[EntityId]
     good_ids: frozenset[EntityId]
     ok_ids: frozenset[EntityId]
     bad_ids: frozenset[EntityId]
@@ -312,7 +315,7 @@ class ValidatedConfig:
         parse_config_obj + validate_config yields an equal config."""
         return {
             "type_dictionary": {
-                name: [i.raw for i in sorted(ids, key=EntityId.sort_key)]
+                name: [i.raw for i in sorted(ids)]
                 for name, ids in sorted(self.type_dictionary.items())
             },
             "tiers": {tier: sorted(self.tiers.get(tier, ())) for tier in TIER_NAMES},
@@ -322,7 +325,7 @@ class ValidatedConfig:
             "property_inference": [
                 {"if_property": r.if_property.raw, "then_type_name": r.then_type_name}
                 for r in sorted(self.property_inference,
-                                key=lambda r: (r.if_property.sort_key(), r.then_type_name))
+                                key=lambda r: (r.if_property, r.then_type_name))
             ],
             "weights": dataclasses.asdict(self.weights),
             "params": dataclasses.asdict(self.params),
@@ -367,6 +370,12 @@ def _number(value, kind: str, where: str) -> int | float:
         raise ConfigError(f"{where} is out of range") from None
 
 
+def _type_names(value, where: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{where} must be a list of type names")
+    return tuple(value)
+
+
 def _parse_fields(cls, obj: Mapping, key: str, *, require_all: bool):
     """An instance of the dataclass cls (Weights or Params) from the section
     under key, field by field. An absent or null section gives the defaults;
@@ -402,16 +411,11 @@ def parse_config_obj(obj: Mapping) -> DomainConfig:
     _require_keys(tiers_obj, TIER_NAMES, "tiers")
     tiers = {}
     for tier in TIER_NAMES:
-        names = tiers_obj.get(tier, [])
-        if not isinstance(names, list):
-            raise ConfigError(f"tiers[{tier!r}] must be a list of type names")
-        tiers[tier] = tuple(str(n) for n in names)
+        tiers[tier] = _type_names(tiers_obj.get(tier, []), f"tiers[{tier!r}]")
 
     near_miss_map = {}
     for name, vals in _section(obj, "near_miss_map").items():
-        if not isinstance(vals, list):
-            raise ConfigError(f"near_miss_map[{name!r}] must be a list of type names")
-        near_miss_map[str(name)] = tuple(str(v) for v in vals)
+        near_miss_map[str(name)] = _type_names(vals, f"near_miss_map[{name!r}]")
 
     rules = []
     for entry in _section(obj, "property_inference", list):
@@ -421,7 +425,9 @@ def parse_config_obj(obj: Mapping) -> DomainConfig:
         pid = EntityId.parse(entry["if_property"])
         if not pid.is_property:
             raise ConfigError(f"property_inference.if_property {pid} is not a property id")
-        rules.append(InferenceRule(pid, str(entry["then_type_name"])))
+        if not isinstance(entry["then_type_name"], str):
+            raise ConfigError("property_inference.then_type_name must be a type name")
+        rules.append(InferenceRule(pid, entry["then_type_name"]))
 
     return DomainConfig(type_dictionary, tiers, near_miss_map, tuple(rules),
                         _parse_fields(Weights, obj, "weights", require_all=True),
@@ -478,7 +484,7 @@ def validate_config(cfg: DomainConfig) -> ValidatedConfig:
         raise ConfigError(f"unknown tier(s): {', '.join(sorted(unknown_tiers))}")
 
     target_ids = resolve(tiers["target"], "tiers.target")
-    near_miss_tier_ids = resolve(tiers["near_miss"], "tiers.near_miss")
+    resolve(tiers["near_miss"], "tiers.near_miss")  # refuses unknown names
     good_ids = resolve(tiers["good"], "tiers.good")
     ok_ids = resolve(tiers["ok"], "tiers.ok")
     bad_ids = resolve(tiers["bad"], "tiers.bad")
@@ -497,7 +503,7 @@ def validate_config(cfg: DomainConfig) -> ValidatedConfig:
 
     conflict = bad_ids & (target_ids | good_ids | ok_ids)
     if conflict:
-        raws = ", ".join(i.raw for i in sorted(conflict, key=EntityId.sort_key))
+        raws = ", ".join(i.raw for i in sorted(conflict))
         raise TierConflict(f"id(s) under bad and a positive tier: {raws}")
 
     weights = _renormalized(cfg.weights)
@@ -510,7 +516,6 @@ def validate_config(cfg: DomainConfig) -> ValidatedConfig:
         weights=weights,
         params=cfg.params,
         target_ids=target_ids,
-        near_miss_tier_ids=near_miss_tier_ids,
         good_ids=good_ids,
         ok_ids=ok_ids,
         bad_ids=bad_ids,

@@ -125,7 +125,7 @@ class ScoredCandidate:
 
 
 def scored_sort_key(c: ScoredCandidate) -> tuple:
-    return (-c.final_score, -c.record.sitelinks_count, c.record.id.sort_key())
+    return (-c.final_score, -c.record.sitelinks_count, c.record.id)
 
 
 @dataclass(frozen=True)

@@ -93,16 +93,13 @@ class SynthResult:
 
 
 class _Builder:
-    def __init__(self, seed: int, n_items: int, n_types: int, n_tables: int,
-                 tier_profile: dict[str, float] | None):
+    def __init__(self, seed: int, n_items: int, n_types: int, n_tables: int):
         self.rng = random.Random(seed)
         self.words = WordGen()
         self.seed = seed
         self.n_items = n_items
         self.n_types = max(60, n_types)
         self.n_tables = n_tables
-        self.profile = tier_profile or {"good": 0.30, "ok": 0.15,
-                                        "bad": 0.25, "neutral": 0.30}
         self.entities: list[_Entity] = []
         self.by_id: dict[str, _Entity] = {}
         self.groups: dict[str, dict] = {}
@@ -215,7 +212,7 @@ class _Builder:
     def build_items(self) -> None:
         rng = self.rng
         group_names = ["good", "ok", "bad", "neutral"]
-        group_weights = [self.profile[g] for g in group_names]
+        group_weights = [0.30, 0.15, 0.25, 0.30]
         n_families = max(3, self.n_items // 1000)
         family_starts = set(rng.sample(range(self.n_items),
                                        min(n_families, self.n_items)))
@@ -680,9 +677,7 @@ def generate_synthetic_kb(out_dir: str | Path,
                           seed: int = 1,
                           n_items: int = 2000,
                           n_types: int = 120,
-                          n_tables: int = 6,
-                          tier_profile: dict[str, float] | None = None
-                          ) -> SynthResult:
+                          n_tables: int = 6) -> SynthResult:
     """Generate a complete synthetic corpus under out_dir.
 
     Deterministic: the same arguments produce byte-identical files. The
@@ -694,7 +689,7 @@ def generate_synthetic_kb(out_dir: str | Path,
     tables_dir = out / "tables"
     tables_dir.mkdir(parents=True, exist_ok=True)
 
-    b = _Builder(seed, n_items, n_types, n_tables, tier_profile)
+    b = _Builder(seed, n_items, n_types, n_tables)
     b.build_types()
     b.build_items()
     b.plant_twins()

@@ -176,7 +176,7 @@ def column_type_vote(candidate_sets: list[tuple[ScoredCandidate, ...]],
                 weights[t] = weights.get(t, 0.0) + cand.final_score
     if not weights or not candidate_sets:
         return None
-    winner = min(weights.items(), key=lambda kv: (-kv[1], kv[0].sort_key()))[0]
+    winner = min(weights.items(), key=lambda kv: (-kv[1], kv[0]))[0]
     support = sum(
         1 for cands in candidate_sets
         if any(winner in cand.record.direct_types for cand in cands))

@@ -438,7 +438,7 @@ def test_property_bad_rejection_is_absolute(small_kb):
         b == t or b in ancestors[t] for b in config.bad_ids)
     # Only item ids can appear as direct types; property nodes exist in the
     # hierarchy for subproperty edges but never type a record.
-    item_nodes = [t for t in sorted(nodes, key=EntityId.sort_key) if t.is_item]
+    item_nodes = [t for t in sorted(nodes) if t.is_item]
     poisoned = [t for t in item_nodes if reaches_bad(t)]
     clean = [t for t in item_nodes if not reaches_bad(t)]
     assert poisoned and clean

@@ -194,6 +194,54 @@ def test_bench_rejects_bad_latency_argument(pipeline, tmp_path):
     assert "online-latency" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--online-latency", "12,x"),
+                                         ("--projection", "1,2,x"),
+                                         ("--projection", "1.5,2,3")])
+def test_bench_rejects_non_numeric_arguments(pipeline, tmp_path, flag, value):
+    mentions = tmp_path / "m.txt"
+    mentions.write_text("whatever\n", encoding="utf-8")
+    code, _, err = quiet_run(["bench", "--mentions", str(mentions),
+                              *common(pipeline), flag, value])
+    assert code == 1
+    assert f"error: {flag}" in err
+
+
+GOOD_LINES = {
+    "records": '{"id": "Q1", "label": "alpha"}',
+    "edges": '{"child": "Q1", "parent": "Q2", "relation": "subclass_of"}',
+    "gold": '{"table_id": "t", "row": 0, "col": 0, "expected": "Q1"}',
+}
+
+
+@pytest.mark.parametrize("kind, bad_line", [
+    ("records", '{"id": "Q2", "aliases": ["beta"]}'),
+    ("records", '{"id": "Q2", "label": "   "}'),
+    ("records", '{"id": "Q2", "label": "beta", "direct_types": ["P31"]}'),
+    ("records", '{"id": "X2", "label": "beta"}'),
+    ("records", '["Q2", "beta"]'),
+    ("records", '{"id": "Q2", "label": "beta"'),
+    ("edges", '{"child": "Q2", "parent": "Q3"}'),
+    ("edges", '{"child": 2, "parent": "Q3", "relation": "subclass_of"}'),
+    ("gold", '{"table_id": "t", "row": "x", "col": 0, "expected": null}'),
+    ("gold", '{"table_id": "t", "row": 1, "expected": null}'),
+])
+def test_malformed_jsonl_line_is_an_error_naming_file_and_line(
+        tmp_path, kind, bad_line):
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(GOOD_LINES[kind] + "\n" + bad_line + "\n", encoding="utf-8")
+    argv = {
+        "records": ["build-index", "--records", str(path),
+                    "--out", str(tmp_path / "index")],
+        "edges": ["closure", "--edges", str(path),
+                  "--out", str(tmp_path / "closure.txt")],
+        "gold": ["eval", "--annotations", str(tmp_path), "--gold", str(path)],
+    }[kind]
+    code, _, err = quiet_run(argv)
+    assert code == 1
+    assert f"error: {path}:2: " in err
+    assert "Traceback" not in err
+
+
 def test_link_table_csv_input(pipeline, tmp_path, capsys):
     csv_path = tmp_path / "mini.csv"
     csv_path.write_text("Name,Count\nsomething,5\n", encoding="utf-8")

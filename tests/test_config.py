@@ -219,6 +219,10 @@ WEIGHTS = '"w_match": 0.25, "w_prom": 0.15, "w_ctx": 0.15'
     '"near_miss_map": 1',
     '"property_inference": {}',
     '"property_inference": ["P486"]',
+    '"tiers": {"good": [5]}',
+    '"tiers": {"near_miss": ["place", null]}',
+    '"near_miss_map": {"place": [5]}',
+    '"property_inference": [{"if_property": "P486", "then_type_name": 5}]',
 ])
 def test_config_values_of_the_wrong_type_are_refused(section):
     with pytest.raises(ConfigError):

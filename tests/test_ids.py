@@ -33,13 +33,12 @@ def test_sort_is_numeric_not_lexicographic():
     assert EntityId.parse("Q9") < EntityId.parse("Q10")
 
 
-def test_sort_key_total_order_random():
+def test_ids_sort_by_kind_then_number_random():
     rng = random.Random(4)
     ids = [EntityId(rng.choice(["item", "property"]), rng.randrange(1000))
            for _ in range(300)]
-    by_key = sorted(ids, key=EntityId.sort_key)
-    for a, b in zip(by_key, by_key[1:]):
-        assert a.sort_key() <= b.sort_key()
+    written_out = sorted(ids, key=lambda e: (0 if e.kind == "item" else 1, e.num))
+    assert sorted(ids) == written_out
 
 
 def test_record_rejects_blank_label():

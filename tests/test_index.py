@@ -3,12 +3,14 @@ import random
 
 import pytest
 
+import tablink.index
 from tablink import (
     EmptyMention,
     EntityId,
     Index,
     IndexUnavailable,
     ItemRecord,
+    RawCandidate,
     load_index,
     save_index,
     search,
@@ -182,6 +184,54 @@ def test_search_matches_linear_scan_oracle(small_kb):
         want = [(r.id.raw, tier, round(overlap, 9))
                 for r, tier, overlap in o_search(oracle, mention, 20)]
         assert got == want, f"mismatch for {mention!r}"
+
+
+def test_search_cuts_large_pools_at_k_like_the_oracle(monkeypatch):
+    # "virus" is in about 40% of the labels and every 25th record is named
+    # just "virus", so pools hold hundreds of records; sitelinks come from a
+    # few values, so ties in tier, overlap and sitelinks fall at the cut.
+    rng = random.Random(2024)
+    hot = ["virus", "protein", "strain"]
+    words = [f"w{i}" for i in range(60)]
+    records = []
+    for i in range(2000):
+        toks = rng.sample(words, rng.randint(1, 3))
+        for token, p in zip(hot, (0.4, 0.2, 0.1)):
+            if rng.random() < p:
+                toks.insert(rng.randrange(len(toks) + 1), token)
+        if i % 25 == 0:
+            toks = ["virus"]
+        aliases = [" ".join(rng.sample(hot + words, 2))] if rng.random() < 0.3 else []
+        records.append(rec(("P" if i % 10 == 0 else "Q") + str(i + 1), " ".join(toks),
+                           aliases, sitelinks=rng.choice((0, 1, 1, 2, 3, 5))))
+    mentions = ["virus", "protein", "strain", "virus protein", "strain virus w1"]
+    mentions += [r.label for r in rng.sample(records, 120)]
+    mentions += [" ".join(rng.sample(hot + words, rng.randint(1, 3)))
+                 for _ in range(80)]
+
+    index = Index(records)
+    oracle = OracleKB(records)
+    built = []
+    monkeypatch.setattr(tablink.index, "RawCandidate",
+                        lambda *args: built.append(args) or RawCandidate(*args))
+    big_pools = ties_at_cut = 0
+    for mention in mentions:
+        full = o_search(oracle, mention, len(records))
+        big_pools += len(full) > 20
+        for k in (1, 5, 20):
+            built.clear()
+            got = [(c.record.id, c.match_tier, c.token_overlap)
+                   for c in search(index, mention, k)]
+            want = [(r.id, tier, overlap)
+                    for r, tier, overlap in o_search(oracle, mention, k)]
+            assert got == want, f"mismatch for {mention!r} at k={k}"
+            assert len(built) == len(got)
+            if len(full) > k:
+                rank = [(tier, overlap, r.sitelinks_count)
+                        for r, tier, overlap in full[k - 1:k + 1]]
+                ties_at_cut += rank[0] == rank[1]
+    assert big_pools >= 50
+    assert ties_at_cut >= 50
 
 
 def test_index_len_and_contains(small_kb):

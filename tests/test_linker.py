@@ -153,7 +153,7 @@ def test_score_composition_exact():
     assert list(result.candidates) == sorted(
         result.candidates, key=lambda c: (-c.final_score,
                                           -c.record.sitelinks_count,
-                                          c.record.id.sort_key()))
+                                          c.record.id))
 
 
 def test_context_term_feeds_final_score():
