@@ -154,9 +154,9 @@ def _cmd_link(args) -> dict:
 
 
 def _cmd_link_table(args) -> dict:
+    table = _load_table(args.table, args.has_header)
     index, closure, config, manifest = _load_kb(args)
     cache = LinkCache(args.cache) if args.cache else None
-    table = _load_table(args.table, args.has_header)
     annotation = link_table(table, index, closure, config, cache=cache)
     if args.out:
         write_annotation(args.out, annotation)
@@ -176,16 +176,16 @@ def _cmd_eval(args) -> dict:
 
 def _cmd_bench(args) -> dict:
     index, closure, config, manifest = _load_kb(args)
-    with open(args.mentions, "r", encoding="utf-8") as fp:
-        mentions = [line.rstrip("\n") for line in fp if line.strip()]
+    mentions = Path(args.mentions).read_text(encoding="utf-8").split("\n")
     latencies = _numbers(args.online_latency, (float, float),
                          "--online-latency needs two comma-separated numbers")
-    projection = (_numbers(args.projection, (int, int, float),
-                           "--projection needs tables,cells,seconds")
+    if not all(0 <= d < float("inf") for d in latencies):
+        raise _UsageError("--online-latency needs finite, non-negative seconds")
+    projection = (_numbers(args.projection, (int, int),
+                           "--projection needs tables,cells_per_table")
                   if args.projection else None)
     report = bench(mentions, index, closure, config,
-                   online_latencies=latencies,
-                   scale=args.scale, projection=projection)
+                   online_latencies=latencies, projection=projection)
     _emit(report.to_obj(), args.out)
     return manifest
 
@@ -261,16 +261,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("bench", help="compare offline linking with simulated online latency")
+    p = sub.add_parser("bench", help="time offline linking against a modeled online backend")
     p.add_argument("--mentions", required=True, help="one mention per line")
     p.add_argument("--index", required=True)
     p.add_argument("--closure", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--online-latency", default="12,18",
-                   help="candidate,type stage delays in time units")
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="multiplier applied to the injected delays")
-    p.add_argument("--projection", help="tables,cells_per_table,seconds_per_mention")
+                   help="online candidate,type stage latencies in seconds")
+    p.add_argument("--projection", help="tables,cells_per_table: project corpus "
+                   "days from each backend's median seconds per mention")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bench)
 

@@ -1,9 +1,9 @@
 """Evaluation against expected-annotation records and the offline-vs-online
 latency benchmark.
 
-The online backend is simulated: it runs the same pipeline with injected
-per-stage delays, so answer parity is checkable and speedup is measurable
-without touching a rate-limited public API.
+The online backend is modeled, not run: it is the offline pipeline plus a
+fixed latency per stage, so its medians follow from the measured offline ones
+without touching a rate-limited public API or sleeping through its latency.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .closure import TypeClosure
 from .errors import EmptyMention, GoldMismatch
 from .index import Index, search
 from .kb import EntityId, ValidatedConfig, read_jsonl, write_jsonl
-from .linker import CELL, LinkResult, link_from_candidates
+from .linker import CELL, link_from_candidates
 from .tables import TableAnnotation
 
 log = logging.getLogger(__name__)
@@ -40,10 +40,15 @@ class GoldRecord:
 
 
 def _gold_from_obj(obj: dict) -> GoldRecord:
-    return GoldRecord(table_id=str(obj["table_id"]), row=int(obj["row"]),
-                      col=int(obj["col"]),
-                      expected=(EntityId.parse(obj["expected"])
-                                if obj.get("expected") else None))
+    table_id, row, col = obj["table_id"], obj["row"], obj["col"]
+    expected = obj.get("expected")
+    if not (isinstance(table_id, str) and type(row) is int
+            and type(col) is int
+            and (expected is None or isinstance(expected, str))):
+        raise TypeError("table_id must be a string, row and col integers, "
+                        "expected an id string or null")
+    return GoldRecord(table_id, row, col,
+                      None if expected is None else EntityId.parse(expected))
 
 
 def read_gold(path: str | Path) -> list[GoldRecord]:
@@ -138,33 +143,26 @@ def evaluate(annotations: Iterable[TableAnnotation],
 
 
 @dataclass(frozen=True)
+class BackendTimes:
+    """One backend's median seconds per mention, per stage and in total, and
+    the corpus projection at that total (None without a projection)."""
+
+    candidate_s: float
+    type_s: float
+    total_s: float
+    projected_days: float | None = None
+
+
+@dataclass(frozen=True)
 class LatencyReport:
     mentions_timed: int
     skipped: int
-    mismatches: int
-    offline_candidate_s: float
-    offline_type_s: float
-    offline_total_s: float
-    online_candidate_s: float
-    online_type_s: float
-    online_total_s: float
+    offline: BackendTimes
+    online: BackendTimes
     speedup: float
-    projected_days: float | None = None
 
     def to_obj(self) -> dict:
-        return {
-            "mentions_timed": self.mentions_timed,
-            "skipped": self.skipped,
-            "mismatches": self.mismatches,
-            "offline": {"candidate_s": self.offline_candidate_s,
-                        "type_s": self.offline_type_s,
-                        "total_s": self.offline_total_s},
-            "online": {"candidate_s": self.online_candidate_s,
-                       "type_s": self.online_type_s,
-                       "total_s": self.online_total_s},
-            "speedup": self.speedup,
-            "projected_days": self.projected_days,
-        }
+        return dataclasses.asdict(self)
 
 
 def project_corpus_days(tables: int, cells_per_table: int,
@@ -173,79 +171,53 @@ def project_corpus_days(tables: int, cells_per_table: int,
     return tables * cells_per_table * per_mention_s / SECONDS_PER_DAY
 
 
-def _run_backend(mentions: list[str], index: Index, closure: TypeClosure,
-                 config: ValidatedConfig, delays: tuple[float, float]
-                 ) -> tuple[list[float], list[float], list[LinkResult | None]]:
-    cand_times: list[float] = []
-    type_times: list[float] = []
-    results: list[LinkResult | None] = []
-    d_cand, d_type = delays
-    for mention in mentions:
-        t0 = time.perf_counter()
-        if d_cand:
-            time.sleep(d_cand)
-        try:
-            raw = search(index, mention, config.params.k)
-        except EmptyMention:
-            results.append(None)
-            continue
-        t1 = time.perf_counter()
-        if d_type:
-            time.sleep(d_type)
-        result = link_from_candidates(mention, raw, CELL, None, None, closure,
-                                      config)
-        t2 = time.perf_counter()
-        cand_times.append(t1 - t0)
-        type_times.append(t2 - t1)
-        results.append(result)
-    return cand_times, type_times, results
-
-
 def bench(mentions: Iterable[str],
           index: Index,
           closure: TypeClosure,
           config: ValidatedConfig,
           online_latencies: tuple[float, float] = (12.0, 18.0),
-          scale: float = 1.0,
-          projection: tuple[int, int, float] | None = None) -> LatencyReport:
-    """Time the offline pipeline against the simulated-online one.
+          projection: tuple[int, int] | None = None) -> LatencyReport:
+    """Time the offline pipeline per mention and model the online one.
 
-    online_latencies are the injected candidate-stage and type-stage delays in
-    seconds, multiplied by scale. Both backends run the identical pipeline, so
-    any result mismatch is reported (and means a bug).
+    The online backend runs the same pipeline behind a round trip per stage:
+    online_latencies are the candidate-stage and type-stage latencies in
+    seconds. Since median(x + c) = median(x) + c, each online median is the
+    offline median plus that stage's latency, so nothing sleeps. projection,
+    (tables, cells_per_table), turns each backend's median total into corpus
+    days.
     """
-    mention_list = [m for m in mentions if m and m.strip()]
-    off_cand, off_type, off_results = _run_backend(
-        mention_list, index, closure, config, (0.0, 0.0))
-    delays = (online_latencies[0] * scale, online_latencies[1] * scale)
-    on_cand, on_type, on_results = _run_backend(
-        mention_list, index, closure, config, delays)
+    d_cand, d_type = online_latencies
+    cand_times: list[float] = []
+    type_times: list[float] = []
+    skipped = 0
+    for mention in mentions:
+        if not mention.strip():
+            continue
+        t0 = time.perf_counter()
+        try:
+            raw = search(index, mention, config.params.k)
+        except EmptyMention:
+            skipped += 1
+            continue
+        t1 = time.perf_counter()
+        link_from_candidates(mention, raw, CELL, None, None, closure, config)
+        t2 = time.perf_counter()
+        cand_times.append(t1 - t0)
+        type_times.append(t2 - t1)
+    if not cand_times:
+        zero = BackendTimes(0.0, 0.0, 0.0)
+        return LatencyReport(0, skipped, zero, zero, 0.0)
 
-    mismatches = sum(1 for a, b in zip(off_results, on_results) if a != b)
-    skipped = sum(1 for r in off_results if r is None)
-    timed = len(off_cand)
-    if timed == 0:
-        return LatencyReport(0, skipped, mismatches, 0.0, 0.0, 0.0,
-                             0.0, 0.0, 0.0, 0.0)
+    def backend(candidate_s: float, type_s: float,
+                total_s: float) -> BackendTimes:
+        days = (project_corpus_days(*projection, total_s)
+                if projection is not None else None)
+        return BackendTimes(candidate_s, type_s, total_s, days)
 
-    off_totals = [c + t for c, t in zip(off_cand, off_type)]
-    on_totals = [c + t for c, t in zip(on_cand, on_type)]
-    off_total = median(off_totals)
-    on_total = median(on_totals)
-    speedup = on_total / off_total if off_total > 0 else float("inf")
-    projected = None
-    if projection is not None:
-        projected = project_corpus_days(*projection)
-    return LatencyReport(
-        mentions_timed=timed,
-        skipped=skipped,
-        mismatches=mismatches,
-        offline_candidate_s=median(off_cand),
-        offline_type_s=median(off_type),
-        offline_total_s=off_total,
-        online_candidate_s=median(on_cand),
-        online_type_s=median(on_type),
-        online_total_s=on_total,
-        speedup=speedup,
-        projected_days=projected,
-    )
+    offline = backend(median(cand_times), median(type_times),
+                      median(c + t for c, t in zip(cand_times, type_times)))
+    online = backend(offline.candidate_s + d_cand, offline.type_s + d_type,
+                     offline.total_s + d_cand + d_type)
+    speedup = (online.total_s / offline.total_s if offline.total_s > 0
+               else float("inf"))
+    return LatencyReport(len(cand_times), skipped, offline, online, speedup)

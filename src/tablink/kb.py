@@ -139,14 +139,29 @@ def record_to_obj(record: ItemRecord) -> dict:
 
 
 def record_from_obj(obj: Mapping) -> ItemRecord:
+    """A field of the wrong JSON type is refused, never coerced; list
+    elements are checked by normalize() and EntityId.parse()."""
+    label = obj["label"]
+    aliases = obj.get("aliases", [])
+    description = obj.get("description", "")
+    direct_types = obj.get("direct_types", [])
+    sitelinks_count = obj.get("sitelinks_count", 0)
+    flagged_props = obj.get("flagged_props", [])
+    if not (isinstance(label, str) and isinstance(description, str)
+            and isinstance(aliases, list) and isinstance(direct_types, list)
+            and isinstance(flagged_props, list)
+            and type(sitelinks_count) is int):
+        raise TypeError("label and description must be strings, aliases, "
+                        "direct_types and flagged_props lists, and "
+                        "sitelinks_count an integer")
     return ItemRecord(
         id=EntityId.parse(obj["id"]),
-        label=obj["label"],
-        aliases=tuple(obj.get("aliases", ())),
-        description=obj.get("description", ""),
-        direct_types=parse_id_list(obj.get("direct_types", ())),
-        sitelinks_count=int(obj.get("sitelinks_count", 0)),
-        flagged_props=frozenset(parse_id_list(obj.get("flagged_props", ()))),
+        label=label,
+        aliases=tuple(aliases),
+        description=description,
+        direct_types=parse_id_list(direct_types),
+        sitelinks_count=sitelinks_count,
+        flagged_props=frozenset(parse_id_list(flagged_props)),
     )
 
 

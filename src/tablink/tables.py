@@ -100,10 +100,23 @@ def table_to_obj(table: Table) -> dict:
             "rows": [list(r) for r in table.rows]}
 
 
+def _strings(value, what: str) -> list[str]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise TypeError(f"{what} must be a list of strings")
+    return value
+
+
 def table_from_obj(obj: Mapping) -> Table:
+    """A field of the wrong JSON type is refused with ParseError, never
+    coerced."""
     try:
-        return Table(str(obj["table_id"]), str(obj.get("caption", "")),
-                     tuple(obj["headers"]), tuple(tuple(r) for r in obj["rows"]))
+        table_id, headers, rows = obj["table_id"], obj["headers"], obj["rows"]
+        caption = obj.get("caption", "")
+        if not (isinstance(table_id, str) and isinstance(caption, str)
+                and isinstance(rows, list)):
+            raise TypeError("table_id and caption must be strings, rows a list")
+        return Table(table_id, caption, _strings(headers, "headers"),
+                     [_strings(row, f"row {i}") for i, row in enumerate(rows)])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad table document: {exc}") from exc
 

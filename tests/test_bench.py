@@ -35,33 +35,39 @@ MENTIONS = [f"item number{i + 1}" for i in range(30)]
 def test_backends_agree_and_projection_matches():
     index = make_index()
     report = bench(MENTIONS, index, CLOSURE, CONFIG,
-                   online_latencies=(0.0, 0.0), projection=(120000, 10, 30))
+                   online_latencies=(12.0, 18.0), projection=(120000, 10))
     assert report.mentions_timed == 30
     assert report.skipped == 0
-    assert report.mismatches == 0
-    assert report.projected_days == pytest.approx(416.6667, abs=1e-3)
-    assert report.projected_days == project_corpus_days(120000, 10, 30)
-    # Identical backends: the ratio is timing noise around 1.
-    assert 0.05 < report.speedup < 20
+    for side in (report.offline, report.online):
+        assert side.projected_days == project_corpus_days(120000, 10,
+                                                          side.total_s)
+    assert report.online.projected_days == pytest.approx(416.6667, abs=1e-2)
+    assert report.offline.projected_days < 1.0
 
 
 def test_injected_latency_shows_up_in_medians():
     index = make_index()
     report = bench(MENTIONS[:5], index, CLOSURE, CONFIG,
                    online_latencies=(0.01, 0.02))
-    assert report.online_candidate_s >= 0.01
-    assert report.online_type_s >= 0.02
-    assert report.online_total_s >= 0.03
-    assert report.offline_total_s < 0.01
+    off, on = report.offline, report.online
+    assert on.candidate_s == pytest.approx(off.candidate_s + 0.01)
+    assert on.type_s == pytest.approx(off.type_s + 0.02)
+    assert on.total_s == pytest.approx(off.total_s + 0.03)
+    assert off.total_s < 0.01
+    assert report.speedup == pytest.approx(on.total_s / off.total_s)
     assert report.speedup > 3
-    assert report.mismatches == 0
 
 
-def test_scale_multiplies_delays():
+def test_online_latency_is_modeled_not_slept(monkeypatch):
+    def no_sleep(seconds):
+        raise AssertionError(f"bench slept {seconds} s")
+
+    monkeypatch.setattr("tablink.evalbench.time.sleep", no_sleep)
     index = make_index()
-    report = bench(MENTIONS[:3], index, CLOSURE, CONFIG,
-                   online_latencies=(0.1, 0.1), scale=0.1)
-    assert 0.02 <= report.online_total_s < 0.1
+    report = bench(MENTIONS, index, CLOSURE, CONFIG,
+                   online_latencies=(12.0, 18.0))
+    assert report.mentions_timed == 30
+    assert report.online.total_s >= 30.0
 
 
 def test_unsearchable_mentions_are_skipped_not_fatal():
@@ -82,26 +88,29 @@ def test_all_skipped_returns_zero_report():
     assert report.mentions_timed == 0
     assert report.skipped == 2
     assert report.speedup == 0.0
-    assert report.projected_days is None
+    assert report.offline.projected_days is None
+    assert report.online.projected_days is None
 
 
 def test_report_obj_shape():
     index = make_index()
     report = bench(MENTIONS[:3], index, CLOSURE, CONFIG,
-                   online_latencies=(0.0, 0.0), projection=(10, 10, 1.0))
+                   online_latencies=(1.0, 0.0), projection=(10, 10))
     obj = report.to_obj()
-    assert set(obj) == {"mentions_timed", "skipped", "mismatches", "offline",
-                        "online", "speedup", "projected_days"}
-    assert set(obj["offline"]) == {"candidate_s", "type_s", "total_s"}
-    assert set(obj["online"]) == {"candidate_s", "type_s", "total_s"}
-    assert obj["projected_days"] == pytest.approx(100 / 86400)
+    assert list(obj) == ["mentions_timed", "skipped", "offline", "online",
+                         "speedup"]
+    for side in ("offline", "online"):
+        assert list(obj[side]) == ["candidate_s", "type_s", "total_s",
+                                   "projected_days"]
+    assert obj["online"]["projected_days"] == pytest.approx(
+        100 * (1.0 + obj["offline"]["total_s"]) / 86400)
 
 
 def test_backend_results_match_direct_link_calls():
     index = make_index()
     report = bench(MENTIONS, index, CLOSURE, CONFIG,
                    online_latencies=(0.0, 0.0))
-    assert report.mismatches == 0
+    assert report.mentions_timed == len(MENTIONS)
     for mention in MENTIONS[:5]:
         result = link(mention, "cell", index, CLOSURE, CONFIG)
         assert result.chosen is not None

@@ -175,14 +175,15 @@ def test_link_table_eval_bench_flow(pipeline, tmp_path, capsys):
         encoding="utf-8").splitlines()
     mentions.write_text("\n".join(all_lines[:40]) + "\n", encoding="utf-8")
     code = run(["bench", "--mentions", str(mentions), *common(pipeline),
-                "--online-latency", "0.01,0.02",
-                "--projection", "120000,10,30"])
+                "--projection", "120000,10"])
     captured = capsys.readouterr()
     assert code == 0
     report = json.loads(captured.out)
-    assert report["mismatches"] == 0
+    assert report["mentions_timed"] + report["skipped"] == 40
     assert report["speedup"] > 3
-    assert report["projected_days"] == pytest.approx(416.6667, abs=1e-3)
+    assert report["online"]["projected_days"] == pytest.approx(416.6667,
+                                                               abs=1e-2)
+    assert report["offline"]["projected_days"] < 1.0
 
 
 def test_bench_rejects_bad_latency_argument(pipeline, tmp_path):
@@ -195,8 +196,9 @@ def test_bench_rejects_bad_latency_argument(pipeline, tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [("--online-latency", "12,x"),
-                                         ("--projection", "1,2,x"),
-                                         ("--projection", "1.5,2,3")])
+                                         ("--online-latency", "0,-1"),
+                                         ("--projection", "1,x"),
+                                         ("--projection", "1.5,2")])
 def test_bench_rejects_non_numeric_arguments(pipeline, tmp_path, flag, value):
     mentions = tmp_path / "m.txt"
     mentions.write_text("whatever\n", encoding="utf-8")
@@ -224,6 +226,15 @@ GOOD_LINES = {
     ("edges", '{"child": 2, "parent": "Q3", "relation": "subclass_of"}'),
     ("gold", '{"table_id": "t", "row": "x", "col": 0, "expected": null}'),
     ("gold", '{"table_id": "t", "row": 1, "expected": null}'),
+    ("records", '{"id": "Q2", "label": "beta", "aliases": "rubeola"}'),
+    ("records", '{"id": "Q2", "label": "beta", "sitelinks_count": "7"}'),
+    ("records", '{"id": "Q2", "label": "beta", "sitelinks_count": 7.9}'),
+    ("records", '{"id": "Q2", "label": "beta", "sitelinks_count": true}'),
+    ("records", '{"id": "Q2", "label": "beta", "description": 5}'),
+    ("records", '{"id": "Q2", "label": "beta", "direct_types": {"Q5": 1}}'),
+    ("gold", '{"table_id": 7, "row": 1, "col": 0, "expected": null}'),
+    ("gold", '{"table_id": "t", "row": 1.7, "col": 0, "expected": null}'),
+    ("gold", '{"table_id": "t", "row": 1, "col": true, "expected": null}'),
 ])
 def test_malformed_jsonl_line_is_an_error_naming_file_and_line(
         tmp_path, kind, bad_line):
@@ -239,6 +250,18 @@ def test_malformed_jsonl_line_is_an_error_naming_file_and_line(
     code, _, err = quiet_run(argv)
     assert code == 1
     assert f"error: {path}:2: " in err
+    assert "Traceback" not in err
+
+
+def test_link_table_refuses_a_numeric_cell(pipeline, tmp_path):
+    table = tmp_path / "numeric.json"
+    table.write_text('{"table_id": "t", "headers": ["Name", "Count"], '
+                     '"rows": [["alpha", 5]]}', encoding="utf-8")
+    code, out, err = quiet_run(["link-table", "--table", str(table),
+                                *common(pipeline)])
+    assert code == 1
+    assert out == ""
+    assert "error: bad table document: row 0 must be a list of strings" in err
     assert "Traceback" not in err
 
 

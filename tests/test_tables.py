@@ -79,12 +79,25 @@ def test_table_obj_round_trip():
     assert table_from_obj(table_to_obj(table)) == table
 
 
-def test_read_table_rejects_bad_json(tmp_path):
+@pytest.mark.parametrize("text", [
+    pytest.param("{nope", id="not-json"),
+    pytest.param('{"table_id": "t"}', id="missing-fields"),
+    pytest.param('{"table_id": "t", "headers": ["H1", "H2"], '
+                 '"rows": [["alpha", 5]]}', id="numeric-cell"),
+    pytest.param('{"table_id": "t", "headers": "ab", "rows": ["xy"]}',
+                 id="string-headers-and-row"),
+    pytest.param('{"table_id": "t", "headers": ["H1", "H2"], "rows": ["xy"]}',
+                 id="string-row"),
+    pytest.param('{"table_id": "t", "caption": null, "headers": ["H1"], '
+                 '"rows": [["x"]]}', id="null-caption"),
+    pytest.param('{"table_id": 7, "headers": ["H1"], "rows": [["x"]]}',
+                 id="numeric-table-id"),
+    pytest.param('{"table_id": "t", "headers": ["H1"], "rows": {"x": ["y"]}}',
+                 id="object-rows"),
+])
+def test_read_table_rejects_bad_json(tmp_path, text):
     path = tmp_path / "bad.json"
-    path.write_text("{nope", encoding="utf-8")
-    with pytest.raises(ParseError):
-        read_table(path)
-    path.write_text('{"table_id": "t"}', encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError):
         read_table(path)
 
