@@ -17,6 +17,7 @@ import json
 import logging
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 from .closure import build_closure, read_closure, write_closure
@@ -80,15 +81,27 @@ def _comma_list(raw: str | None) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
-def _numbers(raw: str | None, types: tuple[type, ...], usage: str) -> tuple:
-    """The comma-separated parts of raw, one per type, converted by it."""
+def _numbers(raw: str | None, types: tuple[type, ...],
+             valid: Callable[[float], bool], usage: str) -> tuple:
+    """The comma-separated parts of raw, one per type, converted by it; each
+    value must pass valid."""
     parts = _comma_list(raw)
     try:
         if len(parts) == len(types):
-            return tuple(t(part) for t, part in zip(types, parts))
+            values = tuple(t(part) for t, part in zip(types, parts))
+            if all(map(valid, values)):
+                return values
     except ValueError:
         pass
     raise _UsageError(usage)
+
+
+def _count(raw: str) -> int:
+    """argparse type of gen-kb's sizes: a whole number, zero or more."""
+    if not raw.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"needs a whole number >= 0, not {raw!r}")
+    return int(raw)
 
 
 # subcommand bodies -----------------------------------------------------------
@@ -178,11 +191,12 @@ def _cmd_bench(args) -> dict:
     index, closure, config, manifest = _load_kb(args)
     mentions = Path(args.mentions).read_text(encoding="utf-8").split("\n")
     latencies = _numbers(args.online_latency, (float, float),
-                         "--online-latency needs two comma-separated numbers")
-    if not all(0 <= d < float("inf") for d in latencies):
-        raise _UsageError("--online-latency needs finite, non-negative seconds")
-    projection = (_numbers(args.projection, (int, int),
-                           "--projection needs tables,cells_per_table")
+                         lambda d: 0 <= d < float("inf"),
+                         "--online-latency needs two comma-separated, finite, "
+                         "non-negative seconds")
+    projection = (_numbers(args.projection, (int, int), lambda n: n > 0,
+                           "--projection needs tables,cells_per_table, "
+                           "two positive whole numbers")
                   if args.projection else None)
     report = bench(mentions, index, closure, config,
                    online_latencies=latencies, projection=projection)
@@ -276,9 +290,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gen-kb", help="generate a deterministic synthetic corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--items", type=int, default=2000)
-    p.add_argument("--types", type=int, default=120)
-    p.add_argument("--tables", type=int, default=6)
+    p.add_argument("--items", type=_count, default=2000)
+    p.add_argument("--types", type=_count, default=120)
+    p.add_argument("--tables", type=_count, default=6)
     p.set_defaults(func=_cmd_gen_kb)
 
     return parser

@@ -14,7 +14,8 @@ from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from pathlib import Path
 
-from .kb import EntityId, ItemRecord, TypeEdge
+from .errors import InvalidEntityId, ParseError
+from .kb import EntityId, ItemRecord, TypeEdge, parse_id_list
 
 log = logging.getLogger(__name__)
 
@@ -119,12 +120,14 @@ def write_closure(path: str | Path, closure: TypeClosure) -> int:
 
 
 def read_closure(path: str | Path) -> TypeClosure:
+    """A line that is not ids raises ParseError naming the file and line."""
     ancestors = {}
     with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            parts = line.split()
-            if not parts:
-                continue
-            node = EntityId.parse(parts[0])
-            ancestors[node] = frozenset(EntityId.parse(p) for p in parts[1:])
+        for lineno, line in enumerate(fp, 1):
+            try:
+                ids = parse_id_list(line.split())
+            except InvalidEntityId as exc:
+                raise ParseError(f"{path}:{lineno}: bad line ({exc})") from exc
+            if ids:
+                ancestors[ids[0]] = frozenset(ids[1:])
     return TypeClosure(ancestors)

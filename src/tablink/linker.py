@@ -167,8 +167,8 @@ def link_from_candidates(mention: str,
                          config: ValidatedConfig) -> LinkResult:
     """Score an already-retrieved candidate list and select the link.
 
-    Split out from link() so staged callers (the benchmark, table pass 2) can
-    time or reuse the ranking phase on its own.
+    Split out from link() so the benchmark can time the ranking phase on its
+    own.
     """
     expected = tuple(sorted(set(expected_types))) if expected_types else ()
     w = config.weights

@@ -12,14 +12,15 @@ from __future__ import annotations
 import json
 import logging
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 from .closure import TypeClosure, has_type
 from .errors import EmptyMention, ParseError
 from .index import Index
-from .kb import EntityId, ValidatedConfig
+from .kb import EntityId, ValidatedConfig, parse_id_list
 from .linker import (
     CELL,
     HEADER,
@@ -43,8 +44,6 @@ EMPTY = "EMPTY"
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
-
-HEADER_ROW = -1
 
 _NUM = r"[+-]?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|[+-]?\.\d+"
 _CTID_RE = re.compile(r"^NCT\d{8}$")
@@ -240,19 +239,34 @@ def _cell_obj(a: CellAnnotation) -> dict:
     return obj
 
 
+def _field(obj: Mapping, name: str, *types: type):
+    """obj[name], refused unless its JSON type is one of types; a bool is
+    never a number."""
+    value = obj[name]
+    if type(value) not in types:
+        raise TypeError(f"{name} must be "
+                        f"{' or '.join(t.__name__ for t in types)}, "
+                        f"not {type(value).__name__}")
+    return value
+
+
 def _cell_from_obj(obj: Mapping) -> CellAnnotation:
-    outcome = obj["outcome"]
+    outcome = _field(obj, "outcome", dict)
     kind = outcome["kind"]
+    fields = {}
+    if kind == "entity":
+        fields = dict(entity_id=EntityId.parse(outcome["id"]),
+                      entity_label=_field(outcome, "label", str),
+                      final_score=_field(outcome, "final_score", float, int))
+    elif kind == "literal":
+        fields = {"literal": _field(outcome, "literal", str)}
+    elif kind != "nil":
+        raise ValueError(f"unknown outcome kind {kind!r}")
     return CellAnnotation(
-        row=int(obj["row"]), col=int(obj["col"]), mention=obj["mention"],
-        kind=kind,
-        entity_id=EntityId.parse(outcome["id"]) if kind == "entity" else None,
-        entity_label=outcome.get("label") if kind == "entity" else None,
-        final_score=outcome.get("final_score") if kind == "entity" else None,
-        literal=outcome.get("literal") if kind == "literal" else None,
-        candidates=tuple(EntityId.parse(c) for c in obj.get("candidates", ())),
-        note=obj.get("note", ""),
-    )
+        _field(obj, "row", int), _field(obj, "col", int),
+        _field(obj, "mention", str), kind,
+        candidates=parse_id_list(_field(obj, "candidates", list)),
+        note=_field(obj, "note", str) if "note" in obj else "", **fields)
 
 
 def annotation_to_obj(ann: TableAnnotation) -> dict:
@@ -269,13 +283,20 @@ def annotation_to_obj(ann: TableAnnotation) -> dict:
 
 
 def annotation_from_obj(obj: Mapping) -> TableAnnotation:
+    """A missing field or a value of the wrong JSON type is refused, never
+    coerced, with the LookupError, TypeError or ValueError that
+    read_annotation reports."""
+    orientation = obj["orientation"]
+    if orientation not in (HORIZONTAL, VERTICAL):
+        raise ValueError(f"unknown orientation {orientation!r}")
     return TableAnnotation(
-        table_id=obj["table_id"],
-        orientation=obj["orientation"],
-        dominant_types={int(c): (EntityId.parse(t) if t else None)
-                        for c, t in obj.get("dominant_types", {}).items()},
-        headers=tuple(_cell_from_obj(a) for a in obj["headers"]),
-        cells=tuple(_cell_from_obj(a) for a in obj["cells"]),
+        table_id=_field(obj, "table_id", str),
+        orientation=orientation,
+        dominant_types={
+            int(c): None if t is None else EntityId.parse(t)
+            for c, t in _field(obj, "dominant_types", dict).items()},
+        headers=tuple(map(_cell_from_obj, _field(obj, "headers", list))),
+        cells=tuple(map(_cell_from_obj, _field(obj, "cells", list))),
     )
 
 
@@ -288,44 +309,24 @@ def write_annotation(path: str | Path, ann: TableAnnotation) -> None:
 
 def read_annotation(path: str | Path) -> TableAnnotation:
     with open(path, "r", encoding="utf-8") as fp:
-        return annotation_from_obj(json.load(fp))
+        try:
+            return annotation_from_obj(json.load(fp))
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: bad annotation "
+                             f"({type(exc).__name__}: {exc})") from exc
 
 
-@dataclass
-class _WorkCell:
-    """One header or body cell in working (orientation-normalized) coords."""
-
-    wrow: int  # HEADER_ROW for headers
-    wcol: int
-    row: int   # original coordinates
-    col: int
-    mention: str
-    literal: str | None = None
-    result: LinkResult | None = None
-    error: str = ""
-
-    @property
-    def is_linked(self) -> bool:
-        return self.result is not None
-
-
-def _link_one(cell: _WorkCell, context: str | None, mode: str, index: Index,
-              closure: TypeClosure, config: ValidatedConfig,
-              cache: LinkCache | None) -> None:
-    try:
-        cell.result = cached_link(cell.mention, mode, index, closure, config,
-                                  context=context, cache=cache)
-    except EmptyMention as exc:
-        cell.error = str(exc)
-
-
-def _rerank(result: LinkResult, boosted: list[ScoredCandidate],
-            min_link_score: float) -> LinkResult:
-    boosted.sort(key=scored_sort_key)
-    return LinkResult(
-        mention=result.mention, mode=result.mode,
-        chosen=choose(boosted, min_link_score), candidates=tuple(boosted),
-        diagnostics=result.diagnostics)
+def _boost(result: LinkResult, hit: Callable[[ScoredCandidate], bool],
+           boost: float, min_link_score: float) -> LinkResult:
+    """result with boost added to every candidate hit accepts, re-ranked and
+    with the NIL threshold re-applied."""
+    boosted = sorted(
+        (replace(c, boosts=c.boosts + boost,
+                 final_score=c.weighted_base + (c.boosts + boost))
+         if hit(c) else c for c in result.candidates),
+        key=scored_sort_key)
+    return replace(result, chosen=choose(boosted, min_link_score),
+                   candidates=tuple(boosted))
 
 
 def link_table(table: Table,
@@ -335,120 +336,95 @@ def link_table(table: Table,
                cache: LinkCache | None = None) -> TableAnnotation:
     """Two-pass linking of one table.
 
-    Pass 1 detects literals and links every other cell (cell mode) and header
-    (header mode, context = caption plus sibling headers). Pass 2 votes a
-    dominant direct type per column from up to sample_size linked cells, then
-    re-ranks that column's cells and header with the configured boosts and
-    re-applies the NIL threshold. Per-cell linker errors mark the cell NIL
-    and never abort the table.
+    The table is worked as one grid, the header row followed by the rows,
+    transposed when the table is vertical; grid row 0 is the working header
+    row and dominant types are keyed by grid column. Pass 1 detects literals
+    and links every other cell (cell mode) and header (header mode, context =
+    caption plus sibling headers). Pass 2 votes a dominant direct type per
+    column from up to sample_size linked cells, then re-ranks that column's
+    cells and header with the configured boosts and re-applies the NIL
+    threshold. Per-cell linker errors mark the cell NIL and never abort the
+    table.
     """
     params = config.params
     orientation = classify_orientation(table)
+    grid = [table.header_row, *table.rows]
+    if orientation == VERTICAL:
+        grid = list(zip(*grid))
 
-    if orientation == HORIZONTAL:
-        wheader = list(table.header_row)
-        wrows = [list(r) for r in table.rows]
+    def coord(i: int, j: int) -> tuple[int, int]:
+        """Original (row, col) of grid cell (i, j); the header row is -1."""
+        return (i - 1, j) if orientation == HORIZONTAL else (j - 1, i)
 
-        def orig(wrow: int, wcol: int) -> tuple[int, int]:
-            return wrow, wcol
-    else:
-        full = [list(table.header_row)] + [list(r) for r in table.rows]
-        transposed = [list(t) for t in zip(*full)]
-        wheader = transposed[0]
-        wrows = transposed[1:]
-
-        def orig(wrow: int, wcol: int) -> tuple[int, int]:
-            if wrow == HEADER_ROW:
-                return wcol - 1, 0
-            return wcol - 1, wrow + 1
-
-    headers = []
-    for wc, mention in enumerate(wheader):
-        row, col = orig(HEADER_ROW, wc)
-        headers.append(_WorkCell(HEADER_ROW, wc, row, col, mention,
-                                 literal=detect_literal(mention)))
-    body = []
-    for wr, wrow in enumerate(wrows):
-        for wc, mention in enumerate(wrow):
-            row, col = orig(wr, wc)
-            body.append(_WorkCell(wr, wc, row, col, mention,
-                                  literal=detect_literal(mention)))
-
-    def header_context(wc: int) -> str:
-        parts = [table.caption] + [h for j, h in enumerate(wheader) if j != wc]
-        return " ".join(p for p in parts if p)
-
-    for cell in headers:
-        if cell.literal is None:
-            _link_one(cell, header_context(cell.wcol), HEADER, index, closure,
-                      config, cache)
-    for cell in body:
-        if cell.literal is None:
-            _link_one(cell, None, CELL, index, closure, config, cache)
-
-    by_col: dict[int, list[_WorkCell]] = {wc: [] for wc in range(len(wheader))}
-    for cell in body:
-        by_col[cell.wcol].append(cell)
-    for cells in by_col.values():
-        cells.sort(key=lambda c: c.wrow)
+    literals: dict[tuple[int, int], str] = {}
+    results: dict[tuple[int, int], LinkResult] = {}
+    notes: dict[tuple[int, int], str] = {}
+    for i, row in enumerate(grid):
+        for j, mention in enumerate(row):
+            literal = detect_literal(mention)
+            if literal is not None:
+                literals[i, j] = literal
+                continue
+            context = None
+            if i == 0:
+                parts = [table.caption, *grid[0][:j], *grid[0][j + 1:]]
+                context = " ".join(p for p in parts if p)
+            try:
+                results[i, j] = cached_link(
+                    mention, HEADER if i == 0 else CELL, index, closure,
+                    config, context=context, cache=cache)
+            except EmptyMention as exc:
+                notes[i, j] = str(exc)
 
     dominant_types: dict[int, EntityId | None] = {}
-    for wc, cells in by_col.items():
-        sampled = [c for c in cells if c.is_linked][:params.sample_size]
-        dominant = column_type_vote([c.result.candidates for c in sampled],
-                                    params.support_threshold)
-        dominant_types[wc] = dominant
+    for j in range(len(grid[0])):
+        linked = [i for i in range(1, len(grid)) if (i, j) in results]
+        dominant = column_type_vote(
+            [results[i, j].candidates for i in linked[:params.sample_size]],
+            params.support_threshold)
+        dominant_types[j] = dominant
         if dominant is None:
             continue
-        boost = params.column_type_boost
-        for cell in cells:
-            if not cell.is_linked:
-                continue
-            boosted = [
-                replace(c, boosts=c.boosts + boost,
-                        final_score=c.weighted_base + (c.boosts + boost))
-                if has_type(c.record, dominant, closure) else c
-                for c in cell.result.candidates]
-            cell.result = _rerank(cell.result, boosted, params.min_link_score)
-        header_cell = headers[wc]
-        dom_record = index.get(dominant)
-        dom_tokens = frozenset(tokenize(dom_record.label)) if dom_record else frozenset()
-        if header_cell.is_linked and dom_tokens:
-            boost = params.header_column_boost
-            boosted = []
-            for c in header_cell.result.candidates:
-                cand_tokens = tokenize(c.record.label + " " + c.record.description)
-                if any(t in dom_tokens for t in cand_tokens):
-                    c = replace(c, boosts=c.boosts + boost,
-                                final_score=c.weighted_base + (c.boosts + boost))
-                boosted.append(c)
-            header_cell.result = _rerank(header_cell.result, boosted,
-                                         params.min_link_score)
+        for i in linked:
+            results[i, j] = _boost(
+                results[i, j], lambda c: has_type(c.record, dominant, closure),
+                params.column_type_boost, params.min_link_score)
+        record = index.get(dominant)
+        tokens = frozenset(tokenize(record.label)) if record else frozenset()
+        if (0, j) in results and tokens:
+            results[0, j] = _boost(
+                results[0, j],
+                lambda c: not tokens.isdisjoint(
+                    tokenize(c.record.label + " " + c.record.description)),
+                params.header_column_boost, params.min_link_score)
 
-    def annotate(cell: _WorkCell) -> CellAnnotation:
-        if cell.literal is not None:
-            return CellAnnotation(cell.row, cell.col, cell.mention, "literal",
-                                  literal=cell.literal)
-        if cell.result is None:
-            return CellAnnotation(cell.row, cell.col, cell.mention, "nil",
-                                  note=cell.error)
-        candidates = tuple(c.record.id for c in cell.result.candidates)
-        chosen = cell.result.chosen
+    def annotate(i: int, j: int, mention: str) -> CellAnnotation:
+        row, col = coord(i, j)
+        if (i, j) in literals:
+            return CellAnnotation(row, col, mention, "literal",
+                                  literal=literals[i, j])
+        result = results.get((i, j))
+        if result is None:
+            return CellAnnotation(row, col, mention, "nil", note=notes[i, j])
+        candidates = tuple(c.record.id for c in result.candidates)
+        chosen = result.chosen
         if chosen is None:
-            return CellAnnotation(cell.row, cell.col, cell.mention, "nil",
+            return CellAnnotation(row, col, mention, "nil",
                                   candidates=candidates)
-        return CellAnnotation(cell.row, cell.col, cell.mention, "entity",
+        return CellAnnotation(row, col, mention, "entity",
                               entity_id=chosen.record.id,
                               entity_label=chosen.record.label,
                               final_score=chosen.final_score,
                               candidates=candidates)
 
+    grid_annotations = [[annotate(i, j, m) for j, m in enumerate(row)]
+                        for i, row in enumerate(grid)]
+    by_coord = attrgetter("row", "col")
     return TableAnnotation(
         table_id=table.table_id,
         orientation=orientation,
         dominant_types=dominant_types,
-        headers=tuple(sorted((annotate(c) for c in headers),
-                             key=lambda a: (a.row, a.col))),
-        cells=tuple(sorted((annotate(c) for c in body),
-                           key=lambda a: (a.row, a.col))),
+        headers=tuple(sorted(grid_annotations[0], key=by_coord)),
+        cells=tuple(sorted((a for row in grid_annotations[1:] for a in row),
+                           key=by_coord)),
     )

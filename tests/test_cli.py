@@ -77,14 +77,20 @@ def test_version_and_help():
         assert "--jobs" not in out
 
 
-def test_usage_errors_exit_1():
+def test_usage_errors_exit_1(tmp_path):
+    out = str(tmp_path / "kb")
     for argv in ([], ["no-such-command"], ["ingest"],
                  ["link", "--mention", "x"],  # missing required inputs
                  ["link", "--mode", "bogus", "--mention", "x",
-                  "--index", "i", "--closure", "c", "--config", "g"]):
+                  "--index", "i", "--closure", "c", "--config", "g"],
+                 ["gen-kb", "--out", out, "--items", "-5"],
+                 ["gen-kb", "--out", out, "--tables", "-1"],
+                 ["gen-kb", "--out", out, "--types", "-3"]):
         code, _, err = quiet_run(argv)
         assert code == 1, argv
         assert "error:" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "kb").exists()
 
 
 def test_missing_input_file_exits_2(tmp_path):
@@ -198,12 +204,15 @@ def test_bench_rejects_bad_latency_argument(pipeline, tmp_path):
 @pytest.mark.parametrize("flag, value", [("--online-latency", "12,x"),
                                          ("--online-latency", "0,-1"),
                                          ("--projection", "1,x"),
-                                         ("--projection", "1.5,2")])
+                                         ("--projection", "1.5,2"),
+                                         ("--projection", "0,10"),
+                                         ("--projection", "-120000,10"),
+                                         ("--projection", "120000,-1")])
 def test_bench_rejects_non_numeric_arguments(pipeline, tmp_path, flag, value):
     mentions = tmp_path / "m.txt"
     mentions.write_text("whatever\n", encoding="utf-8")
     code, _, err = quiet_run(["bench", "--mentions", str(mentions),
-                              *common(pipeline), flag, value])
+                              *common(pipeline), f"{flag}={value}"])
     assert code == 1
     assert f"error: {flag}" in err
 
@@ -250,6 +259,57 @@ def test_malformed_jsonl_line_is_an_error_naming_file_and_line(
     code, _, err = quiet_run(argv)
     assert code == 1
     assert f"error: {path}:2: " in err
+    assert "Traceback" not in err
+
+
+GOOD_CELL = {"row": 0, "col": 0, "mention": "alpha", "candidates": ["Q1"],
+             "outcome": {"kind": "entity", "id": "Q1", "label": "alpha",
+                         "final_score": 0.9}}
+GOOD_ANNOTATION = {"table_id": "t", "orientation": "horizontal",
+                   "dominant_types": {"0": None}, "headers": [],
+                   "cells": [GOOD_CELL]}
+
+
+def _without(obj: dict, key: str) -> dict:
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize("cell, doc", [
+    (_without(GOOD_CELL, "outcome"), {}),
+    ({**GOOD_CELL, "outcome": _without(GOOD_CELL["outcome"], "id")}, {}),
+    ({**GOOD_CELL, "row": 1.7}, {}),
+    ({**GOOD_CELL, "col": True}, {}),
+    ({**GOOD_CELL, "mention": None}, {}),
+    ({**GOOD_CELL, "candidates": "Q1"}, {}),
+    ({**GOOD_CELL, "note": 3}, {}),
+    ({**GOOD_CELL, "outcome": "entity"}, {}),
+    ({**GOOD_CELL, "outcome": {"kind": "linked"}}, {}),
+    ({**GOOD_CELL, "outcome": {"kind": "literal", "literal": 5}}, {}),
+    ({**GOOD_CELL, "outcome": {**GOOD_CELL["outcome"], "final_score": "0.9"}},
+     {}),
+    (GOOD_CELL, {"table_id": 7}),
+    (GOOD_CELL, {"orientation": "diagonal"}),
+    (GOOD_CELL, {"dominant_types": {"x": None}}),
+    (GOOD_CELL, {"headers": None}),
+], ids=["no-outcome", "no-id", "float-row", "bool-col", "null-mention",
+        "string-candidates", "numeric-note", "string-outcome", "unknown-kind",
+        "numeric-literal", "string-score", "numeric-table-id",
+        "unknown-orientation", "bad-column-key", "null-headers"])
+def test_eval_refuses_a_malformed_annotation(tmp_path, cell, doc):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text('{"table_id": "t", "row": 0, "col": 0, "expected": "Q1"}\n',
+                    encoding="utf-8")
+    path = tmp_path / "t.json"
+    argv = ["eval", "--annotations", str(path), "--gold", str(gold)]
+    path.write_text(json.dumps(GOOD_ANNOTATION), encoding="utf-8")
+    assert quiet_run(argv)[0] == 0
+
+    path.write_text(json.dumps({**GOOD_ANNOTATION, "cells": [cell], **doc}),
+                    encoding="utf-8")
+    code, out, err = quiet_run(argv)
+    assert code == 1
+    assert out == ""
+    assert f"error: {path}: bad annotation " in err
     assert "Traceback" not in err
 
 

@@ -1,6 +1,10 @@
 import random
+import re
+
+import pytest
 
 from tablink import (
+    ParseError,
     EntityId,
     ItemRecord,
     TypeEdge,
@@ -124,3 +128,14 @@ def test_matches_matrix_reference_on_random_graphs():
         for i in range(n):
             got = {int(x.raw[1:]) - 1 for x in closure.ancestors_of(q(f"Q{i + 1}"))}
             assert got == expect[i], f"node {i} mismatch"
+
+
+def test_read_closure_names_file_and_line_of_a_bad_line(tmp_path):
+    path = tmp_path / "closure.txt"
+    path.write_text("Q1 Q2\n\nQ2\nQ3 foo\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:4: bad line .*'foo'"):
+        read_closure(path)
+    path.write_text("Q1 Q2\n\nQ2\n", encoding="utf-8")
+    closure = read_closure(path)
+    assert closure.nodes() == [q("Q1"), q("Q2")]
+    assert closure.ancestors_of(q("Q1")) == {q("Q2")}

@@ -1,5 +1,5 @@
-"""Exact bytes of the record, edge and gold lines, the saved config, and the
-`ingest`, `link` and `eval` payloads.
+"""Exact bytes of the record, edge and gold lines, the saved config, the
+table annotations, and the `ingest`, `link` and `eval` payloads.
 
 Everything is built from the hand-made fixture KBs, so the expected text does
 not depend on the synthetic generator. A change to any string below changes a
@@ -11,10 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
+import pytest
+
 from tablink import (
     EntityId,
     GoldRecord,
     Index,
+    Table,
     link_table,
     parse_config_obj,
     save_config,
@@ -336,3 +339,284 @@ def test_eval_payload(tmp_path, capsys):
                  "eval", "--annotations", str(tmp_path / "ann"),
                  "--gold", str(tmp_path / "gold.jsonl")]) == 0
     assert capsys.readouterr().out == EVAL_PAYLOAD
+
+
+ANNOTATION_TEXT = """\
+{
+  "cells": [
+    {
+      "candidates": [
+        "Q106288060"
+      ],
+      "col": 0,
+      "mention": "B.1.1.7",
+      "outcome": {
+        "final_score": 0.69,
+        "id": "Q106288060",
+        "kind": "entity",
+        "label": "B.1.1.7"
+      },
+      "row": 0
+    },
+    {
+      "candidates": [],
+      "col": 1,
+      "mention": "120",
+      "outcome": {
+        "kind": "literal",
+        "literal": "NUMBER"
+      },
+      "row": 0
+    },
+    {
+      "candidates": [
+        "Q105557391"
+      ],
+      "col": 0,
+      "mention": "B.1.351",
+      "outcome": {
+        "final_score": 0.69,
+        "id": "Q105557391",
+        "kind": "entity",
+        "label": "B.1.351"
+      },
+      "row": 1
+    },
+    {
+      "candidates": [],
+      "col": 1,
+      "mention": "85",
+      "outcome": {
+        "kind": "literal",
+        "literal": "NUMBER"
+      },
+      "row": 1
+    },
+    {
+      "candidates": [
+        "Q105429541"
+      ],
+      "col": 0,
+      "mention": "P.1",
+      "outcome": {
+        "final_score": 0.69,
+        "id": "Q105429541",
+        "kind": "entity",
+        "label": "P.1"
+      },
+      "row": 2
+    },
+    {
+      "candidates": [],
+      "col": 1,
+      "mention": "44",
+      "outcome": {
+        "kind": "literal",
+        "literal": "NUMBER"
+      },
+      "row": 2
+    }
+  ],
+  "dominant_types": {
+    "0": "Q104450895",
+    "1": null
+  },
+  "headers": [
+    {
+      "candidates": [
+        "Q99518587",
+        "Q1517820"
+      ],
+      "col": 0,
+      "mention": "Lineage",
+      "outcome": {
+        "final_score": 0.54,
+        "id": "Q99518587",
+        "kind": "entity",
+        "label": "pango nomenclature"
+      },
+      "row": -1
+    },
+    {
+      "candidates": [],
+      "col": 1,
+      "mention": "Cases",
+      "outcome": {
+        "kind": "nil"
+      },
+      "row": -1
+    }
+  ],
+  "orientation": "horizontal",
+  "table_id": "lineage-table"
+}
+"""
+
+# The table of test_link_table_vertical_coordinates with "Share" replaced by
+# a header that normalizes to nothing, so its header-mode note is pinned too.
+VERTICAL_TABLE = Table("lineage-vertical", "circulating variants",
+                       ("Lineage", "B.1.1.7", "B.1.351", "P.1"),
+                       (("Cases", "120", "85", "44"),
+                        ("of the", "10%", "20%", "30%")))
+VERTICAL_ANNOTATION_TEXT = """\
+{
+  "cells": [
+    {
+      "candidates": [
+        "Q106288060"
+      ],
+      "col": 1,
+      "mention": "B.1.1.7",
+      "outcome": {
+        "final_score": 0.69,
+        "id": "Q106288060",
+        "kind": "entity",
+        "label": "B.1.1.7"
+      },
+      "row": -1
+    },
+    {
+      "candidates": [
+        "Q105557391"
+      ],
+      "col": 2,
+      "mention": "B.1.351",
+      "outcome": {
+        "final_score": 0.69,
+        "id": "Q105557391",
+        "kind": "entity",
+        "label": "B.1.351"
+      },
+      "row": -1
+    },
+    {
+      "candidates": [
+        "Q105429541"
+      ],
+      "col": 3,
+      "mention": "P.1",
+      "outcome": {
+        "final_score": 0.69,
+        "id": "Q105429541",
+        "kind": "entity",
+        "label": "P.1"
+      },
+      "row": -1
+    },
+    {
+      "candidates": [],
+      "col": 1,
+      "mention": "120",
+      "outcome": {
+        "kind": "literal",
+        "literal": "NUMBER"
+      },
+      "row": 0
+    },
+    {
+      "candidates": [],
+      "col": 2,
+      "mention": "85",
+      "outcome": {
+        "kind": "literal",
+        "literal": "NUMBER"
+      },
+      "row": 0
+    },
+    {
+      "candidates": [],
+      "col": 3,
+      "mention": "44",
+      "outcome": {
+        "kind": "literal",
+        "literal": "NUMBER"
+      },
+      "row": 0
+    },
+    {
+      "candidates": [],
+      "col": 1,
+      "mention": "10%",
+      "outcome": {
+        "kind": "literal",
+        "literal": "PERCENT"
+      },
+      "row": 1
+    },
+    {
+      "candidates": [],
+      "col": 2,
+      "mention": "20%",
+      "outcome": {
+        "kind": "literal",
+        "literal": "PERCENT"
+      },
+      "row": 1
+    },
+    {
+      "candidates": [],
+      "col": 3,
+      "mention": "30%",
+      "outcome": {
+        "kind": "literal",
+        "literal": "PERCENT"
+      },
+      "row": 1
+    }
+  ],
+  "dominant_types": {
+    "0": "Q104450895",
+    "1": null,
+    "2": null
+  },
+  "headers": [
+    {
+      "candidates": [
+        "Q99518587",
+        "Q1517820"
+      ],
+      "col": 0,
+      "mention": "Lineage",
+      "outcome": {
+        "final_score": 0.54,
+        "id": "Q99518587",
+        "kind": "entity",
+        "label": "pango nomenclature"
+      },
+      "row": -1
+    },
+    {
+      "candidates": [],
+      "col": 0,
+      "mention": "Cases",
+      "outcome": {
+        "kind": "nil"
+      },
+      "row": 0
+    },
+    {
+      "candidates": [],
+      "col": 0,
+      "mention": "of the",
+      "note": "mention 'of the' normalizes to nothing linkable",
+      "outcome": {
+        "kind": "nil"
+      },
+      "row": 1
+    }
+  ],
+  "orientation": "vertical",
+  "table_id": "lineage-vertical"
+}
+"""
+
+
+@pytest.mark.parametrize("vertical, expected", [
+    (False, ANNOTATION_TEXT), (True, VERTICAL_ANNOTATION_TEXT)],
+    ids=["horizontal", "vertical"])
+def test_annotation_text(tmp_path, vertical, expected):
+    records, closure, config, table = lineage_fixture()
+    ann = link_table(VERTICAL_TABLE if vertical else table, Index(records),
+                     closure, config)
+    write_annotation(tmp_path / "ann.json", ann)
+    assert (tmp_path / "ann.json").read_text(encoding="utf-8") == expected
