@@ -27,7 +27,7 @@ from .index import Index, load_index, save_index
 from .ingest import ingest_dump
 from .kb import EntityId, load_config, read_edges, read_records
 from .linker import LinkCache, cached_link, result_to_obj
-from .synth import generate_synthetic_kb
+from .synth import MIN_TYPES, generate_synthetic_kb
 from .tables import (
     annotation_to_obj,
     link_table,
@@ -96,12 +96,14 @@ def _numbers(raw: str | None, types: tuple[type, ...],
     raise _UsageError(usage)
 
 
-def _count(raw: str) -> int:
-    """argparse type of gen-kb's sizes: a whole number, zero or more."""
-    if not raw.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"needs a whole number >= 0, not {raw!r}")
-    return int(raw)
+def _count(minimum: int) -> Callable[[str], int]:
+    """argparse type of gen-kb's sizes: a whole number, minimum or more."""
+    def count(raw: str) -> int:
+        if not (raw.isdecimal() and int(raw) >= minimum):
+            raise argparse.ArgumentTypeError(
+                f"needs a whole number >= {minimum}, not {raw!r}")
+        return int(raw)
+    return count
 
 
 # subcommand bodies -----------------------------------------------------------
@@ -136,8 +138,7 @@ def _cmd_closure(args) -> dict:
 
 
 def _cmd_build_index(args) -> dict:
-    records = list(read_records(args.records))
-    index = Index(records)
+    index = Index(read_records(args.records))
     save_index(index, args.out)
     _emit({"build_id": index.build_id, "record_count": len(index)}, None)
     return {"index_build_id": index.build_id}
@@ -290,9 +291,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gen-kb", help="generate a deterministic synthetic corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--items", type=_count, default=2000)
-    p.add_argument("--types", type=_count, default=120)
-    p.add_argument("--tables", type=_count, default=6)
+    p.add_argument("--items", type=_count(0), default=2000)
+    p.add_argument("--types", type=_count(MIN_TYPES), default=120)
+    p.add_argument("--tables", type=_count(0), default=6)
     p.set_defaults(func=_cmd_gen_kb)
 
     return parser

@@ -29,7 +29,6 @@ from .index import (
     search,
 )
 from .kb import (
-    EntityId,
     InferenceRule,
     ItemRecord,
     ValidatedConfig,
@@ -277,7 +276,7 @@ def _entry_result(obj: dict, index: Index) -> LinkResult:
     for c in obj["candidates"]:
         fields = {name: c[name] for name in _SCALAR_FIELDS}
         fields["inferred_type_names"] = frozenset(fields["inferred_type_names"])
-        record = index.records_by_id[EntityId.parse(c["id"])]
+        record = index.record(c["id"])
         candidates.append(ScoredCandidate(record=record, **fields))
     chosen = obj["chosen"]
     return LinkResult(

@@ -29,6 +29,10 @@ _CONSONANTS = "bdfhjklmprsvwyz"
 _VOWELS = "eio"
 _SYLLABLES = [c + v for c in _CONSONANTS for v in _VOWELS]
 
+# The fewest types a corpus is generated with; each group of the type
+# hierarchy has a floor size (see build_types).
+MIN_TYPES = 60
+
 WATCH_GOOD = "P50001"
 WATCH_OK = "P50002"
 
@@ -98,7 +102,7 @@ class _Builder:
         self.words = WordGen()
         self.seed = seed
         self.n_items = n_items
-        self.n_types = max(60, n_types)
+        self.n_types = n_types
         self.n_tables = n_tables
         self.entities: list[_Entity] = []
         self.by_id: dict[str, _Entity] = {}
@@ -683,8 +687,10 @@ def generate_synthetic_kb(out_dir: str | Path,
     Deterministic: the same arguments produce byte-identical files. The
     records/edges files are exactly what ingesting the emitted dump produces;
     generation fails loudly if its own bookkeeping disagrees with the ingest
-    stats.
+    stats. Raises ValueError when n_types is below MIN_TYPES.
     """
+    if n_types < MIN_TYPES:
+        raise ValueError(f"n_types must be at least {MIN_TYPES}, not {n_types}")
     out = Path(out_dir)
     tables_dir = out / "tables"
     tables_dir.mkdir(parents=True, exist_ok=True)

@@ -126,7 +126,10 @@ def read_table(path: str | Path) -> Table:
             obj = json.load(fp)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    return table_from_obj(obj)
+    try:
+        return table_from_obj(obj)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def read_table_csv(path: str | Path, has_header: bool = True,

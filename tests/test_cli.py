@@ -66,7 +66,7 @@ def common(p):
 def test_version_and_help():
     code, out, _ = quiet_run(["--version"])
     assert code == 0
-    assert out.strip() == "tablink 0.1.0 (format 1)"
+    assert out.strip() == "tablink 0.1.0 (format 2)"
     code, out, _ = quiet_run(["--help"])
     assert code == 0
     assert "SUBCOMMAND" in out
@@ -85,7 +85,9 @@ def test_usage_errors_exit_1(tmp_path):
                   "--index", "i", "--closure", "c", "--config", "g"],
                  ["gen-kb", "--out", out, "--items", "-5"],
                  ["gen-kb", "--out", out, "--tables", "-1"],
-                 ["gen-kb", "--out", out, "--types", "-3"]):
+                 ["gen-kb", "--out", out, "--types", "-3"],
+                 ["gen-kb", "--out", out, "--types", "0"],
+                 ["gen-kb", "--out", out, "--types", "59"]):
         code, _, err = quiet_run(argv)
         assert code == 1, argv
         assert "error:" in err
@@ -111,6 +113,27 @@ def test_domain_errors_exit_1(pipeline, tmp_path):
     # Whitespace mention -> EmptyMention.
     code, _, err = quiet_run(["link", "--mention", "   ", *common(pipeline)])
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[1,2]", id="array"),
+    pytest.param("{not json", id="not-json"),
+    pytest.param('"index"', id="string"),
+    pytest.param("\xff", id="not-utf8"),
+])
+def test_link_refuses_a_bad_index_manifest(pipeline, tmp_path, text):
+    index = tmp_path / "index"
+    index.mkdir()
+    for item in pipeline.index.iterdir():
+        (index / item.name).write_bytes(item.read_bytes())
+    (index / "manifest.json").write_bytes(text.encode("latin-1"))
+    code, out, err = quiet_run(["link", "--mention", "x", "--index", str(index),
+                                "--closure", str(pipeline.closure),
+                                "--config", str(pipeline.config)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: index {index}: manifest.json is not")
+    assert "Traceback" not in err
 
 
 def test_link_stdout_is_pure_json(pipeline, capsys):
@@ -151,7 +174,7 @@ def test_manifest_file_and_reproducibility(pipeline, tmp_path):
     assert manifests[0] == manifests[1]
     assert manifests[0]["config_hash"]
     assert manifests[0]["closure_hash"]
-    assert manifests[0]["format_version"] == 1
+    assert manifests[0]["format_version"] == 2
 
 
 def test_link_table_eval_bench_flow(pipeline, tmp_path, capsys):
@@ -321,7 +344,8 @@ def test_link_table_refuses_a_numeric_cell(pipeline, tmp_path):
                                 *common(pipeline)])
     assert code == 1
     assert out == ""
-    assert "error: bad table document: row 0 must be a list of strings" in err
+    assert (f"error: {table}: bad table document: row 0 must be a list of "
+            "strings") in err
     assert "Traceback" not in err
 
 
@@ -359,4 +383,4 @@ def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "tablink.cli", "--version"],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "tablink 0.1.0 (format 1)"
+    assert proc.stdout.strip() == "tablink 0.1.0 (format 2)"

@@ -1,5 +1,11 @@
+import hashlib
 import json
+import marshal
+import os
 import random
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -147,23 +153,102 @@ def test_load_rejects_missing_dir(tmp_path):
         load_index(tmp_path / "nope")
 
 
-def test_load_rejects_version_pin_mismatch(tmp_path, small_index):
+@pytest.mark.parametrize("name", ["index.marshal", "manifest.json"])
+def test_load_rejects_a_missing_file(tmp_path, small_index, name):
     save_index(small_index, tmp_path / "idx")
-    manifest_path = tmp_path / "idx" / "manifest.json"
+    (tmp_path / "idx" / name).unlink()
+    with pytest.raises(IndexUnavailable, match="not an index directory"):
+        load_index(tmp_path / "idx")
+
+
+def _edit_manifest(index_dir, **fields):
+    manifest_path = index_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    manifest["normalization_version"] = -1
+    manifest.update(fields)
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-    with pytest.raises(IndexUnavailable):
-        load_index(tmp_path / "idx")
 
 
-def test_load_rejects_tampered_records(tmp_path, small_index):
+@pytest.mark.parametrize("key, value", [
+    ("normalization_version", -1),
+    ("format_version", 1),
+    ("python_version", "3.%d" % (sys.version_info[1] + 1)),
+    ("marshal_version", marshal.version - 1),
+])
+def test_load_rejects_version_pin_mismatch(tmp_path, small_index, key, value):
     save_index(small_index, tmp_path / "idx")
-    records_path = tmp_path / "idx" / "records.jsonl"
-    lines = records_path.read_text(encoding="utf-8").splitlines(keepends=True)
-    records_path.write_text("".join(lines[1:]), encoding="utf-8")
-    with pytest.raises(IndexUnavailable):
+    _edit_manifest(tmp_path / "idx", **{key: value})
+    with pytest.raises(IndexUnavailable, match=f"built with {key}="):
         load_index(tmp_path / "idx")
+
+
+@pytest.mark.parametrize("tamper", [
+    pytest.param(lambda blob: blob[:99] + bytes([blob[99] ^ 1]) + blob[100:],
+                 id="flipped-byte"),
+    pytest.param(lambda blob: blob[:-1], id="truncated"),
+])
+def test_load_rejects_tampered_blob(tmp_path, small_index, tamper):
+    save_index(small_index, tmp_path / "idx")
+    blob_path = tmp_path / "idx" / "index.marshal"
+    blob_path.write_bytes(tamper(blob_path.read_bytes()))
+    with pytest.raises(IndexUnavailable, match="does not match its manifest"):
+        load_index(tmp_path / "idx")
+
+
+@pytest.mark.parametrize("blob", [
+    pytest.param(b"\x00not marshal", id="not-marshal"),
+    pytest.param(marshal.dumps((1, 2, 3)), id="short-tuple"),
+    pytest.param(marshal.dumps(tuple(range(len(tablink.index._Tables._fields)))),
+                 id="wrong-fields"),
+])
+def test_load_rejects_a_malformed_blob_even_with_its_hash(tmp_path, small_index,
+                                                          blob):
+    save_index(small_index, tmp_path / "idx")
+    (tmp_path / "idx" / "index.marshal").write_bytes(blob)
+    _edit_manifest(tmp_path / "idx", build_id=hashlib.sha256(blob).hexdigest())
+    with pytest.raises(IndexUnavailable, match="malformed"):
+        load_index(tmp_path / "idx")
+
+
+def test_build_index_bytes_do_not_depend_on_the_hash_seed(tmp_path, small_kb):
+    """marshal output can depend on more than the values it writes; the
+    index must not, in any process."""
+    def files(index_dir):
+        return {p.name: p.read_bytes() for p in sorted(index_dir.iterdir())}
+
+    built = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tablink.cli", "build-index",
+             "--records", str(small_kb.result.records_path), "--out", str(out)],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        built.append(files(out))
+    save_index(small_kb.index, tmp_path / "here")
+    assert built[0] == built[1] == files(tmp_path / "here")
+
+
+def test_rows_are_decoded_once_into_equal_records(tmp_path, small_kb,
+                                                  monkeypatch):
+    save_index(small_kb.index, tmp_path / "idx")
+    loaded = load_index(tmp_path / "idx")
+    made = []
+
+    def counting(**fields):
+        made.append(fields["id"])
+        return ItemRecord(**fields)
+
+    monkeypatch.setattr(tablink.index, "ItemRecord", counting)
+    for _ in range(2):
+        for mention in small_kb.mentions[:300]:
+            try:
+                search(loaded, mention, 20)
+            except EmptyMention:
+                pass
+        records = list(loaded.records_by_id.values())
+    assert len(made) == len(set(made)) == len(loaded)
+    assert records == sorted(small_kb.records, key=lambda r: r.id)
 
 
 def test_search_matches_linear_scan_oracle(small_kb):
@@ -239,3 +324,33 @@ def test_index_len_and_contains(small_kb):
     some = small_kb.records[0]
     assert small_kb.index.get(some.id) == some
     assert small_kb.index.get(q("Q999999999")) is None
+
+
+def test_concurrent_searches_on_a_loaded_index_agree(tmp_path, small_kb):
+    save_index(small_kb.index, tmp_path / "idx")
+    loaded = load_index(tmp_path / "idx")
+    mentions = [m for m in small_kb.mentions[:200] if m.strip()]
+
+    def ranked(mention):
+        try:
+            return [(c.record, c.match_tier, c.token_overlap)
+                    for c in search(loaded, mention, 20)]
+        except EmptyMention:
+            return None
+
+    want = [ranked(m) for m in mentions]
+    loaded = load_index(tmp_path / "idx")   # an empty memo again
+    got = [[] for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda out=out: out.extend(
+            map(ranked, mentions))) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(out == want for out in got)

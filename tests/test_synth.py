@@ -1,6 +1,8 @@
 import hashlib
 from pathlib import Path
 
+import pytest
+
 from tablink import (
     EntityId,
     classify_orientation,
@@ -36,6 +38,13 @@ def test_generation_is_deterministic(tmp_path):
     c = generate_synthetic_kb(tmp_path / "c", seed=43, n_items=900,
                               n_types=60, n_tables=4)
     assert _tree_hash(c.out_dir) != _tree_hash(a.out_dir)
+
+
+@pytest.mark.parametrize("n_types", [0, 5, 59])
+def test_generation_refuses_too_few_types(tmp_path, n_types):
+    with pytest.raises(ValueError, match="n_types"):
+        generate_synthetic_kb(tmp_path / "kb", n_items=50, n_types=n_types)
+    assert not (tmp_path / "kb").exists()
 
 
 def test_truth_counts_match_files(small_kb):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from tablink import (
@@ -98,7 +100,7 @@ def test_table_obj_round_trip():
 def test_read_table_rejects_bad_json(tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
         read_table(path)
 
 

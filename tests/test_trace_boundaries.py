@@ -1,8 +1,9 @@
 """The benchmark's tracer (perfbench/tracing.py) times tablink by replacing
 module attributes named in its BOUNDARIES list. A renamed function, or one
 no longer called through the module the tracer wraps, silently drops its
-span, so this test installs the real list and checks that a cached
-`link-table` run still produces every span the benchmark reads.
+span, so this test installs the real list and checks that `build-index`
+followed by a cached `link-table` run still produces every span the
+benchmark reads.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import tablink.cli
 import tablink.tables
-from tablink import Index, save_config, save_index, write_closure
+from tablink import save_config, write_closure, write_records
 
 from fixture_kb import lineage_fixture
 
@@ -29,7 +30,7 @@ def _tracing_module():
 
 def test_tracer_boundaries_cover_a_cached_table_link(tmp_path):
     records, closure, config, table = lineage_fixture()
-    save_index(Index(records), tmp_path / "index")
+    write_records(tmp_path / "records.jsonl", records)
     write_closure(tmp_path / "closure.txt", closure)
     save_config(tmp_path / "config.json", config)
     (tmp_path / "table.json").write_text(
@@ -40,6 +41,10 @@ def test_tracer_boundaries_cover_a_cached_table_link(tmp_path):
     tracer = tracing.Tracer(phase="test")
     tracer.install(tracing.BOUNDARIES)
     try:
+        assert tablink.cli.main([
+            "--manifest", str(tmp_path / "build.json"), "build-index",
+            "--records", str(tmp_path / "records.jsonl"),
+            "--out", str(tmp_path / "index")]) == 0
         assert tablink.cli.main([
             "--manifest", str(tmp_path / "manifest.json"), "link-table",
             "--table", str(tmp_path / "table.json"),
@@ -53,7 +58,8 @@ def test_tracer_boundaries_cover_a_cached_table_link(tmp_path):
 
     assert tablink.tables.link_table is original
     spans = {span[2] for span in tracer.spans}
-    assert {"index.load_index", "kb.read_records", "closure.read_closure",
+    assert {"kb.read_records", "index.build", "index.save_index",
+            "index.load_index", "closure.read_closure",
             "kb.load_config", "tables.link_table", "tables.cached_link",
             "linker.cache_get", "linker.link", "index.search",
             "linker.link_from_candidates"} <= spans
