@@ -25,7 +25,7 @@ from .errors import TablinkError
 from .evalbench import bench, evaluate, read_gold
 from .index import Index, load_index, save_index
 from .ingest import ingest_dump
-from .kb import EntityId, load_config, read_edges, read_records
+from .kb import EntityId, load_config, read_edges, read_lines, read_records
 from .linker import LinkCache, cached_link, result_to_obj
 from .synth import MIN_TYPES, generate_synthetic_kb
 from .tables import (
@@ -189,8 +189,8 @@ def _cmd_eval(args) -> dict:
 
 
 def _cmd_bench(args) -> dict:
+    mentions = list(read_lines(args.mentions, str))
     index, closure, config, manifest = _load_kb(args)
-    mentions = Path(args.mentions).read_text(encoding="utf-8").split("\n")
     latencies = _numbers(args.online_latency, (float, float),
                          lambda d: 0 <= d < float("inf"),
                          "--online-latency needs two comma-separated, finite, "
@@ -327,9 +327,6 @@ def run(argv: list[str] | None = None) -> int:
         return 1
     except TablinkError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(f"error: invalid JSON input: {exc}\n")
         return 1
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")

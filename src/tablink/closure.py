@@ -14,8 +14,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from pathlib import Path
 
-from .errors import InvalidEntityId, ParseError
-from .kb import EntityId, ItemRecord, TypeEdge, parse_id_list
+from .kb import EntityId, ItemRecord, TypeEdge, parse_id_list, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -121,13 +120,5 @@ def write_closure(path: str | Path, closure: TypeClosure) -> int:
 
 def read_closure(path: str | Path) -> TypeClosure:
     """A line that is not ids raises ParseError naming the file and line."""
-    ancestors = {}
-    with open(path, "r", encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, 1):
-            try:
-                ids = parse_id_list(line.split())
-            except InvalidEntityId as exc:
-                raise ParseError(f"{path}:{lineno}: bad line ({exc})") from exc
-            if ids:
-                ancestors[ids[0]] = frozenset(ids[1:])
-    return TypeClosure(ancestors)
+    rows = read_lines(path, lambda line: parse_id_list(line.split()))
+    return TypeClosure({ids[0]: frozenset(ids[1:]) for ids in rows})

@@ -19,7 +19,7 @@ from statistics import median
 from .closure import TypeClosure
 from .errors import EmptyMention, GoldMismatch
 from .index import Index, search
-from .kb import EntityId, ValidatedConfig, read_jsonl, write_jsonl
+from .kb import EntityId, ValidatedConfig, read_jsonl, typed_field, write_jsonl
 from .linker import CELL, link_from_candidates
 from .tables import TableAnnotation
 
@@ -40,14 +40,9 @@ class GoldRecord:
 
 
 def _gold_from_obj(obj: dict) -> GoldRecord:
-    table_id, row, col = obj["table_id"], obj["row"], obj["col"]
-    expected = obj.get("expected")
-    if not (isinstance(table_id, str) and type(row) is int
-            and type(col) is int
-            and (expected is None or isinstance(expected, str))):
-        raise TypeError("table_id must be a string, row and col integers, "
-                        "expected an id string or null")
-    return GoldRecord(table_id, row, col,
+    expected = typed_field(obj, "expected", str, type(None), default=None)
+    return GoldRecord(typed_field(obj, "table_id", str),
+                      typed_field(obj, "row", int), typed_field(obj, "col", int),
                       None if expected is None else EntityId.parse(expected))
 
 

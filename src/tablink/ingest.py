@@ -162,15 +162,20 @@ def ingest_dump(dump_path: str | Path,
     memory stays bounded by the longest line whatever the dump's size."""
     watch = frozenset(watchlist)
     stats = IngestStats()
-    with open(dump_path, "r", encoding="utf-8") as dump_fp, \
+    with open(dump_path, "rb") as dump_fp, \
             open(out_records, "w", encoding="utf-8", newline="\n") as rec_fp, \
             open(out_edges, "w", encoding="utf-8", newline="\n") as edge_fp:
-        for line in dump_fp:
-            body = strip_decoration(line)
-            if not body:
+        for raw in dump_fp:
+            try:
+                body = strip_decoration(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                body = None  # decoration is ASCII, so the line held a document
+            if body == "":
                 continue
             stats.docs_seen += 1
             try:
+                if body is None:
+                    raise ParseError("dump line is not UTF-8")
                 record, edges = parse_entity_doc(json.loads(body), watch)
             except (json.JSONDecodeError, ParseError) as exc:
                 stats.parse_errors += 1

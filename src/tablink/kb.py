@@ -96,11 +96,11 @@ class ItemRecord:
     flagged_props: frozenset[EntityId] = frozenset()
 
     def __post_init__(self):
-        if not self.label or not normalize(self.label):
+        label_norm = self.label and normalize(self.label)
+        if not label_norm:
             raise ValueError(f"{self.id}: record label must be non-empty")
         if self.sitelinks_count < 0:
             raise ValueError(f"{self.id}: negative sitelinks count")
-        label_norm = normalize(self.label)
         seen = {label_norm}
         aliases = []
         for a in self.aliases:
@@ -138,30 +138,38 @@ def record_to_obj(record: ItemRecord) -> dict:
     }
 
 
+_REQUIRED = object()
+
+
+def typed_field(obj: Mapping, name: str, *types: type, default=_REQUIRED):
+    """obj[name], refused with TypeError unless its JSON type is one of
+    types; a bool is never a number. An absent name gives default, or a
+    KeyError when there is none."""
+    value = obj.get(name, _REQUIRED)
+    if value is _REQUIRED:
+        if default is _REQUIRED:
+            raise KeyError(name)
+        return default
+    if type(value) not in types:
+        raise TypeError(f"{name} must be "
+                        f"{' or '.join(t.__name__ for t in types)}, "
+                        f"not {type(value).__name__}")
+    return value
+
+
 def record_from_obj(obj: Mapping) -> ItemRecord:
     """A field of the wrong JSON type is refused, never coerced; list
     elements are checked by normalize() and EntityId.parse()."""
-    label = obj["label"]
-    aliases = obj.get("aliases", [])
-    description = obj.get("description", "")
-    direct_types = obj.get("direct_types", [])
-    sitelinks_count = obj.get("sitelinks_count", 0)
-    flagged_props = obj.get("flagged_props", [])
-    if not (isinstance(label, str) and isinstance(description, str)
-            and isinstance(aliases, list) and isinstance(direct_types, list)
-            and isinstance(flagged_props, list)
-            and type(sitelinks_count) is int):
-        raise TypeError("label and description must be strings, aliases, "
-                        "direct_types and flagged_props lists, and "
-                        "sitelinks_count an integer")
     return ItemRecord(
         id=EntityId.parse(obj["id"]),
-        label=label,
-        aliases=tuple(aliases),
-        description=description,
-        direct_types=parse_id_list(direct_types),
-        sitelinks_count=sitelinks_count,
-        flagged_props=frozenset(parse_id_list(flagged_props)),
+        label=typed_field(obj, "label", str),
+        aliases=tuple(typed_field(obj, "aliases", list, default=())),
+        description=typed_field(obj, "description", str, default=""),
+        direct_types=parse_id_list(
+            typed_field(obj, "direct_types", list, default=())),
+        sitelinks_count=typed_field(obj, "sitelinks_count", int, default=0),
+        flagged_props=frozenset(parse_id_list(
+            typed_field(obj, "flagged_props", list, default=()))),
     )
 
 
@@ -179,20 +187,44 @@ def write_jsonl(path: str | Path, objs: Iterable[Mapping]) -> int:
     return n
 
 
-def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> Iterator[T]:
-    """decode() of the object on each non-blank line. A line that is not
-    JSON, or that decode() fails on (a missing field, a value of the wrong
-    type), raises ParseError naming the file and line."""
-    with open(path, "r", encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, 1):
-            if not line.strip():
-                continue
+# What a decoder raises for a missing field or a value of the wrong type or
+# form; the readers below report it as ParseError naming the file.
+_DECODE_ERRORS = (AttributeError, LookupError, TypeError, ValueError)
+
+
+def read_lines(path: str | Path, decode: Callable[[str], T]) -> Iterator[T]:
+    """decode() of each non-blank line, as UTF-8 text without its line
+    ending. A line that is not UTF-8, or that decode() refuses, raises
+    ParseError naming the file and line."""
+    with open(path, "rb") as fp:
+        for lineno, raw in enumerate(fp, 1):
             try:
-                value = decode(json.loads(line))
-            except (AttributeError, LookupError, TypeError, ValueError) as exc:
+                line = raw.rstrip(b"\r\n").decode("utf-8")
+                if not line.strip():
+                    continue
+                value = decode(line)
+            except _DECODE_ERRORS as exc:
                 raise ParseError(f"{path}:{lineno}: bad line "
                                  f"({type(exc).__name__}: {exc})") from exc
             yield value
+
+
+def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> Iterator[T]:
+    """decode() of the JSON object on each non-blank line, refused as
+    read_lines() refuses a line."""
+    return read_lines(path, lambda line: decode(json.loads(line)))
+
+
+def read_json(path: str | Path, decode: Callable[[object], T]) -> T:
+    """decode() of the file's one JSON document. A file that is not UTF-8
+    JSON, or that decode() refuses, raises ParseError naming the file;
+    ConfigError and ParseError from decode() pass through unchanged."""
+    data = Path(path).read_bytes()
+    try:
+        return decode(json.loads(data.decode("utf-8")))
+    except _DECODE_ERRORS as exc:
+        raise ParseError(f"{path}: bad document "
+                         f"({type(exc).__name__}: {exc})") from exc
 
 
 def write_records(path: str | Path, records: Iterable[ItemRecord]) -> int:
@@ -231,7 +263,7 @@ def edge_to_obj(edge: TypeEdge) -> dict:
 
 def edge_from_obj(obj: Mapping) -> TypeEdge:
     return TypeEdge(EntityId.parse(obj["child"]), EntityId.parse(obj["parent"]),
-                    obj["relation"])
+                    typed_field(obj, "relation", str))
 
 
 def read_edges(path: str | Path) -> Iterator[TypeEdge]:
@@ -546,12 +578,7 @@ def validate_config(cfg: DomainConfig) -> ValidatedConfig:
 
 
 def load_config(path: str | Path) -> ValidatedConfig:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            obj = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
-    return validate_config(parse_config_obj(obj))
+    return validate_config(read_json(path, parse_config_obj))
 
 
 def save_config(path: str | Path, cfg: ValidatedConfig) -> None:

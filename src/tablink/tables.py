@@ -20,7 +20,7 @@ from pathlib import Path
 from .closure import TypeClosure, has_type
 from .errors import EmptyMention, ParseError
 from .index import Index
-from .kb import EntityId, ValidatedConfig, parse_id_list
+from .kb import EntityId, ValidatedConfig, parse_id_list, read_json, typed_field
 from .linker import (
     CELL,
     HEADER,
@@ -106,47 +106,41 @@ def _strings(value, what: str) -> list[str]:
 
 
 def table_from_obj(obj: Mapping) -> Table:
-    """A field of the wrong JSON type is refused with ParseError, never
-    coerced."""
-    try:
-        table_id, headers, rows = obj["table_id"], obj["headers"], obj["rows"]
-        caption = obj.get("caption", "")
-        if not (isinstance(table_id, str) and isinstance(caption, str)
-                and isinstance(rows, list)):
-            raise TypeError("table_id and caption must be strings, rows a list")
-        return Table(table_id, caption, _strings(headers, "headers"),
-                     [_strings(row, f"row {i}") for i, row in enumerate(rows)])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad table document: {exc}") from exc
+    """A field of the wrong JSON type is refused, never coerced."""
+    return Table(typed_field(obj, "table_id", str),
+                 typed_field(obj, "caption", str, default=""),
+                 _strings(obj["headers"], "headers"),
+                 [_strings(row, f"row {i}")
+                  for i, row in enumerate(typed_field(obj, "rows", list))])
 
 
 def read_table(path: str | Path) -> Table:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            obj = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    try:
-        return table_from_obj(obj)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return read_json(path, table_from_obj)
 
 
 def read_table_csv(path: str | Path, has_header: bool = True,
                    table_id: str | None = None) -> Table:
+    """A file that is not UTF-8 CSV, that is empty, or whose header row is
+    blank raises ParseError naming the file."""
     import csv
 
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        grid = [tuple(row) for row in csv.reader(fp)]
-    if not grid:
-        raise ParseError(f"{path}: empty CSV")
-    width = max(len(r) for r in grid)
-    grid = [r + ("",) * (width - len(r)) for r in grid]
-    if has_header:
-        header, rows = grid[0], grid[1:]
-    else:
-        header, rows = tuple(f"col{i}" for i in range(width)), grid
-    return Table(table_id or Path(path).stem, "", header, tuple(rows))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fp:
+            grid = [tuple(row) for row in csv.reader(fp)]
+        if not grid:
+            raise ValueError("empty CSV")
+        if has_header and not grid[0]:
+            raise ValueError("the header row is blank")
+        width = max(len(r) for r in grid)
+        grid = [r + ("",) * (width - len(r)) for r in grid]
+        if has_header:
+            header, rows = grid[0], grid[1:]
+        else:
+            header, rows = tuple(f"col{i}" for i in range(width)), grid
+        return Table(table_id or Path(path).stem, "", header, tuple(rows))
+    except (csv.Error, ValueError) as exc:
+        raise ParseError(f"{path}: bad document "
+                         f"({type(exc).__name__}: {exc})") from exc
 
 
 def _cell_class(cell: str) -> str:
@@ -242,34 +236,23 @@ def _cell_obj(a: CellAnnotation) -> dict:
     return obj
 
 
-def _field(obj: Mapping, name: str, *types: type):
-    """obj[name], refused unless its JSON type is one of types; a bool is
-    never a number."""
-    value = obj[name]
-    if type(value) not in types:
-        raise TypeError(f"{name} must be "
-                        f"{' or '.join(t.__name__ for t in types)}, "
-                        f"not {type(value).__name__}")
-    return value
-
-
 def _cell_from_obj(obj: Mapping) -> CellAnnotation:
-    outcome = _field(obj, "outcome", dict)
+    outcome = typed_field(obj, "outcome", dict)
     kind = outcome["kind"]
     fields = {}
     if kind == "entity":
         fields = dict(entity_id=EntityId.parse(outcome["id"]),
-                      entity_label=_field(outcome, "label", str),
-                      final_score=_field(outcome, "final_score", float, int))
+                      entity_label=typed_field(outcome, "label", str),
+                      final_score=typed_field(outcome, "final_score", float, int))
     elif kind == "literal":
-        fields = {"literal": _field(outcome, "literal", str)}
+        fields = {"literal": typed_field(outcome, "literal", str)}
     elif kind != "nil":
         raise ValueError(f"unknown outcome kind {kind!r}")
     return CellAnnotation(
-        _field(obj, "row", int), _field(obj, "col", int),
-        _field(obj, "mention", str), kind,
-        candidates=parse_id_list(_field(obj, "candidates", list)),
-        note=_field(obj, "note", str) if "note" in obj else "", **fields)
+        typed_field(obj, "row", int), typed_field(obj, "col", int),
+        typed_field(obj, "mention", str), kind,
+        candidates=parse_id_list(typed_field(obj, "candidates", list)),
+        note=typed_field(obj, "note", str, default=""), **fields)
 
 
 def annotation_to_obj(ann: TableAnnotation) -> dict:
@@ -287,19 +270,18 @@ def annotation_to_obj(ann: TableAnnotation) -> dict:
 
 def annotation_from_obj(obj: Mapping) -> TableAnnotation:
     """A missing field or a value of the wrong JSON type is refused, never
-    coerced, with the LookupError, TypeError or ValueError that
-    read_annotation reports."""
+    coerced."""
     orientation = obj["orientation"]
     if orientation not in (HORIZONTAL, VERTICAL):
         raise ValueError(f"unknown orientation {orientation!r}")
     return TableAnnotation(
-        table_id=_field(obj, "table_id", str),
+        table_id=typed_field(obj, "table_id", str),
         orientation=orientation,
         dominant_types={
             int(c): None if t is None else EntityId.parse(t)
-            for c, t in _field(obj, "dominant_types", dict).items()},
-        headers=tuple(map(_cell_from_obj, _field(obj, "headers", list))),
-        cells=tuple(map(_cell_from_obj, _field(obj, "cells", list))),
+            for c, t in typed_field(obj, "dominant_types", dict).items()},
+        headers=tuple(map(_cell_from_obj, typed_field(obj, "headers", list))),
+        cells=tuple(map(_cell_from_obj, typed_field(obj, "cells", list))),
     )
 
 
@@ -311,12 +293,7 @@ def write_annotation(path: str | Path, ann: TableAnnotation) -> None:
 
 
 def read_annotation(path: str | Path) -> TableAnnotation:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            return annotation_from_obj(json.load(fp))
-        except (LookupError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: bad annotation "
-                             f"({type(exc).__name__}: {exc})") from exc
+    return read_json(path, annotation_from_obj)
 
 
 def _boost(result: LinkResult, hit: Callable[[ScoredCandidate], bool],

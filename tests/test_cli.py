@@ -256,6 +256,7 @@ GOOD_LINES = {
     ("records", '{"id": "Q2", "label": "beta"'),
     ("edges", '{"child": "Q2", "parent": "Q3"}'),
     ("edges", '{"child": 2, "parent": "Q3", "relation": "subclass_of"}'),
+    ("edges", '{"child": "Q1", "parent": "Q2", "relation": 5}'),
     ("gold", '{"table_id": "t", "row": "x", "col": 0, "expected": null}'),
     ("gold", '{"table_id": "t", "row": 1, "expected": null}'),
     ("records", '{"id": "Q2", "label": "beta", "aliases": "rubeola"}'),
@@ -332,7 +333,7 @@ def test_eval_refuses_a_malformed_annotation(tmp_path, cell, doc):
     code, out, err = quiet_run(argv)
     assert code == 1
     assert out == ""
-    assert f"error: {path}: bad annotation " in err
+    assert f"error: {path}: bad document (" in err
     assert "Traceback" not in err
 
 
@@ -344,9 +345,78 @@ def test_link_table_refuses_a_numeric_cell(pipeline, tmp_path):
                                 *common(pipeline)])
     assert code == 1
     assert out == ""
-    assert (f"error: {table}: bad table document: row 0 must be a list of "
-            "strings") in err
+    assert (f"error: {table}: bad document (TypeError: row 0 must be a list "
+            "of strings)") in err
     assert "Traceback" not in err
+
+
+# One input of each kind whose second line (or, for a whole document, some
+# string) holds a byte that is not UTF-8; None marks a whole-document file.
+NOT_UTF8 = {
+    "records": ("records.jsonl", 2,
+                b'{"id": "Q1", "label": "alpha"}\n{"id": "Q2", "label": "b\xfe"}\n'),
+    "edges": ("edges.jsonl", 2,
+              GOOD_LINES["edges"].encode() + b'\n{"child": "Q\xff"}\n'),
+    "closure": ("closure.txt", 2, b"Q1 Q2\nQ3 \xff\n"),
+    "config": ("config.json", None, b'{"tiers": {"good": ["\xe9"]}}'),
+    "table": ("table.json", None,
+              b'{"table_id": "t", "headers": ["\xff"], "rows": []}'),
+    "csv": ("table.csv", None, b"Name,Count\nalpha,\xff\n"),
+    "gold": ("gold.jsonl", 2,
+             GOOD_LINES["gold"].encode() + b'\n{"table_id": "\xff"}\n'),
+    "annotation": ("t.json", None, b'{"table_id": "\xff"}'),
+    "mentions": ("mentions.txt", 2, b"alpha\nbe\xfft\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_UTF8))
+def test_an_input_that_is_not_utf8_is_an_error_naming_the_file(
+        pipeline, tmp_path, kind):
+    name, line, data = NOT_UTF8[kind]
+    path = tmp_path / name
+    path.write_bytes(data)
+    annotation, gold = tmp_path / "good.json", tmp_path / "good.jsonl"
+    annotation.write_text(json.dumps(GOOD_ANNOTATION), encoding="utf-8")
+    gold.write_text(GOOD_LINES["gold"] + "\n", encoding="utf-8")
+    kb = {"index": pipeline.index, "closure": pipeline.closure,
+          "config": pipeline.config}
+    if kind in kb:
+        kb[kind] = path
+    kb_args = [arg for key in ("index", "closure", "config")
+               for arg in (f"--{key}", str(kb[key]))]
+    argv = {
+        "records": ["build-index", "--records", str(path),
+                    "--out", str(tmp_path / "index")],
+        "edges": ["closure", "--edges", str(path),
+                  "--out", str(tmp_path / "closure.out")],
+        "closure": ["link", "--mention", "x", *kb_args],
+        "config": ["link", "--mention", "x", *kb_args],
+        "table": ["link-table", "--table", str(path), *kb_args],
+        "csv": ["link-table", "--table", str(path), "--has-header", *kb_args],
+        "gold": ["eval", "--annotations", str(annotation), "--gold", str(path)],
+        "annotation": ["eval", "--annotations", str(path), "--gold", str(gold)],
+        "mentions": ["bench", "--mentions", str(path), *kb_args],
+    }[kind]
+    code, out, err = quiet_run(argv)
+    assert code == 1
+    assert out == ""
+    where = f"{path}:{line}: bad line" if line else f"{path}: bad document"
+    assert err.startswith(f"error: {where} (UnicodeDecodeError: ")
+    assert "Traceback" not in err
+
+
+def test_link_table_refuses_a_blank_csv_header_before_loading_the_index(
+        pipeline, tmp_path):
+    table = tmp_path / "e.csv"
+    table.write_text("\nalpha,1\n", encoding="utf-8")
+    code, out, err = quiet_run([
+        "link-table", "--table", str(table), "--has-header",
+        "--index", str(tmp_path / "no-index"), "--closure",
+        str(pipeline.closure), "--config", str(pipeline.config)])
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: {table}: bad document (ValueError: the header "
+                   "row is blank)\n")
 
 
 def test_link_table_csv_input(pipeline, tmp_path, capsys):

@@ -187,6 +187,33 @@ def test_ingest_counts_and_outputs(tmp_path):
     assert len(edges) == 1 and edges[0].child == q("Q2")
 
 
+def test_ingest_counts_a_line_that_is_not_utf8_as_a_parse_error(tmp_path):
+    lines = [
+        "[",
+        json.dumps(doc("Q1", "alpha",
+                       claims={"P279": [claim("P279", "Q10")]})) + ",",
+        json.dumps(doc("Q3", "gamma", sitelinks=2)) + ",",
+        "]",
+    ]
+    clean = tmp_path / "clean.jsonl"
+    _write_dump(clean, lines)
+    dirty = tmp_path / "dirty.jsonl"
+    raw = [line.encode() for line in lines]
+    bad = json.dumps(doc("Q2", "beta")).encode().replace(b"beta", b"b\xfft")
+    dirty.write_bytes(b"\n".join(raw[:2] + [bad + b","] + raw[2:]) + b"\n")
+
+    want = ingest_dump(clean, tmp_path / "r0.jsonl", tmp_path / "e0.jsonl")
+    got = ingest_dump(dirty, tmp_path / "r1.jsonl", tmp_path / "e1.jsonl")
+    assert got.docs_seen == want.docs_seen + 1
+    assert got.parse_errors == want.parse_errors + 1 == 1
+    assert (got.records_emitted, got.skipped_no_label, got.edges_emitted) == \
+        (want.records_emitted, want.skipped_no_label, want.edges_emitted) == \
+        (2, 0, 1)
+    for name in ("r", "e"):
+        assert (tmp_path / f"{name}1.jsonl").read_bytes() == \
+            (tmp_path / f"{name}0.jsonl").read_bytes()
+
+
 def test_ingest_memory_is_bounded_by_a_line_not_the_dump(tmp_path):
     # Each document carries a long description, so holding the dump's lines
     # at once would cost several times the tracked peak allowed below.

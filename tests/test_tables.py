@@ -123,6 +123,20 @@ def test_read_table_csv(tmp_path):
         read_table_csv(empty)
 
 
+@pytest.mark.parametrize("data, has_header", [
+    pytest.param(b"\nalpha,1\n", True, id="blank-header-row"),
+    pytest.param(b"\n\n", False, id="only-blank-rows"),
+    pytest.param(b"Name,Count\nalpha,\xff\n", True, id="not-utf8"),
+])
+def test_read_table_csv_refuses_a_bad_file_naming_it(tmp_path, data,
+                                                     has_header):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError,
+                       match=f"^{re.escape(str(path))}: bad document "):
+        read_table_csv(path, has_header=has_header)
+
+
 def test_orientation_horizontal_and_vertical():
     horizontal = Table("h", "", ("Name", "Count"),
                        (("alpha", "1"), ("beta", "2"), ("gamma", "3")))
