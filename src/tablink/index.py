@@ -2,22 +2,24 @@
 list, standing in for an online search API.
 
 The index is built once and is immutable afterwards. Records live in rows
-numbered in id order; search works on row numbers and builds an ItemRecord
-only for a row it returns. Persistence is a directory holding the compiled
-tables as one marshalled blob plus a manifest that pins the blob's hash and
-the versions it depends on, so a loaded index always matches what was built.
+numbered in rank order (sitelinks count descending, then id), the order in
+which search breaks ties; search works on row numbers and builds an
+ItemRecord only for a row it returns. Persistence is a directory holding
+the compiled tables as one marshalled blob plus a manifest that pins the
+blob's hash and the versions it depends on, so a loaded index always
+matches what was built.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
-import heapq
 import json
 import logging
 import marshal
 import math
 import sys
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -39,9 +41,6 @@ log = logging.getLogger(__name__)
 EXACT_LABEL = "exact_label"
 EXACT_ALIAS = "exact_alias"
 PARTIAL = "partial"
-
-# Position of each match tier in the ranking, best first.
-_TIER_ORDER = {EXACT_LABEL: 0, EXACT_ALIAS: 1, PARTIAL: 2}
 
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "index.marshal"
@@ -67,8 +66,9 @@ class RawCandidate:
 
 class _Tables(NamedTuple):
     """Everything an Index holds, as primitives. Row r is the r-th record in
-    EntityId order; the maps' keys are in sorted order and their row tuples
-    ascend."""
+    rank order: sitelinks count descending, then EntityId. The maps' keys
+    are in sorted order and their row tuples ascend, so every row tuple
+    lists its records best-ranked first."""
 
     header: tuple[int, str, str]
     duplicate_ids: int
@@ -86,7 +86,7 @@ class _Tables(NamedTuple):
 
 
 def _compile(records: list[ItemRecord], duplicate_ids: int) -> _Tables:
-    """The tables of records, which are sorted by id and distinct."""
+    """The tables of records, which are in rank order and distinct."""
     by_label: dict[str, list[int]] = {}
     by_alias: dict[str, list[int]] = {}
     postings: dict[str, list[int]] = {}
@@ -140,7 +140,7 @@ class _RecordsView(Mapping):
         return self._index.record(eid.raw)
 
     def __iter__(self) -> Iterator[EntityId]:
-        return map(EntityId.parse, self._index._tables.ids)
+        return iter(sorted(map(EntityId.parse, self._index._tables.ids)))
 
     def __len__(self) -> int:
         return len(self._index._tables.ids)
@@ -164,7 +164,8 @@ class Index:
                 duplicate_ids += 1
                 log.warning("duplicate record id %s: last one wins", record.id)
             by_id[record.id] = record
-        ordered = [by_id[eid] for eid in sorted(by_id)]
+        ordered = sorted(by_id.values(),
+                         key=lambda r: (-r.sitelinks_count, r.id))
         tables = _compile(ordered, duplicate_ids)
         self._adopt(tables, hashlib.sha256(_dump(tables)).hexdigest())
         self._memo.update(enumerate(ordered))
@@ -209,12 +210,6 @@ class Index:
     def get(self, eid: EntityId) -> ItemRecord | None:
         return self.records_by_id.get(eid)
 
-    def exact_label(self, norm_mention: str) -> tuple[int, ...]:
-        return self._tables.by_label.get(norm_mention, ())
-
-    def exact_alias(self, norm_mention: str) -> tuple[int, ...]:
-        return self._tables.by_alias.get(norm_mention, ())
-
     def postings(self, token: str) -> tuple[int, ...]:
         return self._tables.postings.get(token, ())
 
@@ -222,41 +217,75 @@ class Index:
 def search(index: Index, mention: str, k: int) -> list[RawCandidate]:
     """Ranked candidates for a mention, at most k.
 
-    Pool = exact label matches, exact alias matches, and partial matches
-    (records whose label/alias tokens cover at least half of the mention's
-    non-stopword tokens, rounded up). Each record enters at its best tier.
-    Ordering: match tier, then token overlap, then sitelinks count, then
-    ascending id. Fully deterministic.
+    Candidates are exact label matches, then exact alias matches, then
+    partial matches: records whose label/alias tokens cover at least half of
+    the mention's distinct non-stopword tokens, rounded up, ordered by token
+    overlap. Each record enters at its best tier. Ties go to the record with
+    more sitelinks, then to the lower id; that is row order, so each tier is
+    read only until k rows are chosen. Fully deterministic.
     """
     norm = normalize(mention)
     tokens = tokenize(mention)
     if not norm or not tokens:
         raise EmptyMention(f"mention {mention!r} normalizes to nothing linkable")
 
-    distinct = list(dict.fromkeys(tokens))
-    needed = math.ceil(len(distinct) / 2)
-
-    # row -> (tier, overlap), filled worst tier first so a better one
-    # overwrites.
-    pool: dict[int, tuple[str, float]] = {}
-    counts = Counter(chain.from_iterable(map(index.postings, distinct)))
-    for row, covered in counts.items():
-        if covered >= needed:
-            pool[row] = (PARTIAL, covered / len(distinct))
-    for row in index.exact_alias(norm):
-        pool[row] = (EXACT_ALIAS, 1.0)
-    for row in index.exact_label(norm):
-        pool[row] = (EXACT_LABEL, 1.0)
-
-    sitelinks = index._tables.sitelinks
-
-    # Rows are in id order, so the row breaks ties as the id would.
-    def rank(item: tuple[int, tuple[str, float]]) -> tuple:
-        row, (tier, overlap) = item
-        return (_TIER_ORDER[tier], -overlap, -sitelinks[row], row)
-
+    t = index._tables
+    labels = t.by_label.get(norm, ())[:max(k, 0)]
+    aliases = [row for row in t.by_alias.get(norm, ())
+               if row not in labels][:k - len(labels)]
+    hits = ([(row, EXACT_LABEL, 1.0) for row in labels]
+            + [(row, EXACT_ALIAS, 1.0) for row in aliases])
+    if len(hits) < k:
+        distinct = list(dict.fromkeys(tokens))
+        hits += [(row, PARTIAL, covered / len(distinct)) for row, covered
+                 in _partial(t.postings, distinct, {*labels, *aliases},
+                             k - len(hits))]
     return [RawCandidate(index.record_at(row), tier, overlap)
-            for row, (tier, overlap) in heapq.nsmallest(k, pool.items(), key=rank)]
+            for row, tier, overlap in hits]
+
+
+def _holds(rows: tuple[int, ...], row: int) -> bool:
+    i = bisect_left(rows, row)
+    return i < len(rows) and rows[i] == row
+
+
+def _partial(postings: dict[str, tuple[int, ...]], tokens: list[str],
+             taken: set[int], want: int) -> list[tuple[int, int]]:
+    """The best `want` (row, tokens covered) pairs of the partial tier,
+    leaving out the rows in taken: rows covering at least ceil(n/2) of the
+    n distinct tokens, more coverage first, then row order. Only the
+    shortest posting lists are read whole; the others are read up to their
+    head or probed by bisection."""
+    if len(tokens) == 1:
+        rows = postings.get(tokens[0], ())
+        return [(row, 1) for row in rows[:want + len(taken)]
+                if row not in taken][:want]
+    lists = sorted([postings.get(token, ()) for token in tokens], key=len)
+    if len(lists) == 2:
+        # Either token reaches the bar. Rows holding both come first, then
+        # the rest of the union in row order, whose first m rows outside
+        # skip lie within the first m + len(skip) rows of each list.
+        short, long = lists
+        both = [row for row in short if row not in taken and _holds(long, row)]
+        m = want - len(both)
+        if m <= 0:
+            return [(row, 2) for row in both[:want]]
+        skip = taken.union(both)
+        head = set(short[:m + len(skip)]).union(long[:m + len(skip)])
+        return ([(row, 2) for row in both]
+                + [(row, 1) for row in sorted(head - skip)[:m]])
+    # Prefix filter: a row covering c tokens is missing from n - c lists, so
+    # it sits in at least one of the n - c + 1 shortest. Gather rows from
+    # those at the bar and probe the longer lists for the rest of the count.
+    needed = math.ceil(len(lists) / 2)
+    prefix = len(lists) - needed + 1
+    counts = Counter(chain.from_iterable(lists[:prefix]))
+    for longer in lists[prefix:]:
+        for row in counts:
+            counts[row] += _holds(longer, row)
+    best = sorted((-covered, row) for row, covered in counts.items()
+                  if covered >= needed and row not in taken)
+    return [(row, -negated) for negated, row in best[:want]]
 
 
 def _pins() -> dict:

@@ -2,7 +2,9 @@
 whole (records, edges, closure, index, annotations); bump it on any format
 change. It is written into the index manifest, which load_index refuses
 when it differs, and into every run manifest. Version 2 replaced the
-index's records copy with a marshalled blob."""
+index's records copy with a marshalled blob; version 3 numbers the blob's
+rows in rank order (sitelinks count descending, then id) instead of id
+order."""
 
 __version__ = "0.1.0"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3

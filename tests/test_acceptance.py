@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
-from conftest import build_bundle
+from conftest import SKEW_NOUNS, build_bundle
 from fixture_kb import (
     lineage_fixture,
     near_miss_fixture,
@@ -28,6 +29,7 @@ from oracles import (
     OracleKB,
     o_link,
     o_search,
+    o_tokens,
     squaring_ancestors,
     warshall_ancestors,
 )
@@ -142,6 +144,58 @@ def test_search_agrees_with_linear_scan_at_scale(big_kb, big_oracle):
     assert elapsed < 120.0
     print(f"PASS search-oracle: 1000/1000 mentions agree with the linear scan "
           f"over {len(big_kb.records)} records in {elapsed:.1f}s")
+
+
+def _skew_mention_pool(rng, records):
+    """Mentions of one to four distinct tokens mixing rare label words with
+    the shared nouns, plus labels of each length."""
+    nouns = list(SKEW_NOUNS)
+    words = sorted({w for r in records for w in r.label.split()} - set(nouns))
+    labels = {}
+    for r in records:
+        labels.setdefault(len(o_tokens(r.label)), []).append(r.label)
+
+    def mix(n_words, n_nouns):
+        return " ".join(rng.sample(words, n_words) + rng.sample(nouns, n_nouns))
+
+    pool = nouns + [mix(1, 0) for _ in range(23)] + rng.sample(labels[1], 5)
+    pool += [mix(1, 1) for _ in range(40)] + [mix(0, 2) for _ in range(5)]
+    pool += rng.sample(labels[2], 15)
+    pool += [mix(2, 1) for _ in range(15)] + [mix(1, 2) for _ in range(15)]
+    pool += rng.sample(labels[3], 20)
+    pool += [mix(2, 2) for _ in range(15)] + [mix(1, 3) for _ in range(10)]
+    pool += [mix(0, 4) for _ in range(5)] + rng.sample(labels[4], 20)
+    assert len(pool) == 200
+    return pool
+
+
+def test_search_agrees_with_linear_scan_under_skew(skew_kb):
+    records = skew_kb.records
+    assert len(records) >= 100_000
+    started = time.perf_counter()
+    oracle = OracleKB(records)
+    pool = _skew_mention_pool(random.Random(0xAC03), records)
+    sizes = Counter(len(set(o_tokens(m))) for m in pool)
+    assert all(sizes[n] >= 30 for n in (1, 2, 3, 4)), sizes
+
+    long_pools = 0
+    for mention in pool:
+        # o_search ranks every hit before cutting at k, so one full ranking
+        # gives its answer for every k.
+        ranked = o_search(oracle, mention, len(records))
+        long_pools += len(ranked) > 20
+        for k in (1, 5, 20):
+            got = [(c.record.id, c.match_tier, c.token_overlap)
+                   for c in search(skew_kb.index, mention, k)]
+            want = [(r.id, tier, overlap) for r, tier, overlap in ranked[:k]]
+            assert got == want, f"search disagreement for {mention!r} at k={k}"
+    elapsed = time.perf_counter() - started
+
+    assert long_pools >= 50
+    assert elapsed < 120.0
+    print(f"PASS search-oracle-skew: 200/200 mentions agree with the linear "
+          f"scan over {len(records)} records at k=1,5,20 ({long_pools} with "
+          f"more than 20 hits) in {elapsed:.1f}s")
 
 
 # --------------------------------------------------------------------------

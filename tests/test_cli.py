@@ -66,7 +66,7 @@ def common(p):
 def test_version_and_help():
     code, out, _ = quiet_run(["--version"])
     assert code == 0
-    assert out.strip() == "tablink 0.1.0 (format 2)"
+    assert out.strip() == "tablink 0.1.0 (format 3)"
     code, out, _ = quiet_run(["--help"])
     assert code == 0
     assert "SUBCOMMAND" in out
@@ -174,7 +174,7 @@ def test_manifest_file_and_reproducibility(pipeline, tmp_path):
     assert manifests[0] == manifests[1]
     assert manifests[0]["config_hash"]
     assert manifests[0]["closure_hash"]
-    assert manifests[0]["format_version"] == 2
+    assert manifests[0]["format_version"] == 3
 
 
 def test_link_table_eval_bench_flow(pipeline, tmp_path, capsys):
@@ -453,4 +453,4 @@ def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "tablink.cli", "--version"],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "tablink 0.1.0 (format 2)"
+    assert proc.stdout.strip() == "tablink 0.1.0 (format 3)"

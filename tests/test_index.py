@@ -93,6 +93,79 @@ def test_ordering_overlap_then_sitelinks_then_id():
     assert [c.record.id.raw for c in hits] == ["Q9", "Q1", "Q2", "Q7"]
 
 
+@pytest.fixture(scope="module")
+def ranked_index():
+    """Rows are numbered by sitelinks, most first, so the sitelinks below
+    put rows with the best coverage late and make posting lists of chosen
+    lengths: gamma (3) < alpha = beta (5); sy (1) < ra (2) < qu (3) < pa (5)."""
+    return Index([
+        rec("Q1", "alpha beta", sitelinks=90),
+        rec("Q2", "gamma beta alpha zeta", sitelinks=1),
+        rec("Q3", "gamma", sitelinks=50),
+        rec("Q4", "beta", sitelinks=40),
+        rec("Q5", "alpha uno", sitelinks=70),
+        rec("Q6", "alpha duo", sitelinks=60),
+        rec("Q7", "alpha tre", sitelinks=30),
+        rec("Q8", "beta quat", sitelinks=20),
+        rec("Q10", "beta gamma", sitelinks=5),
+        rec("Q20", "pa qu", sitelinks=95),
+        rec("Q21", "sy ra qu pa xi", sitelinks=2),
+        rec("Q22", "pa ra", sitelinks=7),
+        rec("Q23", "qu", sitelinks=60),
+        rec("Q24", "pa uno", sitelinks=55),
+        rec("Q25", "pa duo", sitelinks=45),
+        rec("Q30", "measles virus", sitelinks=1),
+        rec("Q31", "rubeola", aliases=("measles virus",), sitelinks=5),
+        rec("Q32", "measles", sitelinks=90),
+        rec("Q33", "virus measles", sitelinks=3),
+        rec("Q34", "x", aliases=("measles",), sitelinks=100),
+        rec("Q40", "flu", sitelinks=10),
+        rec("Q41", "flu", sitelinks=30),
+        rec("Q42", "flu", sitelinks=20),
+        rec("Q43", "flu"),
+        rec("Q44", "flu"),
+        rec("Q45", "y", aliases=("flu",), sitelinks=99),
+        rec("Q46", "flu shot", sitelinks=1000),
+    ])
+
+
+L, A, P = "exact_label", "exact_alias", "partial"
+
+
+@pytest.mark.parametrize("mention, k, want", [
+    # The full-coverage row has the fewest sitelinks; Q1 reaches the bar
+    # without the rarest token, gamma.
+    ("alpha beta gamma", 10, [("Q2", P, 1.0), ("Q1", P, 2 / 3), ("Q10", P, 2 / 3)]),
+    # Q20 is reachable only through the third-shortest list, qu.
+    ("pa qu ra sy", 10, [("Q21", P, 1.0), ("Q20", P, 0.5), ("Q22", P, 0.5)]),
+    ("pa qu ra sy", 2, [("Q21", P, 1.0), ("Q20", P, 0.5)]),
+    # zz is in no record: the shortest list is empty.
+    ("pa qu zz", 10, [("Q20", P, 2 / 3), ("Q21", P, 2 / 3)]),
+    ("measles zz", 3, [("Q34", P, 0.5), ("Q32", P, 0.5), ("Q31", P, 0.5)]),
+    # Exact rows sit in the postings of their tokens too; each is returned
+    # once, at its best tier.
+    ("measles virus", 10, [("Q30", L, 1.0), ("Q31", A, 1.0), ("Q33", P, 1.0),
+                           ("Q34", P, 0.5), ("Q32", P, 0.5)]),
+    ("measles", 10, [("Q32", L, 1.0), ("Q34", A, 1.0), ("Q31", P, 1.0),
+                     ("Q33", P, 1.0), ("Q30", P, 1.0)]),
+    # k below the number of exact matches.
+    ("flu", 3, [("Q41", L, 1.0), ("Q42", L, 1.0), ("Q40", L, 1.0)]),
+    ("flu", 6, [("Q41", L, 1.0), ("Q42", L, 1.0), ("Q40", L, 1.0),
+                ("Q43", L, 1.0), ("Q44", L, 1.0), ("Q45", A, 1.0)]),
+    ("flu", 7, [("Q41", L, 1.0), ("Q42", L, 1.0), ("Q40", L, 1.0),
+                ("Q43", L, 1.0), ("Q44", L, 1.0), ("Q45", A, 1.0),
+                ("Q46", P, 1.0)]),
+    # The exact row heads both posting lists.
+    ("flu shot", 2, [("Q46", L, 1.0), ("Q45", P, 0.5)]),
+    ("measles", 1, [("Q32", L, 1.0)]),
+    ("measles", 0, []),
+])
+def test_search_reads_tiers_in_rank_order(ranked_index, mention, k, want):
+    got = [(c.record.id.raw, c.match_tier, c.token_overlap)
+           for c in search(ranked_index, mention, k)]
+    assert got == want
+
+
 def test_k_truncates_ranked_list(small_index):
     hits = search(small_index, "measles", k=2)
     assert [c.record.id.raw for c in hits] == ["Q1", "P10"]
@@ -171,6 +244,7 @@ def _edit_manifest(index_dir, **fields):
 @pytest.mark.parametrize("key, value", [
     ("normalization_version", -1),
     ("format_version", 1),
+    ("format_version", 2),
     ("python_version", "3.%d" % (sys.version_info[1] + 1)),
     ("marshal_version", marshal.version - 1),
 ])
