@@ -13,10 +13,10 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .closure import TypeClosure, has_type
@@ -32,7 +32,9 @@ from .kb import (
     InferenceRule,
     ItemRecord,
     ValidatedConfig,
+    dump_json_line,
     record_to_obj,
+    typed_field,
 )
 from .text import normalize, tf_cosine, tokenize
 
@@ -229,16 +231,24 @@ def link(mention: str,
 
 
 # Every field of ScoredCandidate except the record, in declaration order.
-_SCALAR_FIELDS = tuple(f.name for f in dataclasses.fields(ScoredCandidate)
-                       if f.name != "record")
+_SCALARS = tuple(f for f in dataclasses.fields(ScoredCandidate)
+                 if f.name != "record")
+_SCALAR_FIELDS = tuple(f.name for f in _SCALARS)
+
+# The JSON type of a scalar field's values in a disk cache column, by the
+# field's annotation (a string in this module).
+_COLUMN_TYPES = {"str": str, "float": float, "frozenset[str]": list}
+
+# The one file of a cache dir.
+CACHE_FILE = "links.jsonl"
+
+
+def _json_value(value):
+    return sorted(value) if isinstance(value, frozenset) else value
 
 
 def _scalar_obj(c: ScoredCandidate) -> dict:
-    obj = {}
-    for name in _SCALAR_FIELDS:
-        value = getattr(c, name)
-        obj[name] = sorted(value) if isinstance(value, frozenset) else value
-    return obj
+    return {name: _json_value(getattr(c, name)) for name in _SCALAR_FIELDS}
 
 
 def candidate_to_obj(c: ScoredCandidate) -> dict:
@@ -255,49 +265,82 @@ def result_to_obj(result: LinkResult) -> dict:
     }
 
 
-def _entry_obj(result: LinkResult) -> dict:
-    """A disk cache entry: result_to_obj() with each record reduced to its
-    id, rehydrated from the index the key names, and the chosen candidate
-    given by position."""
-    return {
+def _entry_line(key: str, result: LinkResult) -> bytes:
+    """A disk cache line: the key, a space and the entry, which is
+    result_to_obj() in column layout (one list per candidate field) with
+    each record reduced to its id, rehydrated from the index the key names,
+    and the chosen candidate given by position."""
+    candidates = result.candidates
+    obj = {
         "mention": result.mention,
         "mode": result.mode,
         "chosen": (None if result.chosen is None
-                   else result.candidates.index(result.chosen)),
-        "candidates": [{"id": c.record.id.raw, **_scalar_obj(c)}
-                       for c in result.candidates],
+                   else candidates.index(result.chosen)),
         "diagnostics": dataclasses.asdict(result.diagnostics),
+        "id": [c.record.id.raw for c in candidates],
     }
+    for name in _SCALAR_FIELDS:
+        obj[name] = [_json_value(getattr(c, name)) for c in candidates]
+    return f"{key} {dump_json_line(obj)}".encode("utf-8")
+
+
+def _column(obj: dict, name: str, kind: type) -> list:
+    """obj[name], a list whose values all have JSON type kind."""
+    values = typed_field(obj, name, list)
+    if not set(map(type, values)) <= {kind}:
+        raise TypeError(f"{name} must hold only {kind.__name__} values")
+    return values
 
 
 def _entry_result(obj: dict, index: Index) -> LinkResult:
-    """Raises KeyError when a candidate id is not in the index."""
-    candidates = []
-    for c in obj["candidates"]:
-        fields = {name: c[name] for name in _SCALAR_FIELDS}
-        fields["inferred_type_names"] = frozenset(fields["inferred_type_names"])
-        record = index.record(c["id"])
-        candidates.append(ScoredCandidate(record=record, **fields))
-    chosen = obj["chosen"]
+    """The entry _entry_line() wrote. A field of the wrong JSON type or
+    form raises TypeError or ValueError, and a candidate id the index lacks
+    raises KeyError."""
+    ids = _column(obj, "id", str)
+    columns = [_column(obj, f.name, _COLUMN_TYPES[f.type]) for f in _SCALARS]
+    at = _SCALAR_FIELDS.index("inferred_type_names")
+    if not set(map(type, chain.from_iterable(columns[at]))) <= {str}:
+        raise TypeError("inferred_type_names must hold lists of strings")
+    columns[at] = [frozenset(names) for names in columns[at]]
+    candidates = tuple(ScoredCandidate(index.record(rid), *values)
+                       for rid, *values in zip(ids, *columns, strict=True))
+    chosen = typed_field(obj, "chosen", int, type(None))
+    if chosen is not None and not 0 <= chosen < len(candidates):
+        raise ValueError(f"chosen {chosen} is not a candidate position")
+    diagnostics = typed_field(obj, "diagnostics", dict)
     return LinkResult(
-        mention=obj["mention"], mode=obj["mode"],
+        mention=typed_field(obj, "mention", str),
+        mode=typed_field(obj, "mode", str),
         chosen=None if chosen is None else candidates[chosen],
-        candidates=tuple(candidates),
-        diagnostics=Diagnostics(**obj["diagnostics"]))
+        candidates=candidates,
+        diagnostics=Diagnostics(**{
+            f.name: typed_field(diagnostics, f.name, int)
+            for f in dataclasses.fields(Diagnostics)}))
 
 
 class LinkCache:
     """Memoizes link results in memory and optionally on disk.
 
     Keys cover everything the result depends on, so a hit is always safe to
-    return verbatim. Any disk trouble, including an entry naming an id the
-    index lacks, degrades to plain computation; the cache can slow things
+    return verbatim. On disk the cache is one append-only JSON Lines file,
+    CACHE_FILE in the cache dir: each line is a key, a space and an entry
+    (see _entry_line), appended with one write, so processes can share a
+    dir. The file is read once, at the first disk lookup; the last line for
+    a key wins. Any disk trouble, including a torn or damaged line or an
+    entry naming an id the index lacks, degrades to plain computation,
+    whose line is appended and wins from then on; the cache can slow things
     down when broken but never change an answer.
     """
 
     def __init__(self, cache_dir: str | Path | None = None):
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._memory: dict[str, LinkResult] = {}
+        # Key -> raw entry of each line of the cache file, read at the first
+        # disk lookup; a hit moves its entry into _memory.
+        self._disk: dict[bytes, bytes] | None = None
+        # The file as read ends in a torn line, so the next append starts a
+        # new line first.
+        self._torn_tail = False
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -326,32 +369,51 @@ class LinkCache:
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def _disk_path(self, key: str) -> Path:
-        return self.cache_dir / (key + ".json")
+    def _disk_entries(self) -> dict[bytes, bytes]:
+        """Caller holds the lock."""
+        if self._disk is None:
+            try:
+                data = (self.cache_dir / CACHE_FILE).read_bytes()
+            except FileNotFoundError:
+                data = b""
+            except OSError as exc:
+                log.debug("cache read failed for %s: %s", self.cache_dir, exc)
+                data = b""
+            self._torn_tail = bool(data) and not data.endswith(b"\n")
+            self._disk = dict(line.partition(b" ")[::2]
+                              for line in data.split(b"\n"))
+        return self._disk
 
     def _disk_get(self, key: str, index: Index) -> LinkResult | None:
         if self.cache_dir is None:
             return None
-        try:
-            with open(self._disk_path(key), "r", encoding="utf-8") as fp:
-                return _entry_result(json.load(fp), index)
-        except FileNotFoundError:
+        with self._lock:
+            raw = self._disk_entries().pop(key.encode("ascii"), None)
+        if raw is None:
             return None
-        except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
-            log.debug("cache read failed for %s: %s", key, exc)
+        try:
+            return _entry_result(json.loads(raw.decode("utf-8")), index)
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            log.debug("cache entry unreadable for %s: %s", key, exc)
             return None
 
     def _disk_put(self, key: str, result: LinkResult) -> None:
         if self.cache_dir is None:
             return
-        try:
-            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fp:
-                json.dump(_entry_obj(result), fp, ensure_ascii=False,
-                          separators=(",", ":"))
-            os.replace(tmp, self._disk_path(key))
-        except OSError as exc:
-            log.debug("cache write failed for %s: %s", key, exc)
+        line = _entry_line(key, result)
+        with self._lock:
+            if self._torn_tail:
+                line = b"\n" + line
+            try:
+                fd = os.open(self.cache_dir / CACHE_FILE,
+                             os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o600)
+                try:
+                    os.write(fd, line)
+                finally:
+                    os.close(fd)
+                self._torn_tail = False
+            except OSError as exc:
+                log.debug("cache write failed for %s: %s", key, exc)
 
     def get_or_compute(self, key: str, compute: Callable[[], LinkResult], *,
                        index: Index) -> LinkResult:

@@ -1,5 +1,10 @@
 import hashlib
 import json
+import random
+import sys
+import threading
+
+import pytest
 
 from tablink import (
     EntityId,
@@ -47,6 +52,17 @@ def make_index():
     ])
 
 
+def read_entry(path):
+    """The key and entry of the one line of a cache file."""
+    [line] = path.read_text(encoding="utf-8").splitlines()
+    key, _, text = line.partition(" ")
+    return key, json.loads(text)
+
+
+def write_entry(path, key, entry):
+    path.write_text(f"{key} {json.dumps(entry)}\n", encoding="utf-8")
+
+
 def test_cache_is_transparent_and_counts():
     index = make_index()
     cache = LinkCache()
@@ -74,7 +90,7 @@ def test_disk_persistence_across_instances(tmp_path):
     result = cached_link("alpha", "cell", index, CLOSURE, CONFIG, cache=first)
     assert first.misses == 1
     key = LinkCache.key("alpha", "cell", None, None, CONFIG, index.build_id, CLOSURE)
-    assert (tmp_path / "cache" / f"{key}.json").is_file()
+    assert read_entry(tmp_path / "cache" / "links.jsonl")[0] == key
 
     second = LinkCache(tmp_path / "cache")
     again = cached_link("alpha", "cell", index, CLOSURE, CONFIG, cache=second)
@@ -87,7 +103,8 @@ def test_corrupt_disk_entry_degrades_to_computation(tmp_path):
     key = LinkCache.key("alpha", "cell", None, None, CONFIG, index.build_id, CLOSURE)
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
-    (cache_dir / f"{key}.json").write_text("{not json", encoding="utf-8")
+    (cache_dir / "links.jsonl").write_text(f"{key} {{not json\n",
+                                           encoding="utf-8")
     cache = LinkCache(cache_dir)
     result = cached_link("alpha", "cell", index, CLOSURE, CONFIG, cache=cache)
     assert result == link("alpha", "cell", index, CLOSURE, CONFIG)
@@ -188,12 +205,12 @@ def test_disk_entry_holds_ids_not_record_text(tmp_path):
     result = cached_link("colobus", "cell", index, CLOSURE, CONFIG,
                          cache=cache)
     assert {c.record.id.raw for c in result.candidates} == {"Q7", "Q8"}
-    [entry] = (tmp_path / "cache").iterdir()
-    text = entry.read_text(encoding="utf-8")
+    [path] = (tmp_path / "cache").iterdir()
+    text = path.read_text(encoding="utf-8")
     for fragment in ("zanzibar red colobus", "kirk colobus monkey",
                      "unguja", "black and white colobus"):
         assert fragment not in text
-    assert [c["id"] for c in json.loads(text)["candidates"]] == \
+    assert read_entry(path)[1]["id"] == \
         [c.record.id.raw for c in result.candidates]
     again = cached_link("colobus", "cell", index, CLOSURE, CONFIG,
                         cache=LinkCache(tmp_path / "cache"))
@@ -205,11 +222,182 @@ def test_entry_naming_an_unknown_id_is_recomputed(tmp_path):
     cache_dir = tmp_path / "cache"
     cached_link("alpha", "cell", index, CLOSURE, CONFIG,
                 cache=LinkCache(cache_dir))
-    [entry] = cache_dir.iterdir()
-    obj = json.loads(entry.read_text(encoding="utf-8"))
-    obj["candidates"][0]["id"] = "Q999"
-    entry.write_text(json.dumps(obj), encoding="utf-8")
+    [path] = cache_dir.iterdir()
+    key, entry = read_entry(path)
+    entry["id"][0] = "Q999"
+    write_entry(path, key, entry)
     cache = LinkCache(cache_dir)
     result = cached_link("alpha", "cell", index, CLOSURE, CONFIG, cache=cache)
     assert result == link("alpha", "cell", index, CLOSURE, CONFIG)
     assert cache.misses == 1 and cache.hits == 0
+
+
+@pytest.mark.parametrize("damage", [
+    lambda e: e.update(chosen=-1),
+    lambda e: e.update(chosen=True),
+    lambda e: e.update(chosen=99),
+    lambda e: e["final_score"].pop(),
+    lambda e: e["final_score"].__setitem__(0, str(e["final_score"][0])),
+], ids=["chosen-minus-one", "chosen-true", "chosen-past-end",
+        "ragged-column", "string-score"])
+def test_damaged_entry_gives_links_answer(tmp_path, damage):
+    # Q1 is chosen; a position that reads Q2 must not be returned.
+    index = make_index()
+    cache_dir = tmp_path / "cache"
+    cached_link("alpha", "cell", index, CLOSURE, CONFIG,
+                cache=LinkCache(cache_dir))
+    path = cache_dir / "links.jsonl"
+    key, entry = read_entry(path)
+    assert entry["chosen"] == 0 and entry["id"] == ["Q1", "Q2"]
+    damage(entry)
+    write_entry(path, key, entry)
+    cache = LinkCache(cache_dir)
+    result = cached_link("alpha", "cell", index, CLOSURE, CONFIG, cache=cache)
+    assert result == link("alpha", "cell", index, CLOSURE, CONFIG)
+    assert cache.misses == 1 and cache.hits == 0
+
+
+# Four distinct keys over make_index().
+LOOKUPS = [("alpha", "cell"), ("beta", "cell"), ("alpha", "header"),
+           ("beta", "header")]
+
+
+def link_all(index, cache):
+    for mention, mode in LOOKUPS:
+        assert cached_link(mention, mode, index, CLOSURE, CONFIG,
+                           cache=cache) == \
+            link(mention, mode, index, CLOSURE, CONFIG)
+
+
+def test_cold_pass_writes_one_file_of_one_line_per_key(tmp_path):
+    index = make_index()
+    cache = LinkCache(tmp_path / "cache")
+    link_all(index, cache)
+    link_all(index, cache)
+    assert cache.misses == len(LOOKUPS) and cache.hits == len(LOOKUPS)
+    [path] = (tmp_path / "cache").iterdir()
+    assert path.name == "links.jsonl"
+    keys = [line.partition(" ")[0]
+            for line in path.read_text(encoding="utf-8").splitlines()]
+    assert keys == [LinkCache.key(mention, mode, None, None, CONFIG,
+                                  index.build_id, CLOSURE)
+                    for mention, mode in LOOKUPS]
+
+
+def test_truncated_line_recomputes_only_its_key(tmp_path):
+    index = make_index()
+    cache_dir = tmp_path / "cache"
+    link_all(index, LinkCache(cache_dir))
+    path = cache_dir / "links.jsonl"
+    path.write_bytes(path.read_bytes()[:-20])
+    cache = LinkCache(cache_dir)
+    link_all(index, cache)
+    assert cache.misses == 1 and cache.hits == len(LOOKUPS) - 1
+    fresh = LinkCache(cache_dir)
+    link_all(index, fresh)
+    assert fresh.misses == 0 and fresh.hits == len(LOOKUPS)
+
+
+def test_two_caches_append_to_one_dir(tmp_path):
+    index = make_index()
+    caches = [LinkCache(tmp_path / "cache"), LinkCache(tmp_path / "cache")]
+    for i, (mention, mode) in enumerate(LOOKUPS):
+        cached_link(mention, mode, index, CLOSURE, CONFIG, cache=caches[i % 2])
+    third = LinkCache(tmp_path / "cache")
+    link_all(index, third)
+    assert third.misses == 0 and third.hits == len(LOOKUPS)
+
+
+def test_threads_share_one_disk_cache(tmp_path):
+    index = make_index()
+    want = {(mention, mode): link(mention, mode, index, CLOSURE, CONFIG)
+            for mention, mode in LOOKUPS}
+    cache = LinkCache(tmp_path / "cache")
+    wrong = []
+
+    def work():
+        for _ in range(50):
+            for mention, mode in LOOKUPS:
+                got = cached_link(mention, mode, index, CLOSURE, CONFIG,
+                                  cache=cache)
+                if got != want[mention, mode]:
+                    wrong.append((mention, mode))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+    assert cache.hits + cache.misses == 4 * 50 * len(LOOKUPS)
+    fresh = LinkCache(tmp_path / "cache")
+    link_all(index, fresh)
+    assert fresh.misses == 0
+
+
+def test_reused_disk_cache_is_transparent_across_random_changes(tmp_path):
+    # Variants of the closure (edges added), the config (threshold, header
+    # boost) and the index (records dropped or added) share one cache dir.
+    # A fresh LinkCache per lookup makes every hit a read from disk.
+    rng = random.Random(0xCAC4E)
+    words = ["alpha", "beta", "gamma", "delta", "omega"]
+    types = [q(f"Q{100 + i}") for i in range(6)]
+
+    def random_record(raw):
+        return ItemRecord(
+            id=q(raw), label=" ".join(rng.sample(words, rng.randint(1, 2))),
+            direct_types=tuple(rng.sample(types, rng.randint(0, 2))),
+            sitelinks_count=rng.randint(0, 40))
+
+    base = [random_record(f"Q{i}") for i in range(1, 16)]
+    base += [ItemRecord(id=q(f"P{i}"), label=rng.choice(words),
+                        sitelinks_count=i) for i in range(1, 4)]
+    extra = [random_record(f"Q{i}") for i in range(16, 22)]
+    indexes = [Index(rng.sample(base, len(base) - rng.randint(0, 4))
+                     + rng.sample(extra, rng.randint(0, 3)))
+               for _ in range(3)]
+
+    base_edges = [TypeEdge(types[1], types[0], "subclass_of")]
+    closures = [build_closure(base_edges + [
+        TypeEdge(types[child], types[rng.randrange(child)], "subclass_of")
+        for child in rng.sample(range(2, 6), rng.randint(0, 3))])
+        for _ in range(3)]
+
+    def config(min_link_score, header_property_boost):
+        return validate_config(parse_config_obj({
+            "type_dictionary": {f"t{i}": [t.raw] for i, t in enumerate(types)},
+            "tiers": {"good": ["t0"], "ok": ["t2"], "bad": ["t5"]},
+            "params": {"min_link_score": min_link_score,
+                       "header_property_boost": header_property_boost},
+        }))
+
+    configs = [config(0.0, 0.1), config(0.25, 0.0), config(0.5, 0.3)]
+    mentions = words + ["alpha beta", "gamma omega", "delta zeta"]
+
+    lookups = [(rng.choice(indexes), rng.choice(closures), rng.choice(configs),
+                rng.choice(mentions), rng.choice(["cell", "header"]),
+                rng.choice([None, "alpha", "omega delta"]),
+                rng.choice([None, ["t3"], ["t4", "t1"]]))
+               for _ in range(120)]
+
+    cache_dir = tmp_path / "cache"
+    keys, hits = set(), 0
+    for _ in range(600):
+        index, closure, cfg_, mention, mode, context, expected = \
+            rng.choice(lookups)
+        cache = LinkCache(cache_dir)
+        got = cached_link(mention, mode, index, closure, cfg_, context,
+                          expected, cache=cache)
+        assert got == link(mention, mode, index, closure, cfg_, context,
+                           expected)
+        keys.add(LinkCache.key(mention, mode, context, expected, cfg_,
+                               index.build_id, closure))
+        hits += cache.hits
+    # Every lookup after a key's first is a hit read from the file.
+    assert hits == 600 - len(keys)
