@@ -25,7 +25,15 @@ from .errors import TablinkError
 from .evalbench import bench, evaluate, read_gold
 from .index import Index, load_index, save_index
 from .ingest import ingest_dump
-from .kb import EntityId, load_config, read_edges, read_lines, read_records
+from .kb import (
+    EntityId,
+    direct_types_from_obj,
+    load_config,
+    read_edges,
+    read_jsonl,
+    read_lines,
+    read_records,
+)
 from .linker import LinkCache, cached_link, result_to_obj
 from .synth import MIN_TYPES, generate_synthetic_kb
 from .tables import (
@@ -121,15 +129,8 @@ def _cmd_ingest(args) -> dict:
 
 def _cmd_closure(args) -> dict:
     edges = list(read_edges(args.edges))
-    extra = []
-    if args.records:
-        seen = set()
-        for record in read_records(args.records):
-            for t in record.direct_types:
-                if t not in seen:
-                    seen.add(t)
-                    extra.append(t)
-        extra.sort()
+    extra = {t for types in read_jsonl(args.records, direct_types_from_obj)
+             for t in types} if args.records else ()
     closure = build_closure(edges, extra_nodes=extra)
     write_closure(args.out, closure)
     _emit({"nodes": len(closure), "edges_in": len(edges),

@@ -27,6 +27,8 @@ class TypeClosure:
                  rejected_edges: tuple[TypeEdge, ...] = ()):
         self._ancestors = dict(ancestors)
         self.rejected_edges = rejected_edges
+        # types_of() answers, by direct-types tuple.
+        self._types: dict[tuple[EntityId, ...], frozenset[EntityId]] = {}
 
     def __contains__(self, type_id: EntityId) -> bool:
         return type_id in self._ancestors
@@ -40,8 +42,16 @@ class TypeClosure:
     def ancestors_of(self, type_id: EntityId) -> frozenset[EntityId]:
         return self._ancestors.get(type_id, frozenset())
 
-    def reaches(self, child: EntityId, ancestor: EntityId) -> bool:
-        return ancestor in self._ancestors.get(child, frozenset())
+    def types_of(self, direct_types: tuple[EntityId, ...]) -> frozenset[EntityId]:
+        """Every type an entity with these direct types has: the direct
+        types plus every ancestor of one (ids absent from the closure have
+        none). Answers are kept, so a repeat is one dict lookup."""
+        types = self._types.get(direct_types)
+        if types is None:
+            types = frozenset(direct_types).union(
+                *[self._ancestors.get(t, ()) for t in direct_types])
+            self._types[direct_types] = types
+        return types
 
     def lines(self) -> Iterator[str]:
         """Canonical text form, one line per node: the node id, then its
@@ -100,22 +110,15 @@ def build_closure(edges: Iterable[TypeEdge],
 
 
 def has_type(record: ItemRecord, type_id: EntityId, closure: TypeClosure) -> bool:
-    """True iff type_id is a direct type of the record or an ancestor of one.
-    Ids absent from the closure simply have no ancestors."""
-    for direct in record.direct_types:
-        if direct == type_id or closure.reaches(direct, type_id):
-            return True
-    return False
+    """True iff type_id is a direct type of the record or an ancestor of one."""
+    return type_id in closure.types_of(record.direct_types)
 
 
 def write_closure(path: str | Path, closure: TypeClosure) -> int:
     """Write closure.lines(); returns the node count."""
-    n = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        for line in closure.lines():
-            fp.write(line)
-            n += 1
-    return n
+        fp.writelines(closure.lines())
+    return len(closure)
 
 
 def read_closure(path: str | Path) -> TypeClosure:

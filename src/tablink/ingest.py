@@ -24,6 +24,7 @@ from .kb import (
     dump_json_line,
     edge_to_obj,
     record_to_obj,
+    typed_field,
 )
 
 log = logging.getLogger(__name__)
@@ -67,8 +68,11 @@ def _claim_targets(statements, want_kind: str) -> list[EntityId]:
         if "id" in value:
             target = EntityId.parse(value["id"])
         elif "numeric-id" in value:
-            prefix = "Q" if value.get("entity-type", "item") == "item" else "P"
-            target = EntityId.parse(prefix + str(int(value["numeric-id"])))
+            kind = typed_field(value, "entity-type", str, default="item")
+            prefix = {"item": "Q", "property": "P"}.get(kind)
+            if prefix is None:
+                raise ParseError(f"entity-type {kind!r} is not item or property")
+            target = EntityId.parse(prefix + str(typed_field(value, "numeric-id", int)))
         else:
             raise ParseError("entityid datavalue without id or numeric-id")
         if target.kind == want_kind:
@@ -112,11 +116,12 @@ def parse_entity_doc(doc: Mapping,
         if not label.strip():
             return None, edges
 
-        alias_entries = (doc.get("aliases") or {}).get("en") or []
+        alias_entries = typed_field(doc.get("aliases") or {}, "en", list, default=())
         aliases = tuple(a["value"] for a in alias_entries
                         if isinstance(a, Mapping) and a.get("value"))
         desc_entry = (doc.get("descriptions") or {}).get("en")
-        description = desc_entry.get("value", "") if isinstance(desc_entry, Mapping) else ""
+        description = (typed_field(desc_entry, "value", str, default="")
+                       if isinstance(desc_entry, Mapping) else "")
 
         direct_types = tuple(_claim_targets(claims["P31"], "item")) if "P31" in claims else ()
         flagged = frozenset(p for p in watchlist

@@ -78,6 +78,15 @@ def parse_id_list(raws: Iterable[str]) -> tuple[EntityId, ...]:
     return tuple(EntityId.parse(r) for r in raws)
 
 
+def item_types(ids: Iterable[EntityId]) -> tuple[EntityId, ...]:
+    """A record's direct types: ids in first-seen order without repeats,
+    refused with ValueError unless each is an item id."""
+    types = tuple(dict.fromkeys(ids))
+    if not all(t.is_item for t in types):
+        raise ValueError(f"direct types must be item ids: {types}")
+    return types
+
+
 @dataclass(frozen=True)
 class ItemRecord:
     """One knowledge-base entity (item or property) as kept by the index.
@@ -110,15 +119,7 @@ class ItemRecord:
             seen.add(norm)
             aliases.append(a)
         object.__setattr__(self, "aliases", tuple(aliases))
-        types = []
-        type_seen = set()
-        for t in self.direct_types:
-            if not t.is_item:
-                raise ValueError(f"{self.id}: direct type {t} is not an item id")
-            if t not in type_seen:
-                type_seen.add(t)
-                types.append(t)
-        object.__setattr__(self, "direct_types", tuple(types))
+        object.__setattr__(self, "direct_types", item_types(self.direct_types))
         flagged = frozenset(self.flagged_props)
         for p in flagged:
             if not p.is_property:
@@ -165,12 +166,18 @@ def record_from_obj(obj: Mapping) -> ItemRecord:
         label=typed_field(obj, "label", str),
         aliases=tuple(typed_field(obj, "aliases", list, default=())),
         description=typed_field(obj, "description", str, default=""),
-        direct_types=parse_id_list(
-            typed_field(obj, "direct_types", list, default=())),
+        direct_types=direct_types_from_obj(obj),
         sitelinks_count=typed_field(obj, "sitelinks_count", int, default=0),
         flagged_props=frozenset(parse_id_list(
             typed_field(obj, "flagged_props", list, default=()))),
     )
+
+
+def direct_types_from_obj(obj: Mapping) -> tuple[EntityId, ...]:
+    """A records line's direct_types alone, checked as ItemRecord checks
+    them; `closure --records` reads no other field."""
+    return item_types(parse_id_list(
+        typed_field(obj, "direct_types", list, default=())))
 
 
 def dump_json_line(obj: Mapping) -> str:

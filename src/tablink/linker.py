@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
-from .closure import TypeClosure, has_type
+from .closure import TypeClosure
 from .index import (
     EXACT_ALIAS,
     EXACT_LABEL,
@@ -66,34 +66,30 @@ def classify_type_tier(record: ItemRecord,
                        config: ValidatedConfig,
                        closure: TypeClosure,
                        expected_types: Iterable[str] | None = None) -> str:
-    """Place a candidate on the tier ladder using direct plus inherited types.
+    """Place a candidate on the tier ladder by the types it has, its direct
+    types plus every ancestor of one; each tier is one test against them.
 
-    BAD is absolute and checked first. TARGET/NEAR_MISS need expected_types;
+    BAD is absolute and tested first. TARGET/NEAR_MISS need expected_types;
     GOOD and OK match either the tier's ids or an inferred domain type name
     listed in that tier.
     """
-    for bad in config.bad_ids:
-        if has_type(record, bad, closure):
-            return BAD
-
-    expected = tuple(expected_types) if expected_types else ()
-    if expected:
-        for tid in config.resolve_names(expected):
-            if has_type(record, tid, closure):
-                return TARGET
-        for name in expected:
-            for tid in config.near_miss_ids.get(name, ()):
-                if has_type(record, tid, closure):
-                    return NEAR_MISS
-
+    types = closure.types_of(record.direct_types)
+    if not types.isdisjoint(config.bad_ids):
+        return BAD
+    if expected_types:
+        expected = tuple(expected_types)
+        if not types.isdisjoint(config.resolve_names(expected)):
+            return TARGET
+        if any(not types.isdisjoint(config.near_miss_ids.get(name, ()))
+               for name in expected):
+            return NEAR_MISS
     inferred = infer_domain_types(record, config.property_inference)
-    for tier_ids, tier_names, tier in ((config.good_ids, config.good_names, GOOD),
-                                       (config.ok_ids, config.ok_names, OK)):
-        if any(name in tier_names for name in inferred):
-            return tier
-        for tid in tier_ids:
-            if has_type(record, tid, closure):
-                return tier
+    if not (types.isdisjoint(config.good_ids)
+            and inferred.isdisjoint(config.good_names)):
+        return GOOD
+    if not (types.isdisjoint(config.ok_ids)
+            and inferred.isdisjoint(config.ok_names)):
+        return OK
     return UNKNOWN
 
 
@@ -175,14 +171,9 @@ def link_from_candidates(mention: str,
     w = config.weights
     params = config.params
 
-    survivors = []
-    rejected_bad = 0
-    for cand in raw_candidates:
-        tier = classify_type_tier(cand.record, config, closure, expected or None)
-        if tier == BAD:
-            rejected_bad += 1
-            continue
-        survivors.append((cand, tier))
+    tiers = [classify_type_tier(cand.record, config, closure, expected or None)
+             for cand in raw_candidates]
+    survivors = [(c, t) for c, t in zip(raw_candidates, tiers) if t != BAD]
 
     s_max = max((c.record.sitelinks_count for c, _ in survivors), default=0)
     scored = []
@@ -209,7 +200,7 @@ def link_from_candidates(mention: str,
     chosen = choose(scored, params.min_link_score)
     diagnostics = Diagnostics(
         retrieved=len(raw_candidates),
-        rejected_bad=rejected_bad,
+        rejected_bad=len(raw_candidates) - len(survivors),
         below_threshold=sum(1 for c in scored if c.final_score < params.min_link_score))
     return LinkResult(mention=normalize(mention), mode=mode, chosen=chosen,
                       candidates=tuple(scored), diagnostics=diagnostics)
@@ -247,12 +238,9 @@ def _json_value(value):
     return sorted(value) if isinstance(value, frozenset) else value
 
 
-def _scalar_obj(c: ScoredCandidate) -> dict:
-    return {name: _json_value(getattr(c, name)) for name in _SCALAR_FIELDS}
-
-
 def candidate_to_obj(c: ScoredCandidate) -> dict:
-    return {"record": record_to_obj(c.record), **_scalar_obj(c)}
+    return {"record": record_to_obj(c.record),
+            **{name: _json_value(getattr(c, name)) for name in _SCALAR_FIELDS}}
 
 
 def result_to_obj(result: LinkResult) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -143,17 +144,10 @@ def read_table_csv(path: str | Path, has_header: bool = True,
                          f"({type(exc).__name__}: {exc})") from exc
 
 
-def _cell_class(cell: str) -> str:
-    return detect_literal(cell) or "entity"
-
-
 def _mean_modal_fraction(lanes: Iterable[tuple[str, ...]]) -> float:
     fractions = []
     for lane in lanes:
-        counts: dict[str, int] = {}
-        for cell in lane:
-            cls = _cell_class(cell)
-            counts[cls] = counts.get(cls, 0) + 1
+        counts = Counter(detect_literal(cell) or "entity" for cell in lane)
         fractions.append(max(counts.values()) / len(lane))
     return sum(fractions) / len(fractions) if fractions else 0.0
 

@@ -27,8 +27,10 @@ from fixture_kb import (
 )
 from oracles import (
     OracleKB,
+    o_has_type,
     o_link,
     o_search,
+    o_tier,
     o_tokens,
     squaring_ancestors,
     warshall_ancestors,
@@ -46,6 +48,7 @@ from tablink import (
     classify_type_tier,
     detect_literal,
     evaluate,
+    has_type,
     link,
     link_table,
     project_corpus_days,
@@ -253,6 +256,59 @@ def test_link_agrees_with_bruteforce_pipeline(big_kb, big_oracle, big_ancestors)
     assert agreed == 1000
     print("PASS link-oracle: 1000/1000 mixed-mode mentions match the "
           "brute-force pipeline decision")
+
+
+TIER_EXPECTED = (None, ("location",), ("location", "facility"),
+                 ("no-such-name",))
+
+
+def test_type_tiers_agree_with_the_oracle(big_kb, big_ancestors):
+    # gen-kb's type groups hold cycles, so the oracle's ancestors come from
+    # matrix reachability, not from the closure under test.
+    config, closure = big_kb.config, big_kb.closure
+    rng = random.Random(0xAC05)
+    started = time.perf_counter()
+    # gen-kb types only a few records under an expected or near-miss name,
+    # so probe records typed from the hierarchy join a uniform sample; half
+    # of them take a type that reaches such a name.
+    named = config.resolve_names(["location", "facility", "organization"])
+    item_nodes = [t for t in closure.nodes() if t.is_item]
+    near_named = [t for t in item_nodes
+                  if named & (big_ancestors.get(t, frozenset()) | {t})]
+    watch = [Q(p) for p in big_kb.truth["watch_props"]]
+    records = rng.sample(big_kb.records, 3000)
+    for i in range(3000):
+        direct = rng.sample(item_nodes, rng.randint(0, 3))
+        if rng.random() < 0.5:
+            direct.append(rng.choice(near_named))
+        records.append(ItemRecord(
+            id=Q(f"Q{90_000_000 + i}"), label="probe",
+            direct_types=tuple(direct), flagged_props=frozenset(
+                rng.sample(watch, rng.randint(0, len(watch))))))
+    configured = sorted(config.bad_ids | config.target_ids | config.good_ids
+                        | config.ok_ids
+                        | set().union(*config.near_miss_ids.values()))
+
+    tiers = Counter()
+    for record in records:
+        for expected in TIER_EXPECTED:
+            got = classify_type_tier(record, config, closure, expected)
+            want = o_tier(record, config, big_ancestors, expected)
+            assert got == want, f"tier of {record.id} for {expected}"
+            tiers[got] += 1
+        probes = [*configured, *record.direct_types,
+                  *rng.sample(item_nodes, 10)]
+        for t in probes:
+            assert has_type(record, t, closure) == \
+                o_has_type(record, t, big_ancestors), (record.id, t)
+    elapsed = time.perf_counter() - started
+
+    assert min(tiers[t] for t in ("BAD", "TARGET", "NEAR_MISS", "GOOD", "OK",
+                                  "UNKNOWN")) >= 20, tiers
+    assert elapsed < 30.0
+    print(f"PASS tier-oracle: tiers and has_type of {len(records)} records "
+          f"match the oracle for {len(TIER_EXPECTED)} expected values in "
+          f"{elapsed:.1f}s ({dict(sorted(tiers.items()))})")
 
 
 # --------------------------------------------------------------------------

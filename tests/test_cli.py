@@ -286,6 +286,31 @@ def test_malformed_jsonl_line_is_an_error_naming_file_and_line(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad_line", [
+    b'{"id": "Q2", "label": "beta", "direct_types": ["Q5"]',
+    b'["Q2", "beta"]',
+    b'"Q2"',
+    b'null',
+    b'{"id": "Q2", "label": "beta", "direct_types": {"Q5": 1}}',
+    b'{"id": "Q2", "label": "beta", "direct_types": ["Q5", "P31"]}',
+    b'{"id": "Q2", "label": "b\xfe", "direct_types": ["Q5"]}',
+])
+def test_closure_refuses_a_malformed_records_line(tmp_path, bad_line):
+    # closure --records reads only direct_types, but it still refuses a line
+    # that is not a UTF-8 JSON object or whose direct_types are not Q ids.
+    records, edges = tmp_path / "records.jsonl", tmp_path / "edges.jsonl"
+    records.write_bytes(GOOD_LINES["records"].encode() + b"\n" + bad_line
+                        + b"\n")
+    edges.write_text(GOOD_LINES["edges"] + "\n", encoding="utf-8")
+    code, out, err = quiet_run(["closure", "--edges", str(edges),
+                                "--records", str(records),
+                                "--out", str(tmp_path / "closure.txt")])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {records}:2: ")
+    assert "Traceback" not in err
+
+
 GOOD_CELL = {"row": 0, "col": 0, "mention": "alpha", "candidates": ["Q1"],
              "outcome": {"kind": "entity", "id": "Q1", "label": "alpha",
                          "final_score": 0.9}}

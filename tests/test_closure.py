@@ -34,8 +34,8 @@ def test_chain_and_diamond():
     assert closure.ancestors_of(q("Q1")) == {q("Q2"), q("Q3"), q("Q4"), q("Q5")}
     assert closure.ancestors_of(q("Q4")) == {q("Q5")}
     assert closure.ancestors_of(q("Q5")) == frozenset()
-    assert closure.reaches(q("Q1"), q("Q5"))
-    assert not closure.reaches(q("Q5"), q("Q1"))
+    assert q("Q5") in closure.ancestors_of(q("Q1"))
+    assert q("Q1") not in closure.ancestors_of(q("Q5"))
 
 
 def test_cycle_members_are_mutual_ancestors_self_excluded():
@@ -102,6 +102,18 @@ def test_has_type_direct_and_inherited():
     assert not has_type(record, q("Q99"), closure)
     untyped = ItemRecord(id=q("Q2"), label="y")
     assert not has_type(untyped, q("Q10"), closure)
+
+
+def test_types_of_is_direct_types_plus_their_ancestors():
+    closure = build_closure([edge("Q10", "Q20"), edge("Q20", "Q30"),
+                             edge("Q40", "Q20")])
+    assert closure.types_of((q("Q10"),)) == {q("Q10"), q("Q20"), q("Q30")}
+    assert closure.types_of((q("Q40"), q("Q99"))) == {
+        q("Q40"), q("Q20"), q("Q30"), q("Q99")}
+    assert closure.types_of(()) == set()
+    # Answers are kept and shared between callers, so none can be changed.
+    assert isinstance(closure.types_of((q("Q10"),)), frozenset)
+    assert closure.types_of((q("Q10"),)) == {q("Q10"), q("Q20"), q("Q30")}
 
 
 def _random_edges(rng, n_nodes, n_edges):

@@ -148,6 +148,75 @@ def test_malformed_documents_raise_parse_error(bad):
         parse_entity_doc(bad)
 
 
+def _entity_value(value):
+    return {"mainsnak": {"snaktype": "value",
+                         "datavalue": {"type": "wikibase-entityid",
+                                       "value": value}}}
+
+
+@pytest.mark.parametrize("bad", [
+    # English text of the wrong JSON type: build-index would refuse the
+    # record line, and a string of aliases would be read letter by letter.
+    {"id": "Q5", "labels": {"en": {"value": "x"}},
+     "descriptions": {"en": {"value": 5}}},
+    {"id": "Q5", "labels": {"en": {"value": "x"}},
+     "descriptions": {"en": {"value": None}}},
+    {"id": "Q5", "labels": {"en": {"value": "x"}},
+     "aliases": {"en": "rubeola"}},
+    {"id": "Q5", "labels": {"en": {"value": "x"}},
+     "aliases": {"en": {"value": "rubeola"}}},
+])
+def test_english_text_of_the_wrong_type_is_malformed(bad):
+    with pytest.raises(ParseError):
+        parse_entity_doc(bad)
+
+
+@pytest.mark.parametrize("prop, eid, value", [
+    ("P31", "Q5", {"numeric-id": True}),
+    ("P31", "Q5", {"numeric-id": 7.9}),
+    ("P31", "Q5", {"numeric-id": "12"}),
+    ("P31", "Q5", {"entity-type": "item", "numeric-id": 12.0}),
+    ("P279", "Q5", {"entity-type": "lexeme", "numeric-id": 5}),
+    ("P279", "Q5", {"entity-type": None, "numeric-id": 5}),
+    ("P1647", "P9", {"entity-type": "lexeme", "numeric-id": 5}),
+    ("P1647", "P9", {"entity-type": 5, "numeric-id": 5}),
+])
+def test_claim_targets_are_not_coerced(prop, eid, value):
+    # Each of these once read as some Q or P id (true as Q1, 7.9 as Q7, a
+    # lexeme as a property); now the document is malformed.
+    bad = {"id": eid, "labels": {"en": {"value": "x"}},
+           "claims": {prop: [_entity_value(value)]}}
+    with pytest.raises(ParseError):
+        parse_entity_doc(bad)
+
+
+def test_numeric_id_claims_of_either_kind_still_read():
+    record, _ = parse_entity_doc({
+        "id": "Q5", "labels": {"en": {"value": "x"}},
+        "claims": {"P31": [_entity_value({"numeric-id": 42})]}})
+    assert record.direct_types == (q("Q42"),)
+    _, edges = parse_entity_doc({
+        "id": "P9", "labels": {"en": {"value": "x"}},
+        "claims": {"P1647": [_entity_value(
+            {"entity-type": "property", "numeric-id": 5})]}})
+    assert [(e.child, e.parent) for e in edges] == [(q("P9"), q("P5"))]
+
+
+def test_ingest_writes_only_records_build_index_reads(tmp_path):
+    lines = [
+        json.dumps(doc("Q1", "alpha", description="first")),
+        json.dumps({"id": "Q2", "labels": {"en": {"value": "beta"}},
+                    "descriptions": {"en": {"value": 5}}}),
+        json.dumps({"id": "Q3", "labels": {"en": {"value": "gamma"}},
+                    "aliases": {"en": "rubeola"}}),
+    ]
+    dump = tmp_path / "dump.jsonl"
+    _write_dump(dump, lines)
+    stats = ingest_dump(dump, tmp_path / "r.jsonl", tmp_path / "e.jsonl")
+    assert (stats.records_emitted, stats.parse_errors) == (1, 2)
+    assert [r.id for r in read_records(tmp_path / "r.jsonl")] == [q("Q1")]
+
+
 def test_strip_decoration_variants():
     assert strip_decoration("[\n") == ""
     assert strip_decoration("]\n") == ""
