@@ -22,7 +22,6 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -55,8 +54,7 @@ _MARSHAL_FORMAT = 2
 _HEADER = (FORMAT_VERSION, NORMALIZATION_VERSION, STOPWORDS_VERSION)
 
 
-@dataclass(frozen=True)
-class RawCandidate:
+class RawCandidate(NamedTuple):
     """One search hit: the record plus how the mention matched it."""
 
     record: ItemRecord

@@ -111,17 +111,15 @@ def parse_entity_doc(doc: Mapping,
             for parent in _claim_targets(claims["P1647"], "property"):
                 edges.append(TypeEdge(entity_id, parent, SUBPROPERTY_OF))
 
-        label_entry = (doc.get("labels") or {}).get("en")
-        label = label_entry.get("value", "") if isinstance(label_entry, Mapping) else ""
+        label_entry = typed_field(doc.get("labels") or {}, "en", dict, default={})
+        label = label_entry.get("value", "")
         if not label.strip():
             return None, edges
 
         alias_entries = typed_field(doc.get("aliases") or {}, "en", list, default=())
-        aliases = tuple(a["value"] for a in alias_entries
-                        if isinstance(a, Mapping) and a.get("value"))
-        desc_entry = (doc.get("descriptions") or {}).get("en")
-        description = (typed_field(desc_entry, "value", str, default="")
-                       if isinstance(desc_entry, Mapping) else "")
+        aliases = tuple(a["value"] for a in alias_entries if a.get("value"))
+        desc_entry = typed_field(doc.get("descriptions") or {}, "en", dict, default={})
+        description = typed_field(desc_entry, "value", str, default="")
 
         direct_types = tuple(_claim_targets(claims["P31"], "item")) if "P31" in claims else ()
         flagged = frozenset(p for p in watchlist

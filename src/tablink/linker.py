@@ -8,16 +8,16 @@ normalized mention, which keeps the memoizing cache exactly transparent.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import logging
 import os
 import threading
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 from .closure import TypeClosure
 from .index import (
@@ -53,11 +53,14 @@ BAD = "BAD"
 TIER_SCORES = {TARGET: 1.0, NEAR_MISS: 0.8, GOOD: 0.6, OK: 0.4, UNKNOWN: 0.2}
 
 _MATCH_SCORES = {EXACT_LABEL: 1.0, EXACT_ALIAS: 0.8}
+_NO_NAMES: frozenset[str] = frozenset()
 
 
 def infer_domain_types(record: ItemRecord,
                        rules: Iterable[InferenceRule]) -> frozenset[str]:
     """Type names implied by the record's watched properties."""
+    if not record.flagged_props:
+        return _NO_NAMES
     return frozenset(r.then_type_name for r in rules
                      if r.if_property in record.flagged_props)
 
@@ -65,13 +68,14 @@ def infer_domain_types(record: ItemRecord,
 def classify_type_tier(record: ItemRecord,
                        config: ValidatedConfig,
                        closure: TypeClosure,
-                       expected_types: Iterable[str] | None = None) -> str:
+                       expected_types: Iterable[str] | None = None, *,
+                       inferred: frozenset[str] | None = None) -> str:
     """Place a candidate on the tier ladder by the types it has, its direct
     types plus every ancestor of one; each tier is one test against them.
 
     BAD is absolute and tested first. TARGET/NEAR_MISS need expected_types;
     GOOD and OK match either the tier's ids or an inferred domain type name
-    listed in that tier.
+    listed in that tier; inferred, when given, is infer_domain_types()'s.
     """
     types = closure.types_of(record.direct_types)
     if not types.isdisjoint(config.bad_ids):
@@ -83,7 +87,8 @@ def classify_type_tier(record: ItemRecord,
         if any(not types.isdisjoint(config.near_miss_ids.get(name, ()))
                for name in expected):
             return NEAR_MISS
-    inferred = infer_domain_types(record, config.property_inference)
+    if inferred is None:
+        inferred = infer_domain_types(record, config.property_inference)
     if not (types.isdisjoint(config.good_ids)
             and inferred.isdisjoint(config.good_names)):
         return GOOD
@@ -105,8 +110,7 @@ def context_similarity(context: str | None, record: ItemRecord) -> float:
     return tf_cosine(ctx_tokens, rec_tokens)
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
+class ScoredCandidate(NamedTuple):
     record: ItemRecord
     match_tier: str
     type_tier: str
@@ -125,8 +129,7 @@ def scored_sort_key(c: ScoredCandidate) -> tuple:
     return (-c.final_score, -c.record.sitelinks_count, c.record.id)
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     retrieved: int = 0
     rejected_bad: int = 0
     below_threshold: int = 0
@@ -138,13 +141,7 @@ class LinkResult:
     mode: str
     chosen: ScoredCandidate | None
     candidates: tuple[ScoredCandidate, ...]
-    diagnostics: Diagnostics = field(default_factory=Diagnostics)
-
-
-def _match_score(candidate: RawCandidate) -> float:
-    if candidate.match_tier == PARTIAL:
-        return 0.4 * candidate.token_overlap
-    return _MATCH_SCORES[candidate.match_tier]
+    diagnostics: Diagnostics = Diagnostics()
 
 
 def choose(candidates: list[ScoredCandidate],
@@ -171,16 +168,19 @@ def link_from_candidates(mention: str,
     w = config.weights
     params = config.params
 
-    tiers = [classify_type_tier(cand.record, config, closure, expected or None)
-             for cand in raw_candidates]
-    survivors = [(c, t) for c, t in zip(raw_candidates, tiers) if t != BAD]
+    rules = config.property_inference
+    names = [infer_domain_types(c.record, rules) for c in raw_candidates]
+    tiers = [classify_type_tier(c.record, config, closure, expected, inferred=n)
+             for c, n in zip(raw_candidates, names)]
+    survivors = [(c, t, n) for c, t, n in zip(raw_candidates, tiers, names) if t != BAD]
 
-    s_max = max((c.record.sitelinks_count for c, _ in survivors), default=0)
+    s_max = max((c.record.sitelinks_count for c, _, _ in survivors), default=0)
     scored = []
-    for cand, tier in survivors:
+    for cand, tier, inferred in survivors:
         record = cand.record
         type_score = TIER_SCORES[tier]
-        match_score = _match_score(cand)
+        match_score = (0.4 * cand.token_overlap if cand.match_tier == PARTIAL
+                       else _MATCH_SCORES[cand.match_tier])
         prominence = record.sitelinks_count / s_max if s_max else 0.0
         context_sim = context_similarity(context, record)
         boosts = 0.0
@@ -189,12 +189,9 @@ def link_from_candidates(mention: str,
         base = (w.w_type * type_score + w.w_match * match_score
                 + w.w_prom * prominence + w.w_ctx * context_sim)
         scored.append(ScoredCandidate(
-            record=record, match_tier=cand.match_tier, type_tier=tier,
-            inferred_type_names=infer_domain_types(record, config.property_inference),
-            token_overlap=cand.token_overlap, type_score=type_score,
-            match_score=match_score, prominence=prominence,
-            context_sim=context_sim, boosts=boosts, weighted_base=base,
-            final_score=base + boosts))
+            record, cand.match_tier, tier, inferred, cand.token_overlap,
+            type_score, match_score, prominence, context_sim, boosts, base,
+            base + boosts))
 
     scored.sort(key=scored_sort_key)
     chosen = choose(scored, params.min_link_score)
@@ -222,13 +219,13 @@ def link(mention: str,
 
 
 # Every field of ScoredCandidate except the record, in declaration order.
-_SCALARS = tuple(f for f in dataclasses.fields(ScoredCandidate)
-                 if f.name != "record")
-_SCALAR_FIELDS = tuple(f.name for f in _SCALARS)
+_SCALAR_FIELDS = ScoredCandidate._fields[1:]
 
-# The JSON type of a scalar field's values in a disk cache column, by the
-# field's annotation (a string in this module).
-_COLUMN_TYPES = {"str": str, "float": float, "frozenset[str]": list}
+# The JSON type of each scalar field's values in a disk cache column.
+_COLUMN_TYPES = dict(
+    match_tier=str, type_tier=str, inferred_type_names=list, token_overlap=float,
+    type_score=float, match_score=float, prominence=float, context_sim=float,
+    boosts=float, weighted_base=float, final_score=float)
 
 # The one file of a cache dir.
 CACHE_FILE = "links.jsonl"
@@ -249,7 +246,7 @@ def result_to_obj(result: LinkResult) -> dict:
         "mode": result.mode,
         "chosen": candidate_to_obj(result.chosen) if result.chosen else None,
         "candidates": [candidate_to_obj(c) for c in result.candidates],
-        "diagnostics": dataclasses.asdict(result.diagnostics),
+        "diagnostics": result.diagnostics._asdict(),
     }
 
 
@@ -264,7 +261,7 @@ def _entry_line(key: str, result: LinkResult) -> bytes:
         "mode": result.mode,
         "chosen": (None if result.chosen is None
                    else candidates.index(result.chosen)),
-        "diagnostics": dataclasses.asdict(result.diagnostics),
+        "diagnostics": result.diagnostics._asdict(),
         "id": [c.record.id.raw for c in candidates],
     }
     for name in _SCALAR_FIELDS:
@@ -285,7 +282,7 @@ def _entry_result(obj: dict, index: Index) -> LinkResult:
     form raises TypeError or ValueError, and a candidate id the index lacks
     raises KeyError."""
     ids = _column(obj, "id", str)
-    columns = [_column(obj, f.name, _COLUMN_TYPES[f.type]) for f in _SCALARS]
+    columns = [_column(obj, name, _COLUMN_TYPES[name]) for name in _SCALAR_FIELDS]
     at = _SCALAR_FIELDS.index("inferred_type_names")
     if not set(map(type, chain.from_iterable(columns[at]))) <= {str}:
         raise TypeError("inferred_type_names must hold lists of strings")
@@ -302,8 +299,8 @@ def _entry_result(obj: dict, index: Index) -> LinkResult:
         chosen=None if chosen is None else candidates[chosen],
         candidates=candidates,
         diagnostics=Diagnostics(**{
-            f.name: typed_field(diagnostics, f.name, int)
-            for f in dataclasses.fields(Diagnostics)}))
+            name: typed_field(diagnostics, name, int)
+            for name in Diagnostics._fields}))
 
 
 class LinkCache:

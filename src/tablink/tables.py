@@ -15,6 +15,7 @@ import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, replace
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 
@@ -144,23 +145,28 @@ def read_table_csv(path: str | Path, has_header: bool = True,
                          f"({type(exc).__name__}: {exc})") from exc
 
 
-def _mean_modal_fraction(lanes: Iterable[tuple[str, ...]]) -> float:
-    fractions = []
-    for lane in lanes:
-        counts = Counter(detect_literal(cell) or "entity" for cell in lane)
-        fractions.append(max(counts.values()) / len(lane))
-    return sum(fractions) / len(fractions) if fractions else 0.0
+def _orientation(table: Table) -> tuple[str, dict[str, str | None]]:
+    """classify_orientation(table), and detect_literal() of each distinct
+    cell string, the header's too."""
+    kinds = {cell: detect_literal(cell)
+             for cell in set(chain(table.header_row, *table.rows))}
+
+    def mean_modal_fraction(lanes: Iterable[tuple[str, ...]]) -> float:
+        fractions = [max(Counter(kinds[cell] or "entity" for cell in lane).values())
+                     / len(lane) for lane in lanes]
+        return sum(fractions) / len(fractions)
+
+    if not table.rows:
+        return HORIZONTAL, kinds
+    col_mean = mean_modal_fraction(zip(*table.rows))
+    row_mean = mean_modal_fraction(table.rows)
+    return HORIZONTAL if col_mean >= row_mean else VERTICAL, kinds
 
 
 def classify_orientation(table: Table) -> str:
     """Direction whose lanes are more homogeneous in literal-kind class wins;
     ties go to horizontal."""
-    if not table.rows:
-        return HORIZONTAL
-    columns = tuple(zip(*table.rows))
-    col_mean = _mean_modal_fraction(columns)
-    row_mean = _mean_modal_fraction(table.rows)
-    return HORIZONTAL if col_mean >= row_mean else VERTICAL
+    return _orientation(table)[0]
 
 
 def column_type_vote(candidate_sets: list[tuple[ScoredCandidate, ...]],
@@ -295,8 +301,8 @@ def _boost(result: LinkResult, hit: Callable[[ScoredCandidate], bool],
     """result with boost added to every candidate hit accepts, re-ranked and
     with the NIL threshold re-applied."""
     boosted = sorted(
-        (replace(c, boosts=c.boosts + boost,
-                 final_score=c.weighted_base + (c.boosts + boost))
+        (c._replace(boosts=c.boosts + boost,
+                    final_score=c.weighted_base + (c.boosts + boost))
          if hit(c) else c for c in result.candidates),
         key=scored_sort_key)
     return replace(result, chosen=choose(boosted, min_link_score),
@@ -312,8 +318,9 @@ def link_table(table: Table,
 
     The table is worked as one grid, the header row followed by the rows,
     transposed when the table is vertical; grid row 0 is the working header
-    row and dominant types are keyed by grid column. Pass 1 detects literals
-    and links every other cell (cell mode) and header (header mode, context =
+    row and dominant types are keyed by grid column. Pass 1 links every cell
+    that is not a literal (each distinct string is tested once, for the
+    orientation too) in cell mode and every header in header mode (context =
     caption plus sibling headers). Pass 2 votes a dominant direct type per
     column from up to sample_size linked cells, then re-ranks that column's
     cells and header with the configured boosts and re-applies the NIL
@@ -321,7 +328,7 @@ def link_table(table: Table,
     table.
     """
     params = config.params
-    orientation = classify_orientation(table)
+    orientation, kinds = _orientation(table)
     grid = [table.header_row, *table.rows]
     if orientation == VERTICAL:
         grid = list(zip(*grid))
@@ -335,7 +342,7 @@ def link_table(table: Table,
     notes: dict[tuple[int, int], str] = {}
     for i, row in enumerate(grid):
         for j, mention in enumerate(row):
-            literal = detect_literal(mention)
+            literal = kinds[mention]
             if literal is not None:
                 literals[i, j] = literal
                 continue

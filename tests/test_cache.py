@@ -98,6 +98,52 @@ def test_disk_persistence_across_instances(tmp_path):
     assert again == result
 
 
+GOLDEN_LINE = (
+    "26ead19568227c87629ce22344a11466daf704b0a256f7d9cc4df79839b9a320 "
+    '{"mention":"alpha","mode":"cell","chosen":0,'
+    '"diagnostics":{"retrieved":3,"rejected_bad":0,"below_threshold":0},'
+    '"id":["Q1","Q2","Q3"],'
+    '"match_tier":["exact_label","partial","exact_alias"],'
+    '"type_tier":["GOOD","OK","UNKNOWN"],'
+    '"inferred_type_names":[[],["flagged-type"],[]],'
+    '"token_overlap":[1.0,1.0,1.0],'
+    '"type_score":[0.6,0.4,0.2],'
+    '"match_score":[1.0,0.4,0.8],'
+    '"prominence":[1.0,0.4,0.1],'
+    '"context_sim":[0.0,0.5,0.0],'
+    '"boosts":[0.0,0.0,0.0],'
+    '"weighted_base":[0.67,0.41500000000000004,0.30500000000000005],'
+    '"final_score":[0.67,0.41500000000000004,0.30500000000000005]}\n')
+
+
+def test_cache_line_text_is_pinned(tmp_path):
+    """The key, then the entry: its header fields, the id column and one
+    column per candidate field in declaration order, each of its JSON type."""
+    config = validate_config(parse_config_obj({
+        "type_dictionary": {"good-type": ["Q100"], "flagged-type": ["Q300"]},
+        "tiers": {"good": ["good-type"], "ok": ["flagged-type"]},
+        "property_inference": [{"if_property": "P486",
+                                "then_type_name": "flagged-type"}],
+    }))
+    index = Index([
+        rec("Q1", "alpha", types=["Q100"], sitelinks=10),
+        ItemRecord(id=q("Q2"), label="alpha virus", sitelinks_count=4,
+                   flagged_props=frozenset({q("P486")})),
+        ItemRecord(id=q("Q3"), label="beta", aliases=("alpha",),
+                   sitelinks_count=1),
+    ])
+    result = cached_link("alpha", "cell", index, CLOSURE, config,
+                         context="virus outbreak",
+                         cache=LinkCache(tmp_path / "cache"))
+    path = tmp_path / "cache" / "links.jsonl"
+    assert path.read_text(encoding="utf-8") == GOLDEN_LINE
+    again = cached_link("alpha", "cell", index, CLOSURE, config,
+                        context="virus outbreak",
+                        cache=LinkCache(tmp_path / "cache"))
+    assert again == result
+    assert path.read_text(encoding="utf-8") == GOLDEN_LINE
+
+
 def test_corrupt_disk_entry_degrades_to_computation(tmp_path):
     index = make_index()
     key = LinkCache.key("alpha", "cell", None, None, CONFIG, index.build_id, CLOSURE)

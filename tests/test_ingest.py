@@ -171,6 +171,25 @@ def test_english_text_of_the_wrong_type_is_malformed(bad):
         parse_entity_doc(bad)
 
 
+@pytest.mark.parametrize("field, value", [
+    # An alias that is not an object would be dropped, a description string
+    # read as no description, and a label string as no English label.
+    ("aliases", {"en": ["rubeola"]}),
+    ("descriptions", {"en": "a disease"}),
+    ("labels", {"en": "measles"}),
+])
+def test_english_fields_of_the_wrong_shape_count_as_parse_errors(
+        tmp_path, field, value):
+    bad = doc("Q5", "measles", aliases=["morbilli"], description="an illness")
+    bad[field] = value
+    dump = tmp_path / "dump.jsonl"
+    _write_dump(dump, [json.dumps(bad)])
+    stats = ingest_dump(dump, tmp_path / "r.jsonl", tmp_path / "e.jsonl")
+    assert (stats.docs_seen, stats.parse_errors, stats.records_emitted,
+            stats.skipped_no_label) == (1, 1, 0, 0)
+    assert (tmp_path / "r.jsonl").read_bytes() == b""
+
+
 @pytest.mark.parametrize("prop, eid, value", [
     ("P31", "Q5", {"numeric-id": True}),
     ("P31", "Q5", {"numeric-id": 7.9}),

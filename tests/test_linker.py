@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+import tablink.linker
 from tablink import (
     EmptyMention,
     EntityId,
@@ -14,6 +17,7 @@ from tablink import (
     parse_config_obj,
     validate_config,
 )
+from tablink.index import search
 from tablink.linker import ScoredCandidate, choose
 
 from fixture_kb import near_miss_fixture, prevalence_fixture, virus_fixture
@@ -267,6 +271,30 @@ def test_virus_disambiguation():
     assert result.diagnostics.rejected_bad >= 10
     assert all(c.record.id.raw != "Q808" or c is result.chosen
                for c in result.candidates)
+
+
+def test_link_classifies_and_infers_once_per_hit(monkeypatch):
+    records, closure, config = virus_fixture()
+    index = Index(records)
+    hits = search(index, "virus", config.params.k)
+    want = link("virus", "cell", index, closure, config,
+                context="infectious disease outbreak")
+    tiered, inferred = [], []
+    classify = tablink.linker.classify_type_tier
+    infer = tablink.linker.infer_domain_types
+    monkeypatch.setattr(tablink.linker, "classify_type_tier",
+                        lambda record, *a, **kw: tiered.append(record.id)
+                        or classify(record, *a, **kw))
+    monkeypatch.setattr(tablink.linker, "infer_domain_types",
+                        lambda record, rules: inferred.append(record.id)
+                        or infer(record, rules))
+    got = link("virus", "cell", index, closure, config,
+               context="infectious disease outbreak")
+    assert got == want
+    assert got.diagnostics.rejected_bad > 0 and len(got.candidates) > 1
+    ids = Counter(hit.record.id for hit in hits)
+    assert Counter(tiered) == ids
+    assert not Counter(inferred) - ids
 
 
 def test_prevalence_header_vs_cell():

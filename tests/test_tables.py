@@ -1,7 +1,9 @@
 import re
+from collections import Counter
 
 import pytest
 
+import tablink.tables
 from tablink import (
     EntityId,
     Index,
@@ -188,6 +190,23 @@ def test_column_type_vote_tie_goes_to_lowest_id():
 def _lineage_setup():
     records, closure, config, table = lineage_fixture()
     return Index(records), closure, config, table
+
+
+def test_link_table_detects_each_distinct_string_once(monkeypatch):
+    index, closure, config, _ = _lineage_setup()
+    table = Table("repeats", "circulating variants",
+                  ("Lineage", "Cases", "Lineage"),
+                  (("B.1.1.7", "120", "P.1"),
+                   ("B.1.1.7", "85", "120"),
+                   ("P.1", "N/A", "B.1.1.7")))
+    want = annotation_to_obj(link_table(table, index, closure, config))
+    calls = []
+    monkeypatch.setattr(tablink.tables, "detect_literal",
+                        lambda cell: calls.append(cell) or detect_literal(cell))
+    got = annotation_to_obj(link_table(table, index, closure, config))
+    assert got == want
+    distinct = {"Lineage", "Cases", "B.1.1.7", "P.1", "120", "85", "N/A"}
+    assert Counter(calls) == Counter(distinct)
 
 
 def test_link_table_two_pass_header_flip():
