@@ -3,148 +3,47 @@
 Maps mention strings (table cells, column headers, free text) to items in a
 local knowledge-base snapshot. Everything runs from three local files: a
 records file, a type-edge file, and a domain config. No network access.
+
+Importing the package loads no submodule. Each public name below is looked
+up in its submodule on every access (PEP 562), so a command imports only
+what it runs and a name always reads the submodule's current attribute.
 """
 
-from .closure import TypeClosure, build_closure, has_type, read_closure, write_closure
-from .errors import (
-    BadWeights,
-    ConfigError,
-    EmptyMention,
-    GoldMismatch,
-    IndexUnavailable,
-    InvalidEntityId,
-    ParseError,
-    TablinkError,
-    TierConflict,
-    UnresolvedTypeName,
-)
-from .evalbench import (
-    EvalReport,
-    GoldRecord,
-    LatencyReport,
-    bench,
-    evaluate,
-    project_corpus_days,
-    read_gold,
-    write_gold,
-)
-from .index import Index, RawCandidate, load_index, save_index, search
-from .ingest import IngestStats, ingest_dump, parse_entity_doc
-from .kb import (
-    DomainConfig,
-    EntityId,
-    InferenceRule,
-    ItemRecord,
-    Params,
-    TypeEdge,
-    ValidatedConfig,
-    Weights,
-    load_config,
-    parse_config_obj,
-    read_edges,
-    read_records,
-    save_config,
-    validate_config,
-    write_records,
-)
-from .linker import (
-    LinkCache,
-    LinkResult,
-    ScoredCandidate,
-    cached_link,
-    classify_type_tier,
-    context_similarity,
-    infer_domain_types,
-    link,
-    link_from_candidates,
-)
-from .synth import SynthResult, generate_synthetic_kb
-from .tables import (
-    CellAnnotation,
-    Table,
-    TableAnnotation,
-    classify_orientation,
-    column_type_vote,
-    detect_literal,
-    link_table,
-    read_annotation,
-    read_table,
-    read_table_csv,
-    write_annotation,
-)
-from .text import normalize, tf_cosine, tokenize
-from .version import FORMAT_VERSION, __version__
+from importlib import import_module
 
-__all__ = [
-    "BadWeights",
-    "CellAnnotation",
-    "ConfigError",
-    "DomainConfig",
-    "EmptyMention",
-    "EntityId",
-    "EvalReport",
-    "FORMAT_VERSION",
-    "GoldMismatch",
-    "GoldRecord",
-    "Index",
-    "IndexUnavailable",
-    "InferenceRule",
-    "IngestStats",
-    "InvalidEntityId",
-    "ItemRecord",
-    "LatencyReport",
-    "LinkCache",
-    "LinkResult",
-    "Params",
-    "ParseError",
-    "RawCandidate",
-    "ScoredCandidate",
-    "SynthResult",
-    "Table",
-    "TableAnnotation",
-    "TablinkError",
-    "TierConflict",
-    "TypeClosure",
-    "TypeEdge",
-    "UnresolvedTypeName",
-    "ValidatedConfig",
-    "Weights",
-    "__version__",
-    "bench",
-    "build_closure",
-    "cached_link",
-    "classify_orientation",
-    "classify_type_tier",
-    "column_type_vote",
-    "context_similarity",
-    "detect_literal",
-    "evaluate",
-    "generate_synthetic_kb",
-    "has_type",
-    "infer_domain_types",
-    "ingest_dump",
-    "link",
-    "link_from_candidates",
-    "link_table",
-    "load_config",
-    "load_index",
-    "normalize",
-    "parse_config_obj",
-    "parse_entity_doc",
-    "project_corpus_days",
-    "read_annotation",
-    "read_edges",
-    "read_gold",
-    "read_records",
-    "read_table",
-    "read_table_csv",
-    "save_config",
-    "save_index",
-    "search",
-    "tf_cosine",
-    "tokenize",
-    "validate_config",
-    "write_annotation",
-    "write_gold",
-    "write_records",
-]
+_PUBLIC = {
+    "closure": "TypeClosure build_closure has_type read_closure write_closure",
+    "errors": "BadWeights ConfigError EmptyMention GoldMismatch IndexUnavailable "
+              "InvalidEntityId ParseError TablinkError TierConflict "
+              "UnresolvedTypeName",
+    "evalbench": "EvalReport GoldRecord LatencyReport bench evaluate "
+                 "project_corpus_days read_gold write_gold",
+    "index": "Index RawCandidate load_index save_index search",
+    "ingest": "IngestStats ingest_dump parse_entity_doc",
+    "kb": "DomainConfig EntityId InferenceRule ItemRecord Params TypeEdge "
+          "ValidatedConfig Weights load_config parse_config_obj read_edges "
+          "read_records save_config validate_config write_records",
+    "linker": "LinkCache LinkResult ScoredCandidate cached_link "
+              "classify_type_tier context_similarity infer_domain_types link "
+              "link_from_candidates",
+    "synth": "SynthResult generate_synthetic_kb",
+    "tables": "CellAnnotation Table TableAnnotation classify_orientation "
+              "column_type_vote detect_literal link_table read_annotation "
+              "read_table read_table_csv write_annotation",
+    "text": "normalize tf_cosine tokenize",
+    "version": "FORMAT_VERSION __version__",
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items()
+              for name in names.split()}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MODULE_OF.keys())

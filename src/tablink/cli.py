@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .closure import build_closure, read_closure, write_closure
 from .errors import TablinkError
-from .evalbench import bench, evaluate, read_gold
 from .index import Index, load_index, save_index
 from .ingest import ingest_dump
 from .kb import (
@@ -35,7 +34,6 @@ from .kb import (
     read_records,
 )
 from .linker import LinkCache, cached_link, result_to_obj
-from .synth import MIN_TYPES, generate_synthetic_kb
 from .tables import (
     annotation_to_obj,
     link_table,
@@ -104,19 +102,17 @@ def _numbers(raw: str | None, types: tuple[type, ...],
     raise _UsageError(usage)
 
 
-def _count(minimum: int) -> Callable[[str], int]:
-    """argparse type of gen-kb's sizes: a whole number, minimum or more."""
-    def count(raw: str) -> int:
-        if not (raw.isdecimal() and int(raw) >= minimum):
-            raise argparse.ArgumentTypeError(
-                f"needs a whole number >= {minimum}, not {raw!r}")
-        return int(raw)
-    return count
+def _count(raw: str) -> int:
+    """argparse type of gen-kb's sizes: a whole number."""
+    if not raw.isdecimal():
+        raise argparse.ArgumentTypeError(f"needs a whole number, not {raw!r}")
+    return int(raw)
 
 
 # subcommand bodies -----------------------------------------------------------
-# Each returns (payload-emitted?, manifest fields). Payload writing happens
-# inside so --out targets work uniformly.
+# Each writes its own payload, so --out targets work uniformly, and returns
+# its manifest fields. eval and bench import evalbench, and gen-kb synth, in
+# their bodies: no other command needs those modules.
 
 
 def _cmd_ingest(args) -> dict:
@@ -181,6 +177,7 @@ def _cmd_link_table(args) -> dict:
 
 
 def _cmd_eval(args) -> dict:
+    from .evalbench import evaluate, read_gold
     root = Path(args.annotations)
     paths = sorted(root.glob("*.json")) if root.is_dir() else [root]
     annotations = [read_annotation(p) for p in paths]
@@ -190,6 +187,7 @@ def _cmd_eval(args) -> dict:
 
 
 def _cmd_bench(args) -> dict:
+    from .evalbench import bench
     mentions = list(read_lines(args.mentions, str))
     index, closure, config, manifest = _load_kb(args)
     latencies = _numbers(args.online_latency, (float, float),
@@ -207,8 +205,13 @@ def _cmd_bench(args) -> dict:
 
 
 def _cmd_gen_kb(args) -> dict:
-    res = generate_synthetic_kb(args.out, seed=args.seed, n_items=args.items,
-                                n_types=args.types, n_tables=args.tables)
+    from .synth import generate_synthetic_kb
+    try:
+        res = generate_synthetic_kb(args.out, seed=args.seed,
+                                    n_items=args.items, n_types=args.types,
+                                    n_tables=args.tables)
+    except ValueError as exc:  # too few types, refused before any write
+        raise _UsageError(f"--types: {exc}") from None
     _emit({"out_dir": str(res.out_dir), "labeled": res.labeled,
            "unlabeled": res.unlabeled, "malformed": res.malformed,
            "files": res.truth["files"]}, None)
@@ -292,9 +295,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gen-kb", help="generate a deterministic synthetic corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--items", type=_count(0), default=2000)
-    p.add_argument("--types", type=_count(MIN_TYPES), default=120)
-    p.add_argument("--tables", type=_count(0), default=6)
+    p.add_argument("--items", type=_count, default=2000)
+    p.add_argument("--types", type=_count, default=120)
+    p.add_argument("--tables", type=_count, default=6)
     p.set_defaults(func=_cmd_gen_kb)
 
     return parser

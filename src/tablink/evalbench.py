@@ -91,9 +91,15 @@ def evaluate(annotations: Iterable[TableAnnotation],
     precision counts the chosen link equaling it. Cells with expected null
     are excluded from both denominators; linked_cells reports how many of the
     scored cells actually got a link, since the two denominators differ.
+    Two annotations of one table are refused: which one to score is not
+    defined.
     """
     by_coord: dict[tuple[str, int, int], object] = {}
+    tables: set[str] = set()
     for ann in annotations:
+        if ann.table_id in tables:
+            raise GoldMismatch(f"two annotations of table {ann.table_id!r}")
+        tables.add(ann.table_id)
         for cell in ann.headers + ann.cells:
             by_coord[(ann.table_id, cell.row, cell.col)] = cell
 

@@ -18,7 +18,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import SKEW_NOUNS, build_bundle
 from fixture_kb import (
     lineage_fixture,
     near_miss_fixture,
@@ -55,6 +54,7 @@ from tablink import (
     read_table,
     search,
 )
+from kb_bundles import SKEW_NOUNS, build_bundle
 from test_cli import quiet_run
 
 Q = EntityId.parse

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,8 +11,10 @@ from tablink import (
     TableAnnotation,
     evaluate,
     read_gold,
+    write_annotation,
     write_gold,
 )
+from tablink.cli import run
 
 q = EntityId.parse
 
@@ -101,6 +104,25 @@ def test_duplicate_gold_coordinate_rejected():
     # Duplicate expected-null coordinates are rejected too.
     with pytest.raises(GoldMismatch):
         evaluate([ann], gold + [GoldRecord("t1", 0, 1, None)])
+
+
+def test_two_annotations_of_one_table_rejected(tmp_path, capsys):
+    # Scoring either copy alone would make the report depend on input (for
+    # eval --annotations DIR, file-name) order: these two score 6/11 and 1/11.
+    ann, gold = _fixture()
+    wrong = replace(ann, cells=tuple(
+        replace(c, entity_id=q("Q99")) if c.kind == "entity" else c
+        for c in ann.cells))
+    for pair in ([ann, wrong], [wrong, ann], [ann, ann]):
+        with pytest.raises(GoldMismatch, match="'t1'"):
+            evaluate(pair, gold)
+    write_annotation(tmp_path / "a.json", ann)
+    write_annotation(tmp_path / "b.json", wrong)
+    write_gold(tmp_path / "gold.jsonl", gold)
+    code = run(["eval", "--annotations", str(tmp_path),
+                "--gold", str(tmp_path / "gold.jsonl")])
+    assert code == 1
+    assert "error: two annotations of table 't1'" in capsys.readouterr().err
 
 
 def test_all_null_gold_is_degenerate():
