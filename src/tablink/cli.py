@@ -33,7 +33,7 @@ from .kb import (
     read_lines,
     read_records,
 )
-from .linker import LinkCache, cached_link, result_to_obj
+from .linker import LinkCache, link, result_to_obj
 from .tables import (
     annotation_to_obj,
     link_table,
@@ -155,11 +155,9 @@ def _load_kb(args):
 
 def _cmd_link(args) -> dict:
     index, closure, config, manifest = _load_kb(args)
-    cache = LinkCache(args.cache) if args.cache else None
-    expected = _comma_list(args.expect) or None
-    result = cached_link(args.mention, args.mode, index, closure, config,
-                         context=args.context, expected_types=expected,
-                         cache=cache)
+    result = link(args.mention, args.mode, index, closure, config,
+                  context=args.context,
+                  expected_types=_comma_list(args.expect) or None)
     _emit(result_to_obj(result), args.out)
     return manifest
 
@@ -167,8 +165,7 @@ def _cmd_link(args) -> dict:
 def _cmd_link_table(args) -> dict:
     table = _load_table(args.table, args.has_header)
     index, closure, config, manifest = _load_kb(args)
-    cache = LinkCache(args.cache) if args.cache else None
-    annotation = link_table(table, index, closure, config, cache=cache)
+    annotation = link_table(table, index, closure, config, cache=LinkCache())
     if args.out:
         write_annotation(args.out, annotation)
     else:
@@ -233,8 +230,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-records", required=True)
     p.add_argument("--out-edges", required=True)
     p.add_argument("--watchlist", help="comma-separated property ids to flag")
-    # --jobs is accepted for old command lines and ignored: ingest and
-    # link-table run on one thread.
+    # --jobs and --cache are accepted for old command lines and ignored:
+    # ingest and link-table run on one thread, and link results are
+    # memoized in memory only, within one process.
     p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_ingest)
 
@@ -257,7 +255,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--index", required=True)
     p.add_argument("--closure", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--cache", help="cache directory")
+    p.add_argument("--cache", help=argparse.SUPPRESS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_link)
 
@@ -268,7 +266,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--index", required=True)
     p.add_argument("--closure", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--cache", help="cache directory")
+    p.add_argument("--cache", help=argparse.SUPPRESS)
     p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_link_table)

@@ -122,6 +122,21 @@ def write_closure(path: str | Path, closure: TypeClosure) -> int:
 
 
 def read_closure(path: str | Path) -> TypeClosure:
-    """A line that is not ids raises ParseError naming the file and line."""
-    rows = read_lines(path, lambda line: parse_id_list(line.split()))
-    return TypeClosure({ids[0]: frozenset(ids[1:]) for ids in rows})
+    """A line that is not ids, repeats an earlier line's node, or lists the
+    node itself or an id of the other kind among its ancestors raises
+    ParseError naming the file and line."""
+    ancestors: dict[EntityId, frozenset[EntityId]] = {}
+
+    def decode(line: str) -> None:
+        node, *rest = parse_id_list(line.split())
+        if node in ancestors:
+            raise ValueError(f"{node} already has a line")
+        if node in rest:
+            raise ValueError(f"{node} is listed as its own ancestor")
+        if any(a.kind != node.kind for a in rest):
+            raise ValueError(f"{node} has an ancestor of the other kind")
+        ancestors[node] = frozenset(rest)
+
+    for _ in read_lines(path, decode):
+        pass
+    return TypeClosure(ancestors)

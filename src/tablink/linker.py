@@ -8,14 +8,9 @@ normalized mention, which keeps the memoizing cache exactly transparent.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import logging
-import os
 import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,13 +27,9 @@ from .kb import (
     InferenceRule,
     ItemRecord,
     ValidatedConfig,
-    dump_json_line,
     record_to_obj,
-    typed_field,
 )
 from .text import normalize, tf_cosine, tokenize
-
-log = logging.getLogger(__name__)
 
 CELL = "cell"
 HEADER = "header"
@@ -221,15 +212,6 @@ def link(mention: str,
 # Every field of ScoredCandidate except the record, in declaration order.
 _SCALAR_FIELDS = ScoredCandidate._fields[1:]
 
-# The JSON type of each scalar field's values in a disk cache column.
-_COLUMN_TYPES = dict(
-    match_tier=str, type_tier=str, inferred_type_names=list, token_overlap=float,
-    type_score=float, match_score=float, prominence=float, context_sim=float,
-    boosts=float, weighted_base=float, final_score=float)
-
-# The one file of a cache dir.
-CACHE_FILE = "links.jsonl"
-
 
 def _json_value(value):
     return sorted(value) if isinstance(value, frozenset) else value
@@ -250,177 +232,44 @@ def result_to_obj(result: LinkResult) -> dict:
     }
 
 
-def _entry_line(key: str, result: LinkResult) -> bytes:
-    """A disk cache line: the key, a space and the entry, which is
-    result_to_obj() in column layout (one list per candidate field) with
-    each record reduced to its id, rehydrated from the index the key names,
-    and the chosen candidate given by position."""
-    candidates = result.candidates
-    obj = {
-        "mention": result.mention,
-        "mode": result.mode,
-        "chosen": (None if result.chosen is None
-                   else candidates.index(result.chosen)),
-        "diagnostics": result.diagnostics._asdict(),
-        "id": [c.record.id.raw for c in candidates],
-    }
-    for name in _SCALAR_FIELDS:
-        obj[name] = [_json_value(getattr(c, name)) for c in candidates]
-    return f"{key} {dump_json_line(obj)}".encode("utf-8")
-
-
-def _column(obj: dict, name: str, kind: type) -> list:
-    """obj[name], a list whose values all have JSON type kind."""
-    values = typed_field(obj, name, list)
-    if not set(map(type, values)) <= {kind}:
-        raise TypeError(f"{name} must hold only {kind.__name__} values")
-    return values
-
-
-def _entry_result(obj: dict, index: Index) -> LinkResult:
-    """The entry _entry_line() wrote. A field of the wrong JSON type or
-    form raises TypeError or ValueError, and a candidate id the index lacks
-    raises KeyError."""
-    ids = _column(obj, "id", str)
-    columns = [_column(obj, name, _COLUMN_TYPES[name]) for name in _SCALAR_FIELDS]
-    at = _SCALAR_FIELDS.index("inferred_type_names")
-    if not set(map(type, chain.from_iterable(columns[at]))) <= {str}:
-        raise TypeError("inferred_type_names must hold lists of strings")
-    columns[at] = [frozenset(names) for names in columns[at]]
-    candidates = tuple(ScoredCandidate(index.record(rid), *values)
-                       for rid, *values in zip(ids, *columns, strict=True))
-    chosen = typed_field(obj, "chosen", int, type(None))
-    if chosen is not None and not 0 <= chosen < len(candidates):
-        raise ValueError(f"chosen {chosen} is not a candidate position")
-    diagnostics = typed_field(obj, "diagnostics", dict)
-    return LinkResult(
-        mention=typed_field(obj, "mention", str),
-        mode=typed_field(obj, "mode", str),
-        chosen=None if chosen is None else candidates[chosen],
-        candidates=candidates,
-        diagnostics=Diagnostics(**{
-            name: typed_field(diagnostics, name, int)
-            for name in Diagnostics._fields}))
-
-
 class LinkCache:
-    """Memoizes link results in memory and optionally on disk.
+    """Memoizes link results in memory; threads may share one cache.
 
     Keys cover everything the result depends on, so a hit is always safe to
-    return verbatim. On disk the cache is one append-only JSON Lines file,
-    CACHE_FILE in the cache dir: each line is a key, a space and an entry
-    (see _entry_line), appended with one write, so processes can share a
-    dir. The file is read once, at the first disk lookup; the last line for
-    a key wins. Any disk trouble, including a torn or damaged line or an
-    entry naming an id the index lacks, degrades to plain computation,
-    whose line is appended and wins from then on; the cache can slow things
-    down when broken but never change an answer.
+    return verbatim. cache_dir, when given, is created and nothing is ever
+    written to it: results are kept in memory only.
     """
 
     def __init__(self, cache_dir: str | Path | None = None):
-        self.cache_dir = Path(cache_dir) if cache_dir else None
-        self._memory: dict[str, LinkResult] = {}
-        # Key -> raw entry of each line of the cache file, read at the first
-        # disk lookup; a hit moves its entry into _memory.
-        self._disk: dict[bytes, bytes] | None = None
-        # The file as read ends in a torn line, so the next append starts a
-        # new line first.
-        self._torn_tail = False
+        if cache_dir:
+            Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        self._memory: dict[tuple, LinkResult] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        if self.cache_dir is not None:
-            try:
-                self.cache_dir.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                log.warning("cache dir %s unusable (%s); caching in memory only",
-                            self.cache_dir, exc)
-                self.cache_dir = None
 
     @staticmethod
     def key(mention: str, mode: str, context: str | None,
             expected_types: Iterable[str] | None,
             config: ValidatedConfig, build_id: str,
-            closure: TypeClosure) -> str:
-        doc = {
-            "mention": normalize(mention),
-            "mode": mode,
-            "context": normalize(context) if context else "",
-            "expected_types": sorted(set(expected_types)) if expected_types else [],
-            "config": config.content_hash,
-            "index": build_id,
-            "closure": closure.digest,
-        }
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            closure: TypeClosure) -> tuple:
+        return (normalize(mention), mode,
+                normalize(context) if context else "",
+                tuple(sorted(set(expected_types))) if expected_types else (),
+                config.content_hash, build_id, closure.digest)
 
-    def _disk_entries(self) -> dict[bytes, bytes]:
-        """Caller holds the lock."""
-        if self._disk is None:
-            try:
-                data = (self.cache_dir / CACHE_FILE).read_bytes()
-            except FileNotFoundError:
-                data = b""
-            except OSError as exc:
-                log.debug("cache read failed for %s: %s", self.cache_dir, exc)
-                data = b""
-            self._torn_tail = bool(data) and not data.endswith(b"\n")
-            self._disk = dict(line.partition(b" ")[::2]
-                              for line in data.split(b"\n"))
-        return self._disk
-
-    def _disk_get(self, key: str, index: Index) -> LinkResult | None:
-        if self.cache_dir is None:
-            return None
-        with self._lock:
-            raw = self._disk_entries().pop(key.encode("ascii"), None)
-        if raw is None:
-            return None
-        try:
-            return _entry_result(json.loads(raw.decode("utf-8")), index)
-        except (AttributeError, LookupError, TypeError, ValueError) as exc:
-            log.debug("cache entry unreadable for %s: %s", key, exc)
-            return None
-
-    def _disk_put(self, key: str, result: LinkResult) -> None:
-        if self.cache_dir is None:
-            return
-        line = _entry_line(key, result)
-        with self._lock:
-            if self._torn_tail:
-                line = b"\n" + line
-            try:
-                fd = os.open(self.cache_dir / CACHE_FILE,
-                             os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o600)
-                try:
-                    os.write(fd, line)
-                finally:
-                    os.close(fd)
-                self._torn_tail = False
-            except OSError as exc:
-                log.debug("cache write failed for %s: %s", key, exc)
-
-    def get_or_compute(self, key: str, compute: Callable[[], LinkResult], *,
-                       index: Index) -> LinkResult:
-        """The cached result for key, else compute()'s. index must be the one
-        the key names; disk entries rehydrate their records from it."""
+    def get_or_compute(self, key: tuple,
+                       compute: Callable[[], LinkResult]) -> LinkResult:
+        """The cached result for key, else compute()'s, which is kept."""
         with self._lock:
             cached = self._memory.get(key)
             if cached is not None:
                 self.hits += 1
                 return cached
-        cached = self._disk_get(key, index)
-        if cached is not None:
-            with self._lock:
-                self.hits += 1
-                self._memory[key] = cached
-            return cached
-        with self._lock:
             self.misses += 1
         result = compute()
         with self._lock:
             self._memory[key] = result
-        self._disk_put(key, result)
         return result
 
 
@@ -441,4 +290,4 @@ def cached_link(mention: str,
                         index.build_id, closure)
     return cache.get_or_compute(
         key, lambda: link(mention, mode, index, closure, config, context,
-                          expected_types), index=index)
+                          expected_types))

@@ -268,6 +268,14 @@ def annotation_to_obj(ann: TableAnnotation) -> dict:
     }
 
 
+def _column_number(key: str) -> int:
+    """A dominant_types key: a column number as annotation_to_obj() writes
+    it, with no sign, padding or separator."""
+    if not (key.isdecimal() and str(int(key)) == key):
+        raise ValueError(f"dominant_types key {key!r} is not a column number")
+    return int(key)
+
+
 def annotation_from_obj(obj: Mapping) -> TableAnnotation:
     """A missing field or a value of the wrong JSON type is refused, never
     coerced."""
@@ -278,7 +286,7 @@ def annotation_from_obj(obj: Mapping) -> TableAnnotation:
         table_id=typed_field(obj, "table_id", str),
         orientation=orientation,
         dominant_types={
-            int(c): None if t is None else EntityId.parse(t)
+            _column_number(c): None if t is None else EntityId.parse(t)
             for c, t in typed_field(obj, "dominant_types", dict).items()},
         headers=tuple(map(_cell_from_obj, typed_field(obj, "headers", list))),
         cells=tuple(map(_cell_from_obj, typed_field(obj, "cells", list))),

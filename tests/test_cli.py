@@ -70,11 +70,13 @@ def test_version_and_help():
     code, out, _ = quiet_run(["--help"])
     assert code == 0
     assert "SUBCOMMAND" in out
-    # --jobs is still accepted (the pipeline fixture passes it) but hidden.
-    for command in ("ingest", "link-table"):
+    # --jobs and --cache are still accepted (the pipeline fixture and the
+    # benchmark pass them) but hidden.
+    for command in ("ingest", "link", "link-table"):
         code, out, _ = quiet_run([command, "--help"])
         assert code == 0
         assert "--jobs" not in out
+        assert "--cache" not in out
 
 
 def test_usage_errors_exit_1(tmp_path):
@@ -339,11 +341,17 @@ def _without(obj: dict, key: str) -> dict:
     (GOOD_CELL, {"table_id": 7}),
     (GOOD_CELL, {"orientation": "diagonal"}),
     (GOOD_CELL, {"dominant_types": {"x": None}}),
+    (GOOD_CELL, {"dominant_types": {"1_0": None}}),
+    (GOOD_CELL, {"dominant_types": {"01": "Q1", "1": None}}),
+    (GOOD_CELL, {"dominant_types": {" 1": None}}),
+    (GOOD_CELL, {"dominant_types": {"-1": None}}),
     (GOOD_CELL, {"headers": None}),
 ], ids=["no-outcome", "no-id", "float-row", "bool-col", "null-mention",
         "string-candidates", "numeric-note", "string-outcome", "unknown-kind",
         "numeric-literal", "string-score", "numeric-table-id",
-        "unknown-orientation", "bad-column-key", "null-headers"])
+        "unknown-orientation", "bad-column-key", "underscored-column-key",
+        "padded-column-key", "spaced-column-key", "negative-column-key",
+        "null-headers"])
 def test_eval_refuses_a_malformed_annotation(tmp_path, cell, doc):
     gold = tmp_path / "gold.jsonl"
     gold.write_text('{"table_id": "t", "row": 0, "col": 0, "expected": "Q1"}\n',

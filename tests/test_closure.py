@@ -151,3 +151,18 @@ def test_read_closure_names_file_and_line_of_a_bad_line(tmp_path):
     closure = read_closure(path)
     assert closure.nodes() == [q("Q1"), q("Q2")]
     assert closure.ancestors_of(q("Q1")) == {q("Q2")}
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("Q1 Q2\nQ1 Q3\n", "Q1 already has a line"),
+    ("Q2\nQ1 Q1 Q2\n", "Q1 is listed as its own ancestor"),
+    ("Q2\nQ1 P2\n", "Q1 has an ancestor of the other kind"),
+    ("P2\nP1 Q2\n", "P1 has an ancestor of the other kind"),
+], ids=["repeated-node", "self-ancestor", "property-ancestor", "item-ancestor"])
+def test_read_closure_refuses_what_build_closure_never_writes(tmp_path, text,
+                                                              reason):
+    path = tmp_path / "closure.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError,
+                       match=rf"^{re.escape(str(path))}:2: bad line .*{reason}"):
+        read_closure(path)
