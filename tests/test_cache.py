@@ -160,6 +160,19 @@ def test_cache_dir_is_created_and_left_empty(tmp_path):
     assert list((tmp_path / "cache").iterdir()) == []
 
 
+
+def test_files_left_in_the_cache_dir_are_neither_read_nor_changed(tmp_path):
+    # A links.jsonl left by an older version claims a wrong answer for every
+    # key; no cache over that dir returns it, and each cache starts empty.
+    old = tmp_path / "links.jsonl"
+    old.write_text('{"key": "any", "chosen": "Q3"}\n', encoding="utf-8")
+    for _ in range(2):
+        cache = LinkCache(tmp_path)
+        link_all(make_index(), cache)
+        assert (cache.hits, cache.misses) == (0, len(LOOKUPS))
+    assert old.read_text(encoding="utf-8") == '{"key": "any", "chosen": "Q3"}\n'
+    assert [f.name for f in tmp_path.iterdir()] == ["links.jsonl"]
+
 def test_threads_share_one_cache():
     index = make_index()
     want = {(mention, mode): link(mention, mode, index, CLOSURE, CONFIG)

@@ -79,6 +79,30 @@ def test_version_and_help():
         assert "--cache" not in out
 
 
+
+@pytest.mark.parametrize("command", ["link", "link-table"])
+def test_cache_flag_changes_no_output_and_touches_no_file(pipeline, tmp_path,
+                                                          command):
+    # --cache is ignored: a directory path is never created, and a path that
+    # is a regular file (never a usable cache) is neither refused nor changed.
+    truth = json.loads((pipeline.kb / "truth.json").read_text(encoding="utf-8"))
+    if command == "link":
+        argv = ["link", "--mention", truth["plants"][0]["label"]]
+    else:
+        argv = ["link-table", "--table",
+                str(pipeline.kb / "tables" / truth["tables"][0]["file"])]
+    argv += common(pipeline)
+    code, plain, _ = quiet_run(argv)
+    assert code == 0
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_bytes(b"not a cache\n")
+    for cache in (tmp_path / "cache", not_a_dir):
+        code, out, err = quiet_run([*argv, "--cache", str(cache)])
+        assert code == 0, err
+        assert out == plain
+    assert not (tmp_path / "cache").exists()
+    assert not_a_dir.read_bytes() == b"not a cache\n"
+
 def test_usage_errors_exit_1(tmp_path):
     out = str(tmp_path / "kb")
     for argv in ([], ["no-such-command"], ["ingest"],

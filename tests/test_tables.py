@@ -3,11 +3,13 @@ from collections import Counter
 
 import pytest
 
+import tablink.linker
 import tablink.tables
 from tablink import (
     EntityId,
     Index,
     ItemRecord,
+    LinkCache,
     ParseError,
     Table,
     classify_orientation,
@@ -209,6 +211,25 @@ def test_link_table_detects_each_distinct_string_once(monkeypatch):
     assert Counter(calls) == Counter(distinct)
 
 
+
+def test_link_table_links_each_repeated_cell_once(monkeypatch):
+    index, closure, config, _ = _lineage_setup()
+    table = Table("repeats", "circulating variants",
+                  ("Lineage", "Lineage"),
+                  (("B.1.1.7", "P.1"), ("B.1.1.7", "P.1"), ("P.1", "B.1.1.7")))
+    want = annotation_to_obj(link_table(table, index, closure, config))
+    calls = []
+    real_link = tablink.linker.link
+    monkeypatch.setattr(tablink.linker, "link",
+                        lambda mention, mode, *rest: calls.append(
+                            (mention, mode)) or real_link(mention, mode, *rest))
+    cache = LinkCache()
+    got = annotation_to_obj(link_table(table, index, closure, config,
+                                       cache=cache))
+    assert got == want
+    assert len(calls) == len(set(calls)) == cache.misses
+    assert cache.hits > 0
+
 def test_link_table_two_pass_header_flip():
     index, closure, config, table = _lineage_setup()
     ann = link_table(table, index, closure, config)
@@ -334,3 +355,23 @@ def test_annotation_round_trip(tmp_path):
     path = tmp_path / "ann.json"
     write_annotation(path, ann)
     assert annotation_to_obj(read_annotation(path)) == annotation_to_obj(ann)
+
+
+def test_annotation_column_numbers_round_trip_past_nine():
+    index, closure, config, table = _lineage_setup()
+    obj = annotation_to_obj(link_table(table, index, closure, config))
+    obj["dominant_types"] = {"0": None, "9": "Q1", "10": "Q2", "11": None}
+    ann = annotation_from_obj(obj)
+    assert ann.dominant_types == {0: None, 9: q("Q1"), 10: q("Q2"), 11: None}
+    assert annotation_to_obj(ann) == obj
+
+
+@pytest.mark.parametrize("key", ["1_0", "01", "+1", "1 ", "\u0661"],
+                         ids=["underscored", "padded", "signed", "spaced",
+                              "arabic-indic-digit"])
+def test_annotation_refuses_a_column_key_it_never_writes(key):
+    index, closure, config, table = _lineage_setup()
+    obj = annotation_to_obj(link_table(table, index, closure, config))
+    obj["dominant_types"] = {key: None}
+    with pytest.raises(ValueError, match="is not a column number"):
+        annotation_from_obj(obj)
