@@ -8,6 +8,7 @@ normalized mention, which keeps the memoizing cache exactly transparent.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -236,13 +237,14 @@ class LinkCache:
     """Memoizes link results in memory; threads may share one cache.
 
     Keys cover everything the result depends on, so a hit is always safe to
-    return verbatim. cache_dir, when given, is created and nothing is ever
-    written to it: results are kept in memory only.
+    return verbatim. cache_dir, when given, is created if it can be and
+    nothing is ever written to it: results are kept in memory only.
     """
 
     def __init__(self, cache_dir: str | Path | None = None):
         if cache_dir:
-            Path(cache_dir).mkdir(parents=True, exist_ok=True)
+            with contextlib.suppress(OSError):
+                Path(cache_dir).mkdir(parents=True, exist_ok=True)
         self._memory: dict[tuple, LinkResult] = {}
         self._lock = threading.Lock()
         self.hits = 0

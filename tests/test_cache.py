@@ -160,6 +160,15 @@ def test_cache_dir_is_created_and_left_empty(tmp_path):
     assert list((tmp_path / "cache").iterdir()) == []
 
 
+def test_unusable_cache_dir_falls_back_to_memory(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory", encoding="utf-8")
+    cache = LinkCache(blocker)
+    index = make_index()
+    result = cached_link("alpha", "cell", index, CLOSURE, CONFIG, cache=cache)
+    assert result == link("alpha", "cell", index, CLOSURE, CONFIG)
+    assert blocker.read_text(encoding="utf-8") == "a file, not a directory"
+
 
 def test_files_left_in_the_cache_dir_are_neither_read_nor_changed(tmp_path):
     # A links.jsonl left by an older version claims a wrong answer for every
@@ -172,6 +181,7 @@ def test_files_left_in_the_cache_dir_are_neither_read_nor_changed(tmp_path):
         assert (cache.hits, cache.misses) == (0, len(LOOKUPS))
     assert old.read_text(encoding="utf-8") == '{"key": "any", "chosen": "Q3"}\n'
     assert [f.name for f in tmp_path.iterdir()] == ["links.jsonl"]
+
 
 def test_threads_share_one_cache():
     index = make_index()

@@ -79,7 +79,6 @@ def test_version_and_help():
         assert "--cache" not in out
 
 
-
 @pytest.mark.parametrize("command", ["link", "link-table"])
 def test_cache_flag_changes_no_output_and_touches_no_file(pipeline, tmp_path,
                                                           command):
@@ -102,6 +101,7 @@ def test_cache_flag_changes_no_output_and_touches_no_file(pipeline, tmp_path,
         assert out == plain
     assert not (tmp_path / "cache").exists()
     assert not_a_dir.read_bytes() == b"not a cache\n"
+
 
 def test_usage_errors_exit_1(tmp_path):
     out = str(tmp_path / "kb")

@@ -211,7 +211,6 @@ def test_link_table_detects_each_distinct_string_once(monkeypatch):
     assert Counter(calls) == Counter(distinct)
 
 
-
 def test_link_table_links_each_repeated_cell_once(monkeypatch):
     index, closure, config, _ = _lineage_setup()
     table = Table("repeats", "circulating variants",
@@ -229,6 +228,7 @@ def test_link_table_links_each_repeated_cell_once(monkeypatch):
     assert got == want
     assert len(calls) == len(set(calls)) == cache.misses
     assert cache.hits > 0
+
 
 def test_link_table_two_pass_header_flip():
     index, closure, config, table = _lineage_setup()
