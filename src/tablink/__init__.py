@@ -20,9 +20,9 @@ _PUBLIC = {
                  "project_corpus_days read_gold write_gold",
     "index": "Index RawCandidate load_index save_index search",
     "ingest": "IngestStats ingest_dump parse_entity_doc",
-    "kb": "DomainConfig EntityId InferenceRule ItemRecord Params TypeEdge "
-          "ValidatedConfig Weights load_config parse_config_obj read_edges "
-          "read_records save_config validate_config write_records",
+    "kb": "EntityId InferenceRule ItemRecord Params TypeEdge ValidatedConfig "
+          "Weights load_config parse_config_obj read_edges read_records "
+          "save_config write_records",
     "linker": "LinkCache LinkResult ScoredCandidate cached_link "
               "classify_type_tier context_similarity infer_domain_types link "
               "link_from_candidates",

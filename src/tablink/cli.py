@@ -27,11 +27,13 @@ from .ingest import ingest_dump
 from .kb import (
     EntityId,
     direct_types_from_obj,
+    dump_json,
     load_config,
     read_edges,
     read_jsonl,
     read_lines,
     read_records,
+    write_json,
 )
 from .linker import LinkCache, link, result_to_obj
 from .tables import (
@@ -40,7 +42,6 @@ from .tables import (
     read_annotation,
     read_table,
     read_table_csv,
-    write_annotation,
 )
 from .version import FORMAT_VERSION, __version__
 
@@ -66,13 +67,11 @@ def _file_hash(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+def _emit(obj: dict, out: str | None, *, sort_keys: bool = False) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fp:
-            fp.write(text)
+        write_json(out, obj, sort_keys=sort_keys)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dump_json(obj, sort_keys=sort_keys))
 
 
 def _load_table(path: str, has_header: bool):
@@ -166,10 +165,8 @@ def _cmd_link_table(args) -> dict:
     table = _load_table(args.table, args.has_header)
     index, closure, config, manifest = _load_kb(args)
     annotation = link_table(table, index, closure, config, cache=LinkCache())
-    if args.out:
-        write_annotation(args.out, annotation)
-    else:
-        _emit(annotation_to_obj(annotation), None)
+    # The file and standard output get the same bytes.
+    _emit(annotation_to_obj(annotation), args.out, sort_keys=True)
     return manifest
 
 
@@ -346,8 +343,7 @@ def run(argv: list[str] | None = None) -> int:
     manifest.update(manifest_fields)
     text = json.dumps(manifest, ensure_ascii=False) + "\n"
     if args.manifest:
-        with open(args.manifest, "w", encoding="utf-8", newline="\n") as fp:
-            fp.write(text)
+        Path(args.manifest).write_text(text, encoding="utf-8", newline="\n")
     else:
         sys.stderr.write(text)
     return 0

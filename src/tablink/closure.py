@@ -11,10 +11,11 @@ import hashlib
 import logging
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
-from .kb import EntityId, ItemRecord, TypeEdge, parse_id_list, read_lines
+from .errors import ParseError
+from .kb import EntityId, ItemRecord, TypeEdge, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -124,11 +125,16 @@ def write_closure(path: str | Path, closure: TypeClosure) -> int:
 def read_closure(path: str | Path) -> TypeClosure:
     """A line that is not ids, repeats an earlier line's node, or lists the
     node itself or an id of the other kind among its ancestors raises
-    ParseError naming the file and line."""
+    ParseError naming the file and line. So does a closure that is not
+    transitively closed, naming the file and the node: an ancestor's own
+    ancestors must be the node's too, or the node itself (in a cycle)."""
     ancestors: dict[EntityId, frozenset[EntityId]] = {}
+    # Most ids recur on many lines: parse each once, and let equal ids share
+    # one object, which the set tests below compare faster.
+    parse = cache(EntityId.parse)
 
     def decode(line: str) -> None:
-        node, *rest = parse_id_list(line.split())
+        node, *rest = map(parse, line.split())
         if node in ancestors:
             raise ValueError(f"{node} already has a line")
         if node in rest:
@@ -139,4 +145,10 @@ def read_closure(path: str | Path) -> TypeClosure:
 
     for _ in read_lines(path, decode):
         pass
+    for node, own in ancestors.items():
+        closed = own | {node}
+        unclosed = [a for a in own if not ancestors.get(a, frozenset()) <= closed]
+        if unclosed:
+            raise ParseError(f"{path}: closure is not transitive: {node} lists "
+                             f"{min(unclosed)} but not all of its ancestors")
     return TypeClosure(ancestors)

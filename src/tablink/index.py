@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import EmptyMention, IndexUnavailable
-from .kb import ITEM, PROPERTY, EntityId, ItemRecord
+from .kb import ITEM, PROPERTY, EntityId, ItemRecord, write_json
 
 # Unused here; tablink.index.read_records stays a name because the
 # perfbench tracer wraps it.
@@ -311,9 +311,7 @@ def save_index(index: Index, out_dir: str | Path) -> None:
         "record_count": len(index),
         "duplicate_ids": index.duplicate_ids,
     }
-    with open(out / MANIFEST_NAME, "w", encoding="utf-8", newline="\n") as fp:
-        json.dump(manifest, fp, ensure_ascii=False, indent=2, sort_keys=True)
-        fp.write("\n")
+    write_json(out / MANIFEST_NAME, manifest, sort_keys=True)
 
 
 def _loads(blob: bytes):

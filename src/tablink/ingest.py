@@ -29,11 +29,6 @@ from .kb import (
 
 log = logging.getLogger(__name__)
 
-P_INSTANCE_OF = EntityId.parse("P31")
-P_SUBCLASS_OF = EntityId.parse("P279")
-P_SUBPROPERTY_OF = EntityId.parse("P1647")
-
-
 @dataclass
 class IngestStats:
     docs_seen: int = 0

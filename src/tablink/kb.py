@@ -13,7 +13,7 @@ import json
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, TypeVar
 
@@ -234,6 +234,17 @@ def read_json(path: str | Path, decode: Callable[[object], T]) -> T:
                          f"({type(exc).__name__}: {exc})") from exc
 
 
+def dump_json(obj: object, *, sort_keys: bool = False) -> str:
+    """The one JSON document encoder: indented, non-ASCII kept, newline ended."""
+    return json.dumps(obj, ensure_ascii=False, indent=2,
+                      sort_keys=sort_keys) + "\n"
+
+
+def write_json(path: str | Path, obj: object, *, sort_keys: bool = False) -> None:
+    Path(path).write_text(dump_json(obj, sort_keys=sort_keys),
+                          encoding="utf-8", newline="\n")
+
+
 def write_records(path: str | Path, records: Iterable[ItemRecord]) -> int:
     return write_jsonl(path, map(record_to_obj, records))
 
@@ -323,22 +334,11 @@ class Params:
                 raise ConfigError(f"params.{name} must be >= 0")
 
 
-@dataclass(frozen=True)
-class DomainConfig:
-    """The raw (name-level) domain configuration, before validation."""
-
-    type_dictionary: Mapping[str, tuple[EntityId, ...]] = field(default_factory=dict)
-    tiers: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    near_miss_map: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    property_inference: tuple[InferenceRule, ...] = ()
-    weights: Weights = Weights()
-    params: Params = Params()
-
-
 @dataclass(frozen=True, eq=True)
 class ValidatedConfig:
-    """A DomainConfig with every type name resolved to id sets and all
-    invariants checked. Immutable; safe to share across threads."""
+    """The domain configuration, as parse_config_obj() gives it: every type
+    name resolved to id sets and all invariants checked. Immutable; safe to
+    share across threads."""
 
     type_dictionary: Mapping[str, tuple[EntityId, ...]]
     tiers: Mapping[str, tuple[str, ...]]
@@ -366,7 +366,7 @@ class ValidatedConfig:
 
     def to_obj(self) -> dict:
         """Canonical JSON-ready form; feeding it back through
-        parse_config_obj + validate_config yields an equal config."""
+        parse_config_obj yields an equal config."""
         return {
             "type_dictionary": {
                 name: [i.raw for i in sorted(ids)]
@@ -446,48 +446,6 @@ def _parse_fields(cls, obj: Mapping, key: str, *, require_all: bool):
                   for f in fields if f.name in section})
 
 
-def parse_config_obj(obj: Mapping) -> DomainConfig:
-    """Strictly parse the external config document into a DomainConfig.
-
-    Unknown keys are rejected everywhere; missing sections fall back to
-    empty/default values.
-    """
-    _require_keys(obj, [f.name for f in dataclasses.fields(DomainConfig)],
-                  "config document")
-
-    type_dictionary = {}
-    for name, raws in _section(obj, "type_dictionary").items():
-        if not isinstance(raws, list):
-            raise ConfigError(f"type_dictionary[{name!r}] must be a list of ids")
-        type_dictionary[str(name)] = parse_id_list(raws)
-
-    tiers_obj = _section(obj, "tiers")
-    _require_keys(tiers_obj, TIER_NAMES, "tiers")
-    tiers = {}
-    for tier in TIER_NAMES:
-        tiers[tier] = _type_names(tiers_obj.get(tier, []), f"tiers[{tier!r}]")
-
-    near_miss_map = {}
-    for name, vals in _section(obj, "near_miss_map").items():
-        near_miss_map[str(name)] = _type_names(vals, f"near_miss_map[{name!r}]")
-
-    rules = []
-    for entry in _section(obj, "property_inference", list):
-        _require_keys(entry, ("if_property", "then_type_name"), "property_inference rule")
-        if "if_property" not in entry or "then_type_name" not in entry:
-            raise ConfigError("property_inference rule needs if_property and then_type_name")
-        pid = EntityId.parse(entry["if_property"])
-        if not pid.is_property:
-            raise ConfigError(f"property_inference.if_property {pid} is not a property id")
-        if not isinstance(entry["then_type_name"], str):
-            raise ConfigError("property_inference.then_type_name must be a type name")
-        rules.append(InferenceRule(pid, entry["then_type_name"]))
-
-    return DomainConfig(type_dictionary, tiers, near_miss_map, tuple(rules),
-                        _parse_fields(Weights, obj, "weights", require_all=True),
-                        _parse_fields(Params, obj, "params", require_all=False))
-
-
 def _total(values: Iterable[float]) -> float:
     """Left-to-right float sum; the builtin sum() compensates on 3.12+."""
     total = 0.0
@@ -521,63 +479,74 @@ def _renormalized(weights: Weights) -> Weights:
     raise BadWeights(f"weight renormalization did not converge for {weights}")
 
 
-def validate_config(cfg: DomainConfig) -> ValidatedConfig:
-    """Resolve all type names, check tier conflicts, renormalize weights."""
+def parse_config_obj(obj: Mapping) -> ValidatedConfig:
+    """Strictly parse and validate the external config document.
+
+    Unknown keys are rejected everywhere; missing sections fall back to
+    empty/default values. Every structural check runs first, then type
+    names are resolved, then the bad tier is checked against the positive
+    ones, and last the weights are renormalized.
+    """
+    _require_keys(obj, ("type_dictionary", "tiers", "near_miss_map",
+                        "property_inference", "weights", "params"),
+                  "config document")
+
+    type_dictionary = {}
+    for name, raws in _section(obj, "type_dictionary").items():
+        if not isinstance(raws, list):
+            raise ConfigError(f"type_dictionary[{name!r}] must be a list of ids")
+        type_dictionary[str(name)] = parse_id_list(raws)
+
+    tiers_obj = _section(obj, "tiers")
+    _require_keys(tiers_obj, TIER_NAMES, "tiers")
+    tiers = {tier: _type_names(tiers_obj.get(tier, []), f"tiers[{tier!r}]")
+             for tier in TIER_NAMES}
+    near_miss_map = {str(name): _type_names(vals, f"near_miss_map[{name!r}]")
+                     for name, vals in _section(obj, "near_miss_map").items()}
+
+    rules = []
+    for entry in _section(obj, "property_inference", list):
+        _require_keys(entry, ("if_property", "then_type_name"), "property_inference rule")
+        if "if_property" not in entry or "then_type_name" not in entry:
+            raise ConfigError("property_inference rule needs if_property and then_type_name")
+        pid = EntityId.parse(entry["if_property"])
+        if not pid.is_property:
+            raise ConfigError(f"property_inference.if_property {pid} is not a property id")
+        if not isinstance(entry["then_type_name"], str):
+            raise ConfigError("property_inference.then_type_name must be a type name")
+        rules.append(InferenceRule(pid, entry["then_type_name"]))
+
+    weights = _parse_fields(Weights, obj, "weights", require_all=True)
+    params = _parse_fields(Params, obj, "params", require_all=False)
 
     def resolve(names: Iterable[str], where: str) -> frozenset[EntityId]:
-        ids: set[EntityId] = set()
         for name in names:
-            if name not in cfg.type_dictionary:
+            if name not in type_dictionary:
                 raise UnresolvedTypeName(f"{where} references unknown type name {name!r}")
-            ids.update(cfg.type_dictionary[name])
-        return frozenset(ids)
+        return frozenset().union(*(type_dictionary[name] for name in names))
 
-    tiers = {tier: tuple(cfg.tiers.get(tier, ())) for tier in TIER_NAMES}
-    unknown_tiers = set(cfg.tiers) - set(TIER_NAMES)
-    if unknown_tiers:
-        raise ConfigError(f"unknown tier(s): {', '.join(sorted(unknown_tiers))}")
+    # The near_miss tier, the near-miss map's keys and the rules' type names
+    # are resolved only to refuse unknown names.
+    ids = {tier: resolve(names, f"tiers.{tier}") for tier, names in tiers.items()}
+    resolve(near_miss_map, "near_miss_map")
+    near_miss_ids = {name: resolve(vals, f"near_miss_map[{name!r}]")
+                     for name, vals in near_miss_map.items()}
+    for rule in rules:
+        resolve([rule.then_type_name], f"property_inference rule for {rule.if_property}")
 
-    target_ids = resolve(tiers["target"], "tiers.target")
-    resolve(tiers["near_miss"], "tiers.near_miss")  # refuses unknown names
-    good_ids = resolve(tiers["good"], "tiers.good")
-    ok_ids = resolve(tiers["ok"], "tiers.ok")
-    bad_ids = resolve(tiers["bad"], "tiers.bad")
-
-    near_miss_ids = {}
-    for name, vals in cfg.near_miss_map.items():
-        if name not in cfg.type_dictionary:
-            raise UnresolvedTypeName(f"near_miss_map key {name!r} is not in type_dictionary")
-        near_miss_ids[name] = resolve(vals, f"near_miss_map[{name!r}]")
-
-    for rule in cfg.property_inference:
-        if rule.then_type_name not in cfg.type_dictionary:
-            raise UnresolvedTypeName(
-                f"property_inference rule for {rule.if_property} references "
-                f"unknown type name {rule.then_type_name!r}")
-
-    conflict = bad_ids & (target_ids | good_ids | ok_ids)
+    conflict = ids["bad"] & (ids["target"] | ids["good"] | ids["ok"])
     if conflict:
         raws = ", ".join(i.raw for i in sorted(conflict))
         raise TierConflict(f"id(s) under bad and a positive tier: {raws}")
 
-    weights = _renormalized(cfg.weights)
-
     validated = ValidatedConfig(
-        type_dictionary=dict(cfg.type_dictionary),
-        tiers=tiers,
-        near_miss_map=dict(cfg.near_miss_map),
-        property_inference=tuple(cfg.property_inference),
-        weights=weights,
-        params=cfg.params,
-        target_ids=target_ids,
-        good_ids=good_ids,
-        ok_ids=ok_ids,
-        bad_ids=bad_ids,
-        good_names=frozenset(tiers["good"]),
-        ok_names=frozenset(tiers["ok"]),
-        near_miss_ids=near_miss_ids,
-        content_hash="",
-    )
+        type_dictionary=type_dictionary, tiers=tiers,
+        near_miss_map=near_miss_map, property_inference=tuple(rules),
+        weights=_renormalized(weights), params=params,
+        target_ids=ids["target"], good_ids=ids["good"], ok_ids=ids["ok"],
+        bad_ids=ids["bad"], good_names=frozenset(tiers["good"]),
+        ok_names=frozenset(tiers["ok"]), near_miss_ids=near_miss_ids,
+        content_hash="")
     canonical = json.dumps(validated.to_obj(), sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     object.__setattr__(validated, "content_hash", digest)
@@ -585,10 +554,13 @@ def validate_config(cfg: DomainConfig) -> ValidatedConfig:
 
 
 def load_config(path: str | Path) -> ValidatedConfig:
-    return validate_config(read_json(path, parse_config_obj))
+    """The config in the file; a refusal keeps its ConfigError class and
+    names the file."""
+    try:
+        return read_json(path, parse_config_obj)
+    except ConfigError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def save_config(path: str | Path, cfg: ValidatedConfig) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        json.dump(cfg.to_obj(), fp, ensure_ascii=False, indent=2)
-        fp.write("\n")
+    write_json(path, cfg.to_obj())

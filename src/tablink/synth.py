@@ -14,14 +14,13 @@ from running the linker, so evaluation against it stays meaningful.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .evalbench import GoldRecord, write_gold
 from .ingest import ingest_dump
-from .kb import EntityId, dump_json_line, parse_config_obj, save_config, validate_config
+from .kb import EntityId, dump_json_line, parse_config_obj, save_config, write_json
 from .tables import Table, classify_orientation, table_to_obj
 from .text import STOPWORDS
 
@@ -530,9 +529,7 @@ class _Builder:
                     f"{table_id}: composed table does not classify as {want}")
 
             path = tables_dir / f"{table_id}.json"
-            with open(path, "w", encoding="utf-8", newline="\n") as fp:
-                json.dump(table_to_obj(table), fp, ensure_ascii=False, indent=2)
-                fp.write("\n")
+            write_json(path, table_to_obj(table))
             tables_meta.append({
                 "table_id": table_id,
                 "file": path.name,
@@ -704,11 +701,10 @@ def generate_synthetic_kb(out_dir: str | Path,
     lines, n_unlabeled, n_malformed = b.build_dump_lines()
 
     dump_path = out / "dump.jsonl"
-    with open(dump_path, "w", encoding="utf-8", newline="\n") as fp:
-        fp.write("\n".join(lines) + "\n")
+    dump_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
     config_path = out / "config.json"
-    save_config(config_path, validate_config(parse_config_obj(b.config_obj())))
+    save_config(config_path, parse_config_obj(b.config_obj()))
 
     records_path = out / "records.jsonl"
     edges_path = out / "edges.jsonl"
@@ -724,8 +720,8 @@ def generate_synthetic_kb(out_dir: str | Path,
     write_gold(gold_path, gold)
 
     mentions_path = out / "mentions.txt"
-    with open(mentions_path, "w", encoding="utf-8", newline="\n") as fp:
-        fp.write("\n".join(mentions) + "\n")
+    mentions_path.write_text("\n".join(mentions) + "\n", encoding="utf-8",
+                             newline="\n")
 
     truth = {
         "seed": seed,
@@ -756,9 +752,7 @@ def generate_synthetic_kb(out_dir: str | Path,
         },
     }
     truth_path = out / "truth.json"
-    with open(truth_path, "w", encoding="utf-8", newline="\n") as fp:
-        json.dump(truth, fp, ensure_ascii=False, indent=2, sort_keys=True)
-        fp.write("\n")
+    write_json(truth_path, truth, sort_keys=True)
 
     return SynthResult(
         out_dir=out, dump_path=dump_path, records_path=records_path,

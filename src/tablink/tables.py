@@ -9,7 +9,6 @@ along its transpose.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from collections import Counter
@@ -22,7 +21,14 @@ from pathlib import Path
 from .closure import TypeClosure, has_type
 from .errors import EmptyMention, ParseError
 from .index import Index
-from .kb import EntityId, ValidatedConfig, parse_id_list, read_json, typed_field
+from .kb import (
+    EntityId,
+    ValidatedConfig,
+    parse_id_list,
+    read_json,
+    typed_field,
+    write_json,
+)
 from .linker import (
     CELL,
     HEADER,
@@ -294,10 +300,7 @@ def annotation_from_obj(obj: Mapping) -> TableAnnotation:
 
 
 def write_annotation(path: str | Path, ann: TableAnnotation) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        json.dump(annotation_to_obj(ann), fp, ensure_ascii=False, indent=2,
-                  sort_keys=True)
-        fp.write("\n")
+    write_json(path, annotation_to_obj(ann), sort_keys=True)
 
 
 def read_annotation(path: str | Path) -> TableAnnotation:

@@ -9,15 +9,14 @@ from tablink import (
     link,
     parse_config_obj,
     project_corpus_days,
-    validate_config,
 )
 
 q = EntityId.parse
 
-CONFIG = validate_config(parse_config_obj({
+CONFIG = parse_config_obj({
     "type_dictionary": {"good-type": ["Q100"]},
     "tiers": {"good": ["good-type"]},
-}))
+})
 CLOSURE = build_closure([])
 
 

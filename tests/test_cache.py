@@ -14,7 +14,6 @@ from tablink import (
     link,
     parse_config_obj,
     read_closure,
-    validate_config,
     write_closure,
 )
 
@@ -34,7 +33,7 @@ def cfg(extra_params=None):
     }
     if extra_params:
         obj["params"] = extra_params
-    return validate_config(parse_config_obj(obj))
+    return parse_config_obj(obj)
 
 
 CONFIG = cfg()
@@ -245,12 +244,12 @@ def test_shared_cache_is_transparent_across_random_changes():
         for _ in range(3)]
 
     def config(min_link_score, header_property_boost):
-        return validate_config(parse_config_obj({
+        return parse_config_obj({
             "type_dictionary": {f"t{i}": [t.raw] for i, t in enumerate(types)},
             "tiers": {"good": ["t0"], "ok": ["t2"], "bad": ["t5"]},
             "params": {"min_link_score": min_link_score,
                        "header_property_boost": header_property_boost},
-        }))
+        })
 
     configs = [config(0.0, 0.1), config(0.25, 0.0), config(0.5, 0.3)]
     mentions = words + ["alpha beta", "gamma omega", "delta zeta"]

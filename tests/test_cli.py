@@ -185,6 +185,16 @@ def test_link_out_file_keeps_stdout_empty(pipeline, tmp_path, capsys):
     json.loads(out_path.read_text(encoding="utf-8"))
 
 
+def test_link_table_stdout_is_the_out_file(pipeline, tmp_path, capsys):
+    table = pipeline.kb / "tables" / "t000.json"
+    out_path = tmp_path / "t000.json"
+    assert run(["link-table", "--table", str(table), *common(pipeline),
+                "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    assert run(["link-table", "--table", str(table), *common(pipeline)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out_path.read_bytes()
+
+
 def test_manifest_file_and_reproducibility(pipeline, tmp_path):
     manifests = []
     for i in range(2):

@@ -166,3 +166,28 @@ def test_read_closure_refuses_what_build_closure_never_writes(tmp_path, text,
     with pytest.raises(ParseError,
                        match=rf"^{re.escape(str(path))}:2: bad line .*{reason}"):
         read_closure(path)
+
+
+def test_read_closure_refuses_a_closure_that_is_not_transitive(tmp_path):
+    path = tmp_path / "closure.txt"
+    path.write_text("Q1 Q2\nQ2 Q3\nQ3\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: closure "
+                       r"is not transitive: Q1 lists Q2 but not all of its "
+                       r"ancestors$"):
+        read_closure(path)
+    # Members of a cycle list one another, and each is its own ancestor's
+    # ancestor: that stays legal.
+    path.write_text("Q1 Q2 Q3\nQ2 Q1 Q3\nQ3\n", encoding="utf-8")
+    assert read_closure(path).types_of((q("Q1"),)) == {q("Q1"), q("Q2"), q("Q3")}
+
+
+def test_every_closure_build_closure_writes_reads_back(tmp_path):
+    rng = random.Random(20261018)
+    path = tmp_path / "closure.txt"
+    for _ in range(30):
+        n = rng.randrange(3, 40)
+        pairs = _random_edges(rng, n, rng.randrange(1, 3 * n))
+        closure = build_closure(
+            [edge(f"Q{a + 1}", f"Q{b + 1}") for a, b in pairs])
+        write_closure(path, closure)
+        assert read_closure(path).digest == closure.digest

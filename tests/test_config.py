@@ -21,7 +21,6 @@ from tablink import (
     parse_config_obj,
     save_config,
     save_index,
-    validate_config,
     write_closure,
 )
 from tablink.cli import run
@@ -51,7 +50,7 @@ def minimal_obj():
 
 
 def test_minimal_config_validates_and_resolves():
-    cfg = validate_config(parse_config_obj(minimal_obj()))
+    cfg = parse_config_obj(minimal_obj())
     q = EntityId.parse
     assert cfg.good_ids == frozenset({q("Q12136")})
     assert cfg.ok_ids == frozenset({q("Q16521")})
@@ -63,7 +62,7 @@ def test_minimal_config_validates_and_resolves():
 
 
 def test_defaults_when_sections_missing():
-    cfg = validate_config(parse_config_obj({}))
+    cfg = parse_config_obj({})
     assert cfg.weights.as_tuple() == (0.45, 0.25, 0.15, 0.15)
     assert cfg.params.k == 20
     assert cfg.params.min_link_score == 0.25
@@ -86,26 +85,30 @@ def test_unresolved_tier_name():
     obj = minimal_obj()
     obj["tiers"]["good"] = ["no-such-name"]
     with pytest.raises(UnresolvedTypeName):
-        validate_config(parse_config_obj(obj))
+        parse_config_obj(obj)
 
 
 def test_unresolved_near_miss_and_inference_names():
     obj = minimal_obj()
     obj["near_miss_map"] = {"place": ["missing"]}
     with pytest.raises(UnresolvedTypeName):
-        validate_config(parse_config_obj(obj))
+        parse_config_obj(obj)
+    obj = minimal_obj()
+    obj["near_miss_map"] = {"missing": ["site"]}
+    with pytest.raises(UnresolvedTypeName, match="'missing'"):
+        parse_config_obj(obj)
     obj = minimal_obj()
     obj["property_inference"] = [
         {"if_property": "P486", "then_type_name": "missing"}]
     with pytest.raises(UnresolvedTypeName):
-        validate_config(parse_config_obj(obj))
+        parse_config_obj(obj)
 
 
 def test_bad_overlap_with_positive_tier_conflicts():
     obj = minimal_obj()
     obj["type_dictionary"]["work"] = ["Q12136"]  # same id as good "disease"
     with pytest.raises(TierConflict):
-        validate_config(parse_config_obj(obj))
+        parse_config_obj(obj)
 
 
 def test_inference_rule_requires_property_id():
@@ -120,17 +123,17 @@ def test_weights_must_sum_to_one():
     obj = minimal_obj()
     obj["weights"] = {"w_type": 0.5, "w_match": 0.5, "w_prom": 0.5, "w_ctx": 0.5}
     with pytest.raises(BadWeights):
-        validate_config(parse_config_obj(obj))
+        parse_config_obj(obj)
     obj["weights"] = {"w_type": -0.1, "w_match": 0.6, "w_prom": 0.25, "w_ctx": 0.25}
     with pytest.raises(BadWeights):
-        validate_config(parse_config_obj(obj))
+        parse_config_obj(obj)
 
 
 def test_weights_within_tolerance_renormalize_exactly():
     obj = minimal_obj()
     obj["weights"] = {"w_type": 0.45, "w_match": 0.25,
                       "w_prom": 0.15, "w_ctx": 0.15 + 4e-7}
-    cfg = validate_config(parse_config_obj(obj))
+    cfg = parse_config_obj(obj)
     assert sum(cfg.weights.as_tuple()) == 1.0
 
 
@@ -141,12 +144,12 @@ def test_weights_whose_division_oscillates_still_renormalize(weights):
     # 1 + 2**-52 forever.
     obj = minimal_obj()
     obj["weights"] = dict(zip(("w_type", "w_match", "w_prom", "w_ctx"), weights))
-    cfg = validate_config(parse_config_obj(obj))
+    cfg = parse_config_obj(obj)
     values = cfg.weights.as_tuple()
     assert ((values[0] + values[1]) + values[2]) + values[3] == 1.0
     assert max(abs(a - b) for a, b in zip(values, weights)) < 1e-15
     assert [v == 0 for v in values] == [w == 0 for w in weights]
-    assert validate_config(parse_config_obj(cfg.to_obj())) == cfg
+    assert parse_config_obj(cfg.to_obj()) == cfg
 
 
 def test_param_range_validation():
@@ -170,7 +173,7 @@ def test_score_params_must_be_finite_and_non_negative(name, value):
 
 
 def test_save_load_round_trip_and_stable_hash(tmp_path):
-    cfg = validate_config(parse_config_obj(minimal_obj()))
+    cfg = parse_config_obj(minimal_obj())
     path = tmp_path / "config.json"
     save_config(path, cfg)
     again = load_config(path)
@@ -185,12 +188,12 @@ def test_content_hash_tracks_content_not_key_order(tmp_path):
     obj = minimal_obj()
     reordered = json.loads(json.dumps(obj))
     reordered["tiers"] = dict(reversed(list(obj["tiers"].items())))
-    a = validate_config(parse_config_obj(obj))
-    b = validate_config(parse_config_obj(reordered))
+    a = parse_config_obj(obj)
+    b = parse_config_obj(reordered)
     assert a.content_hash == b.content_hash
     changed = minimal_obj()
     changed["params"] = {"k": 21}
-    c = validate_config(parse_config_obj(changed))
+    c = parse_config_obj(changed)
     assert c.content_hash != a.content_hash
 
 
@@ -238,17 +241,32 @@ def test_config_ids_that_are_not_strings_are_refused(section):
         parse_config_obj(json.loads("{" + section + "}"))
 
 
-def test_cli_reports_a_bad_config_value(tmp_path, capsys):
+@pytest.mark.parametrize("text, error, message", [
+    ('{"params": {"k": NaN}}', ConfigError, "params.k must be finite, not nan"),
+    ('{"params": {"k": 0}}', ConfigError, "params.k must be >= 1"),
+    ('{"tiers": {"good": ["nope"]}}', UnresolvedTypeName,
+     "tiers.good references unknown type name 'nope'"),
+    ('{"type_dictionary": {"a": ["Q1"]}, "tiers": {"good": ["a"], "bad": ["a"]}}',
+     TierConflict, "id(s) under bad and a positive tier: Q1"),
+    ('{"weights": {"w_type": 1, "w_match": 1, "w_prom": 0, "w_ctx": 0}}',
+     BadWeights, "weights sum to 2.0, expected 1.0 within 1e-6"),
+], ids=["non-finite", "param-range", "unresolved-name", "tier-conflict",
+        "bad-weights"])
+def test_cli_reports_a_bad_config_value(tmp_path, capsys, text, error, message):
+    """Every refusal names the file and keeps its ConfigError class."""
     save_index(Index([ItemRecord(EntityId.parse("Q1"), "alpha")]),
                tmp_path / "index")
     write_closure(tmp_path / "closure.txt", build_closure([]))
-    (tmp_path / "config.json").write_text('{"params": {"k": NaN}}',
-                                          encoding="utf-8")
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
     assert run(["link", "--mention", "alpha", "--index", str(tmp_path / "index"),
                 "--closure", str(tmp_path / "closure.txt"),
-                "--config", str(tmp_path / "config.json")]) == 1
-    assert capsys.readouterr().err == \
-        "error: params.k must be finite, not nan\n"
+                "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    with pytest.raises(error) as info:
+        load_config(path)
+    assert type(info.value) is error
+    assert str(info.value) == f"{path}: {message}"
 
 
 # Values no Params or Weights field accepts.
@@ -323,7 +341,7 @@ def test_config_fuzz_refuses_or_round_trips():
                 [[], "params", 3, [0.5]])
             bad = True
         try:
-            cfg = validate_config(parse_config_obj(json.loads(json.dumps(obj))))
+            cfg = parse_config_obj(json.loads(json.dumps(obj)))
         except ConfigError as exc:
             assert bad, (obj, exc)
             refused += 1
@@ -332,8 +350,8 @@ def test_config_fuzz_refuses_or_round_trips():
         for f in dataclasses.fields(Params):
             value = getattr(cfg.params, f.name)
             assert type(value).__name__ == f.type and math.isfinite(value)
-        again = validate_config(parse_config_obj(
-            json.loads(json.dumps(cfg.to_obj()))))
+        again = parse_config_obj(
+            json.loads(json.dumps(cfg.to_obj())))
         assert again == cfg
         assert again.content_hash == cfg.content_hash
         accepted += 1

@@ -22,7 +22,6 @@ from tablink import (
     parse_config_obj,
     save_config,
     save_index,
-    validate_config,
     write_annotation,
     write_closure,
     write_gold,
@@ -167,13 +166,13 @@ CONFIG_HASH = "d3b57132220de3f7ce7677df4d29a5c9beba8a4f82c6ea4605292d25d8097f03"
 
 def test_saved_config_and_content_hash(tmp_path):
     _, _, config = near_miss_fixture()
-    config = validate_config(parse_config_obj({
+    config = parse_config_obj({
         **config.to_obj(),
         "weights": {"w_type": 0.4, "w_match": 0.3, "w_prom": 0.2, "w_ctx": 0.1},
         "params": {"k": 7, "support_threshold": 1, "column_type_boost": 0.3},
         "property_inference": [{"if_property": "P486",
                                 "then_type_name": "facility"}],
-    }))
+    })
     save_config(tmp_path / "config.json", config)
     assert (tmp_path / "config.json").read_text(encoding="utf-8") == CONFIG_TEXT
     assert config.content_hash == CONFIG_HASH
@@ -294,8 +293,8 @@ LINK_PAYLOAD = """\
 
 def test_link_payload_with_diagnostics(tmp_path, capsys):
     records, closure, config = virus_fixture()
-    config = validate_config(parse_config_obj(
-        {**config.to_obj(), "params": {"k": 12, "min_link_score": 0.4}}))
+    config = parse_config_obj(
+        {**config.to_obj(), "params": {"k": 12, "min_link_score": 0.4}})
     save_index(Index(records), tmp_path / "index")
     write_closure(tmp_path / "closure.txt", closure)
     save_config(tmp_path / "config.json", config)

@@ -15,7 +15,6 @@ from tablink import (
     infer_domain_types,
     link,
     parse_config_obj,
-    validate_config,
 )
 from tablink.index import search
 from tablink.linker import ScoredCandidate, choose
@@ -35,7 +34,7 @@ def rec(eid, label, aliases=(), description="", types=(), sitelinks=0,
 
 
 def cfg(obj):
-    return validate_config(parse_config_obj(obj))
+    return parse_config_obj(obj)
 
 
 TIER_CFG = cfg({

@@ -12,8 +12,8 @@ import tablink
 
 # The public API, in sorted order.
 PUBLIC = """
-    BadWeights CellAnnotation ConfigError DomainConfig EmptyMention EntityId
-    EvalReport FORMAT_VERSION GoldMismatch GoldRecord Index IndexUnavailable
+    BadWeights CellAnnotation ConfigError EmptyMention EntityId EvalReport
+    FORMAT_VERSION GoldMismatch GoldRecord Index IndexUnavailable
     InferenceRule IngestStats InvalidEntityId ItemRecord LatencyReport
     LinkCache LinkResult Params ParseError RawCandidate ScoredCandidate
     SynthResult Table TableAnnotation TablinkError TierConflict TypeClosure
@@ -24,8 +24,8 @@ PUBLIC = """
     link_from_candidates link_table load_config load_index normalize
     parse_config_obj parse_entity_doc project_corpus_days read_annotation
     read_closure read_edges read_gold read_records read_table read_table_csv
-    save_config save_index search tf_cosine tokenize validate_config
-    write_annotation write_closure write_gold write_records
+    save_config save_index search tf_cosine tokenize write_annotation
+    write_closure write_gold write_records
 """.split()
 
 

@@ -20,7 +20,6 @@ from tablink import (
     read_annotation,
     read_table,
     read_table_csv,
-    validate_config,
     write_annotation,
 )
 from tablink.linker import ScoredCandidate
@@ -282,11 +281,11 @@ def test_link_table_literals_empty_and_errors():
 
 
 def _strict_config(min_link_score):
-    return validate_config(parse_config_obj({
+    return parse_config_obj({
         "type_dictionary": {},
         "tiers": {},
         "params": {"min_link_score": min_link_score},
-    }))
+    })
 
 
 def test_link_table_nil_candidates_recorded():
