@@ -26,11 +26,10 @@ from .index import Index, load_index, save_index
 from .ingest import ingest_dump
 from .kb import (
     EntityId,
-    direct_types_from_obj,
     dump_json,
     load_config,
+    read_direct_types,
     read_edges,
-    read_jsonl,
     read_lines,
     read_records,
     write_json,
@@ -124,7 +123,7 @@ def _cmd_ingest(args) -> dict:
 
 def _cmd_closure(args) -> dict:
     edges = list(read_edges(args.edges))
-    extra = {t for types in read_jsonl(args.records, direct_types_from_obj)
+    extra = {t for types in read_direct_types(args.records)
              for t in types} if args.records else ()
     closure = build_closure(edges, extra_nodes=extra)
     write_closure(args.out, closure)
@@ -228,8 +227,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-edges", required=True)
     p.add_argument("--watchlist", help="comma-separated property ids to flag")
     # --jobs and --cache are accepted for old command lines and ignored:
-    # ingest and link-table run on one thread, and link results are
-    # memoized in memory only, within one process.
+    # ingest shards the dump over the CPUs available, link-table runs on one
+    # thread, and link results are memoized in memory only, within one
+    # process.
     p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_ingest)
 

@@ -21,10 +21,10 @@ import math
 import sys
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from .errors import EmptyMention, IndexUnavailable
 from .kb import ITEM, PROPERTY, EntityId, ItemRecord, write_json
@@ -32,7 +32,7 @@ from .kb import ITEM, PROPERTY, EntityId, ItemRecord, write_json
 # Unused here; tablink.index.read_records stays a name because the
 # perfbench tracer wraps it.
 from .kb import read_records  # noqa: F401
-from .text import NORMALIZATION_VERSION, STOPWORDS_VERSION, normalize, tokenize
+from .text import NORMALIZATION_VERSION, STOPWORDS_VERSION, normalize, split_tokens
 from .version import FORMAT_VERSION, __version__
 
 log = logging.getLogger(__name__)
@@ -52,6 +52,8 @@ _MARSHAL_FORMAT = 2
 # Versions the tables were derived under; stored in the blob, so the
 # build_id changes with them.
 _HEADER = (FORMAT_VERSION, NORMALIZATION_VERSION, STOPWORDS_VERSION)
+
+T = TypeVar("T")
 
 
 class RawCandidate(NamedTuple):
@@ -89,14 +91,14 @@ def _compile(records: list[ItemRecord], duplicate_ids: int) -> _Tables:
     by_alias: dict[str, list[int]] = {}
     postings: dict[str, list[int]] = {}
     for row, record in enumerate(records):
-        by_label.setdefault(normalize(record.label), []).append(row)
+        label = normalize(record.label)
+        by_label.setdefault(label, []).append(row)
+        tokens = set(split_tokens(label))
         # Aliases are already distinct by normalized form (ItemRecord sees
         # to it).
-        for alias in record.aliases:
-            by_alias.setdefault(normalize(alias), []).append(row)
-        tokens = set(tokenize(record.label))
-        for alias in record.aliases:
-            tokens.update(tokenize(alias))
+        for alias in map(normalize, record.aliases):
+            by_alias.setdefault(alias, []).append(row)
+            tokens.update(split_tokens(alias))
         for token in tokens:
             postings.setdefault(token, []).append(row)
 
@@ -122,8 +124,36 @@ def _compile(records: list[ItemRecord], duplicate_ids: int) -> _Tables:
     )
 
 
+def _build(records: Iterable[ItemRecord]) -> tuple[list[ItemRecord], _Tables]:
+    """The distinct records in rank order, and their tables; of records
+    with one id the last wins."""
+    by_id: dict[EntityId, ItemRecord] = {}
+    duplicate_ids = 0
+    for record in records:
+        if record.id in by_id:
+            duplicate_ids += 1
+            log.warning("duplicate record id %s: last one wins", record.id)
+        by_id[record.id] = record
+    ordered = sorted(by_id.values(), key=lambda r: (-r.sitelinks_count, r.id))
+    return ordered, _compile(ordered, duplicate_ids)
+
+
 def _dump(tables: _Tables) -> bytes:
     return marshal.dumps(tuple(tables), _MARSHAL_FORMAT)
+
+
+def _without_gc(fn: Callable[..., T], *args) -> T:
+    """fn(*args) with the cyclic GC paused. Reading records, compiling
+    tables and loading a blob allocate hundreds of thousands of tuples and
+    records, none of them in a cycle, and the GC would walk them all again
+    and again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return fn(*args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class _RecordsView(Mapping):
@@ -155,27 +185,22 @@ class Index:
     """
 
     def __init__(self, records: Iterable[ItemRecord]):
-        by_id: dict[EntityId, ItemRecord] = {}
-        duplicate_ids = 0
-        for record in records:
-            if record.id in by_id:
-                duplicate_ids += 1
-                log.warning("duplicate record id %s: last one wins", record.id)
-            by_id[record.id] = record
-        ordered = sorted(by_id.values(),
-                         key=lambda r: (-r.sitelinks_count, r.id))
-        tables = _compile(ordered, duplicate_ids)
-        self._adopt(tables, hashlib.sha256(_dump(tables)).hexdigest())
+        ordered, tables = _without_gc(_build, records)
+        # Kept for save_index, so a build marshals its tables once.
+        blob = _dump(tables)
+        self._adopt(tables, hashlib.sha256(blob).hexdigest(), blob)
         self._memo.update(enumerate(ordered))
 
     @classmethod
     def _from_tables(cls, tables: _Tables, build_id: str) -> Index:
         index = cls.__new__(cls)
-        index._adopt(tables, build_id)
+        index._adopt(tables, build_id, None)
         return index
 
-    def _adopt(self, tables: _Tables, build_id: str) -> None:
+    def _adopt(self, tables: _Tables, build_id: str,
+               blob: bytes | None) -> None:
         self._tables = tables
+        self._blob = blob
         self._memo: dict[int, ItemRecord] = {}
         self.build_id = build_id
         self.duplicate_ids = tables.duplicate_ids
@@ -223,7 +248,7 @@ def search(index: Index, mention: str, k: int) -> list[RawCandidate]:
     read only until k rows are chosen. Fully deterministic.
     """
     norm = normalize(mention)
-    tokens = tokenize(mention)
+    tokens = split_tokens(norm)
     if not norm or not tokens:
         raise EmptyMention(f"mention {mention!r} normalizes to nothing linkable")
 
@@ -303,7 +328,8 @@ def save_index(index: Index, out_dir: str | Path) -> None:
     """Persist as the marshalled tables plus a manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / BLOB_NAME).write_bytes(_dump(index._tables))
+    blob = index._blob if index._blob is not None else _dump(index._tables)
+    (out / BLOB_NAME).write_bytes(blob)
     manifest = {
         "artifact_version": __version__,
         **_pins(),
@@ -312,18 +338,6 @@ def save_index(index: Index, out_dir: str | Path) -> None:
         "duplicate_ids": index.duplicate_ids,
     }
     write_json(out / MANIFEST_NAME, manifest, sort_keys=True)
-
-
-def _loads(blob: bytes):
-    """marshal.loads with the cyclic GC paused: the loader allocates
-    hundreds of thousands of tuples, none of them in a cycle."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return marshal.loads(blob)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _checked(data, record_count) -> _Tables | None:
@@ -371,7 +385,8 @@ def load_index(index_dir: str | Path) -> Index:
     if manifest.get("build_id") != build_id:
         raise IndexUnavailable(f"index {path} does not match its manifest; rebuild")
     try:
-        tables = _checked(_loads(blob), manifest.get("record_count"))
+        tables = _checked(_without_gc(marshal.loads, blob),
+                          manifest.get("record_count"))
     except (EOFError, TypeError, ValueError):
         tables = None
     if tables is None:

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+import os
+from collections.abc import Iterable, Iterator, Mapping
+from contextlib import contextmanager
+from dataclasses import astuple, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import InvalidEntityId, ParseError
 from .kb import (
     SUBCLASS_OF,
     SUBPROPERTY_OF,
@@ -42,42 +45,45 @@ class IngestStats:
             raise AssertionError(f"inconsistent ingest stats: {self}")
 
 
-def _claim_targets(statements, want_kind: str) -> list[EntityId]:
-    """Ids of non-deprecated, entity-valued main claims of the wanted kind.
-    somevalue/novalue snaks and other datavalue types contribute nothing."""
-    targets = []
+def _live_claims(statements) -> list[EntityId | None]:
+    """One entry per non-deprecated statement: the id its entity-valued
+    main claim targets, or None for a somevalue/novalue snak or another
+    datavalue type. Raises ParseError on a malformed statement."""
+    claims = []
     for st in statements:
         if not isinstance(st, Mapping):
             raise ParseError("statement is not an object")
         if st.get("rank") == "deprecated":
             continue
-        snak = st.get("mainsnak")
-        if not isinstance(snak, Mapping) or snak.get("snaktype") != "value":
-            continue
-        dv = snak.get("datavalue")
-        if not isinstance(dv, Mapping) or dv.get("type") != "wikibase-entityid":
-            continue
-        value = dv.get("value")
-        if not isinstance(value, Mapping):
-            raise ParseError("entityid datavalue without an object value")
-        if "id" in value:
-            target = EntityId.parse(value["id"])
-        elif "numeric-id" in value:
-            kind = typed_field(value, "entity-type", str, default="item")
-            prefix = {"item": "Q", "property": "P"}.get(kind)
-            if prefix is None:
-                raise ParseError(f"entity-type {kind!r} is not item or property")
-            target = EntityId.parse(prefix + str(typed_field(value, "numeric-id", int)))
-        else:
-            raise ParseError("entityid datavalue without id or numeric-id")
-        if target.kind == want_kind:
-            targets.append(target)
-    return targets
+        claims.append(_claim_target(st.get("mainsnak")))
+    return claims
 
 
-def _has_live_statement(statements) -> bool:
-    return any(isinstance(st, Mapping) and st.get("rank") != "deprecated"
-               for st in statements)
+def _claim_target(snak) -> EntityId | None:
+    if not isinstance(snak, Mapping) or snak.get("snaktype") != "value":
+        return None
+    dv = snak.get("datavalue")
+    if not isinstance(dv, Mapping) or dv.get("type") != "wikibase-entityid":
+        return None
+    value = dv.get("value")
+    if not isinstance(value, Mapping):
+        raise ParseError("entityid datavalue without an object value")
+    if "id" in value:
+        return EntityId.parse(value["id"])
+    if "numeric-id" in value:
+        kind = typed_field(value, "entity-type", str, default="item")
+        prefix = {"item": "Q", "property": "P"}.get(kind)
+        if prefix is None:
+            raise ParseError(f"entity-type {kind!r} is not item or property")
+        return EntityId.parse(prefix + str(typed_field(value, "numeric-id", int)))
+    raise ParseError("entityid datavalue without id or numeric-id")
+
+
+def _claim_targets(statements, want_kind: str) -> list[EntityId]:
+    """Ids of non-deprecated, entity-valued main claims of the wanted kind.
+    somevalue/novalue snaks and other datavalue types contribute nothing."""
+    return [t for t in _live_claims(statements)
+            if t is not None and t.kind == want_kind]
 
 
 def parse_entity_doc(doc: Mapping,
@@ -117,8 +123,9 @@ def parse_entity_doc(doc: Mapping,
         description = typed_field(desc_entry, "value", str, default="")
 
         direct_types = tuple(_claim_targets(claims["P31"], "item")) if "P31" in claims else ()
+        # A watched property's statements are checked as P31's are.
         flagged = frozenset(p for p in watchlist
-                            if p.raw in claims and _has_live_statement(claims[p.raw]))
+                            if p.raw in claims and _live_claims(claims[p.raw]))
         sitelinks = doc.get("sitelinks") or {}
         if not isinstance(sitelinks, Mapping):
             raise ParseError("sitelinks is not an object")
@@ -152,40 +159,212 @@ def strip_decoration(line: str) -> str:
     return s
 
 
+# A sharded ingest gives each range at least this many bytes of the dump.
+_MIN_RANGE = 1 << 20
+
+
 def ingest_dump(dump_path: str | Path,
                 out_records: str | Path,
                 out_edges: str | Path,
                 watchlist: Iterable[EntityId] = ()) -> IngestStats:
     """Parse a dump file into record and edge files, one line at a time, so
-    memory stays bounded by the longest line whatever the dump's size."""
+    memory stays bounded by the longest line whatever the dump's size.
+
+    A regular file of at least two _MIN_RANGE-byte ranges is cut into
+    line-aligned byte ranges, one per CPU available. This process parses
+    the first; a forked child parses each other range into temporary files
+    next to out_records, which are then appended in range order. The files
+    and the stats are byte for byte those of one pass over the dump. A
+    watchlist id that is not a property id is refused before any file is
+    opened.
+    """
     watch = frozenset(watchlist)
-    stats = IngestStats()
-    with open(dump_path, "rb") as dump_fp, \
-            open(out_records, "w", encoding="utf-8", newline="\n") as rec_fp, \
-            open(out_edges, "w", encoding="utf-8", newline="\n") as edge_fp:
-        for raw in dump_fp:
-            try:
-                body = strip_decoration(raw.decode("utf-8"))
-            except UnicodeDecodeError:
-                body = None  # decoration is ASCII, so the line held a document
-            if body == "":
-                continue
-            stats.docs_seen += 1
-            try:
-                if body is None:
-                    raise ParseError("dump line is not UTF-8")
-                record, edges = parse_entity_doc(json.loads(body), watch)
-            except (json.JSONDecodeError, ParseError) as exc:
-                stats.parse_errors += 1
-                log.debug("skipping malformed dump line: %s", exc)
-                continue
-            for edge in edges:
-                edge_fp.write(dump_json_line(edge_to_obj(edge)))
-            stats.edges_emitted += len(edges)
-            if record is None:
-                stats.skipped_no_label += 1
-            else:
-                rec_fp.write(dump_json_line(record_to_obj(record)))
-                stats.records_emitted += 1
+    for eid in sorted(watch):
+        if not eid.is_property:
+            raise InvalidEntityId(f"watchlist id {eid} is not a property id")
+    with open(dump_path, "rb") as dump_fp:
+        points = _split_points(dump_fp)
+        if len(points) < 3:
+            with _outputs(out_records, out_edges) as outs:
+                stats = _ingest_lines(dump_fp, *outs, watch)
+        else:
+            stats = _ingest_sharded(dump_path, dump_fp, points,
+                                    out_records, out_edges, watch)
     stats.check()
     return stats
+
+
+def _ingest_lines(lines: Iterable[bytes], rec_fp, edge_fp,
+                  watch: frozenset[EntityId]) -> IngestStats:
+    """Parse dump lines, writing each record and edge as it is read."""
+    stats = IngestStats()
+    for raw in lines:
+        try:
+            body = strip_decoration(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            body = None  # decoration is ASCII, so the line held a document
+        if body == "":
+            continue
+        stats.docs_seen += 1
+        try:
+            if body is None:
+                raise ParseError("dump line is not UTF-8")
+            record, edges = parse_entity_doc(json.loads(body), watch)
+        except (json.JSONDecodeError, ParseError) as exc:
+            stats.parse_errors += 1
+            log.debug("skipping malformed dump line: %s", exc)
+            continue
+        for edge in edges:
+            edge_fp.write(dump_json_line(edge_to_obj(edge)))
+        stats.edges_emitted += len(edges)
+        if record is None:
+            stats.skipped_no_label += 1
+        else:
+            rec_fp.write(dump_json_line(record_to_obj(record)))
+            stats.records_emitted += 1
+    return stats
+
+
+@contextmanager
+def _outputs(records: str | Path, edges: str | Path):
+    with open(records, "w", encoding="utf-8", newline="\n") as rec_fp, \
+            open(edges, "w", encoding="utf-8", newline="\n") as edge_fp:
+        yield rec_fp, edge_fp
+
+
+def _split_points(dump_fp) -> list[int]:
+    """Offsets [0, ..., size] that cut the open dump into line-aligned
+    ranges of at least _MIN_RANGE bytes, at most one per CPU. Fewer than
+    three offsets mean one range: a small dump, one CPU, or a dump that is
+    not a regular file (a pipe cannot be read twice), or no os.fork."""
+    import stat
+    info = os.fstat(dump_fp.fileno())
+    size = info.st_size
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else 1)
+    n = min(cpus, size // _MIN_RANGE)
+    if n < 2 or not hasattr(os, "fork") or not stat.S_ISREG(info.st_mode):
+        return []
+    points = [0]
+    for i in range(1, n):
+        # The range starts at the first line that starts at or after the
+        # nominal offset: read on from the byte before it to a line end.
+        dump_fp.seek(size * i // n - 1)
+        dump_fp.readline()
+        point = dump_fp.tell()
+        if points[-1] < point < size:
+            points.append(point)
+    dump_fp.seek(0)
+    return points + [size]
+
+
+def _lines_in(dump_fp, start: int, end: int) -> Iterator[bytes]:
+    """The lines of the dump between two line-aligned offsets."""
+    dump_fp.seek(start)
+    left = end - start
+    for raw in dump_fp:
+        yield raw
+        left -= len(raw)
+        if left <= 0:
+            return
+
+
+def _ingest_sharded(dump_path, dump_fp, points: list[int], out_records,
+                    out_edges, watch: frozenset[EntityId]) -> IngestStats:
+    """Parse points' first range here and each other range in a forked
+    child, then append the children's files in order. On any failure every
+    child is killed and reaped, and the temporary files are removed."""
+    import tempfile
+    with tempfile.TemporaryDirectory(prefix=".ingest-",
+                                     dir=Path(out_records).parent) as tmp:
+        children: list[_Child] = []
+        try:
+            for i in range(1, len(points) - 1):
+                parts = (Path(tmp, f"{i}.records"), Path(tmp, f"{i}.edges"))
+                children.append(_fork(dump_path, points[i], points[i + 1],
+                                      parts, watch))
+            with _outputs(out_records, out_edges) as outs:
+                counts = [astuple(_ingest_lines(
+                    _lines_in(dump_fp, 0, points[1]), *outs, watch))]
+                while children:
+                    child = children.pop(0)
+                    counts.append(child.collect(dump_path))
+                    for out, part in zip(outs, child.parts):
+                        _append(out, part)
+        finally:
+            for child in children:
+                child.kill()
+    return IngestStats(*map(sum, zip(*counts)))
+
+
+class _Child(NamedTuple):
+    """A forked process parsing the dump's bytes start..end into parts."""
+
+    pid: int
+    pipe: int             # read end; the child writes its stats line to it
+    start: int
+    end: int
+    parts: tuple[Path, Path]
+
+    def collect(self, dump_path) -> tuple[int, ...]:
+        """Wait for the child; its stats as IngestStats fields in order."""
+        try:
+            with open(self.pipe, "rb") as fp:
+                line = fp.read().decode("utf-8", "replace")
+        finally:
+            _, status = os.waitpid(self.pid, 0)
+        if status != 0 or not line.startswith("ok "):
+            raise ChildProcessError(
+                f"{dump_path}: parsing bytes {self.start}-{self.end} failed "
+                f"in a worker process: {line or f'wait status {status}'}")
+        return tuple(map(int, line.split()[1:]))
+
+    def kill(self) -> None:
+        import signal
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        os.close(self.pipe)
+
+
+def _fork(dump_path, start: int, end: int, parts: tuple[Path, Path],
+          watch: frozenset[EntityId]) -> _Child:
+    """Start a child parsing the dump's bytes start..end into parts. The
+    child opens its own handle on the dump (an inherited one shares its
+    offset) and leaves through os._exit, so none of the caller's code runs
+    in it."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status, line = 1, ""
+        try:
+            os.close(read_end)
+            with open(dump_path, "rb") as dump_fp, _outputs(*parts) as outs:
+                stats = _ingest_lines(_lines_in(dump_fp, start, end), *outs,
+                                      watch)
+            status, line = 0, " ".join(map(str, ["ok", *astuple(stats)]))
+        except BaseException as exc:
+            # Reported to the parent, not raised: the child leaves only
+            # through os._exit.
+            line = f"{type(exc).__name__}: {exc}"
+        finally:
+            try:
+                os.write(write_end, line.encode("utf-8", "replace"))
+            finally:
+                os._exit(status)
+    os.close(write_end)
+    return _Child(pid, read_end, start, end, parts)
+
+
+def _append(out_fp, path: Path) -> None:
+    """Append the file at path to out_fp, copied by the kernel."""
+    out_fp.flush()
+    with open(path, "rb") as src:
+        size, offset = os.fstat(src.fileno()).st_size, 0
+        while offset < size:
+            offset += os.sendfile(out_fp.fileno(), src.fileno(), offset,
+                                  size - offset)

@@ -14,6 +14,7 @@ import math
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple, TypeVar
 
@@ -158,26 +159,32 @@ def typed_field(obj: Mapping, name: str, *types: type, default=_REQUIRED):
     return value
 
 
-def record_from_obj(obj: Mapping) -> ItemRecord:
+def record_from_obj(obj: Mapping,
+                    parse_id: Callable[[str], EntityId] = EntityId.parse,
+                    ) -> ItemRecord:
     """A field of the wrong JSON type is refused, never coerced; list
-    elements are checked by normalize() and EntityId.parse()."""
+    elements are checked by normalize() and parse_id(), EntityId.parse or
+    one that gives the same ids."""
     return ItemRecord(
         id=EntityId.parse(obj["id"]),
         label=typed_field(obj, "label", str),
         aliases=tuple(typed_field(obj, "aliases", list, default=())),
         description=typed_field(obj, "description", str, default=""),
-        direct_types=direct_types_from_obj(obj),
+        # ItemRecord refuses a direct type that is not an item id.
+        direct_types=tuple(map(parse_id, typed_field(
+            obj, "direct_types", list, default=()))),
         sitelinks_count=typed_field(obj, "sitelinks_count", int, default=0),
-        flagged_props=frozenset(parse_id_list(
-            typed_field(obj, "flagged_props", list, default=()))),
+        flagged_props=frozenset(map(parse_id, typed_field(
+            obj, "flagged_props", list, default=()))),
     )
 
 
-def direct_types_from_obj(obj: Mapping) -> tuple[EntityId, ...]:
-    """A records line's direct_types alone, checked as ItemRecord checks
-    them; `closure --records` reads no other field."""
-    return item_types(parse_id_list(
-        typed_field(obj, "direct_types", list, default=())))
+def _id_parser() -> Callable[[object], EntityId]:
+    """EntityId.parse that parses each distinct id string once. Made per
+    file read: the few type and property ids recur on many lines."""
+    parse = cache(EntityId.parse)
+    # A non-string (a list, say) is refused by EntityId.parse itself.
+    return lambda raw: parse(raw) if type(raw) is str else EntityId.parse(raw)
 
 
 def dump_json_line(obj: Mapping) -> str:
@@ -250,7 +257,16 @@ def write_records(path: str | Path, records: Iterable[ItemRecord]) -> int:
 
 
 def read_records(path: str | Path) -> Iterator[ItemRecord]:
-    yield from read_jsonl(path, record_from_obj)
+    parse_id = _id_parser()
+    yield from read_jsonl(path, lambda obj: record_from_obj(obj, parse_id))
+
+
+def read_direct_types(path: str | Path) -> Iterator[tuple[EntityId, ...]]:
+    """Each records line's direct_types alone, checked as ItemRecord checks
+    them; `closure --records` reads no other field."""
+    parse_id = _id_parser()
+    yield from read_jsonl(path, lambda obj: item_types(map(parse_id, typed_field(
+        obj, "direct_types", list, default=()))))
 
 
 @dataclass(frozen=True)
@@ -338,7 +354,12 @@ class Params:
 class ValidatedConfig:
     """The domain configuration, as parse_config_obj() gives it: every type
     name resolved to id sets and all invariants checked. Immutable; safe to
-    share across threads."""
+    share across threads.
+
+    The `target` and `near_miss` tier lists are validation-only names:
+    they must resolve, and target_ids takes part in the bad-tier conflict
+    check, but linking never reads them. TARGET comes from the expected
+    types through resolve_names() and NEAR_MISS from near_miss_ids."""
 
     type_dictionary: Mapping[str, tuple[EntityId, ...]]
     tiers: Mapping[str, tuple[str, ...]]

@@ -41,7 +41,12 @@ def normalize(text: str) -> str:
 
 def tokenize(text: str) -> list[str]:
     """Non-stopword tokens of the normalized text, in input order."""
-    return [t for t in normalize(text).split(" ") if t and t not in STOPWORDS]
+    return split_tokens(normalize(text))
+
+
+def split_tokens(norm: str) -> list[str]:
+    """tokenize() of text that normalize() has already normalized."""
+    return [t for t in norm.split(" ") if t and t not in STOPWORDS]
 
 
 def tf_cosine(a_tokens: Iterable[str], b_tokens: Iterable[str]) -> float:

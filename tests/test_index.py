@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import json
 import marshal
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -16,11 +18,15 @@ from tablink import (
     Index,
     IndexUnavailable,
     ItemRecord,
+    ParseError,
     RawCandidate,
     load_index,
+    read_records,
     save_index,
     search,
 )
+
+from tablink.kb import read_direct_types
 
 from oracles import OracleKB, o_search
 
@@ -428,3 +434,52 @@ def test_concurrent_searches_on_a_loaded_index_agree(tmp_path, small_kb):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(out == want for out in got)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_failed_build_leaves_the_gc_as_it_was(enabled):
+    def records():
+        yield rec("Q1", "measles")
+        raise ValueError("bad record")
+
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(ValueError, match="bad record"):
+            Index(records())
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_a_saved_blob_hashes_to_the_build_id_built_or_loaded(tmp_path,
+                                                            small_index):
+    save_index(small_index, tmp_path / "built")
+    blob = (tmp_path / "built" / tablink.index.BLOB_NAME).read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == small_index.build_id
+    assert blob == marshal.dumps(tuple(small_index._tables), 2)
+    save_index(load_index(tmp_path / "built"), tmp_path / "loaded")
+    for name in (tablink.index.BLOB_NAME, tablink.index.MANIFEST_NAME):
+        assert (tmp_path / "loaded" / name).read_bytes() == \
+            (tmp_path / "built" / name).read_bytes()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("direct_types", [["Q5"]], "not a Q/P identifier: ['Q5']"),
+    ("direct_types", ["P5"], "direct types must be item ids"),
+    ("flagged_props", [7], "not a Q/P identifier: 7"),
+])
+def test_records_and_direct_types_refuse_bad_ids_alike(tmp_path, field, value,
+                                                       message):
+    good = {"id": "Q1", "label": "a", "direct_types": ["Q5"]}
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(good) + "\n"
+                    + json.dumps({**good, "id": "Q2", field: value}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match=r"records\.jsonl:2: .*" + re.escape(message)):
+        list(read_records(path))
+    if field == "direct_types":
+        with pytest.raises(ParseError, match=re.escape(message)):
+            list(read_direct_types(path))
+    else:
+        assert list(read_direct_types(path)) == [(q("Q5"),)] * 2

@@ -1,9 +1,19 @@
 import json
+import os
+import threading
 import tracemalloc
 
 import pytest
 
-from tablink import EntityId, ParseError, ingest_dump, parse_entity_doc
+import tablink.ingest
+from tablink import (
+    EntityId,
+    InvalidEntityId,
+    ParseError,
+    ingest_dump,
+    parse_entity_doc,
+)
+from tablink.cli import main
 from tablink.ingest import strip_decoration
 from tablink.kb import read_edges, read_records
 
@@ -334,3 +344,172 @@ def test_ingest_stats_match_generator_truth(small_kb):
                for r in small_kb.records if r.flagged_props}
     assert flagged == {k: sorted(v)
                        for k, v in small_kb.truth["flagged"].items()}
+
+
+# --- watchlist checks ---------------------------------------------------------
+
+@pytest.mark.parametrize("statements", ["oops", {"a": 1}, [1, 2]])
+def test_a_watched_property_of_the_wrong_shape_is_malformed(tmp_path,
+                                                            statements):
+    bad = doc("Q5", "measles", claims={"P50001": statements})
+    with pytest.raises(ParseError, match="statement is not an object"):
+        parse_entity_doc(bad, frozenset({q("P50001")}))
+    dump = tmp_path / "dump.jsonl"
+    _write_dump(dump, [json.dumps(bad)])
+    stats = ingest_dump(dump, tmp_path / "r.jsonl", tmp_path / "e.jsonl",
+                        [q("P50001")])
+    assert (stats.docs_seen, stats.parse_errors) == (1, 1)
+
+
+def test_an_item_id_in_the_watchlist_is_refused(tmp_path, capsys):
+    dump = tmp_path / "dump.jsonl"
+    _write_dump(dump, [json.dumps(doc("Q1", "alpha"))])
+    with pytest.raises(InvalidEntityId, match="Q5 is not a property id"):
+        ingest_dump(dump, tmp_path / "r.jsonl", tmp_path / "e.jsonl",
+                    [q("Q5"), q("P50001")])
+    assert not (tmp_path / "r.jsonl").exists()
+    assert main(["ingest", "--dump", str(dump),
+                 "--out-records", str(tmp_path / "r.jsonl"),
+                 "--out-edges", str(tmp_path / "e.jsonl"),
+                 "--watchlist", "Q5,P50001"]) == 1
+    assert "error: watchlist id Q5 is not a property id" in capsys.readouterr().err
+
+
+# --- sharded ingest -----------------------------------------------------------
+
+def _shard_lines(n_docs):
+    """Dump lines, each doc about 1.5 KB, with every kind of line ingest
+    counts or skips: decoration, non-UTF-8, malformed JSON, unlabeled docs,
+    edges of both kinds and watched properties."""
+    lines = []
+    for i in range(1, n_docs + 1):
+        if i % 97 == 0:
+            lines.append(b"{not json},")
+        elif i % 89 == 0:
+            lines.append(json.dumps(doc(f"Q{i}", "beta")).encode()
+                         .replace(b"beta", b"b\xfft") + b",")
+        elif i % 83 == 0:
+            lines.append(json.dumps(doc(f"Q{i}", f"item {i}", lang="de",
+                                        claims={"P279": [claim("P279", "Q7")]}))
+                         .encode() + b",")
+        elif i % 79 == 0:
+            lines.append(json.dumps(doc(f"P{i}", f"prop {i}", claims={
+                "P1647": [claim("P1647", "P3")]})).encode() + b",")
+        else:
+            claims = {"P31": [claim("P31", f"Q{i % 13 + 1}")]}
+            if i % 5 == 0:
+                claims["P279"] = [claim("P279", f"Q{i % 7 + 1}")]
+            if i % 3 == 0:
+                claims["P50001"] = [claim("P50001", "Q1")]
+            lines.append(json.dumps(doc(
+                f"Q{i}", f"item {i}", claims=claims, aliases=[f"alias {i}"],
+                description="d" * (1000 + i % 500), sitelinks=i % 4)
+            ).encode() + b",")
+    return [line + b"\n" for line in lines] + [b"]\n"]
+
+
+def _dump_cut(lines, ranges, on_line_start):
+    """The lines after a "[" line padded with spaces (decoration, so no
+    document), padded until the first nominal range cut, size // ranges,
+    falls on a line start or inside a line, as asked."""
+    body = b"".join(lines)
+    for pad in range(4096):
+        head = b"[" + b" " * pad + b"\n"
+        cut = (len(head) + len(body)) // ranges
+        if (body[cut - len(head) - 1] == ord("\n")) == on_line_start:
+            return head + body
+    raise AssertionError("no padding puts the cut where asked")
+
+
+def _ingest(monkeypatch, dump, out, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    out.mkdir()
+    stats = ingest_dump(dump, out / "r.jsonl", out / "e.jsonl", [q("P50001")])
+    return stats, (out / "r.jsonl").read_bytes(), (out / "e.jsonl").read_bytes()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.fixture(scope="module")
+def shard_lines():
+    return _shard_lines(2400)
+
+
+@pytest.mark.parametrize("ranges, on_line_start", [
+    (2, True), (2, False), (3, True), (3, False)])
+def test_sharded_ingest_writes_what_one_pass_writes(tmp_path, monkeypatch,
+                                                    shard_lines, ranges,
+                                                    on_line_start):
+    dump = tmp_path / "in" / "dump.jsonl"
+    dump.parent.mkdir()
+    dump.write_bytes(_dump_cut(shard_lines, ranges, on_line_start))
+    assert dump.stat().st_size >= ranges * tablink.ingest._MIN_RANGE
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+    inline = _ingest(monkeypatch, dump, tmp_path / "inline", cpus=1)
+    assert forks == []
+    sharded = _ingest(monkeypatch, dump, tmp_path / "sharded", cpus=ranges)
+    assert len(forks) == ranges - 1
+    assert sharded == inline
+    stats = inline[0]
+    assert stats.parse_errors == 2400 // 97 + 2400 // 89 - 2400 // (97 * 89)
+    assert stats.skipped_no_label > 0 and stats.edges_emitted > 0
+    assert b'"flagged_props":["P50001"]' in inline[1]
+    assert _no_child_left()
+    assert sorted(p.name for p in (tmp_path / "sharded").iterdir()) == \
+        ["e.jsonl", "r.jsonl"]
+
+
+def test_a_small_dump_or_a_fifo_is_ingested_without_forking(
+        tmp_path, monkeypatch, shard_lines):
+    def no_fork():
+        raise AssertionError("ingest forked")
+
+    data = b"[\n" + b"".join(shard_lines)
+    small = tmp_path / "small.jsonl"
+    small.write_bytes(data[:2 * tablink.ingest._MIN_RANGE - 1].rpartition(b"\n")[0])
+    big = tmp_path / "big.jsonl"
+    big.write_bytes(data)
+    want = _ingest(monkeypatch, big, tmp_path / "want", cpus=1)
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _ingest(monkeypatch, small, tmp_path / "small", cpus=4)[0] \
+        .docs_seen > 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        assert _ingest(monkeypatch, fifo, tmp_path / "fifo-out", cpus=4) == want
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("fail_on, error", [
+    ("Q1", RuntimeError),            # in this process's own range
+    ("Q2399", ChildProcessError),    # in a forked child's range
+])
+def test_a_failed_sharded_ingest_leaves_no_child_and_no_temp_file(
+        tmp_path, monkeypatch, shard_lines, fail_on, error):
+    dump = tmp_path / "dump.jsonl"
+    dump.write_bytes(b"[\n" + b"".join(shard_lines))
+    parse = tablink.ingest.parse_entity_doc
+
+    def failing(obj, watch):
+        if obj.get("id") == fail_on:
+            raise RuntimeError(f"cannot parse {fail_on}")
+        return parse(obj, watch)
+
+    monkeypatch.setattr(tablink.ingest, "parse_entity_doc", failing)
+    with pytest.raises(error, match=f"cannot parse {fail_on}"):
+        _ingest(monkeypatch, dump, tmp_path / "out", cpus=2)
+    assert _no_child_left()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+        ["e.jsonl", "r.jsonl"]
