@@ -153,9 +153,12 @@ def _load_kb(args):
 
 def _cmd_link(args) -> dict:
     index, closure, config, manifest = _load_kb(args)
+    expected = _comma_list(args.expect)
+    unknown = [name for name in expected if name not in config.type_dictionary]
+    if unknown:
+        raise _UsageError(f"--expect: unknown type name(s): {', '.join(unknown)}")
     result = link(args.mention, args.mode, index, closure, config,
-                  context=args.context,
-                  expected_types=_comma_list(args.expect) or None)
+                  context=args.context, expected_types=expected or None)
     _emit(result_to_obj(result), args.out)
     return manifest
 
@@ -226,10 +229,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-records", required=True)
     p.add_argument("--out-edges", required=True)
     p.add_argument("--watchlist", help="comma-separated property ids to flag")
-    # --jobs and --cache are accepted for old command lines and ignored:
-    # ingest shards the dump over the CPUs available, link-table runs on one
-    # thread, and link results are memoized in memory only, within one
-    # process.
+    # ingest's --jobs and link-table's --jobs and --cache are accepted for
+    # old command lines and ignored: ingest shards the dump over the CPUs
+    # available, link-table runs on one thread, and link results are
+    # memoized in memory only, within one process.
     p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_ingest)
 
@@ -252,7 +255,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--index", required=True)
     p.add_argument("--closure", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--cache", help=argparse.SUPPRESS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_link)
 

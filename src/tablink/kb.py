@@ -34,7 +34,7 @@ PROPERTY = "property"
 SUBCLASS_OF = "subclass_of"
 SUBPROPERTY_OF = "subproperty_of"
 
-TIER_NAMES = ("target", "near_miss", "good", "ok", "bad")
+TIER_NAMES = ("good", "ok", "bad")
 
 _ID_RE = re.compile(r"^([QP])(0|[1-9][0-9]*)$")
 
@@ -354,12 +354,8 @@ class Params:
 class ValidatedConfig:
     """The domain configuration, as parse_config_obj() gives it: every type
     name resolved to id sets and all invariants checked. Immutable; safe to
-    share across threads.
-
-    The `target` and `near_miss` tier lists are validation-only names:
-    they must resolve, and target_ids takes part in the bad-tier conflict
-    check, but linking never reads them. TARGET comes from the expected
-    types through resolve_names() and NEAR_MISS from near_miss_ids."""
+    share across threads. TARGET comes from the expected types through
+    resolve_names() and NEAR_MISS from near_miss_ids."""
 
     type_dictionary: Mapping[str, tuple[EntityId, ...]]
     tiers: Mapping[str, tuple[str, ...]]
@@ -367,7 +363,6 @@ class ValidatedConfig:
     property_inference: tuple[InferenceRule, ...]
     weights: Weights
     params: Params
-    target_ids: frozenset[EntityId]
     good_ids: frozenset[EntityId]
     ok_ids: frozenset[EntityId]
     bad_ids: frozenset[EntityId]
@@ -516,7 +511,10 @@ def parse_config_obj(obj: Mapping) -> ValidatedConfig:
     for name, raws in _section(obj, "type_dictionary").items():
         if not isinstance(raws, list):
             raise ConfigError(f"type_dictionary[{name!r}] must be a list of ids")
-        type_dictionary[str(name)] = parse_id_list(raws)
+        type_dictionary[str(name)] = type_ids = parse_id_list(raws)
+        for i in type_ids:
+            if not i.is_item:
+                raise ConfigError(f"type_dictionary[{name!r}]: {i} is not an item id")
 
     tiers_obj = _section(obj, "tiers")
     _require_keys(tiers_obj, TIER_NAMES, "tiers")
@@ -546,8 +544,8 @@ def parse_config_obj(obj: Mapping) -> ValidatedConfig:
                 raise UnresolvedTypeName(f"{where} references unknown type name {name!r}")
         return frozenset().union(*(type_dictionary[name] for name in names))
 
-    # The near_miss tier, the near-miss map's keys and the rules' type names
-    # are resolved only to refuse unknown names.
+    # The near-miss map's keys and the rules' type names are resolved only
+    # to refuse unknown names.
     ids = {tier: resolve(names, f"tiers.{tier}") for tier, names in tiers.items()}
     resolve(near_miss_map, "near_miss_map")
     near_miss_ids = {name: resolve(vals, f"near_miss_map[{name!r}]")
@@ -555,7 +553,7 @@ def parse_config_obj(obj: Mapping) -> ValidatedConfig:
     for rule in rules:
         resolve([rule.then_type_name], f"property_inference rule for {rule.if_property}")
 
-    conflict = ids["bad"] & (ids["target"] | ids["good"] | ids["ok"])
+    conflict = ids["bad"] & (ids["good"] | ids["ok"])
     if conflict:
         raws = ", ".join(i.raw for i in sorted(conflict))
         raise TierConflict(f"id(s) under bad and a positive tier: {raws}")
@@ -564,9 +562,9 @@ def parse_config_obj(obj: Mapping) -> ValidatedConfig:
         type_dictionary=type_dictionary, tiers=tiers,
         near_miss_map=near_miss_map, property_inference=tuple(rules),
         weights=_renormalized(weights), params=params,
-        target_ids=ids["target"], good_ids=ids["good"], ok_ids=ids["ok"],
-        bad_ids=ids["bad"], good_names=frozenset(tiers["good"]),
-        ok_names=frozenset(tiers["ok"]), near_miss_ids=near_miss_ids,
+        good_ids=ids["good"], ok_ids=ids["ok"], bad_ids=ids["bad"],
+        good_names=frozenset(tiers["good"]), ok_names=frozenset(tiers["ok"]),
+        near_miss_ids=near_miss_ids,
         content_hash="")
     canonical = json.dumps(validated.to_obj(), sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -574,8 +574,6 @@ class _Builder:
                 "broad-class": [g["good"]["root"], g["ok"]["root"]],
             },
             "tiers": {
-                "target": ["location"],
-                "near_miss": ["facility", "organization"],
                 "good": ["core-class", "assay-marker"],
                 "ok": ["aux-class", "aux-marker"],
                 "bad": ["noise-class"],

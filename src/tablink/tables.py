@@ -129,11 +129,12 @@ def read_table(path: str | Path) -> Table:
 def read_table_csv(path: str | Path, has_header: bool = True,
                    table_id: str | None = None) -> Table:
     """A file that is not UTF-8 CSV, that is empty, or whose header row is
-    blank raises ParseError naming the file."""
+    blank raises ParseError naming the file. A leading byte-order mark is
+    dropped."""
     import csv
 
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fp:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fp:
             grid = [tuple(row) for row in csv.reader(fp)]
         if not grid:
             raise ValueError("empty CSV")

@@ -128,10 +128,6 @@ def near_miss_fixture():
             "facility": ["Q13226383"],
             "organization": ["Q43229"],
         },
-        "tiers": {
-            "target": ["location"],
-            "near_miss": ["facility", "organization"],
-        },
         "near_miss_map": {"location": ["facility", "organization"]},
     })
     return records, build_closure(edges), config

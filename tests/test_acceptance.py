@@ -285,8 +285,8 @@ def test_type_tiers_agree_with_the_oracle(big_kb, big_ancestors):
             id=Q(f"Q{90_000_000 + i}"), label="probe",
             direct_types=tuple(direct), flagged_props=frozenset(
                 rng.sample(watch, rng.randint(0, len(watch))))))
-    configured = sorted(config.bad_ids | config.target_ids | config.good_ids
-                        | config.ok_ids
+    configured = sorted(config.bad_ids | config.resolve_names(["location"])
+                        | config.good_ids | config.ok_ids
                         | set().union(*config.near_miss_ids.values()))
 
     tiers = Counter()

@@ -70,27 +70,23 @@ def test_version_and_help():
     code, out, _ = quiet_run(["--help"])
     assert code == 0
     assert "SUBCOMMAND" in out
-    # --jobs and --cache are still accepted (the pipeline fixture and the
-    # benchmark pass them) but hidden.
-    for command in ("ingest", "link", "link-table"):
+    # ingest's --jobs and link-table's --jobs and --cache are still accepted
+    # (the pipeline fixture and the benchmark pass them) but hidden.
+    for command in ("ingest", "link-table"):
         code, out, _ = quiet_run([command, "--help"])
         assert code == 0
         assert "--jobs" not in out
         assert "--cache" not in out
 
 
-@pytest.mark.parametrize("command", ["link", "link-table"])
-def test_cache_flag_changes_no_output_and_touches_no_file(pipeline, tmp_path,
-                                                          command):
-    # --cache is ignored: a directory path is never created, and a path that
-    # is a regular file (never a usable cache) is neither refused nor changed.
+def test_cache_flag_changes_no_output_and_touches_no_file(pipeline, tmp_path):
+    # link-table's --cache is ignored: a directory path is never created, and
+    # a path that is a regular file (never a usable cache) is neither refused
+    # nor changed.
     truth = json.loads((pipeline.kb / "truth.json").read_text(encoding="utf-8"))
-    if command == "link":
-        argv = ["link", "--mention", truth["plants"][0]["label"]]
-    else:
-        argv = ["link-table", "--table",
-                str(pipeline.kb / "tables" / truth["tables"][0]["file"])]
-    argv += common(pipeline)
+    argv = ["link-table", "--table",
+            str(pipeline.kb / "tables" / truth["tables"][0]["file"]),
+            *common(pipeline)]
     code, plain, _ = quiet_run(argv)
     assert code == 0
     not_a_dir = tmp_path / "file"
@@ -101,6 +97,26 @@ def test_cache_flag_changes_no_output_and_touches_no_file(pipeline, tmp_path,
         assert out == plain
     assert not (tmp_path / "cache").exists()
     assert not_a_dir.read_bytes() == b"not a cache\n"
+
+
+def test_link_has_no_cache_flag(pipeline, tmp_path):
+    code, out, err = quiet_run(["link", "--mention", "x", *common(pipeline),
+                                "--cache", str(tmp_path / "cache")])
+    assert code == 1
+    assert out == ""
+    assert "error: unrecognized arguments: --cache" in err
+    assert not (tmp_path / "cache").exists()
+
+
+def test_link_refuses_an_unknown_expected_type_name(pipeline):
+    truth = json.loads((pipeline.kb / "truth.json").read_text(encoding="utf-8"))
+    argv = ["link", "--mention", truth["plants"][0]["label"], *common(pipeline)]
+    code, _, err = quiet_run([*argv, "--expect", "location"])
+    assert code == 0, err
+    code, out, err = quiet_run([*argv, "--expect", "location,locaton"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: --expect: unknown type name(s): locaton\n"
 
 
 def test_usage_errors_exit_1(tmp_path):

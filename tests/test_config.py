@@ -36,8 +36,6 @@ def minimal_obj():
             "site": ["Q1496967"],
         },
         "tiers": {
-            "target": ["place"],
-            "near_miss": ["site"],
             "good": ["disease"],
             "ok": ["taxon"],
             "bad": ["work"],
@@ -55,7 +53,6 @@ def test_minimal_config_validates_and_resolves():
     assert cfg.good_ids == frozenset({q("Q12136")})
     assert cfg.ok_ids == frozenset({q("Q16521")})
     assert cfg.bad_ids == frozenset({q("Q386724")})
-    assert cfg.target_ids == frozenset({q("Q17334923")})
     assert cfg.near_miss_ids["place"] == frozenset({q("Q1496967")})
     assert cfg.good_names == frozenset({"disease"})
     assert cfg.content_hash
@@ -223,7 +220,7 @@ WEIGHTS = '"w_match": 0.25, "w_prom": 0.15, "w_ctx": 0.15'
     '"property_inference": {}',
     '"property_inference": ["P486"]',
     '"tiers": {"good": [5]}',
-    '"tiers": {"near_miss": ["place", null]}',
+    '"tiers": {"ok": ["place", null]}',
     '"near_miss_map": {"place": [5]}',
     '"property_inference": [{"if_property": "P486", "then_type_name": 5}]',
 ])
@@ -250,8 +247,14 @@ def test_config_ids_that_are_not_strings_are_refused(section):
      TierConflict, "id(s) under bad and a positive tier: Q1"),
     ('{"weights": {"w_type": 1, "w_match": 1, "w_prom": 0, "w_ctx": 0}}',
      BadWeights, "weights sum to 2.0, expected 1.0 within 1e-6"),
+    ('{"tiers": {"target": ["a"]}}', ConfigError, "unknown key(s) in tiers: target"),
+    ('{"tiers": {"target": [], "near_miss": []}}', ConfigError,
+     "unknown key(s) in tiers: near_miss, target"),
+    ('{"type_dictionary": {"a": ["P31"]}, "tiers": {"good": ["a"]}}',
+     ConfigError, "type_dictionary['a']: P31 is not an item id"),
 ], ids=["non-finite", "param-range", "unresolved-name", "tier-conflict",
-        "bad-weights"])
+        "bad-weights", "target-tier", "target-and-near-miss-tiers",
+        "property-type-id"])
 def test_cli_reports_a_bad_config_value(tmp_path, capsys, text, error, message):
     """Every refusal names the file and keeps its ConfigError class."""
     save_index(Index([ItemRecord(EntityId.parse("Q1"), "alpha")]),

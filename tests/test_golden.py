@@ -121,13 +121,6 @@ CONFIG_TEXT = """\
     ]
   },
   "tiers": {
-    "target": [
-      "location"
-    ],
-    "near_miss": [
-      "facility",
-      "organization"
-    ],
     "good": [],
     "ok": [],
     "bad": []
@@ -161,7 +154,7 @@ CONFIG_TEXT = """\
   }
 }
 """
-CONFIG_HASH = "d3b57132220de3f7ce7677df4d29a5c9beba8a4f82c6ea4605292d25d8097f03"
+CONFIG_HASH = "23df56936e9452379980024426b355580f7a2459b157e71ff9c83c621e7b73f9"
 
 
 def test_saved_config_and_content_hash(tmp_path):

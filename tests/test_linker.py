@@ -48,8 +48,6 @@ TIER_CFG = cfg({
         "ok-marker": ["Q160"],
     },
     "tiers": {
-        "target": ["target-type"],
-        "near_miss": ["miss-type"],
         "good": ["good-type", "good-marker"],
         "ok": ["ok-type", "ok-marker"],
         "bad": ["bad-type"],

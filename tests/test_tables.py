@@ -126,6 +126,16 @@ def test_read_table_csv(tmp_path):
         read_table_csv(empty)
 
 
+def test_read_table_csv_drops_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(b"Name,Count\nalpha,1\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for has_header in (True, False):
+        assert (read_table_csv(marked, has_header, "t")
+                == read_table_csv(plain, has_header, "t"))
+    assert read_table_csv(marked).header_row == ("Name", "Count")
+
+
 @pytest.mark.parametrize("data, has_header", [
     pytest.param(b"\nalpha,1\n", True, id="blank-header-row"),
     pytest.param(b"\n\n", False, id="only-blank-rows"),
