@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import logging
 import sys
@@ -44,8 +43,6 @@ from .tables import (
 )
 from .version import FORMAT_VERSION, __version__
 
-log = logging.getLogger(__name__)
-
 
 class _UsageError(Exception):
     pass
@@ -56,14 +53,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-def _file_hash(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fp:
-        for chunk in iter(lambda: fp.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _emit(obj: dict, out: str | None, *, sort_keys: bool = False) -> None:
@@ -129,7 +118,7 @@ def _cmd_closure(args) -> dict:
     write_closure(args.out, closure)
     _emit({"nodes": len(closure), "edges_in": len(edges),
            "rejected_edges": len(closure.rejected_edges)}, None)
-    return {"closure_hash": _file_hash(args.out)}
+    return {"closure_hash": closure.digest}
 
 
 def _cmd_build_index(args) -> dict:
@@ -147,7 +136,7 @@ def _load_kb(args):
     config = load_config(args.config)
     manifest = {"config_hash": config.content_hash,
                 "index_build_id": index.build_id,
-                "closure_hash": _file_hash(args.closure)}
+                "closure_hash": closure.digest}
     return index, closure, config, manifest
 
 
@@ -323,31 +312,27 @@ def run(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         manifest_fields = args.func(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except TablinkError as exc:
+        manifest = {
+            "subcommand": args.command,
+            "config_hash": None,
+            "index_build_id": None,
+            "closure_hash": None,
+            "artifact_version": __version__,
+            "format_version": FORMAT_VERSION,
+            "wall_time_s": round(time.perf_counter() - started, 6),
+        }
+        manifest.update(manifest_fields)
+        text = json.dumps(manifest, ensure_ascii=False) + "\n"
+        if args.manifest:
+            Path(args.manifest).write_text(text, encoding="utf-8", newline="\n")
+        else:
+            sys.stderr.write(text)
+    except (_UsageError, TablinkError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-
-    manifest = {
-        "subcommand": args.command,
-        "config_hash": None,
-        "index_build_id": None,
-        "closure_hash": None,
-        "artifact_version": __version__,
-        "format_version": FORMAT_VERSION,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
-    manifest.update(manifest_fields)
-    text = json.dumps(manifest, ensure_ascii=False) + "\n"
-    if args.manifest:
-        Path(args.manifest).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stderr.write(text)
     return 0
 
 

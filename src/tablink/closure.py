@@ -8,14 +8,15 @@ through subclass_of (items) or subproperty_of (properties) edges, so that
 from __future__ import annotations
 
 import hashlib
+import io
 import logging
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ParseError
-from .kb import EntityId, ItemRecord, TypeEdge, read_lines
+from .kb import EntityId, ItemRecord, TypeEdge, _id_parser, decode_lines
 
 log = logging.getLogger(__name__)
 
@@ -63,12 +64,11 @@ class TypeClosure:
 
     @cached_property
     def digest(self) -> str:
-        """sha256 of the canonical lines, equal to the hash of the file
-        write_closure() writes. Rejected edges do not count."""
-        h = hashlib.sha256()
-        for line in self.lines():
-            h.update(line.encode("utf-8"))
-        return h.hexdigest()
+        """sha256 of the closure's own text: the bytes of the file
+        read_closure() read or write_closure() wrote, which set it, or else
+        of lines(). Any edit to a closure file changes it; rejected edges do
+        not count."""
+        return hashlib.sha256("".join(self.lines()).encode("utf-8")).hexdigest()
 
 
 def build_closure(edges: Iterable[TypeEdge],
@@ -117,8 +117,9 @@ def has_type(record: ItemRecord, type_id: EntityId, closure: TypeClosure) -> boo
 
 def write_closure(path: str | Path, closure: TypeClosure) -> int:
     """Write closure.lines(); returns the node count."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        fp.writelines(closure.lines())
+    data = "".join(closure.lines()).encode("utf-8")
+    Path(path).write_bytes(data)
+    closure.digest = hashlib.sha256(data).hexdigest()
     return len(closure)
 
 
@@ -131,7 +132,7 @@ def read_closure(path: str | Path) -> TypeClosure:
     ancestors: dict[EntityId, frozenset[EntityId]] = {}
     # Most ids recur on many lines: parse each once, and let equal ids share
     # one object, which the set tests below compare faster.
-    parse = cache(EntityId.parse)
+    parse = _id_parser()
 
     def decode(line: str) -> None:
         node, *rest = map(parse, line.split())
@@ -143,7 +144,8 @@ def read_closure(path: str | Path) -> TypeClosure:
             raise ValueError(f"{node} has an ancestor of the other kind")
         ancestors[node] = frozenset(rest)
 
-    for _ in read_lines(path, decode):
+    data = Path(path).read_bytes()
+    for _ in decode_lines(path, io.BytesIO(data), decode):
         pass
     for node, own in ancestors.items():
         closed = own | {node}
@@ -151,4 +153,6 @@ def read_closure(path: str | Path) -> TypeClosure:
         if unclosed:
             raise ParseError(f"{path}: closure is not transitive: {node} lists "
                              f"{min(unclosed)} but not all of its ancestors")
-    return TypeClosure(ancestors)
+    closure = TypeClosure(ancestors)
+    closure.digest = hashlib.sha256(data).hexdigest()
+    return closure

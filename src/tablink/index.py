@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import json
 import logging
 import marshal
 import math
@@ -26,8 +25,8 @@ from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, TypeVar
 
-from .errors import EmptyMention, IndexUnavailable
-from .kb import ITEM, PROPERTY, EntityId, ItemRecord, write_json
+from .errors import EmptyMention, IndexUnavailable, ParseError
+from .kb import ITEM, PROPERTY, EntityId, ItemRecord, read_json, write_json
 
 # Unused here; tablink.index.read_records stays a name because the
 # perfbench tracer wraps it.
@@ -358,6 +357,12 @@ def _checked(data, record_count) -> _Tables | None:
     return t
 
 
+def _json_object(obj: object) -> dict:
+    if type(obj) is not dict:
+        raise TypeError("the document is not an object")
+    return obj
+
+
 def load_index(index_dir: str | Path) -> Index:
     """The index saved in index_dir. Checks the manifest's version pins,
     then the blob's hash against the build_id, then the loaded tables'
@@ -368,13 +373,10 @@ def load_index(index_dir: str | Path) -> Index:
     if not manifest_path.is_file() or not blob_path.is_file():
         raise IndexUnavailable(f"{path} is not an index directory")
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fp:
-            manifest = json.load(fp)
-    except ValueError as exc:
+        manifest = read_json(manifest_path, _json_object)
+    except ParseError as exc:
         raise IndexUnavailable(
-            f"index {path}: {MANIFEST_NAME} is not valid JSON ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise IndexUnavailable(f"index {path}: {MANIFEST_NAME} is not a JSON object")
+            f"index {path}: {MANIFEST_NAME} is not a valid JSON object ({exc})") from exc
     for key, current in _pins().items():
         if manifest.get(key) != current:
             raise IndexUnavailable(

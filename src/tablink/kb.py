@@ -211,16 +211,22 @@ def read_lines(path: str | Path, decode: Callable[[str], T]) -> Iterator[T]:
     ending. A line that is not UTF-8, or that decode() refuses, raises
     ParseError naming the file and line."""
     with open(path, "rb") as fp:
-        for lineno, raw in enumerate(fp, 1):
-            try:
-                line = raw.rstrip(b"\r\n").decode("utf-8")
-                if not line.strip():
-                    continue
-                value = decode(line)
-            except _DECODE_ERRORS as exc:
-                raise ParseError(f"{path}:{lineno}: bad line "
-                                 f"({type(exc).__name__}: {exc})") from exc
-            yield value
+        yield from decode_lines(path, fp, decode)
+
+
+def decode_lines(path: str | Path, raw_lines: Iterable[bytes],
+                 decode: Callable[[str], T]) -> Iterator[T]:
+    """read_lines() over raw_lines, the byte lines of the file at path."""
+    for lineno, raw in enumerate(raw_lines, 1):
+        try:
+            line = raw.rstrip(b"\r\n").decode("utf-8")
+            if not line.strip():
+                continue
+            value = decode(line)
+        except _DECODE_ERRORS as exc:
+            raise ParseError(f"{path}:{lineno}: bad line "
+                             f"({type(exc).__name__}: {exc})") from exc
+        yield value
 
 
 def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> Iterator[T]:
@@ -229,13 +235,25 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> Iterator[T]:
     return read_lines(path, lambda line: decode(json.loads(line)))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; json.loads would keep a repeated key's last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def read_json(path: str | Path, decode: Callable[[object], T]) -> T:
     """decode() of the file's one JSON document. A file that is not UTF-8
-    JSON, or that decode() refuses, raises ParseError naming the file;
-    ConfigError and ParseError from decode() pass through unchanged."""
+    JSON, repeats a key within an object, or that decode() refuses, raises
+    ParseError naming the file; ConfigError and ParseError from decode()
+    pass through unchanged."""
     data = Path(path).read_bytes()
     try:
-        return decode(json.loads(data.decode("utf-8")))
+        return decode(json.loads(data.decode("utf-8"),
+                                 object_pairs_hook=_unique_keys))
     except _DECODE_ERRORS as exc:
         raise ParseError(f"{path}: bad document "
                          f"({type(exc).__name__}: {exc})") from exc

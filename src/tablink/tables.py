@@ -9,7 +9,6 @@ along its transpose.
 
 from __future__ import annotations
 
-import logging
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
@@ -40,8 +39,6 @@ from .linker import (
     scored_sort_key,
 )
 from .text import tokenize
-
-log = logging.getLogger(__name__)
 
 NUMBER = "NUMBER"
 PERCENT = "PERCENT"

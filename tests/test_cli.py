@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -9,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from tablink.cli import run
+from tablink.closure import read_closure
 
 
 def quiet_run(argv):
@@ -227,6 +229,52 @@ def test_manifest_file_and_reproducibility(pipeline, tmp_path):
     assert manifests[0]["config_hash"]
     assert manifests[0]["closure_hash"]
     assert manifests[0]["format_version"] == 3
+
+
+def test_an_unwritable_manifest_path_is_an_io_error(pipeline, tmp_path):
+    manifest = tmp_path / "missing" / "m.json"
+    code, out, err = quiet_run(["--manifest", str(manifest), "link",
+                                "--mention", "zzz unlinkable", *common(pipeline)])
+    assert code == 2
+    json.loads(out)
+    assert err.startswith("error: ") and str(manifest) in err
+    assert "Traceback" not in err
+
+
+def test_a_closure_file_out_of_canonical_order_is_identified_by_its_bytes(
+        pipeline, tmp_path):
+    """Its digest, and the manifest's closure_hash, is the file's own hash,
+    and it links as the canonical file does."""
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    lines = pipeline.closure.read_bytes().splitlines(keepends=True)
+    reordered = tmp_path / "closure.txt"
+    reordered.write_bytes(b"".join(reversed(lines)))
+    assert read_closure(reordered).digest == sha256(reordered)
+    assert sha256(reordered) != sha256(pipeline.closure)
+
+    annotations = []
+    for closure in (pipeline.closure, reordered):
+        manifest_path = tmp_path / "manifest.json"
+        code, out, _ = quiet_run([
+            "--manifest", str(manifest_path), "link-table",
+            "--table", str(pipeline.kb / "tables" / "t000.json"),
+            "--index", str(pipeline.index), "--closure", str(closure),
+            "--config", str(pipeline.config)])
+        assert code == 0
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert manifest["closure_hash"] == sha256(closure)
+        annotations.append(out)
+    assert annotations[0] == annotations[1]
+
+    # The closure command's closure_hash is the hash of the file it wrote.
+    written = tmp_path / "written.txt"
+    code, _, err = quiet_run(["closure", "--edges", str(pipeline.edges),
+                              "--records", str(pipeline.records),
+                              "--out", str(written)])
+    assert code == 0
+    assert json.loads(err)["closure_hash"] == sha256(written)
 
 
 def test_link_table_eval_bench_flow(pipeline, tmp_path, capsys):

@@ -13,6 +13,7 @@ from tablink import (
     InvalidEntityId,
     ItemRecord,
     Params,
+    ParseError,
     TierConflict,
     UnresolvedTypeName,
     Weights,
@@ -270,6 +271,29 @@ def test_cli_reports_a_bad_config_value(tmp_path, capsys, text, error, message):
         load_config(path)
     assert type(info.value) is error
     assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("text, key", [
+    pytest.param('{"type_dictionary": {"a": ["Q1"]}, "tiers": {"good": ["a"]}, '
+                 '"tiers": {"bad": ["a"]}}', "tiers", id="section"),
+    pytest.param('{"params": {"k": 5, "k": 7}}', "k", id="param"),
+])
+def test_a_repeated_config_key_is_refused(tmp_path, capsys, text, key):
+    """json.loads alone keeps a repeated key's last value: the good tier
+    would load empty, or k would load as 7."""
+    save_index(Index([ItemRecord(EntityId.parse("Q1"), "alpha")]),
+               tmp_path / "index")
+    write_closure(tmp_path / "closure.txt", build_closure([]))
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    message = f"{path}: bad document (ValueError: repeated key {key!r})"
+    with pytest.raises(ParseError) as info:
+        load_config(path)
+    assert str(info.value) == message
+    assert run(["link", "--mention", "alpha", "--index", str(tmp_path / "index"),
+                "--closure", str(tmp_path / "closure.txt"),
+                "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # Values no Params or Weights field accepts.

@@ -240,6 +240,24 @@ def test_load_rejects_a_missing_file(tmp_path, small_index, name):
         load_index(tmp_path / "idx")
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda text: "{not json", id="not-json"),
+    pytest.param(lambda text: "[" + text + "]", id="array"),
+    pytest.param(lambda text: '{"record_count": -1, ' + text[1:],
+                 id="repeated-key"),
+])
+def test_load_refuses_a_manifest_that_is_not_a_json_object(tmp_path, small_index,
+                                                           edit):
+    index_dir = tmp_path / "idx"
+    save_index(small_index, index_dir)
+    manifest_path = index_dir / "manifest.json"
+    manifest_path.write_text(edit(manifest_path.read_text(encoding="utf-8")),
+                             encoding="utf-8")
+    with pytest.raises(IndexUnavailable, match=rf"^index {re.escape(str(index_dir))}"
+                       r": manifest.json is not a valid JSON object \("):
+        load_index(index_dir)
+
+
 def _edit_manifest(index_dir, **fields):
     manifest_path = index_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))

@@ -107,6 +107,16 @@ def test_read_table_rejects_bad_json(tmp_path, text):
         read_table(path)
 
 
+def test_read_table_refuses_a_repeated_key(tmp_path):
+    """json.loads alone keeps the last "rows", and the table has no rows."""
+    path = tmp_path / "t.json"
+    path.write_text('{"table_id": "t", "headers": ["H1"], "rows": [["x"]], '
+                    '"rows": []}', encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: bad "
+                       r"document \(ValueError: repeated key 'rows'\)$"):
+        read_table(path)
+
+
 def test_read_table_csv(tmp_path):
     path = tmp_path / "grid.csv"
     path.write_text("Name,Count\nalpha,1\nbeta\n", encoding="utf-8")
