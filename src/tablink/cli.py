@@ -207,8 +207,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tablink", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version",
                         version=f"tablink {__version__} (format {FORMAT_VERSION})")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log at INFO level on standard error")
     parser.add_argument("--manifest", metavar="PATH",
                         help="write the run manifest to PATH instead of standard error")
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
@@ -300,8 +298,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
 
-    logging.basicConfig(stream=sys.stderr,
-                        level=logging.INFO if args.verbose else logging.WARNING,
+    logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
     if not getattr(args, "func", None):

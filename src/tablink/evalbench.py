@@ -9,6 +9,7 @@ without touching a rate-limited public API or sleeping through its latency.
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
 import time
 from collections.abc import Iterable
@@ -19,7 +20,14 @@ from statistics import median
 from .closure import TypeClosure
 from .errors import EmptyMention, GoldMismatch
 from .index import Index, search
-from .kb import EntityId, ValidatedConfig, read_jsonl, typed_field, write_jsonl
+from .kb import (
+    EntityId,
+    ValidatedConfig,
+    _unique_keys,
+    read_lines,
+    typed_field,
+    write_jsonl,
+)
 from .linker import CELL, link_from_candidates
 from .tables import TableAnnotation
 
@@ -39,7 +47,13 @@ class GoldRecord:
     expected: EntityId | None
 
 
+_GOLD_KEYS = frozenset(("table_id", "row", "col", "expected"))
+
+
 def _gold_from_obj(obj: dict) -> GoldRecord:
+    unknown = obj.keys() - _GOLD_KEYS
+    if unknown:
+        raise ValueError(f"unknown key(s) {sorted(unknown)}")
     expected = typed_field(obj, "expected", str, type(None), default=None)
     return GoldRecord(typed_field(obj, "table_id", str),
                       typed_field(obj, "row", int), typed_field(obj, "col", int),
@@ -47,7 +61,10 @@ def _gold_from_obj(obj: dict) -> GoldRecord:
 
 
 def read_gold(path: str | Path) -> list[GoldRecord]:
-    return list(read_jsonl(path, _gold_from_obj))
+    """The gold lines of path. A line with a key other than _GOLD_KEYS, or
+    with a repeated key, is refused as read_lines() refuses a line."""
+    return list(read_lines(path, lambda line: _gold_from_obj(
+        json.loads(line, object_pairs_hook=_unique_keys))))
 
 
 def _gold_obj(g: GoldRecord) -> dict:

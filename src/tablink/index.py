@@ -20,7 +20,8 @@ import math
 import sys
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, TypeVar
@@ -90,12 +91,12 @@ def _compile(records: list[ItemRecord], duplicate_ids: int) -> _Tables:
     by_alias: dict[str, list[int]] = {}
     postings: dict[str, list[int]] = {}
     for row, record in enumerate(records):
-        label = normalize(record.label)
-        by_label.setdefault(label, []).append(row)
-        tokens = set(split_tokens(label))
         # Aliases are already distinct by normalized form (ItemRecord sees
         # to it).
-        for alias in map(normalize, record.aliases):
+        label, *aliases = record.surfaces
+        by_label.setdefault(label, []).append(row)
+        tokens = set(split_tokens(label))
+        for alias in aliases:
             by_alias.setdefault(alias, []).append(row)
             tokens.update(split_tokens(alias))
         for token in tokens:
@@ -123,9 +124,9 @@ def _compile(records: list[ItemRecord], duplicate_ids: int) -> _Tables:
     )
 
 
-def _build(records: Iterable[ItemRecord]) -> tuple[list[ItemRecord], _Tables]:
-    """The distinct records in rank order, and their tables; of records
-    with one id the last wins."""
+def _build(records: Iterable[ItemRecord]) -> _Tables:
+    """The tables of the distinct records in rank order; of records with
+    one id the last wins."""
     by_id: dict[EntityId, ItemRecord] = {}
     duplicate_ids = 0
     for record in records:
@@ -134,7 +135,7 @@ def _build(records: Iterable[ItemRecord]) -> tuple[list[ItemRecord], _Tables]:
             log.warning("duplicate record id %s: last one wins", record.id)
         by_id[record.id] = record
     ordered = sorted(by_id.values(), key=lambda r: (-r.sitelinks_count, r.id))
-    return ordered, _compile(ordered, duplicate_ids)
+    return _compile(ordered, duplicate_ids)
 
 
 def _dump(tables: _Tables) -> bytes:
@@ -155,40 +156,23 @@ def _without_gc(fn: Callable[..., T], *args) -> T:
             gc.enable()
 
 
-class _RecordsView(Mapping):
-    """Read-only EntityId -> ItemRecord view of an index, in id order."""
-
-    def __init__(self, index: Index):
-        self._index = index
-
-    def __getitem__(self, eid: EntityId) -> ItemRecord:
-        if not isinstance(eid, EntityId):
-            raise KeyError(eid)
-        return self._index.record(eid.raw)
-
-    def __iter__(self) -> Iterator[EntityId]:
-        return iter(sorted(map(EntityId.parse, self._index._tables.ids)))
-
-    def __len__(self) -> int:
-        return len(self._index._tables.ids)
-
-
 class Index:
     """Search structures over one record set.
 
-    `Index(records)` builds them in memory; `load_index` builds the same
-    object from a saved blob. An ItemRecord is made from its row the first
-    time it is asked for and memoized, so each row is decoded at most once
-    per Index. Searches may run concurrently: two that decode the same row
-    at once both store an equal record.
+    `Index(records)` builds them in memory and keeps no record it was
+    given; `load_index` builds the same object from a saved blob. Either
+    way every ItemRecord the index hands out is decoded from its row by
+    record_at, the first time it is asked for, and memoized, so each row is
+    decoded at most once per Index and equals the record it was built
+    from. Searches may run concurrently: two that decode the same row at
+    once both store an equal record.
     """
 
     def __init__(self, records: Iterable[ItemRecord]):
-        ordered, tables = _without_gc(_build, records)
+        tables = _without_gc(_build, records)
         # Kept for save_index, so a build marshals its tables once.
         blob = _dump(tables)
         self._adopt(tables, hashlib.sha256(blob).hexdigest(), blob)
-        self._memo.update(enumerate(ordered))
 
     @classmethod
     def _from_tables(cls, tables: _Tables, build_id: str) -> Index:
@@ -203,7 +187,6 @@ class Index:
         self._memo: dict[int, ItemRecord] = {}
         self.build_id = build_id
         self.duplicate_ids = tables.duplicate_ids
-        self.records_by_id: Mapping[EntityId, ItemRecord] = _RecordsView(self)
 
     def __len__(self) -> int:
         return len(self._tables.ids)
@@ -225,12 +208,17 @@ class Index:
             self._memo[row] = record
         return record
 
-    def record(self, raw_id: str) -> ItemRecord:
-        """The record with this raw id; KeyError when there is none."""
-        return self.record_at(self._tables.rows[raw_id])
+    @cached_property
+    def records_by_id(self) -> dict[EntityId, ItemRecord]:
+        """Every record by id, in id order; every row is decoded on first
+        use."""
+        rows = self._tables.rows
+        return {eid: self.record_at(rows[eid.raw])
+                for eid in sorted(map(EntityId.parse, rows))}
 
     def get(self, eid: EntityId) -> ItemRecord | None:
-        return self.records_by_id.get(eid)
+        row = self._tables.rows.get(eid.raw)
+        return None if row is None else self.record_at(row)
 
     def postings(self, token: str) -> tuple[int, ...]:
         return self._tables.postings.get(token, ())

@@ -9,13 +9,11 @@ else in a document is ignored.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 from .errors import InvalidEntityId, ParseError
 from .kb import (
@@ -30,7 +28,6 @@ from .kb import (
     typed_field,
 )
 
-log = logging.getLogger(__name__)
 
 @dataclass
 class IngestStats:
@@ -210,9 +207,8 @@ def _ingest_lines(lines: Iterable[bytes], rec_fp, edge_fp,
             if body is None:
                 raise ParseError("dump line is not UTF-8")
             record, edges = parse_entity_doc(json.loads(body), watch)
-        except (json.JSONDecodeError, ParseError) as exc:
+        except (json.JSONDecodeError, ParseError):
             stats.parse_errors += 1
-            log.debug("skipping malformed dump line: %s", exc)
             continue
         for edge in edges:
             edge_fp.write(dump_json_line(edge_to_obj(edge)))
@@ -277,87 +273,67 @@ def _ingest_sharded(dump_path, dump_fp, points: list[int], out_records,
     import tempfile
     with tempfile.TemporaryDirectory(prefix=".ingest-",
                                      dir=Path(out_records).parent) as tmp:
-        children: list[_Child] = []
+        pids: dict[int, int] = {}     # range i -> the child parsing it
         try:
             for i in range(1, len(points) - 1):
-                parts = (Path(tmp, f"{i}.records"), Path(tmp, f"{i}.edges"))
-                children.append(_fork(dump_path, points[i], points[i + 1],
-                                      parts, watch))
+                pids[i] = _fork(dump_path, points[i], points[i + 1],
+                                _parts(tmp, i), watch)
             with _outputs(out_records, out_edges) as outs:
                 counts = [astuple(_ingest_lines(
                     _lines_in(dump_fp, 0, points[1]), *outs, watch))]
-                while children:
-                    child = children.pop(0)
-                    counts.append(child.collect(dump_path))
-                    for out, part in zip(outs, child.parts):
+                for i in list(pids):
+                    _, status = os.waitpid(pids[i], 0)
+                    del pids[i]
+                    *parts, stats_path = _parts(tmp, i)
+                    report = (stats_path.read_text("utf-8", "replace")
+                              if stats_path.exists() else "")
+                    if status != 0 or not report.startswith("ok "):
+                        raise ChildProcessError(
+                            f"{dump_path}: parsing bytes {points[i]}-"
+                            f"{points[i + 1]} failed in a worker process: "
+                            f"{report or f'wait status {status}'}")
+                    counts.append(tuple(map(int, report.split()[1:])))
+                    for out, part in zip(outs, parts):
                         _append(out, part)
         finally:
-            for child in children:
-                child.kill()
+            import signal
+            for pid in pids.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return IngestStats(*map(sum, zip(*counts)))
 
 
-class _Child(NamedTuple):
-    """A forked process parsing the dump's bytes start..end into parts."""
-
-    pid: int
-    pipe: int             # read end; the child writes its stats line to it
-    start: int
-    end: int
-    parts: tuple[Path, Path]
-
-    def collect(self, dump_path) -> tuple[int, ...]:
-        """Wait for the child; its stats as IngestStats fields in order."""
-        try:
-            with open(self.pipe, "rb") as fp:
-                line = fp.read().decode("utf-8", "replace")
-        finally:
-            _, status = os.waitpid(self.pid, 0)
-        if status != 0 or not line.startswith("ok "):
-            raise ChildProcessError(
-                f"{dump_path}: parsing bytes {self.start}-{self.end} failed "
-                f"in a worker process: {line or f'wait status {status}'}")
-        return tuple(map(int, line.split()[1:]))
-
-    def kill(self) -> None:
-        import signal
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        os.close(self.pipe)
+def _parts(tmp: str, i: int) -> tuple[Path, Path, Path]:
+    """The records, edges and stats files of range i's child."""
+    return tuple(Path(tmp, f"{i}.{kind}") for kind in
+                 ("records", "edges", "stats"))
 
 
-def _fork(dump_path, start: int, end: int, parts: tuple[Path, Path],
-          watch: frozenset[EntityId]) -> _Child:
-    """Start a child parsing the dump's bytes start..end into parts. The
-    child opens its own handle on the dump (an inherited one shares its
-    offset) and leaves through os._exit, so none of the caller's code runs
-    in it."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
+def _fork(dump_path, start: int, end: int, parts: tuple[Path, Path, Path],
+          watch: frozenset[EntityId]) -> int:
+    """Start a child parsing the dump's bytes start..end into the records
+    and edges parts; before it exits it writes "ok" and its stats, or its
+    error, to the stats part. The child opens its own handle on the dump
+    (an inherited one shares its offset) and leaves through os._exit, so
+    none of the caller's code runs in it. Returns its pid."""
+    pid = os.fork()
     if pid == 0:
-        status, line = 1, ""
+        status, report = 1, ""
         try:
-            os.close(read_end)
-            with open(dump_path, "rb") as dump_fp, _outputs(*parts) as outs:
+            with open(dump_path, "rb") as dump_fp, _outputs(*parts[:2]) as outs:
                 stats = _ingest_lines(_lines_in(dump_fp, start, end), *outs,
                                       watch)
-            status, line = 0, " ".join(map(str, ["ok", *astuple(stats)]))
+            status, report = 0, " ".join(map(str, ["ok", *astuple(stats)]))
         except BaseException as exc:
             # Reported to the parent, not raised: the child leaves only
             # through os._exit.
-            line = f"{type(exc).__name__}: {exc}"
+            report = f"{type(exc).__name__}: {exc}"
         finally:
             try:
-                os.write(write_end, line.encode("utf-8", "replace"))
+                parts[2].write_text(report, "utf-8", "replace")
             finally:
                 os._exit(status)
-    os.close(write_end)
-    return _Child(pid, read_end, start, end, parts)
+    return pid
 
 
 def _append(out_fp, path: Path) -> None:

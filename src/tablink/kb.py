@@ -13,7 +13,7 @@ import json
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 from typing import NamedTuple, TypeVar
@@ -95,6 +95,10 @@ class ItemRecord:
     Construction enforces the record invariants: the label is non-empty,
     aliases are deduplicated by normalized form and never repeat the label,
     direct types are item ids, flagged props are property ids.
+
+    surfaces is the normalized label, then each kept alias's normalized
+    form: what the alias dedupe computes and the index is built from. It is
+    derived, so it is neither an argument nor compared.
     """
 
     id: EntityId
@@ -104,6 +108,7 @@ class ItemRecord:
     direct_types: tuple[EntityId, ...] = ()
     sitelinks_count: int = 0
     flagged_props: frozenset[EntityId] = frozenset()
+    surfaces: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         label_norm = self.label and normalize(self.label)
@@ -111,15 +116,14 @@ class ItemRecord:
             raise ValueError(f"{self.id}: record label must be non-empty")
         if self.sitelinks_count < 0:
             raise ValueError(f"{self.id}: negative sitelinks count")
-        seen = {label_norm}
-        aliases = []
+        # Normalized form -> the first string with it; the label's first.
+        kept = {label_norm: self.label}
         for a in self.aliases:
             norm = normalize(a)
-            if not norm or norm in seen:
-                continue
-            seen.add(norm)
-            aliases.append(a)
-        object.__setattr__(self, "aliases", tuple(aliases))
+            if norm and norm not in kept:
+                kept[norm] = a
+        object.__setattr__(self, "aliases", tuple(kept.values())[1:])
+        object.__setattr__(self, "surfaces", tuple(kept))
         object.__setattr__(self, "direct_types", item_types(self.direct_types))
         flagged = frozenset(self.flagged_props)
         for p in flagged:

@@ -110,6 +110,14 @@ def test_link_has_no_cache_flag(pipeline, tmp_path):
     assert not (tmp_path / "cache").exists()
 
 
+def test_there_is_no_verbose_flag(pipeline):
+    code, out, err = quiet_run(["--verbose", "link", "--mention", "x",
+                                *common(pipeline)])
+    assert code == 1
+    assert out == ""
+    assert "error: unrecognized arguments: --verbose" in err
+
+
 def test_link_refuses_an_unknown_expected_type_name(pipeline):
     truth = json.loads((pipeline.kb / "truth.json").read_text(encoding="utf-8"))
     argv = ["link", "--mention", truth["plants"][0]["label"], *common(pipeline)]
@@ -368,6 +376,8 @@ GOOD_LINES = {
     ("gold", '{"table_id": 7, "row": 1, "col": 0, "expected": null}'),
     ("gold", '{"table_id": "t", "row": 1.7, "col": 0, "expected": null}'),
     ("gold", '{"table_id": "t", "row": 1, "col": true, "expected": null}'),
+    ("gold", '{"table_id": "t", "row": 1, "col": 0, "entity": "Q1"}'),
+    ("gold", '{"table_id": "t", "row": 0, "col": 0, "expected": null, "row": 1}'),
 ])
 def test_malformed_jsonl_line_is_an_error_naming_file_and_line(
         tmp_path, kind, bad_line):

@@ -12,6 +12,7 @@ import threading
 import pytest
 
 import tablink.index
+import tablink.kb
 from tablink import (
     EmptyMention,
     EntityId,
@@ -27,6 +28,7 @@ from tablink import (
 )
 
 from tablink.kb import read_direct_types
+from tablink.text import normalize
 
 from oracles import OracleKB, o_search
 
@@ -327,10 +329,14 @@ def test_build_index_bytes_do_not_depend_on_the_hash_seed(tmp_path, small_kb):
     assert built[0] == built[1] == files(tmp_path / "here")
 
 
+@pytest.mark.parametrize("source", ["built", "loaded"])
 def test_rows_are_decoded_once_into_equal_records(tmp_path, small_kb,
-                                                  monkeypatch):
-    save_index(small_kb.index, tmp_path / "idx")
-    loaded = load_index(tmp_path / "idx")
+                                                  monkeypatch, source):
+    if source == "built":
+        loaded = Index(small_kb.records)
+    else:
+        save_index(small_kb.index, tmp_path / "idx")
+        loaded = load_index(tmp_path / "idx")
     made = []
 
     def counting(**fields):
@@ -347,6 +353,23 @@ def test_rows_are_decoded_once_into_equal_records(tmp_path, small_kb,
         records = list(loaded.records_by_id.values())
     assert len(made) == len(set(made)) == len(loaded)
     assert records == sorted(small_kb.records, key=lambda r: r.id)
+
+
+def test_a_build_normalizes_each_label_and_alias_once(small_kb, monkeypatch):
+    path = small_kb.result.records_path
+    strings = sum(1 + len(json.loads(line).get("aliases", []))
+                  for line in path.read_text(encoding="utf-8").splitlines())
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return normalize(text)
+
+    monkeypatch.setattr(tablink.kb, "normalize", counting)
+    monkeypatch.setattr(tablink.index, "normalize", counting)
+    index = Index(read_records(path))
+    assert len(index) == len(small_kb.records)
+    assert len(calls) == strings
 
 
 def test_search_matches_linear_scan_oracle(small_kb):
