@@ -22,7 +22,6 @@ from pathlib import Path
 from .closure import build_closure, read_closure, write_closure
 from .errors import TablinkError
 from .index import Index, load_index, save_index
-from .ingest import ingest_dump
 from .kb import (
     EntityId,
     dump_json,
@@ -94,6 +93,14 @@ def _count(raw: str) -> int:
     if not raw.isdecimal():
         raise argparse.ArgumentTypeError(f"needs a whole number, not {raw!r}")
     return int(raw)
+
+
+def ingest_dump(*args, **kwargs):
+    """tablink.ingest.ingest_dump, imported on the first call: only the
+    ingest command runs it. _cmd_ingest calls it through this module, where
+    a timing wrapper can replace it."""
+    from .ingest import ingest_dump
+    return ingest_dump(*args, **kwargs)
 
 
 # subcommand bodies -----------------------------------------------------------
@@ -205,8 +212,10 @@ def _cmd_gen_kb(args) -> dict:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tablink", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version",
-                        version=f"tablink {__version__} (format {FORMAT_VERSION})")
+    # A plain flag, answered after parsing: argparse's version action would
+    # print and exit before an unknown option is reported.
+    parser.add_argument("--version", action="store_true",
+                        help="print the version and exit")
     parser.add_argument("--manifest", metavar="PATH",
                         help="write the run manifest to PATH instead of standard error")
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
@@ -295,8 +304,11 @@ def run(argv: list[str] | None = None) -> int:
         sys.stderr.write(parser.format_usage())
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except SystemExit as exc:  # --help / --version
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    if args.version:
+        sys.stdout.write(f"tablink {__version__} (format {FORMAT_VERSION})\n")
+        return 0
 
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")

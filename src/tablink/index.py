@@ -4,10 +4,13 @@ list, standing in for an online search API.
 The index is built once and is immutable afterwards. Records live in rows
 numbered in rank order (sitelinks count descending, then id), the order in
 which search breaks ties; search works on row numbers and builds an
-ItemRecord only for a row it returns. Persistence is a directory holding
-the compiled tables as one marshalled blob plus a manifest that pins the
-blob's hash and the versions it depends on, so a loaded index always
-matches what was built.
+ItemRecord only for a row it returns. Every table is a tuple: one sorted
+vocabulary of normalized labels, aliases and tokens with a row tuple per
+key and kind, probed by bisection, and one marshalled bytes object per
+row, decoded on first use. Loading therefore builds no hash table, and
+no record until one is asked for. Persistence is a directory holding the tables as one
+marshalled blob plus a manifest that pins the blob's hash and the versions
+it depends on, so a loaded index always matches what was built.
 """
 
 from __future__ import annotations
@@ -66,23 +69,22 @@ class RawCandidate(NamedTuple):
 
 class _Tables(NamedTuple):
     """Everything an Index holds, as primitives. Row r is the r-th record in
-    rank order: sitelinks count descending, then EntityId. The maps' keys
-    are in sorted order and their row tuples ascend, so every row tuple
-    lists its records best-ranked first."""
+    rank order: sitelinks count descending, then EntityId. keys ascend
+    strictly, and key i's rows of each kind are entry i of label_rows,
+    alias_rows and token_rows, () where the key is not of that kind. Row
+    tuples ascend, so each lists its records best-ranked first."""
 
     header: tuple[int, str, str]
     duplicate_ids: int
-    ids: tuple[str, ...]                           # raw ids
-    labels: tuple[str, ...]
-    aliases: tuple[tuple[str, ...], ...]
-    descriptions: tuple[str, ...]
-    direct_types: tuple[tuple[int, ...], ...]      # item numbers
-    sitelinks: tuple[int, ...]
-    flagged_props: tuple[tuple[int, ...], ...]     # property numbers, sorted
-    rows: dict[str, int]                           # raw id -> row
-    by_label: dict[str, tuple[int, ...]]           # normalized label -> rows
-    by_alias: dict[str, tuple[int, ...]]           # normalized alias -> rows
-    postings: dict[str, tuple[int, ...]]           # label/alias token -> rows
+    ids: tuple[str, ...]                           # raw id of each row
+    id_order: tuple[int, ...]                      # rows sorted by raw id
+    # Each row's label, aliases, description, direct type numbers,
+    # sitelinks count and sorted flagged property numbers, marshalled.
+    records: tuple[bytes, ...]
+    keys: tuple[str, ...]                          # labels, aliases, tokens
+    label_rows: tuple[tuple[int, ...], ...]        # normalized label -> rows
+    alias_rows: tuple[tuple[int, ...], ...]        # normalized alias -> rows
+    token_rows: tuple[tuple[int, ...], ...]        # label/alias token -> rows
 
 
 def _compile(records: list[ItemRecord], duplicate_ids: int) -> _Tables:
@@ -102,25 +104,26 @@ def _compile(records: list[ItemRecord], duplicate_ids: int) -> _Tables:
         for token in tokens:
             postings.setdefault(token, []).append(row)
 
-    def frozen(rows_of: dict[str, list[int]]) -> dict[str, tuple[int, ...]]:
-        return {key: tuple(rows_of[key]) for key in sorted(rows_of)}
+    keys = tuple(sorted(by_label.keys() | by_alias.keys() | postings.keys()))
+
+    def column(rows_of: dict[str, list[int]]) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(rows_of.get(key, ())) for key in keys)
 
     ids = tuple(r.id.raw for r in records)
     return _Tables(
         header=_HEADER,
         duplicate_ids=duplicate_ids,
         ids=ids,
-        labels=tuple(r.label for r in records),
-        aliases=tuple(r.aliases for r in records),
-        descriptions=tuple(r.description for r in records),
-        direct_types=tuple(tuple(t.num for t in r.direct_types) for r in records),
-        sitelinks=tuple(r.sitelinks_count for r in records),
-        flagged_props=tuple(tuple(sorted(p.num for p in r.flagged_props))
-                            for r in records),
-        rows=dict(sorted((raw, row) for row, raw in enumerate(ids))),
-        by_label=frozen(by_label),
-        by_alias=frozen(by_alias),
-        postings=frozen(postings),
+        id_order=tuple(sorted(range(len(ids)), key=ids.__getitem__)),
+        records=tuple(marshal.dumps(
+            (r.label, r.aliases, r.description,
+             tuple(t.num for t in r.direct_types), r.sitelinks_count,
+             tuple(sorted(p.num for p in r.flagged_props))), _MARSHAL_FORMAT)
+            for r in records),
+        keys=keys,
+        label_rows=column(by_label),
+        alias_rows=column(by_alias),
+        token_rows=column(postings),
     )
 
 
@@ -160,8 +163,10 @@ class Index:
     """Search structures over one record set.
 
     `Index(records)` builds them in memory and keeps no record it was
-    given; `load_index` builds the same object from a saved blob. Either
-    way every ItemRecord the index hands out is decoded from its row by
+    given; `load_index` builds the same object from a saved blob. The
+    tables are tuples only: a label, alias, token or id is found by
+    bisection, so a load makes no dict or other per-key structure. Every
+    ItemRecord the index hands out is decoded from its row's bytes by
     record_at, the first time it is asked for, and memoized, so each row is
     decoded at most once per Index and equals the record it was built
     from. Searches may run concurrently: two that decode the same row at
@@ -196,15 +201,16 @@ class Index:
         record = self._memo.get(row)
         if record is None:
             t = self._tables
+            label, aliases, description, types, sitelinks, flagged = \
+                marshal.loads(t.records[row])
             record = ItemRecord(
                 id=EntityId.parse(t.ids[row]),
-                label=t.labels[row],
-                aliases=t.aliases[row],
-                description=t.descriptions[row],
-                direct_types=tuple(EntityId(ITEM, n) for n in t.direct_types[row]),
-                sitelinks_count=t.sitelinks[row],
-                flagged_props=frozenset(EntityId(PROPERTY, n)
-                                        for n in t.flagged_props[row]))
+                label=label,
+                aliases=aliases,
+                description=description,
+                direct_types=tuple(EntityId(ITEM, n) for n in types),
+                sitelinks_count=sitelinks,
+                flagged_props=frozenset(EntityId(PROPERTY, n) for n in flagged))
             self._memo[row] = record
         return record
 
@@ -212,16 +218,30 @@ class Index:
     def records_by_id(self) -> dict[EntityId, ItemRecord]:
         """Every record by id, in id order; every row is decoded on first
         use."""
-        rows = self._tables.rows
-        return {eid: self.record_at(rows[eid.raw])
-                for eid in sorted(map(EntityId.parse, rows))}
+        return {eid: self.record_at(row) for eid, row
+                in sorted((EntityId.parse(raw), row)
+                          for row, raw in enumerate(self._tables.ids))}
 
     def get(self, eid: EntityId) -> ItemRecord | None:
-        row = self._tables.rows.get(eid.raw)
-        return None if row is None else self.record_at(row)
+        t = self._tables
+        raw = eid.raw
+        i = bisect_left(t.id_order, raw, key=t.ids.__getitem__)
+        if i < len(t.id_order) and t.ids[t.id_order[i]] == raw:
+            return self.record_at(t.id_order[i])
+        return None
 
     def postings(self, token: str) -> tuple[int, ...]:
-        return self._tables.postings.get(token, ())
+        return _rows(self._tables.token_rows, _find(self._tables.keys, token))
+
+
+def _find(keys: tuple[str, ...], key: str) -> int | None:
+    """The position of key in the ascending keys, or None."""
+    i = bisect_left(keys, key)
+    return i if i < len(keys) and keys[i] == key else None
+
+
+def _rows(column: tuple[tuple[int, ...], ...], at: int | None) -> tuple[int, ...]:
+    return () if at is None else column[at]
 
 
 def search(index: Index, mention: str, k: int) -> list[RawCandidate]:
@@ -240,16 +260,20 @@ def search(index: Index, mention: str, k: int) -> list[RawCandidate]:
         raise EmptyMention(f"mention {mention!r} normalizes to nothing linkable")
 
     t = index._tables
-    labels = t.by_label.get(norm, ())[:max(k, 0)]
-    aliases = [row for row in t.by_alias.get(norm, ())
+    at = _find(t.keys, norm)
+    labels = _rows(t.label_rows, at)[:max(k, 0)]
+    aliases = [row for row in _rows(t.alias_rows, at)
                if row not in labels][:k - len(labels)]
     hits = ([(row, EXACT_LABEL, 1.0) for row in labels]
             + [(row, EXACT_ALIAS, 1.0) for row in aliases])
     if len(hits) < k:
         distinct = list(dict.fromkeys(tokens))
+        # A one-token mention is its own token: its probe is reused.
+        spots = [at] if distinct == [norm] else [_find(t.keys, token)
+                                                 for token in distinct]
+        lists = [_rows(t.token_rows, spot) for spot in spots]
         hits += [(row, PARTIAL, covered / len(distinct)) for row, covered
-                 in _partial(t.postings, distinct, {*labels, *aliases},
-                             k - len(hits))]
+                 in _partial(lists, {*labels, *aliases}, k - len(hits))]
     return [RawCandidate(index.record_at(row), tier, overlap)
             for row, tier, overlap in hits]
 
@@ -259,18 +283,17 @@ def _holds(rows: tuple[int, ...], row: int) -> bool:
     return i < len(rows) and rows[i] == row
 
 
-def _partial(postings: dict[str, tuple[int, ...]], tokens: list[str],
-             taken: set[int], want: int) -> list[tuple[int, int]]:
+def _partial(lists: list[tuple[int, ...]], taken: set[int],
+             want: int) -> list[tuple[int, int]]:
     """The best `want` (row, tokens covered) pairs of the partial tier,
-    leaving out the rows in taken: rows covering at least ceil(n/2) of the
-    n distinct tokens, more coverage first, then row order. Only the
-    shortest posting lists are read whole; the others are read up to their
-    head or probed by bisection."""
-    if len(tokens) == 1:
-        rows = postings.get(tokens[0], ())
-        return [(row, 1) for row in rows[:want + len(taken)]
+    given the posting lists of the n distinct tokens and leaving out the
+    rows in taken: rows covering at least ceil(n/2) tokens, more coverage
+    first, then row order. Only the shortest posting lists are read whole;
+    the others are read up to their head or probed by bisection."""
+    if len(lists) == 1:
+        return [(row, 1) for row in lists[0][:want + len(taken)]
                 if row not in taken][:want]
-    lists = sorted([postings.get(token, ()) for token in tokens], key=len)
+    lists = sorted(lists, key=len)
     if len(lists) == 2:
         # Either token reaches the bar. Rows holding both come first, then
         # the rest of the union in row order, whose first m rows outside
@@ -328,19 +351,18 @@ def save_index(index: Index, out_dir: str | Path) -> None:
 
 
 def _checked(data, record_count) -> _Tables | None:
-    """data as _Tables if it has their shape and record_count rows, else
-    None."""
+    """data as _Tables if it has their shape, record_count rows and one
+    entry per key in each key column, else None."""
     if not (type(data) is tuple and len(data) == len(_Tables._fields)):
         return None
     t = _Tables._make(data)
-    columns = (t.ids, t.labels, t.aliases, t.descriptions, t.direct_types,
-               t.sitelinks, t.flagged_props)
-    maps = (t.rows, t.by_label, t.by_alias, t.postings)
+    by_row = (t.ids, t.id_order, t.records)
+    by_key = (t.keys, t.label_rows, t.alias_rows, t.token_rows)
     if (t.header != _HEADER or type(t.duplicate_ids) is not int
             or not all(type(c) is tuple and len(c) == record_count
-                       for c in columns)
-            or not all(type(m) is dict for m in maps)
-            or len(t.rows) != record_count):
+                       for c in by_row)
+            or not all(type(c) is tuple and len(c) == len(t.keys)
+                       for c in by_key)):
         return None
     return t
 

@@ -68,7 +68,7 @@ def common(p):
 def test_version_and_help():
     code, out, _ = quiet_run(["--version"])
     assert code == 0
-    assert out.strip() == "tablink 0.1.0 (format 3)"
+    assert out.strip() == "tablink 0.1.0 (format 4)"
     code, out, _ = quiet_run(["--help"])
     assert code == 0
     assert "SUBCOMMAND" in out
@@ -79,6 +79,15 @@ def test_version_and_help():
         assert code == 0
         assert "--jobs" not in out
         assert "--cache" not in out
+
+
+@pytest.mark.parametrize("argv", [["--bogus", "--version"],
+                                  ["--version", "--bogus"]])
+def test_version_does_not_swallow_an_unknown_option(argv):
+    code, out, err = quiet_run(argv)
+    assert code == 1
+    assert out == ""
+    assert "error: unrecognized arguments: --bogus" in err
 
 
 def test_cache_flag_changes_no_output_and_touches_no_file(pipeline, tmp_path):
@@ -236,7 +245,7 @@ def test_manifest_file_and_reproducibility(pipeline, tmp_path):
     assert manifests[0] == manifests[1]
     assert manifests[0]["config_hash"]
     assert manifests[0]["closure_hash"]
-    assert manifests[0]["format_version"] == 3
+    assert manifests[0]["format_version"] == 4
 
 
 def test_an_unwritable_manifest_path_is_an_io_error(pipeline, tmp_path):
@@ -594,4 +603,4 @@ def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "tablink.cli", "--version"],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "tablink 0.1.0 (format 3)"
+    assert proc.stdout.strip() == "tablink 0.1.0 (format 4)"

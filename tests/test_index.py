@@ -271,6 +271,7 @@ def _edit_manifest(index_dir, **fields):
     ("normalization_version", -1),
     ("format_version", 1),
     ("format_version", 2),
+    ("format_version", 3),
     ("python_version", "3.%d" % (sys.version_info[1] + 1)),
     ("marshal_version", marshal.version - 1),
 ])
@@ -299,9 +300,14 @@ def test_load_rejects_tampered_blob(tmp_path, small_index, tamper):
     pytest.param(marshal.dumps((1, 2, 3)), id="short-tuple"),
     pytest.param(marshal.dumps(tuple(range(len(tablink.index._Tables._fields)))),
                  id="wrong-fields"),
+    pytest.param("short-token-rows", id="short-token-rows"),
 ])
 def test_load_rejects_a_malformed_blob_even_with_its_hash(tmp_path, small_index,
                                                           blob):
+    if blob == "short-token-rows":
+        # Format 4's header and shapes, but one key has no token rows.
+        t = small_index._tables
+        blob = marshal.dumps(tuple(t._replace(token_rows=t.token_rows[:-1])), 2)
     save_index(small_index, tmp_path / "idx")
     (tmp_path / "idx" / "index.marshal").write_bytes(blob)
     _edit_manifest(tmp_path / "idx", build_id=hashlib.sha256(blob).hexdigest())
@@ -445,6 +451,38 @@ def test_index_len_and_contains(small_kb):
     some = small_kb.records[0]
     assert small_kb.index.get(some.id) == some
     assert small_kb.index.get(q("Q999999999")) is None
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_get_finds_each_id_and_nothing_between(tmp_path, small_index, source):
+    index = small_index
+    if source == "loaded":
+        save_index(small_index, tmp_path / "idx")
+        index = load_index(tmp_path / "idx")
+    # Raw ids ascend as strings: P10 < Q1 < Q2 < ... < Q6. P1 sorts before
+    # the first, Q7 after the last, P9 and Q10 between two.
+    for raw in ("P10", "Q1", "Q3", "Q6"):
+        assert index.get(q(raw)).id == q(raw)
+    for raw in ("P1", "Q7", "P9", "Q10"):
+        assert index.get(q(raw)) is None, raw
+
+
+def test_a_loaded_index_searches_every_key_like_the_built_one(tmp_path,
+                                                              small_kb):
+    save_index(small_kb.index, tmp_path / "idx")
+    loaded = load_index(tmp_path / "idx")
+    keys = small_kb.index._tables.keys
+    assert keys == loaded._tables.keys
+    assert list(keys) == sorted(set(keys))
+    for key in keys:
+        try:
+            want = search(small_kb.index, key, 20)
+        except EmptyMention:
+            with pytest.raises(EmptyMention):
+                search(loaded, key, 20)
+            continue
+        assert search(loaded, key, 20) == want, key
+        assert loaded.postings(key) == small_kb.index.postings(key)
 
 
 def test_concurrent_searches_on_a_loaded_index_agree(tmp_path, small_kb):

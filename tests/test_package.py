@@ -50,6 +50,7 @@ def test_linking_commands_do_not_load_the_generator_or_evaluator():
     assert "tablink.cli" in loaded
     assert "tablink.synth" not in loaded
     assert "tablink.evalbench" not in loaded
+    assert "tablink.ingest" not in loaded
 
 
 def test_public_names_are_sorted_and_complete():
