@@ -4,13 +4,14 @@ list, standing in for an online search API.
 The index is built once and is immutable afterwards. Records live in rows
 numbered in rank order (sitelinks count descending, then id), the order in
 which search breaks ties; search works on row numbers and builds an
-ItemRecord only for a row it returns. Every table is a tuple: one sorted
-vocabulary of normalized labels, aliases and tokens with a row tuple per
-key and kind, probed by bisection, and one marshalled bytes object per
-row, decoded on first use. Loading therefore builds no hash table, and
-no record until one is asked for. Persistence is a directory holding the tables as one
-marshalled blob plus a manifest that pins the blob's hash and the versions
-it depends on, so a loaded index always matches what was built.
+ItemRecord only for a row it returns. The ids and one sorted vocabulary of
+normalized labels, aliases and tokens are tuples of strings, probed by
+bisection; every list of rows is a slice of a flat uint32 column, and each
+row's fields a slice of one bytes column, decoded on first use. Loading
+therefore builds no hash table, no per-key container and no record until
+one is asked for. Persistence is a directory holding the tables as one
+marshalled blob plus a manifest that pins the blob's hash and what it
+depends on, so a loaded index always matches what was built.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import logging
 import marshal
 import math
 import sys
+from array import array
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import NamedTuple, TypeVar
+from typing import NamedTuple
 
 from .errors import EmptyMention, IndexUnavailable, ParseError
 from .kb import ITEM, PROPERTY, EntityId, ItemRecord, read_json, write_json
@@ -56,7 +58,9 @@ _MARSHAL_FORMAT = 2
 # build_id changes with them.
 _HEADER = (FORMAT_VERSION, NORMALIZATION_VERSION, STOPWORDS_VERSION)
 
-T = TypeVar("T")
+# Item type of the row and end columns: native unsigned int, so no row
+# number is negative. Its size and the byte order are manifest pins.
+_UINT = "I"
 
 
 class RawCandidate(NamedTuple):
@@ -68,23 +72,43 @@ class RawCandidate(NamedTuple):
 
 
 class _Tables(NamedTuple):
-    """Everything an Index holds, as primitives. Row r is the r-th record in
-    rank order: sitelinks count descending, then EntityId. keys ascend
-    strictly, and key i's rows of each kind are entry i of label_rows,
-    alias_rows and token_rows, () where the key is not of that kind. Row
-    tuples ascend, so each lists its records best-ranked first."""
+    """Everything an Index holds: strings, ints and memoryviews, which
+    marshal writes as bytes. Row r is the r-th record in rank order:
+    sitelinks count descending, then EntityId. keys ascend strictly. A flat
+    column X is cut into entries by X_ends: entry i is X[ends[i - 1]:ends[i]],
+    from 0 for entry 0. Row r's fields are entry r of records, and key i's
+    rows of each kind are entry i of label_rows, alias_rows and token_rows,
+    empty where the key is not of that kind. Each entry's rows ascend, so it
+    lists its records best-ranked first. Every view but records is uint32."""
 
     header: tuple[int, str, str]
     duplicate_ids: int
     ids: tuple[str, ...]                           # raw id of each row
-    id_order: tuple[int, ...]                      # rows sorted by raw id
+    keys: tuple[str, ...]                          # labels, aliases, tokens
     # Each row's label, aliases, description, direct type numbers,
     # sitelinks count and sorted flagged property numbers, marshalled.
-    records: tuple[bytes, ...]
-    keys: tuple[str, ...]                          # labels, aliases, tokens
-    label_rows: tuple[tuple[int, ...], ...]        # normalized label -> rows
-    alias_rows: tuple[tuple[int, ...], ...]        # normalized alias -> rows
-    token_rows: tuple[tuple[int, ...], ...]        # label/alias token -> rows
+    records: memoryview
+    id_order: memoryview                           # rows sorted by raw id
+    record_ends: memoryview
+    label_rows: memoryview                         # normalized label -> rows
+    label_ends: memoryview
+    alias_rows: memoryview                         # normalized alias -> rows
+    alias_ends: memoryview
+    token_rows: memoryview                         # label/alias token -> rows
+    token_ends: memoryview
+
+
+def _cast(data: bytes) -> memoryview:
+    """data as a read-only uint32 view; TypeError unless it is whole items."""
+    return memoryview(data).cast(_UINT)
+
+
+def _uints(values: Iterable[int]) -> memoryview:
+    return _cast(array(_UINT, values).tobytes())
+
+
+def _malformed(what: str) -> IndexUnavailable:
+    return IndexUnavailable(f"index {what} is malformed; rebuild the index")
 
 
 def _compile(records: list[ItemRecord], duplicate_ids: int) -> _Tables:
@@ -106,25 +130,23 @@ def _compile(records: list[ItemRecord], duplicate_ids: int) -> _Tables:
 
     keys = tuple(sorted(by_label.keys() | by_alias.keys() | postings.keys()))
 
-    def column(rows_of: dict[str, list[int]]) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(rows_of.get(key, ())) for key in keys)
+    def ends(entries: list) -> memoryview:
+        return _uints(accumulate(map(len, entries)))
+
+    def column(rows_of: dict[str, list[int]]) -> tuple[memoryview, memoryview]:
+        lists = [rows_of.get(key, ()) for key in keys]
+        return _uints(chain.from_iterable(lists)), ends(lists)
 
     ids = tuple(r.id.raw for r in records)
+    blobs = [marshal.dumps(
+        (r.label, r.aliases, r.description,
+         tuple(t.num for t in r.direct_types), r.sitelinks_count,
+         tuple(sorted(p.num for p in r.flagged_props))), _MARSHAL_FORMAT)
+        for r in records]
     return _Tables(
-        header=_HEADER,
-        duplicate_ids=duplicate_ids,
-        ids=ids,
-        id_order=tuple(sorted(range(len(ids)), key=ids.__getitem__)),
-        records=tuple(marshal.dumps(
-            (r.label, r.aliases, r.description,
-             tuple(t.num for t in r.direct_types), r.sitelinks_count,
-             tuple(sorted(p.num for p in r.flagged_props))), _MARSHAL_FORMAT)
-            for r in records),
-        keys=keys,
-        label_rows=column(by_label),
-        alias_rows=column(by_alias),
-        token_rows=column(postings),
-    )
+        _HEADER, duplicate_ids, ids, keys, memoryview(b"".join(blobs)),
+        _uints(sorted(range(len(ids)), key=ids.__getitem__)), ends(blobs),
+        *column(by_label), *column(by_alias), *column(postings))
 
 
 def _build(records: Iterable[ItemRecord]) -> _Tables:
@@ -145,36 +167,31 @@ def _dump(tables: _Tables) -> bytes:
     return marshal.dumps(tuple(tables), _MARSHAL_FORMAT)
 
 
-def _without_gc(fn: Callable[..., T], *args) -> T:
-    """fn(*args) with the cyclic GC paused. Reading records, compiling
-    tables and loading a blob allocate hundreds of thousands of tuples and
-    records, none of them in a cycle, and the GC would walk them all again
-    and again."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return fn(*args)
-    finally:
-        if enabled:
-            gc.enable()
-
-
 class Index:
     """Search structures over one record set.
 
     `Index(records)` builds them in memory and keeps no record it was
-    given; `load_index` builds the same object from a saved blob. The
-    tables are tuples only: a label, alias, token or id is found by
-    bisection, so a load makes no dict or other per-key structure. Every
-    ItemRecord the index hands out is decoded from its row's bytes by
-    record_at, the first time it is asked for, and memoized, so each row is
-    decoded at most once per Index and equals the record it was built
-    from. Searches may run concurrently: two that decode the same row at
-    once both store an equal record.
+    given; `load_index` builds the same object from a saved blob. A label,
+    alias, token or id is found by bisection, and each list of rows is a
+    read-only slice of a flat uint32 column, so a load makes no dict and no
+    per-key container. Every ItemRecord the index hands out is decoded from
+    its row's bytes by record_at, the first time it is asked for, and
+    memoized, so each row is decoded at most once per Index and equals the
+    record it was built from. Searches may run concurrently: two that
+    decode the same row at once both store an equal record.
     """
 
     def __init__(self, records: Iterable[ItemRecord]):
-        tables = _without_gc(_build, records)
+        # Reading records and compiling tables allocate hundreds of thousands
+        # of tuples and records, none of them in a cycle, and the cyclic GC
+        # would walk them all again and again.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tables = _build(records)
+        finally:
+            if enabled:
+                gc.enable()
         # Kept for save_index, so a build marshals its tables once.
         blob = _dump(tables)
         self._adopt(tables, hashlib.sha256(blob).hexdigest(), blob)
@@ -201,8 +218,10 @@ class Index:
         record = self._memo.get(row)
         if record is None:
             t = self._tables
+            if row >= len(t.ids):
+                raise _malformed(f"row {row}")
             label, aliases, description, types, sitelinks, flagged = \
-                marshal.loads(t.records[row])
+                marshal.loads(_entry(t.records, t.record_ends, row))
             record = ItemRecord(
                 id=EntityId.parse(t.ids[row]),
                 label=label,
@@ -225,13 +244,16 @@ class Index:
     def get(self, eid: EntityId) -> ItemRecord | None:
         t = self._tables
         raw = eid.raw
-        i = bisect_left(t.id_order, raw, key=t.ids.__getitem__)
-        if i < len(t.id_order) and t.ids[t.id_order[i]] == raw:
-            return self.record_at(t.id_order[i])
-        return None
+        try:
+            i = bisect_left(t.id_order, raw, key=t.ids.__getitem__)
+            found = i < len(t.id_order) and t.ids[t.id_order[i]] == raw
+        except IndexError:
+            raise _malformed("id order") from None
+        return self.record_at(t.id_order[i]) if found else None
 
     def postings(self, token: str) -> tuple[int, ...]:
-        return _rows(self._tables.token_rows, _find(self._tables.keys, token))
+        t = self._tables
+        return tuple(_entry(t.token_rows, t.token_ends, _find(t.keys, token)))
 
 
 def _find(keys: tuple[str, ...], key: str) -> int | None:
@@ -240,8 +262,17 @@ def _find(keys: tuple[str, ...], key: str) -> int | None:
     return i if i < len(keys) and keys[i] == key else None
 
 
-def _rows(column: tuple[tuple[int, ...], ...], at: int | None) -> tuple[int, ...]:
-    return () if at is None else column[at]
+def _entry(flat: memoryview, ends: memoryview,
+           at: int | None) -> Sequence[int]:
+    """Entry at of flat, () for None; refused unless its ends lie within
+    flat."""
+    if at is None:
+        return ()
+    start = ends[at - 1] if at else 0
+    end = ends[at]
+    if start <= end <= len(flat):
+        return flat[start:end]
+    raise _malformed(f"column entry {at}")
 
 
 def search(index: Index, mention: str, k: int) -> list[RawCandidate]:
@@ -259,10 +290,12 @@ def search(index: Index, mention: str, k: int) -> list[RawCandidate]:
     if not norm or not tokens:
         raise EmptyMention(f"mention {mention!r} normalizes to nothing linkable")
 
+    if k < 1:
+        return []
     t = index._tables
     at = _find(t.keys, norm)
-    labels = _rows(t.label_rows, at)[:max(k, 0)]
-    aliases = [row for row in _rows(t.alias_rows, at)
+    labels = _entry(t.label_rows, t.label_ends, at)[:k]
+    aliases = [row for row in _entry(t.alias_rows, t.alias_ends, at)
                if row not in labels][:k - len(labels)]
     hits = ([(row, EXACT_LABEL, 1.0) for row in labels]
             + [(row, EXACT_ALIAS, 1.0) for row in aliases])
@@ -271,19 +304,20 @@ def search(index: Index, mention: str, k: int) -> list[RawCandidate]:
         # A one-token mention is its own token: its probe is reused.
         spots = [at] if distinct == [norm] else [_find(t.keys, token)
                                                  for token in distinct]
-        lists = [_rows(t.token_rows, spot) for spot in spots]
+        lists = [_entry(t.token_rows, t.token_ends, spot) for spot in spots]
         hits += [(row, PARTIAL, covered / len(distinct)) for row, covered
                  in _partial(lists, {*labels, *aliases}, k - len(hits))]
-    return [RawCandidate(index.record_at(row), tier, overlap)
+    memo = index._memo
+    return [RawCandidate(memo.get(row) or index.record_at(row), tier, overlap)
             for row, tier, overlap in hits]
 
 
-def _holds(rows: tuple[int, ...], row: int) -> bool:
+def _holds(rows: Sequence[int], row: int) -> bool:
     i = bisect_left(rows, row)
     return i < len(rows) and rows[i] == row
 
 
-def _partial(lists: list[tuple[int, ...]], taken: set[int],
+def _partial(lists: list[Sequence[int]], taken: set[int],
              want: int) -> list[tuple[int, int]]:
     """The best `want` (row, tokens covered) pairs of the partial tier,
     given the posting lists of the n distinct tokens and leaving out the
@@ -323,14 +357,16 @@ def _partial(lists: list[tuple[int, ...]], taken: set[int],
 
 def _pins() -> dict:
     """Manifest fields a loader must match exactly: the versions the tables
-    were derived under, and the Python minor version and marshal version
-    the blob was written by."""
+    were derived under, the Python minor version and marshal version the
+    blob was written by, and the byte order and size of its uint32 items."""
     return {
         "format_version": FORMAT_VERSION,
         "normalization_version": NORMALIZATION_VERSION,
         "stopwords_version": STOPWORDS_VERSION,
         "python_version": "%d.%d" % sys.version_info[:2],
         "marshal_version": marshal.version,
+        "byteorder": sys.byteorder,
+        "uint_size": array(_UINT).itemsize,
     }
 
 
@@ -350,20 +386,19 @@ def save_index(index: Index, out_dir: str | Path) -> None:
     write_json(out / MANIFEST_NAME, manifest, sort_keys=True)
 
 
-def _checked(data, record_count) -> _Tables | None:
-    """data as _Tables if it has their shape, record_count rows and one
-    entry per key in each key column, else None."""
-    if not (type(data) is tuple and len(data) == len(_Tables._fields)):
-        return None
+def _checked(data, record_count) -> _Tables:
+    """data as _Tables, its bytes as views. TypeError or ValueError unless
+    it has their shape, record_count rows, one end per key in each key
+    column and uint32 columns of whole items."""
     t = _Tables._make(data)
-    by_row = (t.ids, t.id_order, t.records)
-    by_key = (t.keys, t.label_rows, t.alias_rows, t.token_rows)
-    if (t.header != _HEADER or type(t.duplicate_ids) is not int
-            or not all(type(c) is tuple and len(c) == record_count
-                       for c in by_row)
-            or not all(type(c) is tuple and len(c) == len(t.keys)
-                       for c in by_key)):
-        return None
+    t = _Tables(*t[:4], memoryview(t.records), *map(_cast, t[5:]))
+    if not (t.header == _HEADER and type(t.duplicate_ids) is int
+            and type(t.ids) is tuple and type(t.keys) is tuple
+            and len(t.ids) == len(t.id_order) == len(t.record_ends)
+            == record_count
+            and len(t.keys) == len(t.label_ends) == len(t.alias_ends)
+            == len(t.token_ends)):
+        raise ValueError("the blob is not this format's tables")
     return t
 
 
@@ -397,10 +432,8 @@ def load_index(index_dir: str | Path) -> Index:
     if manifest.get("build_id") != build_id:
         raise IndexUnavailable(f"index {path} does not match its manifest; rebuild")
     try:
-        tables = _checked(_without_gc(marshal.loads, blob),
-                          manifest.get("record_count"))
+        tables = _checked(marshal.loads(blob), manifest.get("record_count"))
     except (EOFError, TypeError, ValueError):
-        tables = None
-    if tables is None:
-        raise IndexUnavailable(f"index {path}: {BLOB_NAME} is malformed; rebuild")
+        raise IndexUnavailable(
+            f"index {path}: {BLOB_NAME} is malformed; rebuild") from None
     return Index._from_tables(tables, build_id)

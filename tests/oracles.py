@@ -64,26 +64,21 @@ def o_search(kb: OracleKB, mention: str, k: int):
     if not norm or not toks:
         return None
     needed = math.ceil(len(toks) / 2)
+    tokset = frozenset(toks)
 
-    hits = []
-    records = kb.records
-    labels = kb.labels
-    alias_sets = kb.alias_sets
-    token_sets = kb.token_sets
-    for i in range(len(records)):
-        tset = token_sets[i]
-        if norm == labels[i] or norm in alias_sets[i] \
-                or any(t in tset for t in toks):
-            hits.append(i)
+    hits = [i for i, (label, aliases, tset)
+            in enumerate(zip(kb.labels, kb.alias_sets, kb.token_sets))
+            if norm == label or norm in aliases or not tokset.isdisjoint(tset)]
 
     out = []
+    records = kb.records
     for i in hits:
-        if norm == labels[i]:
+        if norm == kb.labels[i]:
             out.append((records[i], "exact_label", 1.0))
-        elif norm in alias_sets[i]:
+        elif norm in kb.alias_sets[i]:
             out.append((records[i], "exact_alias", 1.0))
         else:
-            covered = sum(1 for t in toks if t in kb.token_sets[i])
+            covered = len(tokset & kb.token_sets[i])
             if covered >= needed:
                 out.append((records[i], "partial", covered / len(toks)))
     out.sort(key=lambda h: (-MATCH_RANK[h[1]], -h[2], -h[0].sitelinks_count,

@@ -1,3 +1,4 @@
+import array
 import gc
 import hashlib
 import json
@@ -179,6 +180,14 @@ def test_k_truncates_ranked_list(small_index):
     assert [c.record.id.raw for c in hits] == ["Q1", "P10"]
 
 
+@pytest.mark.parametrize("k", [0, -1, -2, -5])
+def test_k_below_one_finds_nothing(k):
+    index = Index([rec(f"Q{i}", f"name {i}", aliases=("shared name",))
+                   for i in (1, 2, 3)])
+    assert len(search(index, "shared name", 3)) == 3
+    assert search(index, "shared name", k) == []
+
+
 def test_stopword_only_and_empty_mentions_rejected(small_index):
     for mention in ("", "   ", "of the", "is a"):
         with pytest.raises(EmptyMention):
@@ -272,13 +281,35 @@ def _edit_manifest(index_dir, **fields):
     ("format_version", 1),
     ("format_version", 2),
     ("format_version", 3),
+    ("format_version", 4),
     ("python_version", "3.%d" % (sys.version_info[1] + 1)),
     ("marshal_version", marshal.version - 1),
+    ("byteorder", "big" if sys.byteorder == "little" else "little"),
+    ("uint_size", 8),
 ])
 def test_load_rejects_version_pin_mismatch(tmp_path, small_index, key, value):
     save_index(small_index, tmp_path / "idx")
     _edit_manifest(tmp_path / "idx", **{key: value})
-    with pytest.raises(IndexUnavailable, match=f"built with {key}="):
+    with pytest.raises(IndexUnavailable,
+                       match=f"built with {key}=.*; rebuild the index$"):
+        load_index(tmp_path / "idx")
+
+
+def test_load_refuses_a_format_4_index(tmp_path, small_index):
+    # Format 4 kept every row list as a tuple; its blob is never read.
+    save_index(small_index, tmp_path / "idx")
+    t = small_index._tables
+    blob = marshal.dumps((
+        (4,) + t.header[1:], t.duplicate_ids, t.ids, tuple(t.id_order),
+        tuple(map(bytes, _entries(t.records, t.record_ends))), t.keys,
+        *(tuple(map(tuple, _entries(rows, ends))) for rows, ends in (
+            (t.label_rows, t.label_ends), (t.alias_rows, t.alias_ends),
+            (t.token_rows, t.token_ends)))), 2)
+    (tmp_path / "idx" / "index.marshal").write_bytes(blob)
+    _edit_manifest(tmp_path / "idx", format_version=4,
+                   build_id=hashlib.sha256(blob).hexdigest())
+    with pytest.raises(IndexUnavailable, match="built with format_version=4, "
+                       "this build uses 5; rebuild the index$"):
         load_index(tmp_path / "idx")
 
 
@@ -295,24 +326,79 @@ def test_load_rejects_tampered_blob(tmp_path, small_index, tamper):
         load_index(tmp_path / "idx")
 
 
-@pytest.mark.parametrize("blob", [
-    pytest.param(b"\x00not marshal", id="not-marshal"),
-    pytest.param(marshal.dumps((1, 2, 3)), id="short-tuple"),
+def _entries(flat, ends):
+    return [flat[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def _edited(column, edit):
+    """Tables whose uint32 column is edited in place by edit(values, t)."""
+    def edited(t):
+        values = list(getattr(t, column))
+        edit(values, t)
+        return t._replace(**{column: array.array("I", values).tobytes()})
+    return edited
+
+
+def _measles_at(t):
+    return t.keys.index("measles")
+
+
+def _measles(index):
+    return search(index, "measles", 5)
+
+
+def _loads(index):
+    pass
+
+
+@pytest.mark.parametrize("blob, probe", [
+    pytest.param(b"\x00not marshal", _loads, id="not-marshal"),
+    pytest.param(marshal.dumps((1, 2, 3)), _loads, id="short-tuple"),
     pytest.param(marshal.dumps(tuple(range(len(tablink.index._Tables._fields)))),
-                 id="wrong-fields"),
-    pytest.param("short-token-rows", id="short-token-rows"),
+                 _loads, id="wrong-fields"),
+    # One key is missing its token end.
+    pytest.param(lambda t: t._replace(token_ends=t.token_ends[:-1]),
+                 _loads, id="short-token-rows"),
+    pytest.param(lambda t: t._replace(id_order=t.id_order[1:]),
+                 _loads, id="short-id-order"),
+    pytest.param(lambda t: t._replace(label_rows=bytes(t.label_rows) + b"\0"),
+                 _loads, id="rows-not-whole-items"),
+    pytest.param(lambda t: t._replace(record_ends=bytes(t.record_ends) + b"\0"),
+                 _loads, id="ends-not-whole-items"),
+    pytest.param(lambda t: t._replace(label_rows=tuple(
+        map(tuple, _entries(t.label_rows, t.label_ends)))),
+                 _loads, id="rows-as-tuples"),
+    pytest.param(_edited("label_ends", lambda ends, t: ends.__setitem__(
+        _measles_at(t) - 1, ends[_measles_at(t)] + 1)),
+                 _measles, id="ends-decrease"),
+    pytest.param(_edited("label_ends", lambda ends, t: ends.__setitem__(
+        _measles_at(t), len(t.label_rows) + 1)),
+                 _measles, id="ends-past-the-rows"),
+    pytest.param(_edited("record_ends", lambda ends, t: ends.__setitem__(
+        0, len(t.records) + 1)),
+                 lambda index: index.record_at(0), id="record-past-the-bytes"),
+    pytest.param(_edited("label_rows", lambda rows, t: rows.__setitem__(
+        t.label_ends[_measles_at(t) - 1], len(t.ids))),
+                 _measles, id="row-past-the-records"),
+    pytest.param(_edited("token_rows", lambda rows, t: rows.__setitem__(
+        0, 2 ** 32 - 1)),
+                 lambda index: [search(index, key, 9) for key in
+                                index._tables.keys], id="row-at-uint-max"),
+    pytest.param(_edited("id_order", lambda order, t: order.__setitem__(
+        slice(None), [len(t.ids)] * len(order))),
+                 lambda index: index.get(q("Q3")), id="id-order-past-the-records"),
 ])
 def test_load_rejects_a_malformed_blob_even_with_its_hash(tmp_path, small_index,
-                                                          blob):
-    if blob == "short-token-rows":
-        # Format 4's header and shapes, but one key has no token rows.
-        t = small_index._tables
-        blob = marshal.dumps(tuple(t._replace(token_rows=t.token_rows[:-1])), 2)
+                                                          blob, probe):
+    """Refused at load, or at the first probe that reads the bad part; never
+    a silent short slice or a bare IndexError."""
+    if callable(blob):
+        blob = marshal.dumps(tuple(blob(small_index._tables)), 2)
     save_index(small_index, tmp_path / "idx")
     (tmp_path / "idx" / "index.marshal").write_bytes(blob)
     _edit_manifest(tmp_path / "idx", build_id=hashlib.sha256(blob).hexdigest())
-    with pytest.raises(IndexUnavailable, match="malformed"):
-        load_index(tmp_path / "idx")
+    with pytest.raises(IndexUnavailable, match="malformed; rebuild"):
+        probe(load_index(tmp_path / "idx"))
 
 
 def test_build_index_bytes_do_not_depend_on_the_hash_seed(tmp_path, small_kb):
@@ -541,6 +627,25 @@ def test_a_saved_blob_hashes_to_the_build_id_built_or_loaded(tmp_path,
     for name in (tablink.index.BLOB_NAME, tablink.index.MANIFEST_NAME):
         assert (tmp_path / "loaded" / name).read_bytes() == \
             (tmp_path / "built" / name).read_bytes()
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_every_row_list_is_a_read_only_view_of_one_flat_column(tmp_path,
+                                                              small_index,
+                                                              source):
+    index = small_index
+    if source == "loaded":
+        save_index(small_index, tmp_path / "idx")
+        index = load_index(tmp_path / "idx")
+    t = index._tables
+    views = [c for c in t if type(c) is memoryview]
+    assert len(views) == 9
+    assert all(v.readonly and type(v.obj) is bytes for v in views)
+    assert all(type(s) is str for s in t.ids + t.keys)
+    at = t.keys.index("measles")
+    rows = tablink.index._entry(t.label_rows, t.label_ends, at)
+    assert type(rows) is memoryview and rows.obj is t.label_rows.obj
+    assert index.postings("measles") == (0, 2, 3, 4, 6)
 
 
 @pytest.mark.parametrize("field, value, message", [
