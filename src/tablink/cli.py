@@ -5,15 +5,17 @@ payloads only; all diagnostics go to standard error. Every run emits a small
 manifest (subcommand, input hashes, versions, wall time) for reproducibility,
 either to --manifest or to standard error.
 
-Exit codes: 0 success, 1 validation or usage error, 2 I/O error.
+Exit codes: 0 success, 1 validation or usage error, 2 I/O error. As a
+process (the `tablink` console script, or `python -m tablink.cli`), the
+command flushes standard output and standard error and then ends through
+os._exit, without the interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import logging
+import os
 import sys
 import time
 from collections.abc import Callable
@@ -41,6 +43,10 @@ from .tables import (
     read_table_csv,
 )
 from .version import FORMAT_VERSION, __version__
+
+# The commands whose code can log a warning (build_closure, the index build,
+# evaluate). Only they configure logging, so no other command imports it.
+_WARNING_COMMANDS = frozenset({"closure", "build-index", "eval"})
 
 
 class _UsageError(Exception):
@@ -113,7 +119,8 @@ def _cmd_ingest(args) -> dict:
     watchlist = [EntityId.parse(p) for p in _comma_list(args.watchlist)]
     stats = ingest_dump(args.dump, args.out_records, args.out_edges,
                         watchlist=watchlist)
-    _emit(dataclasses.asdict(stats), None)
+    from dataclasses import asdict
+    _emit(asdict(stats), None)
     return {}
 
 
@@ -310,8 +317,10 @@ def run(argv: list[str] | None = None) -> int:
         sys.stdout.write(f"tablink {__version__} (format {FORMAT_VERSION})\n")
         return 0
 
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
+    if args.command in _WARNING_COMMANDS:
+        import logging
+        logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
+                            format="%(levelname)s %(name)s: %(message)s")
 
     if not getattr(args, "func", None):
         sys.stderr.write(parser.format_usage())
@@ -349,5 +358,19 @@ def main(argv: list[str] | None = None) -> int:
     return run(argv)
 
 
+def console_main() -> None:
+    """main() as a whole process. Once the streams are flushed, nothing is
+    left to write, so the process ends through os._exit and skips the
+    interpreter's teardown, which frees every object one by one. If a
+    flush fails, sys.exit ends it as before and reports the failure."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a broken pipe, a closed stream
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import hashlib
 import io
-import logging
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from pathlib import Path
 
 from .errors import ParseError
-from .kb import EntityId, ItemRecord, TypeEdge, _id_parser, decode_lines
+from .kb import EntityId, ItemRecord, TypeEdge, decode_lines
 
-log = logging.getLogger(__name__)
+_NO_IDS: frozenset[EntityId] = frozenset()
 
 
 class TypeClosure:
@@ -90,8 +89,11 @@ def build_closure(edges: Iterable[TypeEdge],
         nodes.add(edge.parent)
         parents.setdefault(edge.child, set()).add(edge.parent)
     if rejected:
-        log.warning("skipped %d cross-kind or unknown-relation type edge(s)",
-                    len(rejected))
+        # Imported here: no linking command builds a closure.
+        import logging
+        logging.getLogger(__name__).warning(
+            "skipped %d cross-kind or unknown-relation type edge(s)",
+            len(rejected))
 
     ancestors: dict[EntityId, frozenset[EntityId]] = {}
     for node in nodes:
@@ -130,26 +132,41 @@ def read_closure(path: str | Path) -> TypeClosure:
     transitively closed, naming the file and the node: an ancestor's own
     ancestors must be the node's too, or the node itself (in a cycle)."""
     ancestors: dict[EntityId, frozenset[EntityId]] = {}
-    # Most ids recur on many lines: parse each once, and let equal ids share
-    # one object, which the set tests below compare faster.
-    parse = _id_parser()
+    # Most ids recur on many lines: each id string is parsed once, so equal
+    # ids share one object, which the set tests below compare faster.
+    parsed: dict[str, EntityId] = {}
+    known = parsed.__getitem__
+
+    def parse(raw: str) -> EntityId:
+        eid = parsed.get(raw)
+        if eid is None:
+            eid = parsed[raw] = EntityId.parse(raw)
+        return eid
 
     def decode(line: str) -> None:
-        node, *rest = map(parse, line.split())
+        tokens = line.split()
+        try:
+            node, *rest = map(known, tokens)
+        except KeyError:
+            # In token order, so the first bad token is the one named.
+            node, *rest = map(parse, tokens)
         if node in ancestors:
             raise ValueError(f"{node} already has a line")
-        if node in rest:
+        own = frozenset(rest)
+        if node in own:
             raise ValueError(f"{node} is listed as its own ancestor")
-        if any(a.kind != node.kind for a in rest):
+        # Every token is an id, so only an id of the other kind holds the
+        # other kind's letter.
+        if ("P" if node.is_item else "Q") in line:
             raise ValueError(f"{node} has an ancestor of the other kind")
-        ancestors[node] = frozenset(rest)
+        ancestors[node] = own
 
     data = Path(path).read_bytes()
     for _ in decode_lines(path, io.BytesIO(data), decode):
         pass
     for node, own in ancestors.items():
         closed = own | {node}
-        unclosed = [a for a in own if not ancestors.get(a, frozenset()) <= closed]
+        unclosed = [a for a in own if not ancestors.get(a, _NO_IDS) <= closed]
         if unclosed:
             raise ParseError(f"{path}: closure is not transitive: {node} lists "
                              f"{min(unclosed)} but not all of its ancestors")

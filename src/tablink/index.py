@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import logging
 import marshal
 import math
 import sys
@@ -39,8 +38,6 @@ from .kb import ITEM, PROPERTY, EntityId, ItemRecord, read_json, write_json
 from .kb import read_records  # noqa: F401
 from .text import NORMALIZATION_VERSION, STOPWORDS_VERSION, normalize, split_tokens
 from .version import FORMAT_VERSION, __version__
-
-log = logging.getLogger(__name__)
 
 EXACT_LABEL = "exact_label"
 EXACT_ALIAS = "exact_alias"
@@ -96,6 +93,11 @@ class _Tables(NamedTuple):
     alias_ends: memoryview
     token_rows: memoryview                         # label/alias token -> rows
     token_ends: memoryview
+
+
+# The types of a row's marshalled fields: label, aliases, description,
+# direct type numbers, sitelinks count, flagged property numbers.
+_ROW_TYPES = (str, tuple, str, tuple, int, tuple)
 
 
 def _cast(data: bytes) -> memoryview:
@@ -157,7 +159,10 @@ def _build(records: Iterable[ItemRecord]) -> _Tables:
     for record in records:
         if record.id in by_id:
             duplicate_ids += 1
-            log.warning("duplicate record id %s: last one wins", record.id)
+            # Imported here: no linking command builds an index.
+            import logging
+            logging.getLogger(__name__).warning(
+                "duplicate record id %s: last one wins", record.id)
         by_id[record.id] = record
     ordered = sorted(by_id.values(), key=lambda r: (-r.sitelinks_count, r.id))
     return _compile(ordered, duplicate_ids)
@@ -214,22 +219,31 @@ class Index:
         return len(self._tables.ids)
 
     def record_at(self, row: int) -> ItemRecord:
-        """The record in row, made on first use."""
+        """The record in row, made on first use. A row whose bytes are not
+        the six fields of a record ItemRecord accepts is refused."""
         record = self._memo.get(row)
         if record is None:
             t = self._tables
             if row >= len(t.ids):
                 raise _malformed(f"row {row}")
-            label, aliases, description, types, sitelinks, flagged = \
-                marshal.loads(_entry(t.records, t.record_ends, row))
-            record = ItemRecord(
-                id=EntityId.parse(t.ids[row]),
-                label=label,
-                aliases=aliases,
-                description=description,
-                direct_types=tuple(EntityId(ITEM, n) for n in types),
-                sitelinks_count=sitelinks,
-                flagged_props=frozenset(EntityId(PROPERTY, n) for n in flagged))
+            data = _entry(t.records, t.record_ends, row)
+            try:
+                fields = marshal.loads(data)
+                if tuple(map(type, fields)) != _ROW_TYPES or not all(
+                        type(n) is int for n in fields[3] + fields[5]):
+                    raise TypeError("not a row")
+                label, aliases, description, types, sitelinks, flagged = fields
+                record = ItemRecord(
+                    id=EntityId.parse(t.ids[row]),
+                    label=label,
+                    aliases=aliases,
+                    description=description,
+                    direct_types=tuple(EntityId(ITEM, n) for n in types),
+                    sitelinks_count=sitelinks,
+                    flagged_props=frozenset(EntityId(PROPERTY, n)
+                                            for n in flagged))
+            except (EOFError, TypeError, ValueError):
+                raise _malformed(f"row {row}") from None
             self._memo[row] = record
         return record
 

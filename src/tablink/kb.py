@@ -1,19 +1,20 @@
 """Knowledge-base data model: entity ids, item records, type edges, and the
 domain configuration that parameterizes linking.
 
-All types here are immutable after construction/validation and safe for
-unrestricted concurrent reads.
+Every type here is a typing.NamedTuple: immutable, safe for unrestricted
+concurrent reads, and compared as a tuple of its fields. A type with an
+invariant (ItemRecord, Params) is a subclass whose __new__ checks it, and
+whose _make, which _replace uses, builds through __new__, so no way of
+making one skips the check.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 from typing import NamedTuple, TypeVar
@@ -88,8 +89,18 @@ def item_types(ids: Iterable[EntityId]) -> tuple[EntityId, ...]:
     return types
 
 
-@dataclass(frozen=True)
-class ItemRecord:
+class _ItemRecordFields(NamedTuple):
+    id: EntityId
+    label: str
+    aliases: tuple[str, ...]
+    description: str
+    direct_types: tuple[EntityId, ...]
+    sitelinks_count: int
+    flagged_props: frozenset[EntityId]
+    surfaces: tuple[str, ...]
+
+
+class ItemRecord(_ItemRecordFields):
     """One knowledge-base entity (item or property) as kept by the index.
 
     Construction enforces the record invariants: the label is non-empty,
@@ -98,38 +109,43 @@ class ItemRecord:
 
     surfaces is the normalized label, then each kept alias's normalized
     form: what the alias dedupe computes and the index is built from. It is
-    derived, so it is neither an argument nor compared.
+    derived, so it is not an argument; _make and _replace derive it again.
     """
 
-    id: EntityId
-    label: str
-    aliases: tuple[str, ...] = ()
-    description: str = ""
-    direct_types: tuple[EntityId, ...] = ()
-    sitelinks_count: int = 0
-    flagged_props: frozenset[EntityId] = frozenset()
-    surfaces: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        label_norm = self.label and normalize(self.label)
+    def __new__(cls, id: EntityId, label: str, aliases: Iterable[str] = (),
+                description: str = "",
+                direct_types: Iterable[EntityId] = (),
+                sitelinks_count: int = 0,
+                flagged_props: Iterable[EntityId] = frozenset()):
+        label_norm = label and normalize(label)
         if not label_norm:
-            raise ValueError(f"{self.id}: record label must be non-empty")
-        if self.sitelinks_count < 0:
-            raise ValueError(f"{self.id}: negative sitelinks count")
+            raise ValueError(f"{id}: record label must be non-empty")
+        if sitelinks_count < 0:
+            raise ValueError(f"{id}: negative sitelinks count")
         # Normalized form -> the first string with it; the label's first.
-        kept = {label_norm: self.label}
-        for a in self.aliases:
+        kept = {label_norm: label}
+        for a in aliases:
             norm = normalize(a)
             if norm and norm not in kept:
                 kept[norm] = a
-        object.__setattr__(self, "aliases", tuple(kept.values())[1:])
-        object.__setattr__(self, "surfaces", tuple(kept))
-        object.__setattr__(self, "direct_types", item_types(self.direct_types))
-        flagged = frozenset(self.flagged_props)
+        flagged = frozenset(flagged_props)
         for p in flagged:
             if not p.is_property:
-                raise ValueError(f"{self.id}: flagged prop {p} is not a property id")
-        object.__setattr__(self, "flagged_props", flagged)
+                raise ValueError(f"{id}: flagged prop {p} is not a property id")
+        return tuple.__new__(cls, (
+            id, label, tuple(kept.values())[1:], description,
+            item_types(direct_types), sitelinks_count, flagged, tuple(kept)))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> ItemRecord:
+        *given, _surfaces = fields
+        return cls(*given)
+
+    def __getnewargs__(self) -> tuple:
+        # The arguments copy and pickle pass to __new__.
+        return tuple(self)[:-1]
 
 
 def record_to_obj(record: ItemRecord) -> dict:
@@ -291,8 +307,7 @@ def read_direct_types(path: str | Path) -> Iterator[tuple[EntityId, ...]]:
         obj, "direct_types", list, default=()))))
 
 
-@dataclass(frozen=True)
-class TypeEdge:
+class TypeEdge(NamedTuple):
     """A subclass-of (items) or subproperty-of (properties) edge.
 
     Kind consistency is not enforced here: the closure builder receives raw
@@ -326,16 +341,14 @@ def read_edges(path: str | Path) -> Iterator[TypeEdge]:
     yield from read_jsonl(path, edge_from_obj)
 
 
-@dataclass(frozen=True)
-class InferenceRule:
+class InferenceRule(NamedTuple):
     """Presence of a watched property implies a domain type name."""
 
     if_property: EntityId
     then_type_name: str
 
 
-@dataclass(frozen=True)
-class Weights:
+class Weights(NamedTuple):
     """Score component weights. Must be non-negative and sum to 1.0."""
 
     w_type: float = 0.45
@@ -344,13 +357,10 @@ class Weights:
     w_ctx: float = 0.15
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return dataclasses.astuple(self)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class Params:
-    """Linking parameters. Construction refuses out-of-range values."""
-
+class _ParamsFields(NamedTuple):
     k: int = 20
     sample_size: int = 5
     support_threshold: float = 0.5
@@ -359,7 +369,14 @@ class Params:
     column_type_boost: float = 0.20
     header_column_boost: float = 0.10
 
-    def __post_init__(self):
+
+class Params(_ParamsFields):
+    """Linking parameters. Construction refuses out-of-range values."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.k < 1:
             raise ConfigError("params.k must be >= 1")
         if self.sample_size < 1:
@@ -370,10 +387,14 @@ class Params:
                      "column_type_boost", "header_column_boost"):
             if not getattr(self, name) >= 0:  # NaN fails too
                 raise ConfigError(f"params.{name} must be >= 0")
+        return self
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> Params:
+        return cls(*fields)
 
 
-@dataclass(frozen=True, eq=True)
-class ValidatedConfig:
+class ValidatedConfig(NamedTuple):
     """The domain configuration, as parse_config_obj() gives it: every type
     name resolved to id sets and all invariants checked. Immutable; safe to
     share across threads. TARGET comes from the expected types through
@@ -419,8 +440,8 @@ class ValidatedConfig:
                 for r in sorted(self.property_inference,
                                 key=lambda r: (r.if_property, r.then_type_name))
             ],
-            "weights": dataclasses.asdict(self.weights),
-            "params": dataclasses.asdict(self.params),
+            "weights": self.weights._asdict(),
+            "params": self.params._asdict(),
         }
 
 
@@ -444,15 +465,15 @@ def _section(obj: Mapping, key: str, kind: type = Mapping):
     return value
 
 
-def _number(value, kind: str, where: str) -> int | float:
-    """A config value checked against its field's annotation, "int" or
-    "float" (annotations are strings in this module). Bools, non-numbers,
-    non-finite values and non-integral ints are refused."""
+def _number(value, kind: type, where: str) -> int | float:
+    """A config value checked against its field's type, int or float.
+    Bools, non-numbers, non-finite values and non-integral ints are
+    refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, not {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{where} must be finite, not {value!r}")
-    if kind == "int":
+    if kind is int:
         if value != int(value):
             raise ConfigError(f"{where} must be an integer, not {value!r}")
         return int(value)
@@ -469,19 +490,21 @@ def _type_names(value, where: str) -> tuple[str, ...]:
 
 
 def _parse_fields(cls, obj: Mapping, key: str, *, require_all: bool):
-    """An instance of the dataclass cls (Weights or Params) from the section
-    under key, field by field. An absent or null section gives the defaults;
-    otherwise fields it leaves out keep their defaults unless require_all."""
+    """An instance of cls (Weights or Params) from the section under key,
+    field by field; each field is of its default's type. An absent or null
+    section gives the defaults; otherwise fields it leaves out keep their
+    defaults unless require_all."""
     if obj.get(key) is None:
         return cls()
     section = obj[key]
-    fields = dataclasses.fields(cls)
-    _require_keys(section, [f.name for f in fields], key)
-    missing = [f.name for f in fields if f.name not in section]
+    fields = cls._fields
+    _require_keys(section, fields, key)
+    missing = [name for name in fields if name not in section]
     if require_all and missing:
         raise ConfigError(f"{key} missing: {', '.join(missing)}")
-    return cls(**{f.name: _number(section[f.name], f.type, f"{key}.{f.name}")
-                  for f in fields if f.name in section})
+    return cls(**{name: _number(section[name], type(cls._field_defaults[name]),
+                                f"{key}.{name}")
+                  for name in fields if name in section})
 
 
 def _total(values: Iterable[float]) -> float:
@@ -580,7 +603,7 @@ def parse_config_obj(obj: Mapping) -> ValidatedConfig:
         raws = ", ".join(i.raw for i in sorted(conflict))
         raise TierConflict(f"id(s) under bad and a positive tier: {raws}")
 
-    validated = ValidatedConfig(
+    config = ValidatedConfig(
         type_dictionary=type_dictionary, tiers=tiers,
         near_miss_map=near_miss_map, property_inference=tuple(rules),
         weights=_renormalized(weights), params=params,
@@ -588,10 +611,9 @@ def parse_config_obj(obj: Mapping) -> ValidatedConfig:
         good_names=frozenset(tiers["good"]), ok_names=frozenset(tiers["ok"]),
         near_miss_ids=near_miss_ids,
         content_hash="")
-    canonical = json.dumps(validated.to_obj(), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(config.to_obj(), sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    object.__setattr__(validated, "content_hash", digest)
-    return validated
+    return config._replace(content_hash=digest)
 
 
 def load_config(path: str | Path) -> ValidatedConfig:

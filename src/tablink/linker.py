@@ -4,6 +4,7 @@ against the configured tier lists, score, and pick the best link or NIL.
 All scoring inputs are normalized text, so results are a function of the
 normalized mention/context only. LinkResult.mention therefore holds the
 normalized mention, which keeps the memoizing cache exactly transparent.
+LinkResult, ScoredCandidate and Diagnostics are typing.NamedTuples.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import threading
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -127,8 +127,7 @@ class Diagnostics(NamedTuple):
     below_threshold: int = 0
 
 
-@dataclass(frozen=True)
-class LinkResult:
+class LinkResult(NamedTuple):
     mention: str
     mode: str
     chosen: ScoredCandidate | None

@@ -5,6 +5,10 @@ dominant entity type.
 Output annotations always use the table's original coordinates (header row
 addressed as row -1) even when the table is classified vertical and processed
 along its transpose.
+
+Table, CellAnnotation and TableAnnotation are typing.NamedTuples; Table is
+a subclass whose __new__ (which _make and _replace use too) coerces and
+checks its rows.
 """
 
 from __future__ import annotations
@@ -12,10 +16,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, replace
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .closure import TypeClosure, has_type
 from .errors import EmptyMention, ParseError
@@ -79,23 +83,34 @@ def detect_literal(cell: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class Table:
+class _TableFields(NamedTuple):
     table_id: str
     caption: str
     header_row: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "header_row", tuple(self.header_row))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        if not self.header_row:
-            raise ValueError(f"table {self.table_id}: empty header row")
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.header_row):
+
+class Table(_TableFields):
+    """A table of strings: a non-empty header row, and rows as wide."""
+
+    __slots__ = ()
+
+    def __new__(cls, table_id: str, caption: str, header_row: Iterable[str],
+                rows: Iterable[Iterable[str]]):
+        header_row = tuple(header_row)
+        rows = tuple(map(tuple, rows))
+        if not header_row:
+            raise ValueError(f"table {table_id}: empty header row")
+        for i, row in enumerate(rows):
+            if len(row) != len(header_row):
                 raise ValueError(
-                    f"table {self.table_id}: row {i} has {len(row)} cells, "
-                    f"header has {len(self.header_row)}")
+                    f"table {table_id}: row {i} has {len(row)} cells, "
+                    f"header has {len(header_row)}")
+        return tuple.__new__(cls, (table_id, caption, header_row, rows))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> Table:
+        return cls(*fields)
 
 
 def table_to_obj(table: Table) -> dict:
@@ -198,8 +213,7 @@ def column_type_vote(candidate_sets: list[tuple[ScoredCandidate, ...]],
     return None
 
 
-@dataclass(frozen=True)
-class CellAnnotation:
+class CellAnnotation(NamedTuple):
     """One cell's outcome in original table coordinates."""
 
     row: int
@@ -214,8 +228,7 @@ class CellAnnotation:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class TableAnnotation:
+class TableAnnotation(NamedTuple):
     table_id: str
     orientation: str
     dominant_types: Mapping[int, EntityId | None]
@@ -314,8 +327,8 @@ def _boost(result: LinkResult, hit: Callable[[ScoredCandidate], bool],
                     final_score=c.weighted_base + (c.boosts + boost))
          if hit(c) else c for c in result.candidates),
         key=scored_sort_key)
-    return replace(result, chosen=choose(boosted, min_link_score),
-                   candidates=tuple(boosted))
+    return result._replace(chosen=choose(boosted, min_link_score),
+                           candidates=tuple(boosted))
 
 
 def link_table(table: Table,

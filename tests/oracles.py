@@ -9,13 +9,17 @@ ItemRecord, config objects) are shared with the package.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import io
 import math
 import unicodedata
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
-from tablink import EntityId
+from tablink import EntityId, ParseError
 from tablink.text import STOPWORDS
 
 TIER_SCORES = {"TARGET": 1.0, "NEAR_MISS": 0.8, "GOOD": 0.6, "OK": 0.4,
@@ -116,6 +120,40 @@ def squaring_ancestors(nodes, edge_pairs) -> dict:
     np.fill_diagonal(reach, 0.0)
     return {node: frozenset(order[j] for j in np.nonzero(reach[i])[0])
             for node, i in pos.items()}
+
+
+def o_read_closure(path) -> tuple[dict, str]:
+    """The closure file at path as (ancestors by node, sha256 of its bytes),
+    read line by line with every token parsed through a cached
+    EntityId.parse, each check as read_closure documents it. A refusal is
+    the ParseError read_closure raises, with the same message."""
+    data = Path(path).read_bytes()
+    ancestors: dict = {}
+    parse = functools.cache(EntityId.parse)
+    for lineno, raw in enumerate(io.BytesIO(data), 1):
+        try:
+            line = raw.rstrip(b"\r\n").decode("utf-8")
+            if not line.strip():
+                continue
+            node, *rest = map(parse, line.split())
+            if node in ancestors:
+                raise ValueError(f"{node} already has a line")
+            if node in rest:
+                raise ValueError(f"{node} is listed as its own ancestor")
+            if any(a.kind != node.kind for a in rest):
+                raise ValueError(f"{node} has an ancestor of the other kind")
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad line "
+                             f"({type(exc).__name__}: {exc})") from exc
+        ancestors[node] = frozenset(rest)
+    for node, own in ancestors.items():
+        closed = own | {node}
+        unclosed = [a for a in own
+                    if not ancestors.get(a, frozenset()) <= closed]
+        if unclosed:
+            raise ParseError(f"{path}: closure is not transitive: {node} lists "
+                             f"{min(unclosed)} but not all of its ancestors")
+    return ancestors, hashlib.sha256(data).hexdigest()
 
 
 def o_has_type(record, type_id: EntityId, ancestors: dict) -> bool:

@@ -13,7 +13,6 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -601,7 +600,7 @@ def test_property_sitelinks_scale_invariance(small_kb):
     cases = 0
     for multiplier in (2, 7, 1000):
         scaled_index = Index(
-            replace(r, sitelinks_count=r.sitelinks_count * multiplier)
+            r._replace(sitelinks_count=r.sitelinks_count * multiplier)
             for r in small_kb.records)
         for i, mention in enumerate(mentions):
             mode = HEADER if i % 4 == 0 else CELL

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from tablink.cli import run
+from tablink.cli import main, run
 from tablink.closure import read_closure
 
 
@@ -604,3 +605,87 @@ def test_module_entry_point():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "tablink 0.1.0 (format 5)"
+
+
+def _in_process(argv):
+    """main(argv)'s exit code, standard output bytes and standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue().encode("utf-8"), err.getvalue()
+
+
+def _as_process(argv):
+    """The same of `python -m tablink.cli argv`, its streams buffered."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-m", "tablink.cli", *argv],
+                          capture_output=True, timeout=120, env=env)
+    return proc.returncode, proc.stdout, proc.stderr.decode("utf-8")
+
+
+def _without_wall_time(err: str) -> list:
+    """The lines of standard error, a manifest line parsed without its
+    wall_time_s."""
+    lines: list = err.splitlines()
+    if lines and lines[-1].startswith("{"):
+        lines[-1] = json.loads(lines[-1])
+        assert isinstance(lines[-1].pop("wall_time_s"), float)
+    return lines
+
+
+def test_the_process_writes_and_exits_as_main_returns(pipeline, tmp_path,
+                                                      monkeypatch):
+    # argparse wraps its usage line to the terminal width.
+    monkeypatch.setenv("COLUMNS", "80")
+    records = pipeline.records.read_text(encoding="utf-8").splitlines()
+    labels = [json.loads(line)["label"] for line in records[:300]]
+    table = tmp_path / "big.json"
+    table.write_text(json.dumps({
+        "table_id": "big", "caption": "", "headers": ["name", "shout"],
+        "rows": [[label, label.upper()] for label in labels]}),
+        encoding="utf-8")
+    link_table = ["link-table", "--table", str(table)]
+    unwritable = tmp_path / "missing" / "big.json"
+    stdout = []
+    for argv, code in [(link_table + common(pipeline), 0),
+                       (["link", "--mention", labels[0], *common(pipeline)], 0),
+                       (link_table, 1),
+                       (link_table + common(pipeline) + ["--out", str(unwritable)],
+                        2)]:
+        here, there = _in_process(argv), _as_process(argv)
+        assert here[0] == there[0] == code, argv
+        assert here[1] == there[1], argv
+        assert _without_wall_time(here[2]) == _without_wall_time(there[2]), argv
+        if code == 0:
+            assert len(_without_wall_time(there[2])) == 1
+        else:
+            assert there[1] == b""
+            assert there[2].splitlines()[-1].startswith("error: ")
+        stdout.append(there[1])
+    # The annotation is more than a pipe buffer, so the process waits on its
+    # reader; the link payload is less than the stream's buffer, so only a
+    # flush writes it.
+    assert len(stdout[0]) > 64 * 1024
+    assert 0 < len(stdout[1]) < 8192
+
+
+def test_closure_and_build_index_log_their_warnings(tmp_path):
+    edges = tmp_path / "edges.jsonl"
+    edges.write_text(
+        '{"child":"Q1","parent":"P2","relation":"subclass_of"}\n'
+        '{"child":"Q1","parent":"Q2","relation":"subclass_of"}\n',
+        encoding="utf-8")
+    code, _, err = _as_process(["closure", "--edges", str(edges),
+                                "--out", str(tmp_path / "closure.txt")])
+    assert code == 0
+    assert err.splitlines()[:-1] == [
+        "WARNING tablink.closure: skipped 1 cross-kind or unknown-relation "
+        "type edge(s)"]
+    records = tmp_path / "records.jsonl"
+    records.write_text('{"id":"Q1","label":"alpha"}\n{"id":"Q2","label":"beta"}\n'
+                       '{"id":"Q1","label":"gamma"}\n', encoding="utf-8")
+    code, _, err = _as_process(["build-index", "--records", str(records),
+                                "--out", str(tmp_path / "index")])
+    assert code == 0
+    assert err.splitlines()[:-1] == [
+        "WARNING tablink.index: duplicate record id Q1: last one wins"]

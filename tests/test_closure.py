@@ -14,7 +14,7 @@ from tablink import (
     write_closure,
 )
 
-from oracles import warshall_ancestors
+from oracles import o_read_closure, warshall_ancestors
 
 q = EntityId.parse
 
@@ -191,3 +191,68 @@ def test_every_closure_build_closure_writes_reads_back(tmp_path):
             [edge(f"Q{a + 1}", f"Q{b + 1}") for a, b in pairs])
         write_closure(path, closure)
         assert read_closure(path).digest == closure.digest
+
+
+def _closure_lines(rng) -> list[str]:
+    """The lines of a random build_closure output: items and properties,
+    cycles, cross-kind edges (skipped) and nodes without ancestors."""
+    ids = ([f"Q{rng.randrange(1, 90)}" for _ in range(rng.randrange(1, 25))]
+           + [f"P{rng.randrange(1, 40)}" for _ in range(rng.randrange(0, 8))])
+    edges = [TypeEdge(q(a), q(b), "subproperty_of" if a[0] == "P"
+                      else "subclass_of")
+             for a, b in (rng.choices(ids, k=2)
+                          for _ in range(rng.randrange(0, 3 * len(ids))))]
+    return list(build_closure(edges, extra_nodes=[q(i) for i in ids]).lines())
+
+
+def _mutated(rng, lines: list[str]) -> tuple[str, list[str]]:
+    """One single-line mutation of lines, and its name."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split()
+    kind = rng.choice(["not-an-id", "other-kind", "repeated-node",
+                       "own-ancestor", "dropped-ancestor", "spacing"])
+    if kind == "not-an-id":
+        tokens.insert(rng.randrange(len(tokens) + 1),
+                      rng.choice(["Q01", "q5", "X3", "Q", "P-1", "Q1.5"]))
+    elif kind == "other-kind":
+        other = "P" if tokens[0][0] == "Q" else "Q"
+        tokens.insert(rng.randrange(1, len(tokens) + 1),
+                      f"{other}{rng.randrange(1, 90)}")
+    elif kind == "repeated-node":
+        lines.insert(rng.randrange(len(lines) + 1),
+                     rng.choice(lines).split()[0] + "\n")
+    elif kind == "own-ancestor":
+        tokens.insert(rng.randrange(1, len(tokens) + 1), tokens[0])
+    elif kind == "dropped-ancestor" and len(tokens) > 1:
+        del tokens[rng.randrange(1, len(tokens))]
+    elif kind == "spacing":
+        return kind, lines[:i] + [" \t".join(tokens) + " \r\n", "\n"] + lines[i + 1:]
+    lines[i] = " ".join(tokens) + "\n"
+    return kind, lines
+
+
+def test_read_closure_matches_the_line_by_line_reference(tmp_path):
+    """On build_closure outputs and single-line mutations of them,
+    read_closure returns the reference's closure and digest, or refuses
+    with its message."""
+    rng = random.Random(20261019)
+    path = tmp_path / "closure.txt"
+    refused = set()
+    for case in range(400):
+        lines = _closure_lines(rng)
+        kind, text = ("as-built", lines) if case % 4 == 0 else _mutated(rng, lines)
+        path.write_text("".join(text), encoding="utf-8", newline="")
+        try:
+            expected = o_read_closure(path)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as info:
+                read_closure(path)
+            assert str(info.value) == str(exc), kind
+            refused.add(kind)
+            continue
+        closure = read_closure(path)
+        assert ({node: closure.ancestors_of(node) for node in closure.nodes()},
+                closure.digest) == expected, kind
+    assert refused == {"not-an-id", "other-kind", "repeated-node",
+                       "own-ancestor", "dropped-ancestor"}

@@ -1,7 +1,7 @@
-import dataclasses
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -296,6 +296,14 @@ def test_a_repeated_config_key_is_refused(tmp_path, capsys, text, key):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _fields(cls):
+    """Each field of Weights or Params as its name and the name of its
+    default's type, the type the config must give it."""
+    return [SimpleNamespace(name=name,
+                            type=type(cls._field_defaults[name]).__name__)
+            for name in cls._fields]
+
+
 # Values no Params or Weights field accepts.
 _ALWAYS_BAD = (float("nan"), float("inf"), float("-inf"), True, False, None,
                "0.3", "7", [], {})
@@ -321,7 +329,7 @@ def _draw_invalid(rng, f):
 
 
 def _draw_weights(rng) -> tuple[dict, bool]:
-    fields = dataclasses.fields(Weights)
+    fields = _fields(Weights)
     raw = [rng.uniform(0.0, 1.0) if rng.random() < 0.9 else 0 for _ in fields]
     total = sum(raw) or 1.0
     weights, bad = {}, not any(raw)
@@ -336,7 +344,7 @@ def _draw_weights(rng) -> tuple[dict, bool]:
 
 def _draw_params(rng) -> tuple[dict, bool]:
     params, bad = {}, False
-    for f in dataclasses.fields(Params):
+    for f in _fields(Params):
         roll = rng.random()
         if roll < 0.2:
             continue  # absent: keeps its default
@@ -374,7 +382,7 @@ def test_config_fuzz_refuses_or_round_trips():
             refused += 1
             continue
         assert not bad, obj
-        for f in dataclasses.fields(Params):
+        for f in _fields(Params):
             value = getattr(cfg.params, f.name)
             assert type(value).__name__ == f.type and math.isfinite(value)
         again = parse_config_obj(

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -110,8 +109,8 @@ def test_two_annotations_of_one_table_rejected(tmp_path, capsys):
     # Scoring either copy alone would make the report depend on input (for
     # eval --annotations DIR, file-name) order: these two score 6/11 and 1/11.
     ann, gold = _fixture()
-    wrong = replace(ann, cells=tuple(
-        replace(c, entity_id=q("Q99")) if c.kind == "entity" else c
+    wrong = ann._replace(cells=tuple(
+        c._replace(entity_id=q("Q99")) if c.kind == "entity" else c
         for c in ann.cells))
     for pair in ([ann, wrong], [wrong, ann], [ann, ann]):
         with pytest.raises(GoldMismatch, match="'t1'"):

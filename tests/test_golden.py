@@ -9,7 +9,6 @@ file format or a CLI contract.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -83,8 +82,8 @@ EDGE_LINES = (
 def test_ingest_payload_and_record_and_edge_lines(tmp_path, capsys):
     records, _, _ = near_miss_fixture()
     by_id = {r.id.raw: r for r in records}
-    institute = replace(by_id["Q1333425"],
-                        aliases=("WIV",), flagged_props={EntityId.parse("P486")})
+    institute = by_id["Q1333425"]._replace(
+        aliases=("WIV",), flagged_props={EntityId.parse("P486")})
     docs = [_doc(institute, flagged=("P486",)),
             _doc(by_id["Q31855"], parents=("Q43229",)),
             {"id": "Q5", "claims": {"P279": [_claim("Q43229")]}},

@@ -1,6 +1,7 @@
 import array
 import gc
 import hashlib
+import itertools
 import json
 import marshal
 import os
@@ -22,11 +23,16 @@ from tablink import (
     ItemRecord,
     ParseError,
     RawCandidate,
+    build_closure,
     load_index,
+    parse_config_obj,
     read_records,
+    save_config,
     save_index,
     search,
+    write_closure,
 )
+from tablink.cli import run
 
 from tablink.kb import read_direct_types
 from tablink.text import normalize
@@ -339,6 +345,20 @@ def _edited(column, edit):
     return edited
 
 
+def _row_zero(fields):
+    """Tables whose row 0 holds the marshalled fields in place of its own."""
+    def edited(t):
+        rows = [bytes(r) for r in _entries(t.records, t.record_ends)]
+        rows[0] = marshal.dumps(fields, 2)
+        return t._replace(records=b"".join(rows), record_ends=array.array(
+            "I", itertools.accumulate(map(len, rows))).tobytes())
+    return edited
+
+
+def _record_zero(index):
+    index.record_at(0)
+
+
 def _measles_at(t):
     return t.keys.index("measles")
 
@@ -387,6 +407,19 @@ def _loads(index):
     pytest.param(_edited("id_order", lambda order, t: order.__setitem__(
         slice(None), [len(t.ids)] * len(order))),
                  lambda index: index.get(q("Q3")), id="id-order-past-the-records"),
+    pytest.param(_row_zero((1, 2)), _record_zero, id="row-of-two-fields"),
+    pytest.param(_row_zero(("measles", (), "", (), 80, (), 0)), _record_zero,
+                 id="row-of-seven-fields"),
+    pytest.param(_row_zero(("measles", (), "", (), "80", ())), _record_zero,
+                 id="row-with-a-text-count"),
+    pytest.param(_row_zero((b"measles", (), "", (), 80, ())), _record_zero,
+                 id="row-with-a-bytes-label"),
+    pytest.param(_row_zero(("measles", (), "", ("5",), 80, ())), _record_zero,
+                 id="row-with-a-text-type-number"),
+    pytest.param(_row_zero((" ", (), "", (), 80, ())), _record_zero,
+                 id="row-with-a-blank-label"),
+    pytest.param(_row_zero(("measles", (), "", (), -1, ())), _record_zero,
+                 id="row-with-a-negative-count"),
 ])
 def test_load_rejects_a_malformed_blob_even_with_its_hash(tmp_path, small_index,
                                                           blob, probe):
@@ -399,6 +432,24 @@ def test_load_rejects_a_malformed_blob_even_with_its_hash(tmp_path, small_index,
     _edit_manifest(tmp_path / "idx", build_id=hashlib.sha256(blob).hexdigest())
     with pytest.raises(IndexUnavailable, match="malformed; rebuild"):
         probe(load_index(tmp_path / "idx"))
+
+
+def test_link_names_a_malformed_row_and_exits_1(tmp_path, small_index,
+                                                capsys):
+    blob = marshal.dumps(tuple(_row_zero((1, 2))(small_index._tables)), 2)
+    save_index(small_index, tmp_path / "idx")
+    (tmp_path / "idx" / "index.marshal").write_bytes(blob)
+    _edit_manifest(tmp_path / "idx", build_id=hashlib.sha256(blob).hexdigest())
+    write_closure(tmp_path / "closure.txt", build_closure([]))
+    save_config(tmp_path / "config.json", parse_config_obj({}))
+    # Row 0, Q1, is the best-ranked "measles".
+    assert run(["link", "--mention", "measles",
+                "--index", str(tmp_path / "idx"),
+                "--closure", str(tmp_path / "closure.txt"),
+                "--config", str(tmp_path / "config.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: index row 0 is malformed; rebuild the index\n"
 
 
 def test_build_index_bytes_do_not_depend_on_the_hash_seed(tmp_path, small_kb):

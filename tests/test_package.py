@@ -53,6 +53,17 @@ def test_linking_commands_do_not_load_the_generator_or_evaluator():
     assert "tablink.ingest" not in loaded
 
 
+def test_linking_commands_do_not_import_dataclasses_or_logging():
+    # -S: no site module, which may import any of these itself.
+    code = ("import sys, json\nimport tablink.cli\n"
+            "print(json.dumps([m for m in ('dataclasses', 'inspect', 'logging') "
+            "if m in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_public_names_are_sorted_and_complete():
     assert PUBLIC == sorted(PUBLIC)
     assert tablink.__all__ == PUBLIC
