@@ -20,13 +20,14 @@ import gc
 import hashlib
 import marshal
 import math
+import operator
 import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -258,11 +259,8 @@ class Index:
     def get(self, eid: EntityId) -> ItemRecord | None:
         t = self._tables
         raw = eid.raw
-        try:
-            i = bisect_left(t.id_order, raw, key=t.ids.__getitem__)
-            found = i < len(t.id_order) and t.ids[t.id_order[i]] == raw
-        except IndexError:
-            raise _malformed("id order") from None
+        i = bisect_left(t.id_order, raw, key=t.ids.__getitem__)
+        found = i < len(t.id_order) and t.ids[t.id_order[i]] == raw
         return self.record_at(t.id_order[i]) if found else None
 
     def postings(self, token: str) -> tuple[int, ...]:
@@ -400,10 +398,15 @@ def save_index(index: Index, out_dir: str | Path) -> None:
     write_json(out / MANIFEST_NAME, manifest, sort_keys=True)
 
 
+def _ascends(values: Sequence[str]) -> bool:
+    return all(map(operator.lt, values, islice(values, 1, None)))
+
+
 def _checked(data, record_count) -> _Tables:
-    """data as _Tables, its bytes as views. TypeError or ValueError unless
-    it has their shape, record_count rows, one end per key in each key
-    column and uint32 columns of whole items."""
+    """data as _Tables, its bytes as views. TypeError, ValueError or
+    IndexError unless it has their shape, record_count rows, one end per key
+    in each key column, uint32 columns of whole items, and keys and ids in
+    id_order ascending strictly, as bisecting them needs."""
     t = _Tables._make(data)
     t = _Tables(*t[:4], memoryview(t.records), *map(_cast, t[5:]))
     if not (t.header == _HEADER and type(t.duplicate_ids) is int
@@ -411,7 +414,9 @@ def _checked(data, record_count) -> _Tables:
             and len(t.ids) == len(t.id_order) == len(t.record_ends)
             == record_count
             and len(t.keys) == len(t.label_ends) == len(t.alias_ends)
-            == len(t.token_ends)):
+            == len(t.token_ends)
+            and _ascends(t.keys)
+            and _ascends([t.ids[row] for row in t.id_order])):
         raise ValueError("the blob is not this format's tables")
     return t
 
@@ -425,7 +430,7 @@ def _json_object(obj: object) -> dict:
 def load_index(index_dir: str | Path) -> Index:
     """The index saved in index_dir. Checks the manifest's version pins,
     then the blob's hash against the build_id, then the loaded tables'
-    shape; any failure raises IndexUnavailable."""
+    shape and order; any failure raises IndexUnavailable."""
     path = Path(index_dir)
     manifest_path = path / MANIFEST_NAME
     blob_path = path / BLOB_NAME
@@ -447,7 +452,7 @@ def load_index(index_dir: str | Path) -> Index:
         raise IndexUnavailable(f"index {path} does not match its manifest; rebuild")
     try:
         tables = _checked(marshal.loads(blob), manifest.get("record_count"))
-    except (EOFError, TypeError, ValueError):
+    except (EOFError, IndexError, TypeError, ValueError):
         raise IndexUnavailable(
             f"index {path}: {BLOB_NAME} is malformed; rebuild") from None
     return Index._from_tables(tables, build_id)

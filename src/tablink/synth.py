@@ -96,10 +96,13 @@ class SynthResult:
 
 
 class _Builder:
+    """Every draw comes from self.rng or self.words, two shared streams, so
+    reordering two draws from one stream changes the corpus (its bytes are
+    pinned in tests/test_synth.py)."""
+
     def __init__(self, seed: int, n_items: int, n_types: int, n_tables: int):
         self.rng = random.Random(seed)
         self.words = WordGen()
-        self.seed = seed
         self.n_items = n_items
         self.n_types = n_types
         self.n_tables = n_tables
@@ -129,35 +132,32 @@ class _Builder:
         self.next_prop += 1
         return self._add(_Entity(id=eid, kind="property", **kw))
 
+    def _plant(self, label: str, type_id: str, sitelinks: int) -> _Entity:
+        """An item of one type with a four-word description."""
+        return self.new_item(label=label, types=[type_id], sitelinks=sitelinks,
+                             description=self.words.phrase(4))
+
     # type hierarchy ------------------------------------------------------
+
+    def _new_type(self, parents: list[str]) -> str:
+        eid = f"Q{self.next_type}"
+        self.next_type += 1
+        self._add(_Entity(id=eid, label=self.words.next(), parents=parents,
+                          sitelinks=self.rng.randint(0, 3)))
+        return eid
 
     def build_group(self, name: str, size: int, n_reserved: int) -> None:
         """One isolated subclass subtree. Reserved leaves hang directly off
         the root, are never parents, and never join injected cycles, so a
         reserved leaf is provably not an ancestor of any other node."""
         rng = self.rng
-        root = self._add(_Entity(id=f"Q{self.next_type}",
-                                 label=self.words.next(),
-                                 sitelinks=rng.randint(0, 3)))
-        self.next_type += 1
-        reserved = []
-        for _ in range(n_reserved):
-            leaf = self._add(_Entity(id=f"Q{self.next_type}",
-                                     label=self.words.next(),
-                                     parents=[root.id],
-                                     sitelinks=rng.randint(0, 3)))
-            self.next_type += 1
-            reserved.append(leaf.id)
-        tangle = []
+        root = self._new_type([])
+        reserved = [self._new_type([root]) for _ in range(n_reserved)]
+        tangle: list[str] = []
         for _ in range(max(0, size - 1 - n_reserved)):
-            pool = [root.id] + tangle
+            pool = [root] + tangle
             n_par = 1 if len(pool) < 3 or rng.random() < 0.6 else 2
-            node = self._add(_Entity(id=f"Q{self.next_type}",
-                                     label=self.words.next(),
-                                     parents=rng.sample(pool, n_par),
-                                     sitelinks=rng.randint(0, 3)))
-            self.next_type += 1
-            tangle.append(node.id)
+            tangle.append(self._new_type(rng.sample(pool, n_par)))
         # Close some parent chains into cycles; the closure must tolerate
         # them without making any node its own ancestor.
         parent_map = {t: list(self.by_id[t].parents) for t in tangle}
@@ -176,7 +176,7 @@ class _Builder:
             if ancestors:
                 u = rng.choice(sorted(ancestors))
                 self.by_id[u].parents.append(v)
-        self.groups[name] = {"root": root.id, "reserved": reserved,
+        self.groups[name] = {"root": root, "reserved": reserved,
                              "tangle": tangle}
 
     def build_types(self) -> None:
@@ -227,12 +227,9 @@ class _Builder:
                 # of tables so table candidate pools stay fully controlled.
                 shared = self.words.next()
                 fam_size = rng.randint(2, 4)
-                self.new_item(label=shared,
-                              types=self.random_type_pick("neutral"),
-                              sitelinks=rng.randint(0, 30),
-                              description=self.words.phrase(rng.randint(3, 6)))
-                for _ in range(fam_size):
-                    self.new_item(label=f"{shared} {self.words.next()}",
+                for member in range(fam_size + 1):
+                    label = f"{shared} {self.words.next()}" if member else shared
+                    self.new_item(label=label,
                                   types=self.random_type_pick("neutral"),
                                   sitelinks=rng.randint(0, 30),
                                   description=self.words.phrase(rng.randint(3, 6)))
@@ -264,10 +261,9 @@ class _Builder:
         for group, count in (("loc", 3), ("fac", 3), ("org", 3)):
             g = self.groups[group]
             for _ in range(count):
-                node = rng.choice([g["root"]] + g["tangle"])
-                ent = self.new_item(label=self.words.next(), types=[node],
-                                    sitelinks=rng.randint(0, 20),
-                                    description=self.words.phrase(4))
+                ent = self._plant(self.words.next(),
+                                  rng.choice([g["root"]] + g["tangle"]),
+                                  rng.randint(0, 20))
                 self.plants.append({"pattern": "expected_type_demo",
                                     "group": group, "id": ent.id,
                                     "label": ent.label})
@@ -280,11 +276,8 @@ class _Builder:
         for _ in range(n_each):
             label = self.words.next()
             s1 = rng.randint(5, 40)
-            a1 = self.new_item(label=label, types=[self.leaf("good")],
-                               sitelinks=s1, description=self.words.phrase(4))
-            a2 = self.new_item(label=label, types=[self.leaf("bad")],
-                               sitelinks=s1 + rng.randint(10, 200),
-                               description=self.words.phrase(4))
+            a1 = self._plant(label, self.leaf("good"), s1)
+            a2 = self._plant(label, self.leaf("bad"), s1 + rng.randint(10, 200))
             self.plants.append({"pattern": "bad_twin", "label": label,
                                 "gold": a1.id, "other": a2.id})
         for k in range(n_each):
@@ -292,44 +285,32 @@ class _Builder:
             if k % 2 == 0:
                 # GOOD vs UNKNOWN: the 0.18 tier gap beats any possible
                 # prominence deficit (at most 0.15), so sitelinks are free.
-                b1 = self.new_item(label=label, types=[self.leaf("good")],
-                                   sitelinks=rng.randint(0, 100),
-                                   description=self.words.phrase(4))
-                b2 = self.new_item(label=label, types=[self.leaf("neutral")],
-                                   sitelinks=rng.randint(0, 100),
-                                   description=self.words.phrase(4))
+                b1 = self._plant(label, self.leaf("good"), rng.randint(0, 100))
+                b2 = self._plant(label, self.leaf("neutral"),
+                                 rng.randint(0, 100))
             else:
                 # OK vs UNKNOWN gap is only 0.09; equal sitelinks keep the
                 # prominence term from flipping it.
                 s = rng.randint(0, 100)
-                b1 = self.new_item(label=label, types=[self.leaf("ok")],
-                                   sitelinks=s,
-                                   description=self.words.phrase(4))
-                b2 = self.new_item(label=label, types=[self.leaf("neutral")],
-                                   sitelinks=s,
-                                   description=self.words.phrase(4))
+                b1 = self._plant(label, self.leaf("ok"), s)
+                b2 = self._plant(label, self.leaf("neutral"), s)
             self.plants.append({"pattern": "tier_twin", "label": label,
                                 "gold": b1.id, "other": b2.id})
         for _ in range(n_each):
             label = self.words.next()
             leaf = self.leaf("good")
             s2 = rng.randint(0, 100)
-            c1 = self.new_item(label=label, types=[leaf],
-                               sitelinks=s2 + rng.randint(1, 150),
-                               description=self.words.phrase(4))
-            c2 = self.new_item(label=label, types=[leaf], sitelinks=s2,
-                               description=self.words.phrase(4))
+            c1 = self._plant(label, leaf, s2 + rng.randint(1, 150))
+            c2 = self._plant(label, leaf, s2)
             self.plants.append({"pattern": "sitelink_twin", "label": label,
                                 "gold": c1.id, "other": c2.id})
         for _ in range(n_each):
             label = self.words.next()
             leaf = self.leaf("good")
             s = rng.randint(0, 60)
-            e1 = self.new_item(label=label, types=[leaf], sitelinks=s,
-                               description=self.words.phrase(4))
-            e2 = self.new_item(label=self.words.next(), aliases=[label],
-                               types=[leaf], sitelinks=s,
-                               description=self.words.phrase(4))
+            e1 = self._plant(label, leaf, s)
+            e2 = self._plant(self.words.next(), leaf, s)
+            e2.aliases.append(label)
             self.plants.append({"pattern": "alias_twin", "label": label,
                                 "gold": e1.id, "other": e2.id})
 
@@ -385,17 +366,13 @@ class _Builder:
             u_leaf = t_leaf
             while u_leaf == t_leaf:
                 u_leaf = self.leaf("good")
-            supports = [self.new_item(label=self.words.next(), types=[t_leaf],
-                                      sitelinks=rng.randint(1, 50),
-                                      description=self.words.phrase(4))
+            supports = [self._plant(self.words.next(), t_leaf,
+                                    rng.randint(1, 50))
                         for _ in range(n_rows - 1)]
             label = self.words.next()
             s1 = rng.randint(1, 20)
-            d1 = self.new_item(label=label, types=[t_leaf], sitelinks=s1,
-                               description=self.words.phrase(4))
-            d2 = self.new_item(label=label, types=[u_leaf],
-                               sitelinks=s1 + rng.randint(5, 100),
-                               description=self.words.phrase(4))
+            d1 = self._plant(label, t_leaf, s1)
+            d2 = self._plant(label, u_leaf, s1 + rng.randint(5, 100))
             self.plants.append({"pattern": "column_vote", "label": label,
                                 "gold": d1.id, "other": d2.id,
                                 "column_type": t_leaf})
@@ -441,8 +418,8 @@ class _Builder:
                 j = next(i for i, s in enumerate(specs) if s[0] == "entity")
                 specs[0], specs[j] = specs[j], specs[0]
 
-            headers: list[str] = []
-            header_gold: list[str | None] = []
+            # Working column j is its header, at row -1, then its n_rows
+            # cells; col_gold holds the gold of each.
             col_cells: list[list[str]] = []
             col_gold: list[list[str | None]] = []
             f_planted = False
@@ -456,26 +433,22 @@ class _Builder:
                         # prominence out of the margin.
                         fq = self.new_item(label=self.words.next(), sitelinks=0)
                         fp = self.new_prop(label=fq.label, sitelinks=0)
-                        headers.append(fq.label)
-                        header_gold.append(fp.id)
+                        header, header_id = fq.label, fp.id
                         self.plants.append({"pattern": "header_prop",
                                             "label": fq.label, "gold": fp.id,
                                             "other": fq.id})
                         f_planted = True
                     elif sub == "number" and rng.random() < 0.4:
-                        headers.append(str(rng.randint(2015, 2024)))
-                        header_gold.append(None)
+                        header, header_id = str(rng.randint(2015, 2024)), None
                     else:
                         prop = self.new_prop(label=self.words.next())
-                        headers.append(prop.label)
-                        header_gold.append(prop.id)
+                        header, header_id = prop.label, prop.id
                 else:
                     prop = self.new_prop(label=self.words.next())
-                    headers.append(prop.label)
-                    header_gold.append(prop.id)
+                    header, header_id = prop.label, prop.id
                     cells, golds = self._entity_column(sub, n_rows)
-                col_cells.append(cells)
-                col_gold.append(golds)
+                col_cells.append([header, *cells])
+                col_gold.append([header_id, *golds])
 
             plain_cols = [j for j, (k, s) in enumerate(specs)
                           if (k, s) == ("entity", "plain")]
@@ -484,44 +457,20 @@ class _Builder:
                     break
                 j = rng.choice(plain_cols)
                 r = rng.randrange(n_rows)
-                col_cells[j][r] = rng.choice(_EMPTY_TOKENS)
-                col_gold[j][r] = None
+                col_cells[j][r + 1] = rng.choice(_EMPTY_TOKENS)
+                col_gold[j][r + 1] = None
 
             table_id = f"t{t_i:03d}"
-            caption = self.words.phrase(3)
-            width = len(headers)
-            body = [[col_cells[j][r] for j in range(width)]
-                    for r in range(n_rows)]
-
-            if vertical:
-                full = [headers] + body
-                flipped = [list(col) for col in zip(*full)]
-                table = Table(table_id, caption, tuple(flipped[0]),
-                              tuple(tuple(r) for r in flipped[1:]))
-
-                def coord(r: int | None, j: int) -> tuple[int, int]:
-                    if r is None:
-                        return j - 1, 0
-                    return j - 1, r + 1
-            else:
-                table = Table(table_id, caption, tuple(headers),
-                              tuple(tuple(r) for r in body))
-
-                def coord(r: int | None, j: int) -> tuple[int, int]:
-                    if r is None:
-                        return -1, j
-                    return r, j
-
-            for j in range(width):
-                row, col = coord(None, j)
-                gold.append(GoldRecord(table_id, row, col,
-                                       EntityId.parse(header_gold[j])
-                                       if header_gold[j] else None))
-                for r in range(n_rows):
-                    row, col = coord(r, j)
+            # Row by row the working grid is [headers, *body]. A vertical
+            # table emits its transpose: working cell (r, j) lands at
+            # (j - 1, r + 1).
+            grid = col_cells if vertical else list(zip(*col_cells))
+            table = Table(table_id, self.words.phrase(3), grid[0], grid[1:])
+            for j, golds in enumerate(col_gold):
+                for r, eid in enumerate(golds, start=-1):
+                    row, col = (j - 1, r + 1) if vertical else (r, j)
                     gold.append(GoldRecord(table_id, row, col,
-                                           EntityId.parse(col_gold[j][r])
-                                           if col_gold[j][r] else None))
+                                           EntityId.parse(eid) if eid else None))
 
             want = "vertical" if vertical else "horizontal"
             if classify_orientation(table) != want:
@@ -530,11 +479,8 @@ class _Builder:
 
             path = tables_dir / f"{table_id}.json"
             write_json(path, table_to_obj(table))
-            tables_meta.append({
-                "table_id": table_id,
-                "file": path.name,
-                "orientation": "vertical" if vertical else "horizontal",
-            })
+            tables_meta.append({"table_id": table_id, "file": path.name,
+                                "orientation": want})
         return tables_meta, gold
 
     # mentions ---------------------------------------------------------------

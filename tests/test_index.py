@@ -407,6 +407,12 @@ def _loads(index):
     pytest.param(_edited("id_order", lambda order, t: order.__setitem__(
         slice(None), [len(t.ids)] * len(order))),
                  lambda index: index.get(q("Q3")), id="id-order-past-the-records"),
+    # Bisection would miss the two swapped keys, or the two swapped ids.
+    pytest.param(lambda t: t._replace(keys=(t.keys[1], t.keys[0], *t.keys[2:])),
+                 _loads, id="keys-out-of-order"),
+    pytest.param(_edited("id_order", lambda order, t: order.__setitem__(
+        slice(0, 2), order[1::-1])),
+                 _loads, id="id-order-out-of-order"),
     pytest.param(_row_zero((1, 2)), _record_zero, id="row-of-two-fields"),
     pytest.param(_row_zero(("measles", (), "", (), 80, (), 0)), _record_zero,
                  id="row-of-seven-fields"),

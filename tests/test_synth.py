@@ -29,15 +29,59 @@ def _by_pattern(truth):
     return grouped
 
 
+# The sha256 of each file gen-kb writes, and of tables/ as _tree_hash gives
+# it, per (seed, items, types, tables); (7, 2000, 120, 6) is the README
+# quick start. A change to the generator's output must update these.
+_PINNED = {
+    (42, 900, 60, 4): {
+        "config.json": "63b2dd72d483435f67cfeea0bd73af78ac3fbd58d04d8cffc5fd42f7f384de25",
+        "dump.jsonl": "ab38e64193eb2060192f1d64fad11a29f4c21fd2a7cb7417fb60ae4bd99a38bc",
+        "edges.jsonl": "a283619f855c95ab0263f7849ccba1570c5f578b40511fd64d897dade8916ff2",
+        "gold.jsonl": "a64a42db1c2c8ca11b358b6438544904f9d254962320956ff42a32724789b839",
+        "mentions.txt": "5b530a8f3e9ece4dc4b173aa3f264b975d1b45ad892f47abe434831a6c3d82d8",
+        "records.jsonl": "4cb5c1b471af31e47366e26fff3c81740eb1e9768356f3600f8380d9b7bb5834",
+        "truth.json": "4d8c379e81915418d8109232a6db62c8a62119ad0771e72a9faadb2aec5d0016",
+        "tables": "9a63b95666be6557f0d62ae7c38e3127291057876750eae83224fe44e456905a",
+    },
+    (43, 900, 60, 4): {
+        "config.json": "63b2dd72d483435f67cfeea0bd73af78ac3fbd58d04d8cffc5fd42f7f384de25",
+        "dump.jsonl": "1de44650f1b6c01f44226a571518f2ec0b7f9ae90110f3918f509c13c533ed74",
+        "edges.jsonl": "228a00308f8156d46e6dbcd3db309d6d8a0648b37b0030362cd079f3e216ecd6",
+        "gold.jsonl": "67e9d10bdb6acc97948436a4cf70db6de58df47260dc1c496a428d19a90451e4",
+        "mentions.txt": "33c2ead5e1d02a0fc197122823bd5a4ae4d6bf601cab9e627ad15383b37ebff7",
+        "records.jsonl": "4c40453a37c69f40b3b04613f3360d40ecc13a851abc9deddc06501322cc7936",
+        "truth.json": "d934f11bbb48d15d5e6c7062a32dc069cf5a674dcebc75476f255b24eb806fa4",
+        "tables": "8f32186aa36175a220983ebc8a338ab649ed0cbae7c4984aaece6246536f003c",
+    },
+    (7, 2000, 120, 6): {
+        "config.json": "6a053a332f1ff2b01f7e3a978184002db3db5111f8c9d6cbddcfa750776795a7",
+        "dump.jsonl": "a8f1d9f8868ac8f57dc9ad5e263053d99b9da7069997c9711d7ca3458cd86a30",
+        "edges.jsonl": "997cfc0307bd05dbf1ea3a8d32d44ba1fa59fd066a8c88d9cc4859bc3fef376d",
+        "gold.jsonl": "37d57f92a8c5ee668394ee9c385817f5f28815e14cc46d9028f7ab9a5755f556",
+        "mentions.txt": "e07ca15867d6cdb558e580ee62e9ad5d16c290dc2127d3e4655d8bbb95124c8f",
+        "records.jsonl": "b594ce558b67e017b02aa8e10c29c28704f2b0cd24201ea6a7ea0e3e2b429be1",
+        "truth.json": "9bc754dba82181eb066818063e95030c73569639134afe409bfef0988f994385",
+        "tables": "f795c53285b1afb8c012943c2c1dc8487dac044cdd2859cc78bf27608df8ed87",
+    },
+}
+
+
+def _file_hashes(result) -> dict[str, str]:
+    hashes = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+              for path in result.out_dir.iterdir() if path.is_file()}
+    hashes["tables"] = _tree_hash(result.tables_dir)
+    return hashes
+
+
 def test_generation_is_deterministic(tmp_path):
-    a = generate_synthetic_kb(tmp_path / "a", seed=42, n_items=900,
-                              n_types=60, n_tables=4)
-    b = generate_synthetic_kb(tmp_path / "b", seed=42, n_items=900,
-                              n_types=60, n_tables=4)
-    assert _tree_hash(a.out_dir) == _tree_hash(b.out_dir)
-    c = generate_synthetic_kb(tmp_path / "c", seed=43, n_items=900,
-                              n_types=60, n_tables=4)
-    assert _tree_hash(c.out_dir) != _tree_hash(a.out_dir)
+    for (seed, items, types, tables), want in _PINNED.items():
+        result = generate_synthetic_kb(tmp_path / str(seed), seed=seed,
+                                       n_items=items, n_types=types,
+                                       n_tables=tables)
+        assert _file_hashes(result) == want, seed
+    again = generate_synthetic_kb(tmp_path / "again", seed=42, n_items=900,
+                                  n_types=60, n_tables=4)
+    assert _file_hashes(again) == _PINNED[42, 900, 60, 4]
 
 
 @pytest.mark.parametrize("n_types", [0, 5, 59])
