@@ -15,14 +15,15 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import ParseError
-from .kb import EntityId, ItemRecord, TypeEdge, decode_lines
+from .kb import EntityId, ItemRecord, TypeEdge, ValidatedConfig, decode_lines
 
 _NO_IDS: frozenset[EntityId] = frozenset()
 
 
 class TypeClosure:
     """Immutable ancestor map. Self is excluded even inside cycles; members
-    of a cycle are mutual ancestors. No cross-kind ancestry by construction."""
+    of a cycle are mutual ancestors. No cross-kind ancestry by construction.
+    It keeps its types_of() answers and the linker's tier_memo() tables."""
 
     def __init__(self, ancestors: Mapping[EntityId, frozenset[EntityId]],
                  rejected_edges: tuple[TypeEdge, ...] = ()):
@@ -30,6 +31,7 @@ class TypeClosure:
         self.rejected_edges = rejected_edges
         # types_of() answers, by direct-types tuple.
         self._types: dict[tuple[EntityId, ...], frozenset[EntityId]] = {}
+        self._tiers: dict[tuple, tuple[ValidatedConfig, dict]] = {}
 
     def __contains__(self, type_id: EntityId) -> bool:
         return type_id in self._ancestors
@@ -53,6 +55,12 @@ class TypeClosure:
                 *[self._ancestors.get(t, ()) for t in direct_types])
             self._types[direct_types] = types
         return types
+
+    def tier_memo(self, config: ValidatedConfig, expected: tuple[str, ...]) -> dict:
+        """The linker's (type tier, inferred names) by (direct_types,
+        flagged_props), per sorted expected types and config object: by id,
+        kept beside its table, so a _replace()d copy gets a table of its own."""
+        return self._tiers.setdefault((id(config), expected), (config, {}))[1]
 
     def lines(self) -> Iterator[str]:
         """Canonical text form, one line per node: the node id, then its

@@ -68,6 +68,7 @@ def classify_type_tier(record: ItemRecord,
     BAD is absolute and tested first. TARGET/NEAR_MISS need expected_types;
     GOOD and OK match either the tier's ids or an inferred domain type name
     listed in that tier; inferred, when given, is infer_domain_types()'s.
+    The linker calls it once per TypeClosure.tier_memo() entry, not per hit.
     """
     types = closure.types_of(record.direct_types)
     if not types.isdisjoint(config.bad_ids):
@@ -137,10 +138,8 @@ class LinkResult(NamedTuple):
 
 def choose(candidates: list[ScoredCandidate],
            min_link_score: float) -> ScoredCandidate | None:
-    if not candidates:
-        return None
-    top = min(candidates, key=scored_sort_key)
-    return top if top.final_score >= min_link_score else None
+    top = min(candidates, key=scored_sort_key, default=None)
+    return top if top is not None and top.final_score >= min_link_score else None
 
 
 def link_from_candidates(mention: str,
@@ -153,43 +152,51 @@ def link_from_candidates(mention: str,
     """Score an already-retrieved candidate list and select the link.
 
     Split out from link() so the benchmark can time the ranking phase on its
-    own.
+    own. A candidate's type tier and inferred names are computed once per
+    closure, config, expected types and (direct_types, flagged_props).
     """
     expected = tuple(sorted(set(expected_types))) if expected_types else ()
     w = config.weights
     params = config.params
 
-    rules = config.property_inference
-    names = [infer_domain_types(c.record, rules) for c in raw_candidates]
-    tiers = [classify_type_tier(c.record, config, closure, expected, inferred=n)
-             for c, n in zip(raw_candidates, names)]
-    survivors = [(c, t, n) for c, t, n in zip(raw_candidates, tiers, names) if t != BAD]
+    memo = closure.tier_memo(config, expected)
+    survivors = []
+    for cand in raw_candidates:
+        record = cand.record
+        key = (record.direct_types, record.flagged_props)
+        if (tiered := memo.get(key)) is None:
+            names = infer_domain_types(record, config.property_inference)
+            tiered = memo[key] = (classify_type_tier(
+                record, config, closure, expected, inferred=names), names)
+        if tiered[0] != BAD:
+            survivors.append((cand, *tiered))
 
     s_max = max((c.record.sitelinks_count for c, _, _ in survivors), default=0)
-    scored = []
+    scored, below_threshold = [], 0
     for cand, tier, inferred in survivors:
         record = cand.record
         type_score = TIER_SCORES[tier]
         match_score = (0.4 * cand.token_overlap if cand.match_tier == PARTIAL
                        else _MATCH_SCORES[cand.match_tier])
         prominence = record.sitelinks_count / s_max if s_max else 0.0
-        context_sim = context_similarity(context, record)
+        context_sim = context_similarity(context, record) if context else 0.0
         boosts = 0.0
         if mode == HEADER and record.id.is_property:
             boosts += params.header_property_boost
         base = (w.w_type * type_score + w.w_match * match_score
                 + w.w_prom * prominence + w.w_ctx * context_sim)
+        below_threshold += base + boosts < params.min_link_score
         scored.append(ScoredCandidate(
             record, cand.match_tier, tier, inferred, cand.token_overlap,
             type_score, match_score, prominence, context_sim, boosts, base,
             base + boosts))
 
     scored.sort(key=scored_sort_key)
-    chosen = choose(scored, params.min_link_score)
+    chosen = choose(scored[:1], params.min_link_score)
     diagnostics = Diagnostics(
         retrieved=len(raw_candidates),
         rejected_bad=len(raw_candidates) - len(survivors),
-        below_threshold=sum(1 for c in scored if c.final_score < params.min_link_score))
+        below_threshold=below_threshold)
     return LinkResult(mention=normalize(mention), mode=mode, chosen=chosen,
                       candidates=tuple(scored), diagnostics=diagnostics)
 

@@ -321,13 +321,13 @@ def read_annotation(path: str | Path) -> TableAnnotation:
 def _boost(result: LinkResult, hit: Callable[[ScoredCandidate], bool],
            boost: float, min_link_score: float) -> LinkResult:
     """result with boost added to every candidate hit accepts, re-ranked and
-    with the NIL threshold re-applied."""
+    with the NIL threshold re-applied to the new head."""
     boosted = sorted(
         (c._replace(boosts=c.boosts + boost,
                     final_score=c.weighted_base + (c.boosts + boost))
          if hit(c) else c for c in result.candidates),
         key=scored_sort_key)
-    return result._replace(chosen=choose(boosted, min_link_score),
+    return result._replace(chosen=choose(boosted[:1], min_link_score),
                            candidates=tuple(boosted))
 
 

@@ -4,7 +4,9 @@ Everything here is written from the documented behavior, not from the package
 internals: search is a linear scan over all records, closure is matrix
 reachability, and the end-to-end link oracle rebuilds the scoring formula
 step by step. Only data (the stopword list) and plain value types (EntityId,
-ItemRecord, config objects) are shared with the package.
+ItemRecord, config objects) are shared with the package. Two references are
+earlier versions of package functions kept as written: o_read_closure, and
+o_link_from_candidates, which classifies each hit on its own.
 """
 
 from __future__ import annotations
@@ -20,7 +22,20 @@ from pathlib import Path
 import numpy as np
 
 from tablink import EntityId, ParseError
-from tablink.text import STOPWORDS
+from tablink.linker import (
+    BAD,
+    HEADER,
+    PARTIAL,
+    TIER_SCORES as LINKER_TIER_SCORES,
+    Diagnostics,
+    LinkResult,
+    ScoredCandidate,
+    classify_type_tier,
+    context_similarity,
+    infer_domain_types,
+    scored_sort_key,
+)
+from tablink.text import STOPWORDS, normalize
 
 TIER_SCORES = {"TARGET": 1.0, "NEAR_MISS": 0.8, "GOOD": 0.6, "OK": 0.4,
                "UNKNOWN": 0.2}
@@ -248,3 +263,53 @@ def o_link(kb: OracleKB, ancestors: dict, config, mention: str, mode: str,
     if best[1] >= config.params.min_link_score:
         return best[0].id
     return None
+
+
+def o_link_from_candidates(mention: str, raw_candidates, mode: str, context,
+                           expected_types, closure, config) -> LinkResult:
+    """link_from_candidates as it was before the tier memo: every hit is
+    classified and inferred on its own, every candidate's context similarity
+    is computed, the choice is a min() pass over the scored list and the
+    below-threshold count a pass of its own. Uses the package's
+    per-candidate functions, which the memo left unchanged."""
+    expected = tuple(sorted(set(expected_types))) if expected_types else ()
+    w = config.weights
+    params = config.params
+
+    rules = config.property_inference
+    names = [infer_domain_types(c.record, rules) for c in raw_candidates]
+    tiers = [classify_type_tier(c.record, config, closure, expected, inferred=n)
+             for c, n in zip(raw_candidates, names)]
+    survivors = [(c, t, n) for c, t, n in zip(raw_candidates, tiers, names)
+                 if t != BAD]
+
+    s_max = max((c.record.sitelinks_count for c, _, _ in survivors), default=0)
+    scored = []
+    for cand, tier, inferred in survivors:
+        record = cand.record
+        type_score = LINKER_TIER_SCORES[tier]
+        match_score = (0.4 * cand.token_overlap if cand.match_tier == PARTIAL
+                       else {"exact_label": 1.0, "exact_alias": 0.8}[cand.match_tier])
+        prominence = record.sitelinks_count / s_max if s_max else 0.0
+        context_sim = context_similarity(context, record)
+        boosts = 0.0
+        if mode == HEADER and record.id.is_property:
+            boosts += params.header_property_boost
+        base = (w.w_type * type_score + w.w_match * match_score
+                + w.w_prom * prominence + w.w_ctx * context_sim)
+        scored.append(ScoredCandidate(
+            record, cand.match_tier, tier, inferred, cand.token_overlap,
+            type_score, match_score, prominence, context_sim, boosts, base,
+            base + boosts))
+
+    scored.sort(key=scored_sort_key)
+    top = min(scored, key=scored_sort_key) if scored else None
+    chosen = top if top is not None and top.final_score >= params.min_link_score \
+        else None
+    diagnostics = Diagnostics(
+        retrieved=len(raw_candidates),
+        rejected_bad=len(raw_candidates) - len(survivors),
+        below_threshold=sum(1 for c in scored
+                            if c.final_score < params.min_link_score))
+    return LinkResult(mention=normalize(mention), mode=mode, chosen=chosen,
+                      candidates=tuple(scored), diagnostics=diagnostics)

@@ -27,6 +27,7 @@ from oracles import (
     OracleKB,
     o_has_type,
     o_link,
+    o_link_from_candidates,
     o_search,
     o_tier,
     o_tokens,
@@ -48,7 +49,9 @@ from tablink import (
     evaluate,
     has_type,
     link,
+    link_from_candidates,
     link_table,
+    parse_config_obj,
     project_corpus_days,
     read_table,
     search,
@@ -255,6 +258,68 @@ def test_link_agrees_with_bruteforce_pipeline(big_kb, big_oracle, big_ancestors)
     assert agreed == 1000
     print("PASS link-oracle: 1000/1000 mixed-mode mentions match the "
           "brute-force pipeline decision")
+
+
+def test_link_from_candidates_agrees_with_the_per_hit_scorer(big_kb,
+                                                             big_ancestors):
+    """The tier memo, the head-of-sorted choice, the in-loop threshold count
+    and the skipped empty-context similarity change no LinkResult field,
+    diagnostics included, against the scorer that classifies every hit."""
+    config, closure, index = big_kb.config, big_kb.closure, big_kb.index
+    rng = random.Random(0xAC06)
+    cases = _link_case_pool(random.Random(0xAC02), big_kb.records, config)
+    rules = {r.if_property for r in config.property_inference}
+    flagged = [r for r in big_kb.records if r.flagged_props & rules]
+    cases += [(r.label, rng.choice((CELL, HEADER)), None, None)
+              for r in rng.sample(flagged, 200)]
+
+    def with_params(**params):
+        return parse_config_obj({**config.to_obj(), "params": {
+            **config.params._asdict(), **params}})
+
+    # Every candidate below the threshold; and in header mode, property
+    # records above it by their boost alone and items below it.
+    strict = with_params(min_link_score=100.0)
+    lifted = with_params(min_link_score=1.5, header_property_boost=5.0)
+    pools = []
+    for mention, mode, ctx, expected in cases:
+        try:
+            raw = search(index, mention, config.params.k)
+        except EmptyMention:
+            continue
+        pools.append((mention, raw, mode, ctx, expected, config))
+        pools.append((mention, raw, mode, ctx, expected, strict))
+        pools.append((mention, raw, mode, ctx, expected, lifted))
+        bad = [c for c in raw if o_tier(c.record, config, big_ancestors, ())
+               == "BAD"]
+        if bad:
+            pools.append((mention, bad, mode, ctx, None, config))
+    for mode, ctx in ((CELL, None), (HEADER, "caption sibling header")):
+        pools.append(("anything", [], mode, ctx, None, config))
+
+    seen = Counter()
+    for _ in range(2):  # the second pass finds every tier in the memo
+        for mention, raw, mode, ctx, expected, cfg in pools:
+            got = link_from_candidates(mention, raw, mode, ctx, expected,
+                                       closure, cfg)
+            want = o_link_from_candidates(mention, raw, mode, ctx, expected,
+                                          closure, cfg)
+            assert got == want, (f"result disagreement for {mention!r} "
+                                 f"mode={mode} ctx={ctx!r} "
+                                 f"expected={expected!r} pool={len(raw)}")
+            cands, diag = got.candidates, got.diagnostics
+            seen["header-property"] += mode == HEADER and any(
+                c.record.id.is_property for c in cands)
+            seen["inferred"] += any(c.inferred_type_names for c in cands)
+            seen["all-bad"] += bool(raw) and diag.rejected_bad == len(raw)
+            seen["empty"] += not raw
+            seen["all-below"] += (bool(cands) and got.chosen is None
+                                  and diag.below_threshold == len(cands))
+            seen["boost-decides"] += (cfg is lifted and got.chosen is not None
+                                      and diag.below_threshold > 0)
+    assert min(seen.values()) >= 2 and len(seen) == 6, seen
+    print(f"PASS scorer-reference: {len(pools)} pools twice, equal results "
+          f"({dict(sorted(seen.items()))})")
 
 
 TIER_EXPECTED = (None, ("location",), ("location", "facility"),

@@ -270,7 +270,7 @@ def test_virus_disambiguation():
                for c in result.candidates)
 
 
-def test_link_classifies_and_infers_once_per_hit(monkeypatch):
+def test_link_classifies_and_infers_once_per_type_fields(monkeypatch):
     records, closure, config = virus_fixture()
     index = Index(records)
     hits = search(index, "virus", config.params.k)
@@ -285,13 +285,78 @@ def test_link_classifies_and_infers_once_per_hit(monkeypatch):
     monkeypatch.setattr(tablink.linker, "infer_domain_types",
                         lambda record, rules: inferred.append(record.id)
                         or infer(record, rules))
-    got = link("virus", "cell", index, closure, config,
+    fresh = virus_fixture()[1]
+    got = link("virus", "cell", index, fresh, config,
                context="infectious disease outbreak")
     assert got == want
     assert got.diagnostics.rejected_bad > 0 and len(got.candidates) > 1
-    ids = Counter(hit.record.id for hit in hits)
-    assert Counter(tiered) == ids
-    assert not Counter(inferred) - ids
+    by_id = {hit.record.id: hit.record for hit in hits}
+    fields = Counter((by_id[i].direct_types, by_id[i].flagged_props)
+                     for i in tiered)
+    distinct = {(hit.record.direct_types, hit.record.flagged_props)
+                for hit in hits}
+    assert fields == Counter(distinct)
+    assert len(distinct) < len(hits)
+    assert not Counter(inferred) - Counter(tiered)
+    tiered.clear()
+    inferred.clear()
+    again = link("virus", "cell", index, fresh, config,
+                 context="infectious disease outbreak")
+    assert again == want
+    assert tiered == [] and inferred == []
+
+
+MEMO_CFG = cfg({
+    "type_dictionary": {"target-type": ["Q100"], "miss-type": ["Q110"],
+                        "good-type": ["Q120"], "bad-type": ["Q140"]},
+    "tiers": {"good": ["good-type"], "bad": ["bad-type"]},
+    "near_miss_map": {"miss-type": ["target-type"]},
+})
+
+
+def test_tier_memo_keeps_configs_expected_types_and_closures_apart():
+    # Every record is labeled "alpha", so one search returns them all.
+    index = Index([
+        rec("Q1", "alpha", types=["Q100"], sitelinks=10),
+        rec("Q2", "alpha", types=["Q110"], sitelinks=9),
+        rec("Q3", "alpha", types=["Q500"], sitelinks=8),
+        rec("Q4", "alpha", types=["Q120"], flagged=["P900"], sitelinks=7),
+        rec("Q5", "alpha", types=["Q600"], sitelinks=6),
+    ])
+
+    def closure_a():
+        return build_closure([TypeEdge(q("Q500"), q("Q120"), "subclass_of"),
+                              TypeEdge(q("Q600"), q("Q140"), "subclass_of")])
+
+    def closure_b():
+        return build_closure([TypeEdge(q("Q500"), q("Q140"), "subclass_of"),
+                              TypeEdge(q("Q600"), q("Q120"), "subclass_of")])
+
+    twin = MEMO_CFG._replace(bad_ids=frozenset({q("Q100")}))
+    assert twin.content_hash == MEMO_CFG.content_hash
+    second = cfg({"type_dictionary": {"good-type": ["Q120"], "bad-type": ["Q110"]},
+                  "tiers": {"ok": ["good-type"], "bad": ["bad-type"]}})
+    cases = [(MEMO_CFG, None), (twin, None), (second, None),
+             (MEMO_CFG, ["target-type"]), (MEMO_CFG, ["miss-type"])]
+    shared = closure_a()
+    seen = []
+    for _ in range(2):
+        for config, expected in cases:
+            got = link("alpha", "cell", index, shared, config,
+                       expected_types=expected)
+            want = link("alpha", "cell", index, closure_a(), config,
+                        expected_types=expected)
+            assert got == want
+            seen.append(got)
+    tiers = [{c.record.id.raw: c.type_tier for c in r.candidates}
+             for r in seen[:len(cases)]]
+    assert tiers[0] != tiers[1] != tiers[2] != tiers[0]
+    assert tiers[3]["Q1"] == "TARGET" and tiers[4]["Q1"] == "NEAR_MISS"
+
+    other = closure_b()
+    got = link("alpha", "cell", index, other, MEMO_CFG)
+    assert got == link("alpha", "cell", index, closure_b(), MEMO_CFG)
+    assert got != seen[0]
 
 
 def test_prevalence_header_vs_cell():
