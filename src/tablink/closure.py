@@ -60,7 +60,10 @@ class TypeClosure:
         """The linker's (type tier, inferred names) by (direct_types,
         flagged_props), per sorted expected types and config object: by id,
         kept beside its table, so a _replace()d copy gets a table of its own."""
-        return self._tiers.setdefault((id(config), expected), (config, {}))[1]
+        kept = self._tiers.get((id(config), expected))
+        if kept is None:
+            kept = self._tiers[id(config), expected] = (config, {})
+        return kept[1]
 
     def lines(self) -> Iterator[str]:
         """Canonical text form, one line per node: the node id, then its

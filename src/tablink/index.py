@@ -309,19 +309,23 @@ def search(index: Index, mention: str, k: int) -> list[RawCandidate]:
     labels = _entry(t.label_rows, t.label_ends, at)[:k]
     aliases = [row for row in _entry(t.alias_rows, t.alias_ends, at)
                if row not in labels][:k - len(labels)]
-    hits = ([(row, EXACT_LABEL, 1.0) for row in labels]
-            + [(row, EXACT_ALIAS, 1.0) for row in aliases])
-    if len(hits) < k:
+    partials = ()
+    if len(labels) + len(aliases) < k:
         distinct = list(dict.fromkeys(tokens))
         # A one-token mention is its own token: its probe is reused.
         spots = [at] if distinct == [norm] else [_find(t.keys, token)
                                                  for token in distinct]
         lists = [_entry(t.token_rows, t.token_ends, spot) for spot in spots]
-        hits += [(row, PARTIAL, covered / len(distinct)) for row, covered
-                 in _partial(lists, {*labels, *aliases}, k - len(hits))]
-    memo = index._memo
-    return [RawCandidate(memo.get(row) or index.record_at(row), tier, overlap)
-            for row, tier, overlap in hits]
+        partials = _partial(lists, {*labels, *aliases},
+                            k - len(labels) - len(aliases))
+    memo, record_at = index._memo, index.record_at
+    return ([RawCandidate(memo.get(row) or record_at(row), EXACT_LABEL, 1.0)
+             for row in labels]
+            + [RawCandidate(memo.get(row) or record_at(row), EXACT_ALIAS, 1.0)
+               for row in aliases]
+            + [RawCandidate(memo.get(row) or record_at(row), PARTIAL,
+                            covered / len(distinct))
+               for row, covered in partials])
 
 
 def _holds(rows: Sequence[int], row: int) -> bool:

@@ -3,9 +3,9 @@ domain configuration that parameterizes linking.
 
 Every type here is a typing.NamedTuple: immutable, safe for unrestricted
 concurrent reads, and compared as a tuple of its fields. A type with an
-invariant (ItemRecord, Params) is a subclass whose __new__ checks it, and
-whose _make, which _replace uses, builds through __new__, so no way of
-making one skips the check.
+invariant (ItemRecord, Params, ValidatedConfig) is a subclass whose __new__
+checks it, and whose _make, which _replace uses, builds through __new__, so
+no way of making one skips the check.
 """
 
 from __future__ import annotations
@@ -394,12 +394,7 @@ class Params(_ParamsFields):
         return cls(*fields)
 
 
-class ValidatedConfig(NamedTuple):
-    """The domain configuration, as parse_config_obj() gives it: every type
-    name resolved to id sets and all invariants checked. Immutable; safe to
-    share across threads. TARGET comes from the expected types through
-    resolve_names() and NEAR_MISS from near_miss_ids."""
-
+class _ConfigFields(NamedTuple):
     type_dictionary: Mapping[str, tuple[EntityId, ...]]
     tiers: Mapping[str, tuple[str, ...]]
     near_miss_map: Mapping[str, tuple[str, ...]]
@@ -413,6 +408,76 @@ class ValidatedConfig(NamedTuple):
     ok_names: frozenset[str]
     near_miss_ids: Mapping[str, frozenset[EntityId]]
     content_hash: str
+
+
+class ValidatedConfig(_ConfigFields):
+    """The domain configuration: every type name resolved to id sets and all
+    invariants checked. Immutable; safe to share across threads. TARGET
+    comes from the expected types through resolve_names() and NEAR_MISS
+    from near_miss_ids.
+
+    The first six fields are the configuration. Construction resolves its
+    type names, refuses an id under bad and a positive tier and
+    renormalizes the weights, in that order, and derives the other fields:
+    the id and name sets, and content_hash, the sha256 of to_obj()'s
+    canonical JSON. They are not arguments; _make and _replace derive them
+    again, so a copy never keeps a stale hash, and _replace refuses them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, type_dictionary: Mapping[str, tuple[EntityId, ...]],
+                tiers: Mapping[str, tuple[str, ...]],
+                near_miss_map: Mapping[str, tuple[str, ...]],
+                property_inference: Iterable[InferenceRule],
+                weights: Weights, params: Params):
+        def resolve(names: Iterable[str], where: str) -> frozenset[EntityId]:
+            for name in names:
+                if name not in type_dictionary:
+                    raise UnresolvedTypeName(
+                        f"{where} references unknown type name {name!r}")
+            return frozenset().union(*(type_dictionary[name] for name in names))
+
+        # The near-miss map's keys and the rules' type names are resolved
+        # only to refuse unknown names.
+        ids = {tier: resolve(tiers.get(tier, ()), f"tiers.{tier}")
+               for tier in TIER_NAMES}
+        resolve(near_miss_map, "near_miss_map")
+        near_miss_ids = {name: resolve(vals, f"near_miss_map[{name!r}]")
+                         for name, vals in near_miss_map.items()}
+        property_inference = tuple(property_inference)
+        for rule in property_inference:
+            resolve([rule.then_type_name],
+                    f"property_inference rule for {rule.if_property}")
+
+        conflict = ids["bad"] & (ids["good"] | ids["ok"])
+        if conflict:
+            raws = ", ".join(i.raw for i in sorted(conflict))
+            raise TierConflict(f"id(s) under bad and a positive tier: {raws}")
+
+        fields = (type_dictionary, tiers, near_miss_map, property_inference,
+                  _renormalized(weights), params, ids["good"], ids["ok"],
+                  ids["bad"], frozenset(tiers.get("good", ())),
+                  frozenset(tiers.get("ok", ())), near_miss_ids)
+        canonical = json.dumps(tuple.__new__(cls, (*fields, "")).to_obj(),
+                               sort_keys=True, separators=(",", ":"))
+        return tuple.__new__(cls, (
+            *fields, hashlib.sha256(canonical.encode("utf-8")).hexdigest()))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> ValidatedConfig:
+        return cls(*tuple(fields)[:6])
+
+    def _replace(self, **changes) -> ValidatedConfig:
+        derived = changes.keys() & set(self._fields[6:])
+        if derived:
+            raise ValueError(f"derived field(s) {', '.join(sorted(derived))} "
+                             "cannot be replaced")
+        return super()._replace(**changes)
+
+    def __getnewargs__(self) -> tuple:
+        # The arguments copy and pickle pass to __new__.
+        return tuple(self)[:6]
 
     def resolve_names(self, names: Iterable[str]) -> frozenset[EntityId]:
         """Union of dictionary ids for the given type names. Names missing
@@ -546,7 +611,8 @@ def parse_config_obj(obj: Mapping) -> ValidatedConfig:
     Unknown keys are rejected everywhere; missing sections fall back to
     empty/default values. Every structural check runs first, then type
     names are resolved, then the bad tier is checked against the positive
-    ones, and last the weights are renormalized.
+    ones, and last the weights are renormalized; the last three are
+    ValidatedConfig's own checks.
     """
     _require_keys(obj, ("type_dictionary", "tiers", "near_miss_map",
                         "property_inference", "weights", "params"),
@@ -583,37 +649,8 @@ def parse_config_obj(obj: Mapping) -> ValidatedConfig:
     weights = _parse_fields(Weights, obj, "weights", require_all=True)
     params = _parse_fields(Params, obj, "params", require_all=False)
 
-    def resolve(names: Iterable[str], where: str) -> frozenset[EntityId]:
-        for name in names:
-            if name not in type_dictionary:
-                raise UnresolvedTypeName(f"{where} references unknown type name {name!r}")
-        return frozenset().union(*(type_dictionary[name] for name in names))
-
-    # The near-miss map's keys and the rules' type names are resolved only
-    # to refuse unknown names.
-    ids = {tier: resolve(names, f"tiers.{tier}") for tier, names in tiers.items()}
-    resolve(near_miss_map, "near_miss_map")
-    near_miss_ids = {name: resolve(vals, f"near_miss_map[{name!r}]")
-                     for name, vals in near_miss_map.items()}
-    for rule in rules:
-        resolve([rule.then_type_name], f"property_inference rule for {rule.if_property}")
-
-    conflict = ids["bad"] & (ids["good"] | ids["ok"])
-    if conflict:
-        raws = ", ".join(i.raw for i in sorted(conflict))
-        raise TierConflict(f"id(s) under bad and a positive tier: {raws}")
-
-    config = ValidatedConfig(
-        type_dictionary=type_dictionary, tiers=tiers,
-        near_miss_map=near_miss_map, property_inference=tuple(rules),
-        weights=_renormalized(weights), params=params,
-        good_ids=ids["good"], ok_ids=ids["ok"], bad_ids=ids["bad"],
-        good_names=frozenset(tiers["good"]), ok_names=frozenset(tiers["ok"]),
-        near_miss_ids=near_miss_ids,
-        content_hash="")
-    canonical = json.dumps(config.to_obj(), sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return config._replace(content_hash=digest)
+    return ValidatedConfig(type_dictionary, tiers, near_miss_map, rules,
+                           weights, params)
 
 
 def load_config(path: str | Path) -> ValidatedConfig:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from collections.abc import Callable, Iterable
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -91,16 +92,16 @@ def classify_type_tier(record: ItemRecord,
     return UNKNOWN
 
 
-def context_similarity(context: str | None, record: ItemRecord) -> float:
+def context_similarity(context: str | None, record: ItemRecord, *,
+                       tokens: list[str] | None = None) -> float:
     """Term-frequency cosine between the context and the record's label,
-    description, and aliases."""
-    if not context:
-        return 0.0
-    ctx_tokens = tokenize(context)
-    if not ctx_tokens:
+    description, and aliases. tokens, when given, is tokenize(context)."""
+    if tokens is None:
+        tokens = tokenize(context) if context else []
+    if not tokens:
         return 0.0
     rec_tokens = tokenize(" ".join([record.label, record.description, *record.aliases]))
-    return tf_cosine(ctx_tokens, rec_tokens)
+    return tf_cosine(tokens, rec_tokens)
 
 
 class ScoredCandidate(NamedTuple):
@@ -116,6 +117,11 @@ class ScoredCandidate(NamedTuple):
     boosts: float
     weighted_base: float
     final_score: float
+
+
+# A ScoredCandidate from the tuple of its fields, without the Python-level
+# __new__ that NamedTuple generates: the linker makes one per candidate.
+new_scored = partial(tuple.__new__, ScoredCandidate)
 
 
 def scored_sort_key(c: ScoredCandidate) -> tuple:
@@ -138,6 +144,9 @@ class LinkResult(NamedTuple):
 
 def choose(candidates: list[ScoredCandidate],
            min_link_score: float) -> ScoredCandidate | None:
+    """The best candidate of a list in any order, or None when it scores
+    below min_link_score. The linker and the table pass sort their lists
+    and test the head alone."""
     top = min(candidates, key=scored_sort_key, default=None)
     return top if top is not None and top.final_score >= min_link_score else None
 
@@ -153,14 +162,12 @@ def link_from_candidates(mention: str,
 
     Split out from link() so the benchmark can time the ranking phase on its
     own. A candidate's type tier and inferred names are computed once per
-    closure, config, expected types and (direct_types, flagged_props).
+    closure, config, expected types and (direct_types, flagged_props); the
+    context is tokenized once per call.
     """
     expected = tuple(sorted(set(expected_types))) if expected_types else ()
-    w = config.weights
-    params = config.params
-
     memo = closure.tier_memo(config, expected)
-    survivors = []
+    survivors, s_max = [], 0
     for cand in raw_candidates:
         record = cand.record
         key = (record.direct_types, record.flagged_props)
@@ -170,35 +177,40 @@ def link_from_candidates(mention: str,
                 record, config, closure, expected, inferred=names), names)
         if tiered[0] != BAD:
             survivors.append((cand, *tiered))
+            if record.sitelinks_count > s_max:
+                s_max = record.sitelinks_count
 
-    s_max = max((c.record.sitelinks_count for c, _, _ in survivors), default=0)
+    w_type, w_match, w_prom, w_ctx = config.weights
+    params = config.params
+    min_link_score = params.min_link_score
+    ctx_tokens = tokenize(context) if context and survivors else None
     scored, below_threshold = [], 0
-    for cand, tier, inferred in survivors:
-        record = cand.record
+    for (record, match_tier, overlap), tier, inferred in survivors:
         type_score = TIER_SCORES[tier]
-        match_score = (0.4 * cand.token_overlap if cand.match_tier == PARTIAL
-                       else _MATCH_SCORES[cand.match_tier])
+        match_score = (0.4 * overlap if match_tier == PARTIAL
+                       else _MATCH_SCORES[match_tier])
         prominence = record.sitelinks_count / s_max if s_max else 0.0
-        context_sim = context_similarity(context, record) if context else 0.0
+        context_sim = (context_similarity(context, record, tokens=ctx_tokens)
+                       if ctx_tokens else 0.0)
         boosts = 0.0
         if mode == HEADER and record.id.is_property:
             boosts += params.header_property_boost
-        base = (w.w_type * type_score + w.w_match * match_score
-                + w.w_prom * prominence + w.w_ctx * context_sim)
-        below_threshold += base + boosts < params.min_link_score
-        scored.append(ScoredCandidate(
-            record, cand.match_tier, tier, inferred, cand.token_overlap,
-            type_score, match_score, prominence, context_sim, boosts, base,
-            base + boosts))
+        base = (w_type * type_score + w_match * match_score
+                + w_prom * prominence + w_ctx * context_sim)
+        final_score = base + boosts
+        below_threshold += final_score < min_link_score
+        scored.append(new_scored((
+            record, match_tier, tier, inferred, overlap, type_score,
+            match_score, prominence, context_sim, boosts, base, final_score)))
 
-    scored.sort(key=scored_sort_key)
-    chosen = choose(scored[:1], params.min_link_score)
-    diagnostics = Diagnostics(
-        retrieved=len(raw_candidates),
-        rejected_bad=len(raw_candidates) - len(survivors),
-        below_threshold=below_threshold)
-    return LinkResult(mention=normalize(mention), mode=mode, chosen=chosen,
-                      candidates=tuple(scored), diagnostics=diagnostics)
+    if len(scored) > 1:
+        scored.sort(key=scored_sort_key)
+    chosen = (scored[0] if scored and scored[0].final_score >= min_link_score
+              else None)
+    return LinkResult(normalize(mention), mode, chosen, tuple(scored),
+                      Diagnostics(len(raw_candidates),
+                                  len(raw_candidates) - len(survivors),
+                                  below_threshold))
 
 
 def link(mention: str,

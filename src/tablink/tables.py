@@ -14,14 +14,13 @@ checks its rows.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .closure import TypeClosure, has_type
+from .closure import TypeClosure
 from .errors import EmptyMention, ParseError
 from .index import Index
 from .kb import (
@@ -39,7 +38,7 @@ from .linker import (
     LinkResult,
     ScoredCandidate,
     cached_link,
-    choose,
+    new_scored,
     scored_sort_key,
 )
 from .text import tokenize
@@ -54,33 +53,26 @@ EMPTY = "EMPTY"
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
-_NUM = r"[+-]?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|[+-]?\.\d+"
-_CTID_RE = re.compile(r"^NCT\d{8}$")
-_SEQ_RE = re.compile(r"^[ACGTUN]{8,}$", re.IGNORECASE)
-_PERCENT_RE = re.compile(rf"^(?:{_NUM})\s*%$")
-_NUMBER_RE = re.compile(rf"^(?:{_NUM})$")
-_RANGE_RE = re.compile(rf"^(?:{_NUM})\s*[-–]\s*(?:{_NUM})$")
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$|^\d{4}$|^\d{2}-\d{4}$")
+_NUM = r"(?:[+-]?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|[+-]?\.\d+)"
+# One alternative per literal kind, named after it and tried in order; a
+# number range is a NUMBER.
+_LITERAL_RE = re.compile(
+    rf"(?P<{CLINICAL_TRIAL_ID}>NCT\d{{8}})"
+    rf"|(?P<{SEQUENCE}>(?i:[ACGTUN]{{8,}}))"
+    rf"|(?P<{PERCENT}>{_NUM}\s*%)"
+    rf"|(?P<{NUMBER}>{_NUM}(?:\s*[-–]\s*{_NUM})?)"
+    rf"|(?P<{DATE}>\d{{4}}-\d{{2}}-\d{{2}}|\d{{4}}|\d{{2}}-\d{{4}})")
 
 
 def detect_literal(cell: str) -> str | None:
     """Classify a cell as a literal kind, or None when it should go to the
-    entity linker. The checks run in a fixed order and the first hit wins,
-    so e.g. a bare year is a NUMBER, never a DATE."""
+    entity linker. The kinds are tried in a fixed order and the first hit
+    wins, so e.g. a bare year is a NUMBER, never a DATE."""
     s = cell.strip()
     if s in ("", "-", "–") or s.upper() == "N/A":
         return EMPTY
-    if _CTID_RE.match(s):
-        return CLINICAL_TRIAL_ID
-    if _SEQ_RE.match(s):
-        return SEQUENCE
-    if _PERCENT_RE.match(s):
-        return PERCENT
-    if _NUMBER_RE.match(s) or _RANGE_RE.match(s):
-        return NUMBER
-    if _DATE_RE.match(s):
-        return DATE
-    return None
+    m = _LITERAL_RE.fullmatch(s)
+    return m and m.lastgroup
 
 
 class _TableFields(NamedTuple):
@@ -171,8 +163,11 @@ def _orientation(table: Table) -> tuple[str, dict[str, str | None]]:
              for cell in set(chain(table.header_row, *table.rows))}
 
     def mean_modal_fraction(lanes: Iterable[tuple[str, ...]]) -> float:
-        fractions = [max(Counter(kinds[cell] or "entity" for cell in lane).values())
-                     / len(lane) for lane in lanes]
+        fractions = []
+        for lane in lanes:
+            lane_kinds = list(map(kinds.__getitem__, lane))
+            fractions.append(max(map(lane_kinds.count, set(lane_kinds)))
+                             / len(lane))
         return sum(fractions) / len(fractions)
 
     if not table.rows:
@@ -321,14 +316,19 @@ def read_annotation(path: str | Path) -> TableAnnotation:
 def _boost(result: LinkResult, hit: Callable[[ScoredCandidate], bool],
            boost: float, min_link_score: float) -> LinkResult:
     """result with boost added to every candidate hit accepts, re-ranked and
-    with the NIL threshold re-applied to the new head."""
-    boosted = sorted(
-        (c._replace(boosts=c.boosts + boost,
-                    final_score=c.weighted_base + (c.boosts + boost))
-         if hit(c) else c for c in result.candidates),
-        key=scored_sort_key)
-    return result._replace(chosen=choose(boosted[:1], min_link_score),
-                           candidates=tuple(boosted))
+    with the NIL threshold re-applied to the new head; result itself when
+    hit accepts none."""
+    hits = list(map(hit, result.candidates))
+    if not any(hits):
+        return result
+    boosted = [new_scored((*c[:9], c.boosts + boost, c.weighted_base,
+                           c.weighted_base + (c.boosts + boost)))
+               if h else c for c, h in zip(result.candidates, hits)]
+    boosted.sort(key=scored_sort_key)
+    head = boosted[0]
+    return result._replace(
+        chosen=head if head.final_score >= min_link_score else None,
+        candidates=tuple(boosted))
 
 
 def link_table(table: Table,
@@ -355,18 +355,11 @@ def link_table(table: Table,
     if orientation == VERTICAL:
         grid = list(zip(*grid))
 
-    def coord(i: int, j: int) -> tuple[int, int]:
-        """Original (row, col) of grid cell (i, j); the header row is -1."""
-        return (i - 1, j) if orientation == HORIZONTAL else (j - 1, i)
-
-    literals: dict[tuple[int, int], str] = {}
     results: dict[tuple[int, int], LinkResult] = {}
     notes: dict[tuple[int, int], str] = {}
     for i, row in enumerate(grid):
         for j, mention in enumerate(row):
-            literal = kinds[mention]
-            if literal is not None:
-                literals[i, j] = literal
+            if kinds[mention] is not None:
                 continue
             context = None
             if i == 0:
@@ -390,7 +383,8 @@ def link_table(table: Table,
             continue
         for i in linked:
             results[i, j] = _boost(
-                results[i, j], lambda c: has_type(c.record, dominant, closure),
+                results[i, j],
+                lambda c: dominant in closure.types_of(c.record.direct_types),
                 params.column_type_boost, params.min_link_score)
         record = index.get(dominant)
         tokens = frozenset(tokenize(record.label)) if record else frozenset()
@@ -402,23 +396,26 @@ def link_table(table: Table,
                 params.header_column_boost, params.min_link_score)
 
     def annotate(i: int, j: int, mention: str) -> CellAnnotation:
-        row, col = coord(i, j)
-        if (i, j) in literals:
-            return CellAnnotation(row, col, mention, "literal",
-                                  literal=literals[i, j])
+        """Grid cell (i, j) at its original (row, col); the header row is
+        -1."""
+        row, col = (i - 1, j) if orientation == HORIZONTAL else (j - 1, i)
+        literal = kinds[mention]
+        if literal is not None:
+            return CellAnnotation(row, col, mention, "literal", None, None,
+                                  None, literal)
         result = results.get((i, j))
         if result is None:
-            return CellAnnotation(row, col, mention, "nil", note=notes[i, j])
+            return CellAnnotation(row, col, mention, "nil", None, None, None,
+                                  None, (), notes[i, j])
         candidates = tuple(c.record.id for c in result.candidates)
         chosen = result.chosen
         if chosen is None:
-            return CellAnnotation(row, col, mention, "nil",
-                                  candidates=candidates)
-        return CellAnnotation(row, col, mention, "entity",
-                              entity_id=chosen.record.id,
-                              entity_label=chosen.record.label,
-                              final_score=chosen.final_score,
-                              candidates=candidates)
+            return CellAnnotation(row, col, mention, "nil", None, None, None,
+                                  None, candidates)
+        record = chosen.record
+        return CellAnnotation(row, col, mention, "entity", record.id,
+                              record.label, chosen.final_score, None,
+                              candidates)
 
     grid_annotations = [[annotate(i, j, m) for j, m in enumerate(row)]
                         for i, row in enumerate(grid)]

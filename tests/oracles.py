@@ -4,9 +4,12 @@ Everything here is written from the documented behavior, not from the package
 internals: search is a linear scan over all records, closure is matrix
 reachability, and the end-to-end link oracle rebuilds the scoring formula
 step by step. Only data (the stopword list) and plain value types (EntityId,
-ItemRecord, config objects) are shared with the package. Two references are
-earlier versions of package functions kept as written: o_read_closure, and
-o_link_from_candidates, which classifies each hit on its own.
+ItemRecord, config objects) are shared with the package. Four references
+are earlier versions of package functions kept as written: o_read_closure;
+o_link_from_candidates, which classifies each hit on its own;
+o_detect_literal, which tries six patterns in turn; and o_link_table, the
+table pass that counts lanes with Counter and re-sorts every result in
+pass 2.
 """
 
 from __future__ import annotations
@@ -15,27 +18,48 @@ import functools
 import hashlib
 import io
 import math
+import re
 import unicodedata
 from collections import Counter
+from collections.abc import Callable, Iterable
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from tablink import EntityId, ParseError
+from tablink import EmptyMention, EntityId, ParseError
+from tablink.closure import has_type
 from tablink.linker import (
     BAD,
+    CELL,
     HEADER,
     PARTIAL,
     TIER_SCORES as LINKER_TIER_SCORES,
     Diagnostics,
     LinkResult,
     ScoredCandidate,
+    cached_link,
+    choose,
     classify_type_tier,
     context_similarity,
     infer_domain_types,
     scored_sort_key,
 )
-from tablink.text import STOPWORDS, normalize
+from tablink.tables import (
+    CLINICAL_TRIAL_ID,
+    DATE,
+    EMPTY,
+    HORIZONTAL,
+    NUMBER,
+    PERCENT,
+    SEQUENCE,
+    VERTICAL,
+    CellAnnotation,
+    TableAnnotation,
+    column_type_vote,
+)
+from tablink.text import STOPWORDS, normalize, tokenize
 
 TIER_SCORES = {"TARGET": 1.0, "NEAR_MISS": 0.8, "GOOD": 0.6, "OK": 0.4,
                "UNKNOWN": 0.2}
@@ -313,3 +337,156 @@ def o_link_from_candidates(mention: str, raw_candidates, mode: str, context,
                             if c.final_score < params.min_link_score))
     return LinkResult(mention=normalize(mention), mode=mode, chosen=chosen,
                       candidates=tuple(scored), diagnostics=diagnostics)
+
+
+# --------------------------------------------------------------------------
+# The table pass before it was cut for speed, kept as written: literal
+# detection tries six patterns in turn, the orientation vote counts each
+# lane with Counter, and pass 2 re-sorts and copies every result it boosts,
+# hit or not.
+
+_NUM = r"[+-]?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|[+-]?\.\d+"
+_CTID_RE = re.compile(r"^NCT\d{8}$")
+_SEQ_RE = re.compile(r"^[ACGTUN]{8,}$", re.IGNORECASE)
+_PERCENT_RE = re.compile(rf"^(?:{_NUM})\s*%$")
+_NUMBER_RE = re.compile(rf"^(?:{_NUM})$")
+_RANGE_RE = re.compile(rf"^(?:{_NUM})\s*[-–]\s*(?:{_NUM})$")
+_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$|^\d{4}$|^\d{2}-\d{4}$")
+
+
+def o_detect_literal(cell: str) -> str | None:
+    """Classify a cell as a literal kind, or None when it should go to the
+    entity linker. The checks run in a fixed order and the first hit wins,
+    so e.g. a bare year is a NUMBER, never a DATE."""
+    s = cell.strip()
+    if s in ("", "-", "–") or s.upper() == "N/A":
+        return EMPTY
+    if _CTID_RE.match(s):
+        return CLINICAL_TRIAL_ID
+    if _SEQ_RE.match(s):
+        return SEQUENCE
+    if _PERCENT_RE.match(s):
+        return PERCENT
+    if _NUMBER_RE.match(s) or _RANGE_RE.match(s):
+        return NUMBER
+    if _DATE_RE.match(s):
+        return DATE
+    return None
+
+
+def _o_orientation(table) -> tuple[str, dict[str, str | None]]:
+    """classify_orientation(table), and detect_literal() of each distinct
+    cell string, the header's too."""
+    kinds = {cell: o_detect_literal(cell)
+             for cell in set(chain(table.header_row, *table.rows))}
+
+    def mean_modal_fraction(lanes: Iterable[tuple[str, ...]]) -> float:
+        fractions = [max(Counter(kinds[cell] or "entity" for cell in lane).values())
+                     / len(lane) for lane in lanes]
+        return sum(fractions) / len(fractions)
+
+    if not table.rows:
+        return HORIZONTAL, kinds
+    col_mean = mean_modal_fraction(zip(*table.rows))
+    row_mean = mean_modal_fraction(table.rows)
+    return HORIZONTAL if col_mean >= row_mean else VERTICAL, kinds
+
+
+def _o_boost(result: LinkResult, hit: Callable[[ScoredCandidate], bool],
+             boost: float, min_link_score: float) -> LinkResult:
+    """result with boost added to every candidate hit accepts, re-ranked and
+    with the NIL threshold re-applied to the new head."""
+    boosted = sorted(
+        (c._replace(boosts=c.boosts + boost,
+                    final_score=c.weighted_base + (c.boosts + boost))
+         if hit(c) else c for c in result.candidates),
+        key=scored_sort_key)
+    return result._replace(chosen=choose(boosted[:1], min_link_score),
+                           candidates=tuple(boosted))
+
+
+def o_link_table(table, index, closure, config, cache=None) -> TableAnnotation:
+    """Two-pass linking of one table, as link_table did it; calls the
+    package's linker through cached_link."""
+    params = config.params
+    orientation, kinds = _o_orientation(table)
+    grid = [table.header_row, *table.rows]
+    if orientation == VERTICAL:
+        grid = list(zip(*grid))
+
+    def coord(i: int, j: int) -> tuple[int, int]:
+        """Original (row, col) of grid cell (i, j); the header row is -1."""
+        return (i - 1, j) if orientation == HORIZONTAL else (j - 1, i)
+
+    literals: dict[tuple[int, int], str] = {}
+    results: dict[tuple[int, int], LinkResult] = {}
+    notes: dict[tuple[int, int], str] = {}
+    for i, row in enumerate(grid):
+        for j, mention in enumerate(row):
+            literal = kinds[mention]
+            if literal is not None:
+                literals[i, j] = literal
+                continue
+            context = None
+            if i == 0:
+                parts = [table.caption, *grid[0][:j], *grid[0][j + 1:]]
+                context = " ".join(p for p in parts if p)
+            try:
+                results[i, j] = cached_link(
+                    mention, HEADER if i == 0 else CELL, index, closure,
+                    config, context=context, cache=cache)
+            except EmptyMention as exc:
+                notes[i, j] = str(exc)
+
+    dominant_types: dict[int, EntityId | None] = {}
+    for j in range(len(grid[0])):
+        linked = [i for i in range(1, len(grid)) if (i, j) in results]
+        dominant = column_type_vote(
+            [results[i, j].candidates for i in linked[:params.sample_size]],
+            params.support_threshold)
+        dominant_types[j] = dominant
+        if dominant is None:
+            continue
+        for i in linked:
+            results[i, j] = _o_boost(
+                results[i, j], lambda c: has_type(c.record, dominant, closure),
+                params.column_type_boost, params.min_link_score)
+        record = index.get(dominant)
+        tokens = frozenset(tokenize(record.label)) if record else frozenset()
+        if (0, j) in results and tokens:
+            results[0, j] = _o_boost(
+                results[0, j],
+                lambda c: not tokens.isdisjoint(
+                    tokenize(c.record.label + " " + c.record.description)),
+                params.header_column_boost, params.min_link_score)
+
+    def annotate(i: int, j: int, mention: str) -> CellAnnotation:
+        row, col = coord(i, j)
+        if (i, j) in literals:
+            return CellAnnotation(row, col, mention, "literal",
+                                  literal=literals[i, j])
+        result = results.get((i, j))
+        if result is None:
+            return CellAnnotation(row, col, mention, "nil", note=notes[i, j])
+        candidates = tuple(c.record.id for c in result.candidates)
+        chosen = result.chosen
+        if chosen is None:
+            return CellAnnotation(row, col, mention, "nil",
+                                  candidates=candidates)
+        return CellAnnotation(row, col, mention, "entity",
+                              entity_id=chosen.record.id,
+                              entity_label=chosen.record.label,
+                              final_score=chosen.final_score,
+                              candidates=candidates)
+
+    grid_annotations = [[annotate(i, j, m) for j, m in enumerate(row)]
+                        for i, row in enumerate(grid)]
+    by_coord = attrgetter("row", "col")
+    return TableAnnotation(
+        table_id=table.table_id,
+        orientation=orientation,
+        dominant_types=dominant_types,
+        headers=tuple(sorted(grid_annotations[0], key=by_coord)),
+        cells=tuple(sorted((a for row in grid_annotations[1:] for a in row),
+                           key=by_coord)),
+    )

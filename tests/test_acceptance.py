@@ -23,11 +23,13 @@ from fixture_kb import (
     prevalence_fixture,
     virus_fixture,
 )
+import oracles
 from oracles import (
     OracleKB,
     o_has_type,
     o_link,
     o_link_from_candidates,
+    o_link_table,
     o_search,
     o_tier,
     o_tokens,
@@ -56,6 +58,7 @@ from tablink import (
     read_table,
     search,
 )
+from tablink.tables import Table, annotation_to_obj
 from kb_bundles import SKEW_NOUNS, build_bundle
 from test_cli import quiet_run
 
@@ -751,3 +754,82 @@ def test_property_literal_cells_never_linked(table_corpus):
     assert literal_cases >= 150
     print(f"PASS literal-isolation: {literal_cases} literal cells out of "
           f"{cases} stayed unlinked through both passes")
+
+
+# --------------------------------------------------------------------------
+# 10. the table pass equals its earlier, unoptimized form
+
+def _tables_agree_with_the_earlier_pass(tables, index, closure, config,
+                                        monkeypatch) -> Counter:
+    """Assert that link_table, with and without a cache, annotates every
+    table as o_link_table does. Counts the vertical tables, the pass-2
+    re-rankings that changed a cell's choice, and the cells with more than
+    ten candidates."""
+    seen = Counter()
+    o_boost = oracles._o_boost
+
+    def counting_boost(result, *args):
+        boosted = o_boost(result, *args)
+        seen["flips"] += ((result.chosen and result.chosen.record.id)
+                          != (boosted.chosen and boosted.chosen.record.id))
+        return boosted
+
+    monkeypatch.setattr(oracles, "_o_boost", counting_boost)
+    cache = LinkCache()
+    for table in tables:
+        want = annotation_to_obj(o_link_table(table, index, closure, config))
+        assert annotation_to_obj(link_table(table, index, closure, config)) \
+            == want, table.table_id
+        assert annotation_to_obj(link_table(
+            table, index, closure, config, cache=cache)) == want
+        seen["vertical"] += want["orientation"] == "vertical"
+        seen["long"] += sum(len(a["candidates"]) > 10
+                            for a in want["headers"] + want["cells"])
+    return seen
+
+
+def test_link_table_agrees_with_the_earlier_table_pass(tmp_path_factory,
+                                                       monkeypatch):
+    corpus = build_bundle(tmp_path_factory.mktemp("kb_tables40"), seed=7,
+                          n_items=2000, n_types=120, n_tables=40)
+    tables = [read_table(corpus.result.tables_dir / meta["file"])
+              for meta in corpus.truth["tables"]]
+    assert len(tables) == 40
+    seen = _tables_agree_with_the_earlier_pass(
+        tables, corpus.index, corpus.closure, corpus.config, monkeypatch)
+    assert seen["vertical"] >= 5 and seen["flips"] >= 5, seen
+
+
+def _skew_tables(rng: random.Random, records, n: int) -> list[Table]:
+    """n tables whose cells are mostly labels ending in a shared noun, or
+    probes of a word and a noun, which merge long posting lists; a few are
+    literals. Every other table has literal rows, so some are vertical."""
+    nouned = [r.label for r in records if r.label.split()[-1] in SKEW_NOUNS]
+    words = [r.label.split()[0] for r in records[:5000]]
+
+    def cell() -> str:
+        x = rng.random()
+        if x < 0.5:
+            return rng.choice(nouned)
+        if x < 0.85:
+            return f"{rng.choice(words)} {rng.choice(SKEW_NOUNS)}"
+        return rng.choice(["12", "3.5%", "NCT01234567", "", "n/a", "2021"])
+
+    tables = []
+    for t in range(n):
+        width = rng.randint(2, 5)
+        rows = [[cell() for _ in range(width)] for _ in range(rng.randint(2, 7))]
+        if t % 2:
+            rows[1:] = [[str(rng.randint(1, 999)) for _ in range(width)]
+                        if rng.random() < 0.6 else row for row in rows[1:]]
+        header = [rng.choice(SKEW_NOUNS) for _ in range(width)]
+        tables.append(Table(f"skew{t}", "", header, rows))
+    return tables
+
+
+def test_link_table_agrees_with_the_earlier_table_pass_under_skew(
+        skew_kb, big_kb, monkeypatch):
+    tables = _skew_tables(random.Random(0xAC10), skew_kb.records, 30)
+    seen = _tables_agree_with_the_earlier_pass(
+        tables, skew_kb.index, big_kb.closure, big_kb.config, monkeypatch)
+    assert seen["long"] >= 100 and seen["vertical"] >= 3, seen

@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 
 import pytest
@@ -17,7 +18,7 @@ from tablink import (
     parse_config_obj,
 )
 from tablink.index import search
-from tablink.linker import ScoredCandidate, choose
+from tablink.linker import LinkCache, ScoredCandidate, cached_link, choose
 
 from fixture_kb import near_miss_fixture, prevalence_fixture, virus_fixture
 
@@ -332,13 +333,17 @@ def test_tier_memo_keeps_configs_expected_types_and_closures_apart():
         return build_closure([TypeEdge(q("Q500"), q("Q140"), "subclass_of"),
                               TypeEdge(q("Q600"), q("Q120"), "subclass_of")])
 
-    twin = MEMO_CFG._replace(bad_ids=frozenset({q("Q100")}))
-    assert twin.content_hash == MEMO_CFG.content_hash
+    twin = MEMO_CFG._replace(type_dictionary={**MEMO_CFG.type_dictionary,
+                                              "bad-type": (q("Q100"),)})
+    copy = MEMO_CFG._replace()
+    assert copy == MEMO_CFG and copy is not MEMO_CFG
     second = cfg({"type_dictionary": {"good-type": ["Q120"], "bad-type": ["Q110"]},
                   "tiers": {"ok": ["good-type"], "bad": ["bad-type"]}})
-    cases = [(MEMO_CFG, None), (twin, None), (second, None),
+    cases = [(MEMO_CFG, None), (twin, None), (second, None), (copy, None),
              (MEMO_CFG, ["target-type"]), (MEMO_CFG, ["miss-type"])]
     shared = closure_a()
+    # One table per config object, equal or not.
+    assert shared.tier_memo(copy, ()) is not shared.tier_memo(MEMO_CFG, ())
     seen = []
     for _ in range(2):
         for config, expected in cases:
@@ -350,13 +355,35 @@ def test_tier_memo_keeps_configs_expected_types_and_closures_apart():
             seen.append(got)
     tiers = [{c.record.id.raw: c.type_tier for c in r.candidates}
              for r in seen[:len(cases)]]
-    assert tiers[0] != tiers[1] != tiers[2] != tiers[0]
-    assert tiers[3]["Q1"] == "TARGET" and tiers[4]["Q1"] == "NEAR_MISS"
+    assert tiers[0] != tiers[1] != tiers[2] != tiers[0] == tiers[3]
+    assert tiers[4]["Q1"] == "TARGET" and tiers[5]["Q1"] == "NEAR_MISS"
 
     other = closure_b()
     got = link("alpha", "cell", index, other, MEMO_CFG)
     assert got == link("alpha", "cell", index, closure_b(), MEMO_CFG)
     assert got != seen[0]
+
+
+def test_a_config_copy_gets_its_own_hash_and_cached_links():
+    index = Index([rec("Q1", "alpha", types=["Q100"], sitelinks=10),
+                   rec("Q2", "alpha", types=["Q110"], sitelinks=9)])
+    closure = build_closure([])
+    twin = MEMO_CFG._replace(type_dictionary={**MEMO_CFG.type_dictionary,
+                                              "bad-type": (q("Q100"),)})
+    assert twin.bad_ids == {q("Q100")}
+    assert twin.content_hash == cfg(twin.to_obj()).content_hash
+    assert twin.content_hash != MEMO_CFG.content_hash
+    assert pickle.loads(pickle.dumps(twin)) == twin
+    cache = LinkCache()
+    for _ in range(2):
+        for config, want in ((MEMO_CFG, "Q1"), (twin, "Q2")):
+            got = cached_link("alpha", "cell", index, closure, config,
+                              cache=cache)
+            assert got == link("alpha", "cell", index, closure, config)
+            assert got.chosen.record.id.raw == want
+    assert (cache.hits, cache.misses) == (2, 2)
+    with pytest.raises(ValueError, match="derived field.* bad_ids"):
+        MEMO_CFG._replace(bad_ids=frozenset())
 
 
 def test_prevalence_header_vs_cell():

@@ -1,3 +1,4 @@
+import random
 import re
 from collections import Counter
 
@@ -26,11 +27,12 @@ from tablink.linker import ScoredCandidate
 from tablink.tables import annotation_from_obj, annotation_to_obj, table_from_obj, table_to_obj
 
 from fixture_kb import lineage_fixture
+from oracles import o_detect_literal
 
 q = EntityId.parse
 
 
-@pytest.mark.parametrize("cell,want", [
+LITERAL_CASES = [
     ("", "EMPTY"),
     ("   ", "EMPTY"),
     ("-", "EMPTY"),
@@ -64,9 +66,69 @@ q = EntityId.parse
     ("measles", None),
     ("B.1.1.7", None),
     ("12 apples", None),
-])
+]
+
+
+@pytest.mark.parametrize("cell,want", LITERAL_CASES)
 def test_detect_literal(cell, want):
     assert detect_literal(cell) == want
+
+
+def _literal_fuzz(rng: random.Random, n: int) -> list[str]:
+    """n strings near every literal kind's edges: trial ids, bases in both
+    cases, signed and grouped numbers with % or a range dash, date shapes
+    and free strings over the same alphabet, padded with whitespace, one in
+    four with a character replaced or inserted."""
+    digits = "0123456789"
+    alphabet = [*digits, *"+-.,%–", *"ACGTUNacgtun", "NCT", "N/A", " ", "\t"]
+
+    def run(chars: str, lo: int, hi: int) -> str:
+        return "".join(rng.choices(chars, k=rng.randint(lo, hi)))
+
+    def number() -> str:
+        whole = (run(digits, 1, 3) + "".join("," + run(digits, 2, 4)
+                                             for _ in range(rng.randint(1, 2)))
+                 if rng.random() < 0.3 else run(digits, 0, 5))
+        frac = "." + run(digits, 0, 3) if rng.random() < 0.4 else ""
+        return rng.choice(["", "", "+", "-"]) + whole + frac
+
+    def space() -> str:
+        return rng.choice(["", "", "", " ", "  ", "\t", "\n"])
+
+    makers = [
+        lambda: "NCT" + run(digits, 7, 9),
+        lambda: run("ACGTUNacgtun", 6, 12),
+        lambda: number() + space() + "%",
+        number,
+        lambda: number() + space() + rng.choice("-–") + space() + number(),
+        lambda: "-".join(run(digits, *rng.choice([(4, 4), (2, 2), (1, 3)]))
+                         for _ in range(rng.randint(1, 3))),
+        lambda: "-".join([run(digits, 4, 4), run(digits, 2, 2),
+                          run(digits, 2, 2)]),
+        lambda: "".join(rng.choices(alphabet, k=rng.randint(0, 10))),
+    ]
+    cells = []
+    for _ in range(n):
+        s = rng.choice(makers)()
+        if rng.random() < 0.25:
+            at = rng.randint(0, len(s))
+            s = s[:at] + rng.choice(alphabet) + s[at + rng.randint(0, 1):]
+        cells.append(space() + s + space())
+    return cells
+
+
+def test_detect_literal_matches_the_six_pattern_reference():
+    cells = [cell for cell, _ in LITERAL_CASES]
+    cells += _literal_fuzz(random.Random(0x11E7), 120_000)
+    kinds = Counter()
+    for cell in cells:
+        want = o_detect_literal(cell)
+        assert detect_literal(cell) == want, cell
+        kinds[want] += 1
+    # Every outcome, entity included, is drawn often.
+    assert set(kinds) == {"EMPTY", "CLINICAL_TRIAL_ID", "SEQUENCE", "PERCENT",
+                          "NUMBER", "DATE", None}
+    assert min(kinds.values()) >= 1000, kinds
 
 
 def test_table_validation():
