@@ -303,7 +303,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def run(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -352,10 +352,6 @@ def run(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    return run(argv)
 
 
 def console_main() -> None:

@@ -3,9 +3,11 @@ domain configuration that parameterizes linking.
 
 Every type here is a typing.NamedTuple: immutable, safe for unrestricted
 concurrent reads, and compared as a tuple of its fields. A type with an
-invariant (ItemRecord, Params, ValidatedConfig) is a subclass whose __new__
-checks it, and whose _make, which _replace uses, builds through __new__, so
-no way of making one skips the check.
+invariant (ItemRecord, Params, ValidatedConfig, and tables.Table) is a
+Checked subclass of a private fields tuple, and defines only a __new__ that
+checks its arguments and derives its remaining fields. Checked sends _make,
+_replace, copy and pickle through that __new__, so no way of making one
+skips the check or keeps a stale derived field.
 """
 
 from __future__ import annotations
@@ -89,6 +91,36 @@ def item_types(ids: Iterable[EntityId]) -> tuple[EntityId, ...]:
     return types
 
 
+class Checked:
+    """Base of a named tuple whose __new__ checks it: _make, _replace, copy
+    and pickle all build through that __new__. A subclass lists Checked
+    before its fields tuple and passes args, how many leading fields are
+    __new__'s arguments (all by default); __new__ derives the rest, so
+    _make ignores them and _replace refuses them."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, args: int | None = None) -> None:
+        cls._args = len(cls._fields) if args is None else args
+
+    @classmethod
+    def _make(cls, fields: Iterable):
+        if len(fields := tuple(fields)) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} fields, got {len(fields)}")
+        return cls(*fields[:cls._args])
+
+    def _replace(self, **changes):
+        derived = changes.keys() & set(self._fields[self._args:])
+        if derived:
+            raise ValueError(f"derived field(s) {', '.join(sorted(derived))} "
+                             "cannot be replaced")
+        return super()._replace(**changes)
+
+    def __getnewargs__(self) -> tuple:
+        # The arguments copy and pickle pass to __new__.
+        return tuple(self)[:self._args]
+
+
 class _ItemRecordFields(NamedTuple):
     id: EntityId
     label: str
@@ -100,7 +132,7 @@ class _ItemRecordFields(NamedTuple):
     surfaces: tuple[str, ...]
 
 
-class ItemRecord(_ItemRecordFields):
+class ItemRecord(Checked, _ItemRecordFields, args=7):
     """One knowledge-base entity (item or property) as kept by the index.
 
     Construction enforces the record invariants: the label is non-empty,
@@ -109,7 +141,7 @@ class ItemRecord(_ItemRecordFields):
 
     surfaces is the normalized label, then each kept alias's normalized
     form: what the alias dedupe computes and the index is built from. It is
-    derived, so it is not an argument; _make and _replace derive it again.
+    derived, so it is not an argument.
     """
 
     __slots__ = ()
@@ -137,15 +169,6 @@ class ItemRecord(_ItemRecordFields):
         return tuple.__new__(cls, (
             id, label, tuple(kept.values())[1:], description,
             item_types(direct_types), sitelinks_count, flagged, tuple(kept)))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> ItemRecord:
-        *given, _surfaces = fields
-        return cls(*given)
-
-    def __getnewargs__(self) -> tuple:
-        # The arguments copy and pickle pass to __new__.
-        return tuple(self)[:-1]
 
 
 def record_to_obj(record: ItemRecord) -> dict:
@@ -356,9 +379,6 @@ class Weights(NamedTuple):
     w_prom: float = 0.15
     w_ctx: float = 0.15
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return tuple(self)
-
 
 class _ParamsFields(NamedTuple):
     k: int = 20
@@ -370,7 +390,7 @@ class _ParamsFields(NamedTuple):
     header_column_boost: float = 0.10
 
 
-class Params(_ParamsFields):
+class Params(Checked, _ParamsFields):
     """Linking parameters. Construction refuses out-of-range values."""
 
     __slots__ = ()
@@ -389,10 +409,6 @@ class Params(_ParamsFields):
                 raise ConfigError(f"params.{name} must be >= 0")
         return self
 
-    @classmethod
-    def _make(cls, fields: Iterable) -> Params:
-        return cls(*fields)
-
 
 class _ConfigFields(NamedTuple):
     type_dictionary: Mapping[str, tuple[EntityId, ...]]
@@ -410,7 +426,7 @@ class _ConfigFields(NamedTuple):
     content_hash: str
 
 
-class ValidatedConfig(_ConfigFields):
+class ValidatedConfig(Checked, _ConfigFields, args=6):
     """The domain configuration: every type name resolved to id sets and all
     invariants checked. Immutable; safe to share across threads. TARGET
     comes from the expected types through resolve_names() and NEAR_MISS
@@ -420,8 +436,8 @@ class ValidatedConfig(_ConfigFields):
     type names, refuses an id under bad and a positive tier and
     renormalizes the weights, in that order, and derives the other fields:
     the id and name sets, and content_hash, the sha256 of to_obj()'s
-    canonical JSON. They are not arguments; _make and _replace derive them
-    again, so a copy never keeps a stale hash, and _replace refuses them.
+    canonical JSON. They are not arguments, so a copy never keeps a stale
+    hash.
     """
 
     __slots__ = ()
@@ -463,21 +479,6 @@ class ValidatedConfig(_ConfigFields):
                                sort_keys=True, separators=(",", ":"))
         return tuple.__new__(cls, (
             *fields, hashlib.sha256(canonical.encode("utf-8")).hexdigest()))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> ValidatedConfig:
-        return cls(*tuple(fields)[:6])
-
-    def _replace(self, **changes) -> ValidatedConfig:
-        derived = changes.keys() & set(self._fields[6:])
-        if derived:
-            raise ValueError(f"derived field(s) {', '.join(sorted(derived))} "
-                             "cannot be replaced")
-        return super()._replace(**changes)
-
-    def __getnewargs__(self) -> tuple:
-        # The arguments copy and pickle pass to __new__.
-        return tuple(self)[:6]
 
     def resolve_names(self, names: Iterable[str]) -> frozenset[EntityId]:
         """Union of dictionary ids for the given type names. Names missing
@@ -581,7 +582,7 @@ def _total(values: Iterable[float]) -> float:
 
 
 def _renormalized(weights: Weights) -> Weights:
-    values = weights.as_tuple()
+    values = tuple(weights)
     if any(w < 0 for w in values):
         raise BadWeights(f"negative weight in {values}")
     total = _total(values)

@@ -142,15 +142,6 @@ class LinkResult(NamedTuple):
     diagnostics: Diagnostics = Diagnostics()
 
 
-def choose(candidates: list[ScoredCandidate],
-           min_link_score: float) -> ScoredCandidate | None:
-    """The best candidate of a list in any order, or None when it scores
-    below min_link_score. The linker and the table pass sort their lists
-    and test the head alone."""
-    top = min(candidates, key=scored_sort_key, default=None)
-    return top if top is not None and top.final_score >= min_link_score else None
-
-
 def link_from_candidates(mention: str,
                          raw_candidates: list[RawCandidate],
                          mode: str,

@@ -6,9 +6,9 @@ Output annotations always use the table's original coordinates (header row
 addressed as row -1) even when the table is classified vertical and processed
 along its transpose.
 
-Table, CellAnnotation and TableAnnotation are typing.NamedTuples; Table is
-a subclass whose __new__ (which _make and _replace use too) coerces and
-checks its rows.
+Table, CellAnnotation and TableAnnotation are typing.NamedTuples. Table is
+a kb.Checked one, so its __new__, which coerces and checks its rows, runs
+on every way to build one.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .closure import TypeClosure
 from .errors import EmptyMention, ParseError
 from .index import Index
 from .kb import (
+    Checked,
     EntityId,
     ValidatedConfig,
     parse_id_list,
@@ -82,7 +83,7 @@ class _TableFields(NamedTuple):
     rows: tuple[tuple[str, ...], ...]
 
 
-class Table(_TableFields):
+class Table(Checked, _TableFields):
     """A table of strings: a non-empty header row, and rows as wide."""
 
     __slots__ = ()
@@ -99,10 +100,6 @@ class Table(_TableFields):
                     f"table {table_id}: row {i} has {len(row)} cells, "
                     f"header has {len(header_row)}")
         return tuple.__new__(cls, (table_id, caption, header_row, rows))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> Table:
-        return cls(*fields)
 
 
 def table_to_obj(table: Table) -> dict:

@@ -40,7 +40,6 @@ from tablink.linker import (
     LinkResult,
     ScoredCandidate,
     cached_link,
-    choose,
     classify_type_tier,
     context_similarity,
     infer_domain_types,
@@ -401,8 +400,9 @@ def _o_boost(result: LinkResult, hit: Callable[[ScoredCandidate], bool],
                     final_score=c.weighted_base + (c.boosts + boost))
          if hit(c) else c for c in result.candidates),
         key=scored_sort_key)
-    return result._replace(chosen=choose(boosted[:1], min_link_score),
-                           candidates=tuple(boosted))
+    chosen = (boosted[0] if boosted and boosted[0].final_score >= min_link_score
+              else None)
+    return result._replace(chosen=chosen, candidates=tuple(boosted))
 
 
 def o_link_table(table, index, closure, config, cache=None) -> TableAnnotation:

@@ -1,0 +1,93 @@
+"""Every way to build a kb.Checked type runs its checking __new__: the
+constructor, _make, _replace, copy.copy, copy.deepcopy and a pickle round
+trip all refuse an invalid value and derive the derived fields again."""
+
+import copy
+import pickle
+
+import pytest
+
+from tablink import ConfigError, EntityId, ItemRecord, UnresolvedTypeName
+from tablink.kb import Checked, Params, ValidatedConfig, parse_config_obj
+from tablink.tables import Table
+
+q = EntityId.parse
+
+CONFIG = parse_config_obj({
+    "type_dictionary": {"virus": ["Q10"], "place": ["Q20"]},
+    "tiers": {"good": ["virus"], "bad": ["place"]},
+})
+
+# type -> (a valid instance, a valid change, an invalid change, the error
+# and message the invalid change raises).
+CASES = {
+    ItemRecord: (
+        ItemRecord(q("Q1"), "Alpha", ("alpha", "Beta")),
+        ("label", "Gamma"),
+        ("label", "   "), ValueError, "label must be non-empty"),
+    Params: (
+        Params(),
+        ("k", 7),
+        ("k", 0), ConfigError, "params.k must be >= 1"),
+    ValidatedConfig: (
+        CONFIG,
+        ("type_dictionary", {"virus": (q("Q10"), q("Q11")), "place": (q("Q20"),)}),
+        ("tiers", {"good": ("nowhere",)}), UnresolvedTypeName,
+        "tiers.good references unknown type name 'nowhere'"),
+    Table: (
+        Table("t1", "caption", ("a", "b"), (("1", "2"),)),
+        ("caption", "other"),
+        ("rows", (("1",),)), ValueError, "row 0 has 1 cells, header has 2"),
+}
+
+COPIES = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+
+
+def _unchecked(cls, fields):
+    """An instance holding fields as given, built past __new__."""
+    return tuple.__new__(cls, fields)
+
+
+@pytest.mark.parametrize("cls", sorted(Checked.__subclasses__(),
+                                       key=lambda c: c.__name__))
+def test_every_way_to_build_runs_the_check(cls):
+    assert set(Checked.__subclasses__()) == set(CASES)
+    good, (name, value), (bad_name, bad_value), error, message = CASES[cls]
+    n = cls._args
+    derived = cls._fields[n:]
+    args = good[:n]
+
+    # A derived field is not an argument: every way derives it again.
+    stale = _unchecked(cls, (*args, *(None,) * len(derived)))
+    assert cls(*args) == good
+    assert cls._make(stale) == good
+    assert stale._replace() == good
+    for make_copy in COPIES:
+        assert make_copy(stale) == good
+
+    # A changed argument changes what is derived from it, as in a new one.
+    changed = good._replace(**{name: value})
+    assert changed == cls(**(dict(zip(cls._fields, args)) | {name: value}))
+    assert changed != good
+    if derived:
+        assert changed[n:] != good[n:]
+    for field in derived:
+        with pytest.raises(ValueError, match=f"derived field.* {field} "):
+            good._replace(**{field: getattr(good, field)})
+
+    # An invalid argument is refused by every way to build one.
+    bad_fields = tuple(bad_value if f == bad_name else v
+                       for f, v in zip(cls._fields, good))
+    bad = _unchecked(cls, bad_fields)
+    with pytest.raises(error, match=message):
+        cls(*bad_fields[:n])
+    with pytest.raises(error, match=message):
+        cls._make(bad_fields)
+    with pytest.raises(error, match=message):
+        good._replace(**{bad_name: bad_value})
+    for make_copy in COPIES:
+        with pytest.raises(error, match=message):
+            make_copy(bad)
+
+    with pytest.raises(TypeError, match="Expected"):
+        cls._make(tuple(good)[:-1])

@@ -10,15 +10,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from tablink.cli import main, run
+from tablink.cli import main
 from tablink.closure import read_closure
 
 
 def quiet_run(argv):
-    """run() with captured streams, for fixture plumbing."""
+    """main() with captured streams, for fixture plumbing."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -201,7 +201,7 @@ def test_link_refuses_a_bad_index_manifest(pipeline, tmp_path, text):
 def test_link_stdout_is_pure_json(pipeline, capsys):
     truth = json.loads((pipeline.kb / "truth.json").read_text(encoding="utf-8"))
     plant = next(p for p in truth["plants"] if p["pattern"] == "bad_twin")
-    code = run(["link", "--mention", plant["label"], *common(pipeline)])
+    code = main(["link", "--mention", plant["label"], *common(pipeline)])
     captured = capsys.readouterr()
     assert code == 0
     payload = json.loads(captured.out)  # would fail on any stray output
@@ -213,7 +213,7 @@ def test_link_stdout_is_pure_json(pipeline, capsys):
 
 def test_link_out_file_keeps_stdout_empty(pipeline, tmp_path, capsys):
     out_path = tmp_path / "result.json"
-    code = run(["link", "--mention", "anything here", *common(pipeline),
+    code = main(["link", "--mention", "anything here", *common(pipeline),
                 "--out", str(out_path)])
     captured = capsys.readouterr()
     assert code == 0
@@ -224,10 +224,10 @@ def test_link_out_file_keeps_stdout_empty(pipeline, tmp_path, capsys):
 def test_link_table_stdout_is_the_out_file(pipeline, tmp_path, capsys):
     table = pipeline.kb / "tables" / "t000.json"
     out_path = tmp_path / "t000.json"
-    assert run(["link-table", "--table", str(table), *common(pipeline),
+    assert main(["link-table", "--table", str(table), *common(pipeline),
                 "--out", str(out_path)]) == 0
     capsys.readouterr()
-    assert run(["link-table", "--table", str(table), *common(pipeline)]) == 0
+    assert main(["link-table", "--table", str(table), *common(pipeline)]) == 0
     assert capsys.readouterr().out.encode("utf-8") == out_path.read_bytes()
 
 
@@ -300,7 +300,7 @@ def test_link_table_eval_bench_flow(pipeline, tmp_path, capsys):
     ann_dir = tmp_path / "annotations"
     ann_dir.mkdir()
     for meta in truth["tables"]:
-        code = run(["link-table",
+        code = main(["link-table",
                     "--table", str(pipeline.kb / "tables" / meta["file"]),
                     *common(pipeline), "--jobs", "2",
                     "--cache", str(tmp_path / "cache"),
@@ -308,7 +308,7 @@ def test_link_table_eval_bench_flow(pipeline, tmp_path, capsys):
         capsys.readouterr()
         assert code == 0
 
-    code = run(["eval", "--annotations", str(ann_dir),
+    code = main(["eval", "--annotations", str(ann_dir),
                 "--gold", str(pipeline.kb / "gold.jsonl")])
     captured = capsys.readouterr()
     assert code == 0
@@ -321,7 +321,7 @@ def test_link_table_eval_bench_flow(pipeline, tmp_path, capsys):
     all_lines = (pipeline.kb / "mentions.txt").read_text(
         encoding="utf-8").splitlines()
     mentions.write_text("\n".join(all_lines[:40]) + "\n", encoding="utf-8")
-    code = run(["bench", "--mentions", str(mentions), *common(pipeline),
+    code = main(["bench", "--mentions", str(mentions), *common(pipeline),
                 "--projection", "120000,10"])
     captured = capsys.readouterr()
     assert code == 0
@@ -573,7 +573,7 @@ def test_link_table_refuses_a_blank_csv_header_before_loading_the_index(
 def test_link_table_csv_input(pipeline, tmp_path, capsys):
     csv_path = tmp_path / "mini.csv"
     csv_path.write_text("Name,Count\nsomething,5\n", encoding="utf-8")
-    code = run(["link-table", "--table", str(csv_path), "--has-header",
+    code = main(["link-table", "--table", str(csv_path), "--has-header",
                 *common(pipeline)])
     captured = capsys.readouterr()
     assert code == 0

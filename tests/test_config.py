@@ -24,7 +24,7 @@ from tablink import (
     save_index,
     write_closure,
 )
-from tablink.cli import run
+from tablink.cli import main
 
 
 def minimal_obj():
@@ -61,7 +61,7 @@ def test_minimal_config_validates_and_resolves():
 
 def test_defaults_when_sections_missing():
     cfg = parse_config_obj({})
-    assert cfg.weights.as_tuple() == (0.45, 0.25, 0.15, 0.15)
+    assert tuple(cfg.weights) == (0.45, 0.25, 0.15, 0.15)
     assert cfg.params.k == 20
     assert cfg.params.min_link_score == 0.25
     assert cfg.resolve_names(["anything"]) == frozenset()
@@ -132,7 +132,7 @@ def test_weights_within_tolerance_renormalize_exactly():
     obj["weights"] = {"w_type": 0.45, "w_match": 0.25,
                       "w_prom": 0.15, "w_ctx": 0.15 + 4e-7}
     cfg = parse_config_obj(obj)
-    assert sum(cfg.weights.as_tuple()) == 1.0
+    assert sum(tuple(cfg.weights)) == 1.0
 
 
 @pytest.mark.parametrize("weights", [(0.01, 0.07, 0.57, 0.35),
@@ -143,7 +143,7 @@ def test_weights_whose_division_oscillates_still_renormalize(weights):
     obj = minimal_obj()
     obj["weights"] = dict(zip(("w_type", "w_match", "w_prom", "w_ctx"), weights))
     cfg = parse_config_obj(obj)
-    values = cfg.weights.as_tuple()
+    values = tuple(cfg.weights)
     assert ((values[0] + values[1]) + values[2]) + values[3] == 1.0
     assert max(abs(a - b) for a, b in zip(values, weights)) < 1e-15
     assert [v == 0 for v in values] == [w == 0 for w in weights]
@@ -263,7 +263,7 @@ def test_cli_reports_a_bad_config_value(tmp_path, capsys, text, error, message):
     write_closure(tmp_path / "closure.txt", build_closure([]))
     path = tmp_path / "config.json"
     path.write_text(text, encoding="utf-8")
-    assert run(["link", "--mention", "alpha", "--index", str(tmp_path / "index"),
+    assert main(["link", "--mention", "alpha", "--index", str(tmp_path / "index"),
                 "--closure", str(tmp_path / "closure.txt"),
                 "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
@@ -290,7 +290,7 @@ def test_a_repeated_config_key_is_refused(tmp_path, capsys, text, key):
     with pytest.raises(ParseError) as info:
         load_config(path)
     assert str(info.value) == message
-    assert run(["link", "--mention", "alpha", "--index", str(tmp_path / "index"),
+    assert main(["link", "--mention", "alpha", "--index", str(tmp_path / "index"),
                 "--closure", str(tmp_path / "closure.txt"),
                 "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

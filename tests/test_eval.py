@@ -13,7 +13,7 @@ from tablink import (
     write_annotation,
     write_gold,
 )
-from tablink.cli import run
+from tablink.cli import main
 
 q = EntityId.parse
 
@@ -118,7 +118,7 @@ def test_two_annotations_of_one_table_rejected(tmp_path, capsys):
     write_annotation(tmp_path / "a.json", ann)
     write_annotation(tmp_path / "b.json", wrong)
     write_gold(tmp_path / "gold.jsonl", gold)
-    code = run(["eval", "--annotations", str(tmp_path),
+    code = main(["eval", "--annotations", str(tmp_path),
                 "--gold", str(tmp_path / "gold.jsonl")])
     assert code == 1
     assert "error: two annotations of table 't1'" in capsys.readouterr().err

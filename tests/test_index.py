@@ -32,7 +32,7 @@ from tablink import (
     search,
     write_closure,
 )
-from tablink.cli import run
+from tablink.cli import main
 
 from tablink.kb import read_direct_types
 from tablink.text import normalize
@@ -449,7 +449,7 @@ def test_link_names_a_malformed_row_and_exits_1(tmp_path, small_index,
     write_closure(tmp_path / "closure.txt", build_closure([]))
     save_config(tmp_path / "config.json", parse_config_obj({}))
     # Row 0, Q1, is the best-ranked "measles".
-    assert run(["link", "--mention", "measles",
+    assert main(["link", "--mention", "measles",
                 "--index", str(tmp_path / "idx"),
                 "--closure", str(tmp_path / "closure.txt"),
                 "--config", str(tmp_path / "config.json")]) == 1

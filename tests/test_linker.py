@@ -18,7 +18,7 @@ from tablink import (
     parse_config_obj,
 )
 from tablink.index import search
-from tablink.linker import LinkCache, ScoredCandidate, cached_link, choose
+from tablink.linker import LinkCache, ScoredCandidate, cached_link, scored_sort_key
 
 from fixture_kb import near_miss_fixture, prevalence_fixture, virus_fixture
 
@@ -245,18 +245,25 @@ def _hand_candidate(eid, final, sitelinks):
         weighted_base=final, final_score=final)
 
 
-def test_choose_tie_breaks():
+def _head(candidates, min_link_score):
+    """The link the linker picks from a candidate list: the head in
+    scored_sort_key order, or None when it scores below min_link_score."""
+    ranked = sorted(candidates, key=scored_sort_key)
+    return ranked[0] if ranked and ranked[0].final_score >= min_link_score else None
+
+
+def test_sort_key_tie_breaks():
     by_score = [_hand_candidate("Q1", 0.5, 0), _hand_candidate("Q2", 0.6, 0)]
-    assert choose(by_score, 0.25).record.id.raw == "Q2"
+    assert _head(by_score, 0.25).record.id.raw == "Q2"
     by_sitelinks = [_hand_candidate("Q1", 0.5, 3), _hand_candidate("Q2", 0.5, 9)]
-    assert choose(by_sitelinks, 0.25).record.id.raw == "Q2"
+    assert _head(by_sitelinks, 0.25).record.id.raw == "Q2"
     by_id = [_hand_candidate("Q8", 0.5, 3), _hand_candidate("Q2", 0.5, 3)]
-    assert choose(by_id, 0.25).record.id.raw == "Q2"
+    assert _head(by_id, 0.25).record.id.raw == "Q2"
     item_before_property = [_hand_candidate("P1", 0.5, 3),
                             _hand_candidate("Q9", 0.5, 3)]
-    assert choose(item_before_property, 0.25).record.id.raw == "Q9"
-    assert choose([], 0.25) is None
-    assert choose([_hand_candidate("Q1", 0.2, 0)], 0.25) is None
+    assert _head(item_before_property, 0.25).record.id.raw == "Q9"
+    assert _head([], 0.25) is None
+    assert _head([_hand_candidate("Q1", 0.2, 0)], 0.25) is None
 
 
 def test_virus_disambiguation():
