@@ -15,7 +15,14 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import ParseError
-from .kb import EntityId, ItemRecord, TypeEdge, ValidatedConfig, decode_lines
+from .kb import (
+    EntityId,
+    ItemRecord,
+    TypeEdge,
+    ValidatedConfig,
+    _id_parser,
+    decode_lines,
+)
 
 _NO_IDS: frozenset[EntityId] = frozenset()
 
@@ -31,7 +38,7 @@ class TypeClosure:
         self.rejected_edges = rejected_edges
         # types_of() answers, by direct-types tuple.
         self._types: dict[tuple[EntityId, ...], frozenset[EntityId]] = {}
-        self._tiers: dict[tuple, tuple[ValidatedConfig, dict]] = {}
+        self._tiers: dict[tuple[str, tuple[str, ...]], dict] = {}
 
     def __contains__(self, type_id: EntityId) -> bool:
         return type_id in self._ancestors
@@ -58,12 +65,9 @@ class TypeClosure:
 
     def tier_memo(self, config: ValidatedConfig, expected: tuple[str, ...]) -> dict:
         """The linker's (type tier, inferred names) by (direct_types,
-        flagged_props), per sorted expected types and config object: by id,
-        kept beside its table, so a _replace()d copy gets a table of its own."""
-        kept = self._tiers.get((id(config), expected))
-        if kept is None:
-            kept = self._tiers[id(config), expected] = (config, {})
-        return kept[1]
+        flagged_props), per sorted expected types and config content_hash:
+        equal configs share a table, and any other config has its own."""
+        return self._tiers.setdefault((config.content_hash, expected), {})
 
     def lines(self) -> Iterator[str]:
         """Canonical text form, one line per node: the node id, then its
@@ -143,24 +147,11 @@ def read_closure(path: str | Path) -> TypeClosure:
     transitively closed, naming the file and the node: an ancestor's own
     ancestors must be the node's too, or the node itself (in a cycle)."""
     ancestors: dict[EntityId, frozenset[EntityId]] = {}
-    # Most ids recur on many lines: each id string is parsed once, so equal
-    # ids share one object, which the set tests below compare faster.
-    parsed: dict[str, EntityId] = {}
-    known = parsed.__getitem__
-
-    def parse(raw: str) -> EntityId:
-        eid = parsed.get(raw)
-        if eid is None:
-            eid = parsed[raw] = EntityId.parse(raw)
-        return eid
+    # Equal ids share one object, which the set tests below compare faster.
+    parse_id = _id_parser()
 
     def decode(line: str) -> None:
-        tokens = line.split()
-        try:
-            node, *rest = map(known, tokens)
-        except KeyError:
-            # In token order, so the first bad token is the one named.
-            node, *rest = map(parse, tokens)
+        node, *rest = map(parse_id, line.split())
         if node in ancestors:
             raise ValueError(f"{node} already has a line")
         own = frozenset(rest)

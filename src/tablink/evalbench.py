@@ -76,12 +76,12 @@ def write_gold(path: str | Path, gold: Iterable[GoldRecord]) -> int:
     return write_jsonl(path, map(_gold_obj, gold))
 
 
-@dataclass(frozen=True)
+@dataclass
 class TableScore:
-    cells_with_gold: int
-    recall_hits: int
-    precision_hits: int
-    linked_cells: int
+    cells_with_gold: int = 0
+    recall_hits: int = 0
+    precision_hits: int = 0
+    linked_cells: int = 0
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def evaluate(annotations: Iterable[TableAnnotation],
             by_coord[(ann.table_id, cell.row, cell.col)] = cell
 
     seen: set[tuple[str, int, int]] = set()
-    per_table: dict[str, dict[str, int]] = {}
+    per_table: dict[str, TableScore] = {}
     for g in gold:
         key = (g.table_id, g.row, g.col)
         if key in seen:
@@ -132,31 +132,27 @@ def evaluate(annotations: Iterable[TableAnnotation],
             raise GoldMismatch(f"gold coordinate {key} absent from annotations")
         if g.expected is None:
             continue
-        t = per_table.setdefault(g.table_id, {"gold": 0, "recall": 0,
-                                              "precision": 0, "linked": 0})
-        t["gold"] += 1
+        t = per_table.setdefault(g.table_id, TableScore())
+        t.cells_with_gold += 1
         if g.expected in cell.candidates:
-            t["recall"] += 1
+            t.recall_hits += 1
         if cell.kind == "entity":
-            t["linked"] += 1
+            t.linked_cells += 1
             if cell.entity_id == g.expected:
-                t["precision"] += 1
+                t.precision_hits += 1
 
-    cells_with_gold = sum(t["gold"] for t in per_table.values())
-    recall_hits = sum(t["recall"] for t in per_table.values())
-    precision_hits = sum(t["precision"] for t in per_table.values())
-    linked = sum(t["linked"] for t in per_table.values())
-    if cells_with_gold == 0:
+    # A table is scored only once it has a cell with gold.
+    if not per_table:
         log.warning("no gold cells with expected annotations; metrics degenerate")
         return EvalReport(0, 0, 0.0, 0.0, degenerate=True)
+    cells_with_gold, recall_hits, precision_hits, linked = map(
+        sum, zip(*map(dataclasses.astuple, per_table.values())))
     return EvalReport(
         cells_with_gold=cells_with_gold,
         linked_cells=linked,
         candidate_recall=recall_hits / cells_with_gold,
         precision=precision_hits / cells_with_gold,
-        per_table={tid: TableScore(t["gold"], t["recall"], t["precision"],
-                                   t["linked"])
-                   for tid, t in per_table.items()},
+        per_table=per_table,
     )
 
 

@@ -177,7 +177,8 @@ class Index:
     """Search structures over one record set.
 
     `Index(records)` builds them in memory and keeps no record it was
-    given; `load_index` builds the same object from a saved blob. A label,
+    given, nor the blob its build_id hashes; `load_index` builds the same
+    object from a saved blob, and save_index marshals either again. A label,
     alias, token or id is found by bisection, and each list of rows is a
     read-only slice of a flat uint32 column, so a load makes no dict and no
     per-key container. Every ItemRecord the index hands out is decoded from
@@ -198,23 +199,14 @@ class Index:
         finally:
             if enabled:
                 gc.enable()
-        # Kept for save_index, so a build marshals its tables once.
-        blob = _dump(tables)
-        self._adopt(tables, hashlib.sha256(blob).hexdigest(), blob)
+        self._adopt(tables, hashlib.sha256(_dump(tables)).hexdigest())
 
-    @classmethod
-    def _from_tables(cls, tables: _Tables, build_id: str) -> Index:
-        index = cls.__new__(cls)
-        index._adopt(tables, build_id, None)
-        return index
-
-    def _adopt(self, tables: _Tables, build_id: str,
-               blob: bytes | None) -> None:
+    def _adopt(self, tables: _Tables, build_id: str) -> Index:
         self._tables = tables
-        self._blob = blob
         self._memo: dict[int, ItemRecord] = {}
         self.build_id = build_id
         self.duplicate_ids = tables.duplicate_ids
+        return self
 
     def __len__(self) -> int:
         return len(self._tables.ids)
@@ -387,11 +379,11 @@ def _pins() -> dict:
 
 
 def save_index(index: Index, out_dir: str | Path) -> None:
-    """Persist as the marshalled tables plus a manifest."""
+    """Persist as the marshalled tables, whose sha256 is the build_id, plus
+    a manifest. A built index and a loaded one marshal to the same bytes."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    blob = index._blob if index._blob is not None else _dump(index._tables)
-    (out / BLOB_NAME).write_bytes(blob)
+    (out / BLOB_NAME).write_bytes(_dump(index._tables))
     manifest = {
         "artifact_version": __version__,
         **_pins(),
@@ -459,4 +451,4 @@ def load_index(index_dir: str | Path) -> Index:
     except (EOFError, IndexError, TypeError, ValueError):
         raise IndexUnavailable(
             f"index {path}: {BLOB_NAME} is malformed; rebuild") from None
-    return Index._from_tables(tables, build_id)
+    return Index.__new__(Index)._adopt(tables, build_id)

@@ -337,10 +337,9 @@ def _fork(dump_path, start: int, end: int, parts: tuple[Path, Path, Path],
 
 
 def _append(out_fp, path: Path) -> None:
-    """Append the file at path to out_fp, copied by the kernel."""
+    """Append the bytes of the file at path to the text file out_fp, through
+    its buffer once its own pending text is flushed."""
+    import shutil
     out_fp.flush()
     with open(path, "rb") as src:
-        size, offset = os.fstat(src.fileno()).st_size, 0
-        while offset < size:
-            offset += os.sendfile(out_fp.fileno(), src.fileno(), offset,
-                                  size - offset)
+        shutil.copyfileobj(src, out_fp.buffer)

@@ -1,3 +1,4 @@
+import json
 import pickle
 from collections import Counter
 
@@ -15,6 +16,7 @@ from tablink import (
     context_similarity,
     infer_domain_types,
     link,
+    load_config,
     parse_config_obj,
 )
 from tablink.index import search
@@ -349,8 +351,9 @@ def test_tier_memo_keeps_configs_expected_types_and_closures_apart():
     cases = [(MEMO_CFG, None), (twin, None), (second, None), (copy, None),
              (MEMO_CFG, ["target-type"]), (MEMO_CFG, ["miss-type"])]
     shared = closure_a()
-    # One table per config object, equal or not.
-    assert shared.tier_memo(copy, ()) is not shared.tier_memo(MEMO_CFG, ())
+    # One table per content_hash: an equal copy shares the original's.
+    assert shared.tier_memo(copy, ()) is shared.tier_memo(MEMO_CFG, ())
+    assert len({id(shared.tier_memo(c, ())) for c in (MEMO_CFG, twin, second)}) == 3
     seen = []
     for _ in range(2):
         for config, expected in cases:
@@ -369,6 +372,27 @@ def test_tier_memo_keeps_configs_expected_types_and_closures_apart():
     got = link("alpha", "cell", index, other, MEMO_CFG)
     assert got == link("alpha", "cell", index, closure_b(), MEMO_CFG)
     assert got != seen[0]
+
+
+def test_configs_loaded_twice_from_one_file_share_one_tier_table(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(MEMO_CFG.to_obj()), encoding="utf-8")
+    first, again = load_config(path), load_config(path)
+    assert first is not again and first.content_hash == again.content_hash
+    index = Index([rec("Q1", "alpha", types=["Q100"], sitelinks=10),
+                   rec("Q2", "alpha", types=["Q140"], sitelinks=9),
+                   rec("Q3", "alpha", types=["Q500"], sitelinks=8)])
+    edges = [TypeEdge(q("Q500"), q("Q120"), "subclass_of")]
+    shared = build_closure(edges)
+    for expected in (None, ["target-type"]):
+        got = [link("alpha", "cell", index, shared, config,
+                    expected_types=expected) for config in (first, again)]
+        fresh = link("alpha", "cell", index, build_closure(edges), again,
+                     expected_types=expected)
+        assert got == [fresh, fresh]
+        key = tuple(expected or ())
+        assert shared.tier_memo(first, key) is shared.tier_memo(again, key)
+    assert len(shared._tiers) == 2
 
 
 def test_a_config_copy_gets_its_own_hash_and_cached_links():
