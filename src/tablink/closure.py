@@ -38,7 +38,7 @@ class TypeClosure:
         self.rejected_edges = rejected_edges
         # types_of() answers, by direct-types tuple.
         self._types: dict[tuple[EntityId, ...], frozenset[EntityId]] = {}
-        self._tiers: dict[tuple[str, tuple[str, ...]], dict] = {}
+        self._tiers: dict[tuple[str, tuple[str, ...]], tuple[dict, dict]] = {}
 
     def __contains__(self, type_id: EntityId) -> bool:
         return type_id in self._ancestors
@@ -63,11 +63,13 @@ class TypeClosure:
             self._types[direct_types] = types
         return types
 
-    def tier_memo(self, config: ValidatedConfig, expected: tuple[str, ...]) -> dict:
-        """The linker's (type tier, inferred names) by (direct_types,
-        flagged_props), per sorted expected types and config content_hash:
-        equal configs share a table, and any other config has its own."""
-        return self._tiers.setdefault((config.content_hash, expected), {})
+    def tier_memo(self, config: ValidatedConfig,
+                  expected: tuple[str, ...]) -> tuple[dict, dict]:
+        """The linker's tables per sorted expected types and config
+        content_hash (equal configs share them): (type tier, inferred names,
+        tier score) by (direct_types, flagged_props), and the context-free
+        ranking entries by (pool sitelinks maximum, mode), then RawCandidate."""
+        return self._tiers.setdefault((config.content_hash, expected), ({}, {}))
 
     def lines(self) -> Iterator[str]:
         """Canonical text form, one line per node: the node id, then its

@@ -26,7 +26,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, islice
 from pathlib import Path
 from typing import NamedTuple
@@ -67,6 +67,11 @@ class RawCandidate(NamedTuple):
     record: ItemRecord
     match_tier: str
     token_overlap: float
+
+
+# A RawCandidate from the tuple of its fields, without the Python-level
+# __new__ that NamedTuple generates: search makes one per hit.
+new_raw = partial(tuple.__new__, RawCandidate)
 
 
 class _Tables(NamedTuple):
@@ -279,7 +284,8 @@ def _entry(flat: memoryview, ends: memoryview,
     raise _malformed(f"column entry {at}")
 
 
-def search(index: Index, mention: str, k: int) -> list[RawCandidate]:
+def search(index: Index, mention: str, k: int, *,
+           normalized: str | None = None) -> list[RawCandidate]:
     """Ranked candidates for a mention, at most k.
 
     Candidates are exact label matches, then exact alias matches, then
@@ -287,9 +293,10 @@ def search(index: Index, mention: str, k: int) -> list[RawCandidate]:
     the mention's distinct non-stopword tokens, rounded up, ordered by token
     overlap. Each record enters at its best tier. Ties go to the record with
     more sitelinks, then to the lower id; that is row order, so each tier is
-    read only until k rows are chosen. Fully deterministic.
+    read only until k rows are chosen. Fully deterministic. normalized,
+    when given, is normalize(mention), already computed.
     """
-    norm = normalize(mention)
+    norm = normalize(mention) if normalized is None else normalized
     tokens = split_tokens(norm)
     if not norm or not tokens:
         raise EmptyMention(f"mention {mention!r} normalizes to nothing linkable")
@@ -304,19 +311,19 @@ def search(index: Index, mention: str, k: int) -> list[RawCandidate]:
     partials = ()
     if len(labels) + len(aliases) < k:
         distinct = list(dict.fromkeys(tokens))
+        n = len(distinct)
         # A one-token mention is its own token: its probe is reused.
         spots = [at] if distinct == [norm] else [_find(t.keys, token)
                                                  for token in distinct]
         lists = [_entry(t.token_rows, t.token_ends, spot) for spot in spots]
         partials = _partial(lists, {*labels, *aliases},
                             k - len(labels) - len(aliases))
-    memo, record_at = index._memo, index.record_at
-    return ([RawCandidate(memo.get(row) or record_at(row), EXACT_LABEL, 1.0)
+    memo, record_at, new = index._memo, index.record_at, new_raw
+    return ([new((memo.get(row) or record_at(row), EXACT_LABEL, 1.0))
              for row in labels]
-            + [RawCandidate(memo.get(row) or record_at(row), EXACT_ALIAS, 1.0)
+            + [new((memo.get(row) or record_at(row), EXACT_ALIAS, 1.0))
                for row in aliases]
-            + [RawCandidate(memo.get(row) or record_at(row), PARTIAL,
-                            covered / len(distinct))
+            + [new((memo.get(row) or record_at(row), PARTIAL, covered / n))
                for row, covered in partials])
 
 

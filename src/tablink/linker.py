@@ -4,6 +4,9 @@ against the configured tier lists, score, and pick the best link or NIL.
 All scoring inputs are normalized text, so results are a function of the
 normalized mention/context only. LinkResult.mention therefore holds the
 normalized mention, which keeps the memoizing cache exactly transparent.
+normalize() is not idempotent, so a link normalizes its mention once and
+hands that string on: link(), link_from_candidates() and index.search()
+take it as normalized=, which must be normalize(mention).
 LinkResult, ScoredCandidate and Diagnostics are typing.NamedTuples.
 """
 
@@ -13,6 +16,7 @@ import contextlib
 import threading
 from collections.abc import Callable, Iterable
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -128,6 +132,10 @@ def scored_sort_key(c: ScoredCandidate) -> tuple:
     return (-c.final_score, -c.record.sitelinks_count, c.record.id)
 
 
+# A ranking entry's parts: sort key, below min_link_score, ScoredCandidate.
+_SORT_KEY, _BELOW, _SCORED = map(itemgetter, range(3))
+
+
 class Diagnostics(NamedTuple):
     retrieved: int = 0
     rejected_bad: int = 0
@@ -148,60 +156,70 @@ def link_from_candidates(mention: str,
                          context: str | None,
                          expected_types: Iterable[str] | None,
                          closure: TypeClosure,
-                         config: ValidatedConfig) -> LinkResult:
+                         config: ValidatedConfig, *,
+                         normalized: str | None = None) -> LinkResult:
     """Score an already-retrieved candidate list and select the link.
 
     Split out from link() so the benchmark can time the ranking phase on its
-    own. A candidate's type tier and inferred names are computed once per
-    closure, config, expected types and (direct_types, flagged_props); the
-    context is tokenized once per call.
+    own. Through closure.tier_memo(config, expected types), a candidate's
+    type tier is classified once per (direct_types, flagged_props) and, with
+    no context tokens, its ScoredCandidate made once per (pool sitelinks
+    maximum, mode, RawCandidate, its record compared by value). Ranking is a
+    stable sort by scored_sort_key, whose keys the memo holds.
     """
     expected = tuple(sorted(set(expected_types))) if expected_types else ()
-    memo = closure.tier_memo(config, expected)
+    tiers, scored = closure.tier_memo(config, expected)
     survivors, s_max = [], 0
     for cand in raw_candidates:
-        record = cand.record
+        record = cand[0]
         key = (record.direct_types, record.flagged_props)
-        if (tiered := memo.get(key)) is None:
+        if (tiered := tiers.get(key)) is None:
             names = infer_domain_types(record, config.property_inference)
-            tiered = memo[key] = (classify_type_tier(
-                record, config, closure, expected, inferred=names), names)
+            tier = classify_type_tier(record, config, closure, expected,
+                                      inferred=names)
+            tiered = tiers[key] = (tier, names, TIER_SCORES.get(tier))
         if tiered[0] != BAD:
-            survivors.append((cand, *tiered))
+            survivors.append(cand)
             if record.sitelinks_count > s_max:
                 s_max = record.sitelinks_count
 
     w_type, w_match, w_prom, w_ctx = config.weights
     params = config.params
-    min_link_score = params.min_link_score
+    # 0.0 + keeps a configured -0.0 boost at 0.0.
+    header_boost = 0.0 + params.header_property_boost if mode == HEADER else 0.0
     ctx_tokens = tokenize(context) if context and survivors else None
-    scored, below_threshold = [], 0
-    for (record, match_tier, overlap), tier, inferred in survivors:
-        type_score = TIER_SCORES[tier]
-        match_score = (0.4 * overlap if match_tier == PARTIAL
-                       else _MATCH_SCORES[match_tier])
-        prominence = record.sitelinks_count / s_max if s_max else 0.0
-        context_sim = (context_similarity(context, record, tokens=ctx_tokens)
-                       if ctx_tokens else 0.0)
-        boosts = 0.0
-        if mode == HEADER and record.id.is_property:
-            boosts += params.header_property_boost
-        base = (w_type * type_score + w_match * match_score
-                + w_prom * prominence + w_ctx * context_sim)
-        final_score = base + boosts
-        below_threshold += final_score < min_link_score
-        scored.append(new_scored((
-            record, match_tier, tier, inferred, overlap, type_score,
-            match_score, prominence, context_sim, boosts, base, final_score)))
+    # Entries scored against a context live for this call only.
+    memo = {} if ctx_tokens else scored.setdefault((s_max, mode), {})
+    entries = []
+    for cand in survivors:
+        if (entry := memo.get(cand)) is None:
+            record, match_tier, overlap = cand
+            tier, inferred, type_score = tiers[record.direct_types,
+                                               record.flagged_props]
+            match_score = (0.4 * overlap if match_tier == PARTIAL
+                           else _MATCH_SCORES[match_tier])
+            prominence = record.sitelinks_count / s_max if s_max else 0.0
+            context_sim = (context_similarity(context, record,
+                                              tokens=ctx_tokens)
+                           if ctx_tokens else 0.0)
+            boosts = header_boost if record.id.is_property else 0.0
+            base = (w_type * type_score + w_match * match_score
+                    + w_prom * prominence + w_ctx * context_sim)
+            c = new_scored((record, match_tier, tier, inferred, overlap,
+                            type_score, match_score, prominence, context_sim,
+                            boosts, base, base + boosts))
+            entry = memo[cand] = (scored_sort_key(c),
+                                  c.final_score < params.min_link_score, c)
+        entries.append(entry)
 
-    if len(scored) > 1:
-        scored.sort(key=scored_sort_key)
-    chosen = (scored[0] if scored and scored[0].final_score >= min_link_score
-              else None)
-    return LinkResult(normalize(mention), mode, chosen, tuple(scored),
+    if len(entries) > 1:
+        entries.sort(key=_SORT_KEY)
+    chosen = entries[0][2] if entries and not entries[0][1] else None
+    return LinkResult(normalize(mention) if normalized is None else normalized,
+                      mode, chosen, tuple(map(_SCORED, entries)),
                       Diagnostics(len(raw_candidates),
                                   len(raw_candidates) - len(survivors),
-                                  below_threshold))
+                                  sum(map(_BELOW, entries))))
 
 
 def link(mention: str,
@@ -210,13 +228,15 @@ def link(mention: str,
          closure: TypeClosure,
          config: ValidatedConfig,
          context: str | None = None,
-         expected_types: Iterable[str] | None = None) -> LinkResult:
+         expected_types: Iterable[str] | None = None,
+         normalized: str | None = None) -> LinkResult:
     """Full pipeline for one mention. Raises EmptyMention when the mention
     normalizes to nothing searchable; returns NIL when nothing scores above
     min_link_score."""
-    raw = search(index, mention, config.params.k)
+    norm = normalize(mention) if normalized is None else normalized
+    raw = search(index, mention, config.params.k, normalized=norm)
     return link_from_candidates(mention, raw, mode, context, expected_types,
-                                closure, config)
+                                closure, config, normalized=norm)
 
 
 # Every field of ScoredCandidate except the record, in declaration order.
@@ -299,6 +319,7 @@ def cached_link(mention: str,
                     expected_types)
     key = LinkCache.key(mention, mode, context, expected_types, config,
                         index.build_id, closure)
+    # The key starts with normalize(mention), which link() then reuses.
     return cache.get_or_compute(
         key, lambda: link(mention, mode, index, closure, config, context,
-                          expected_types))
+                          expected_types, key[0]))

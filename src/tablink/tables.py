@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable, Mapping
-from itertools import chain
+from itertools import chain, compress
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -192,14 +192,20 @@ def column_type_vote(candidate_sets: list[tuple[ScoredCandidate, ...]],
     weights: dict[EntityId, float] = {}
     for cands in candidate_sets:
         for cand in cands:
+            score = cand.final_score
             for t in cand.record.direct_types:
-                weights[t] = weights.get(t, 0.0) + cand.final_score
+                weights[t] = weights.get(t, 0.0) + score
     if not weights or not candidate_sets:
         return None
-    winner = min(weights.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-    support = sum(
-        1 for cands in candidate_sets
-        if any(winner in cand.record.direct_types for cand in cands))
+    # The lowest id among the types whose weight equals the largest.
+    top = max(weights.values())
+    winner = min(compress(weights, map(top.__eq__, weights.values())))
+    support = 0
+    for cands in candidate_sets:
+        for cand in cands:
+            if winner in cand.record.direct_types:
+                support += 1
+                break
     if support / len(candidate_sets) >= threshold:
         return winner
     return None

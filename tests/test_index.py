@@ -567,8 +567,9 @@ def test_search_cuts_large_pools_at_k_like_the_oracle(monkeypatch):
     index = Index(records)
     oracle = OracleKB(records)
     built = []
-    monkeypatch.setattr(tablink.index, "RawCandidate",
-                        lambda *args: built.append(args) or RawCandidate(*args))
+    # search builds every hit through new_raw, so this counts the hits built.
+    monkeypatch.setattr(tablink.index, "new_raw",
+                        lambda fields: built.append(fields) or RawCandidate(*fields))
     big_pools = ties_at_cut = 0
     for mention in mentions:
         full = o_search(oracle, mention, len(records))

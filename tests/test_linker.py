@@ -1,10 +1,13 @@
 import json
 import pickle
+import random
 from collections import Counter
 
 import pytest
 
+import tablink.index
 import tablink.linker
+import tablink.text
 from tablink import (
     EmptyMention,
     EntityId,
@@ -16,13 +19,15 @@ from tablink import (
     context_similarity,
     infer_domain_types,
     link,
+    link_from_candidates,
     load_config,
     parse_config_obj,
 )
-from tablink.index import search
+from tablink.index import RawCandidate, search
 from tablink.linker import LinkCache, ScoredCandidate, cached_link, scored_sort_key
 
 from fixture_kb import near_miss_fixture, prevalence_fixture, virus_fixture
+from oracles import o_link_from_candidates
 
 q = EntityId.parse
 
@@ -280,6 +285,29 @@ def test_virus_disambiguation():
                for c in result.candidates)
 
 
+def test_each_link_normalizes_its_mention_once(monkeypatch):
+    # normalize is not idempotent on "J" + combining caron: its lower-cased
+    # form composes to one code point under a second NFC. So the search, the
+    # result and the cache key must all use the one normalize(mention).
+    index = Index([rec("Q1", "J\u030c"), rec("Q2", "\u01f0")])
+    calls = []
+    real = tablink.text.normalize
+    counting = lambda text: calls.append(text) or real(text)  # noqa: E731
+    monkeypatch.setattr(tablink.linker, "normalize", counting)
+    monkeypatch.setattr(tablink.index, "normalize", counting)
+    cache = LinkCache()
+    for run in (lambda: link("J\u030c", "cell", index, EMPTY_CLOSURE,
+                             SCORE_CFG),
+                lambda: cached_link("J\u030c", "cell", index, EMPTY_CLOSURE,
+                                    SCORE_CFG, cache=cache)):
+        result = run()
+        assert calls == ["J\u030c"]
+        calls.clear()
+        assert result.mention == "j\u030c"
+        assert [c.record.id.raw for c in result.candidates] == ["Q1"]
+    assert cache.misses == 1
+
+
 def test_link_classifies_and_infers_once_per_type_fields(monkeypatch):
     records, closure, config = virus_fixture()
     index = Index(records)
@@ -415,6 +443,130 @@ def test_a_config_copy_gets_its_own_hash_and_cached_links():
     assert (cache.hits, cache.misses) == (2, 2)
     with pytest.raises(ValueError, match="derived field.* bad_ids"):
         MEMO_CFG._replace(bad_ids=frozenset())
+
+
+# The scored-candidate memo: each test below fails against a memo whose key
+# lacks one part of what a context-free ScoredCandidate is computed from.
+
+def _fresh_link(mention, mode, index, config):
+    """link() through a closure of its own, whose memos start empty."""
+    return link(mention, mode, index, build_closure([]), config)
+
+
+def test_scored_memo_compares_records_by_value_across_indexes():
+    # Row 0 is Q2 and row 1 is Q1 in every index; Q1's fields, or the pool's
+    # sitelinks maximum, differ from the first index's.
+    def index(q1_types=("Q120",), q1_sitelinks=10, q2_sitelinks=20):
+        return Index([rec("Q1", "alpha", types=q1_types, sitelinks=q1_sitelinks),
+                      rec("Q2", "alpha", sitelinks=q2_sitelinks)])
+
+    shared = build_closure([])
+    indexes = [index(), index(q1_sitelinks=12), index(q1_types=()),
+               index(q2_sitelinks=40), index()]
+    got = [link("alpha", "cell", i, shared, MEMO_CFG) for i in indexes]
+    assert got == [_fresh_link("alpha", "cell", i, MEMO_CFG) for i in indexes]
+    q1 = [{c.record.id.raw: c for c in r.candidates}["Q1"] for r in got]
+    assert len({(c.prominence, c.type_tier) for c in q1[:4]}) == 4
+    # An equal record from another index is served the first one's entry.
+    assert q1[4] is q1[0] and q1[4].record is not indexes[4].get(q("Q1"))
+    assert q1[4].record == indexes[4].get(q("Q1"))
+
+
+def test_scored_memo_keeps_configs_differing_in_one_weight_or_boost_apart():
+    index = Index([rec("Q1", "duration", sitelinks=10),
+                   rec("P2047", "duration", sitelinks=4)])
+    base = SCORE_CFG.to_obj()
+    prom = cfg({**base, "weights": {**base["weights"], "w_prom": 0.25,
+                                    "w_ctx": 0.05}})
+    boost = cfg({**base, "params": {**base["params"],
+                                    "header_property_boost": 0.3}})
+    shared = build_closure([])
+    for _ in range(2):
+        got = [link("duration", "header", index, shared, c)
+               for c in (SCORE_CFG, prom, boost)]
+        assert got == [_fresh_link("duration", "header", index, c)
+                       for c in (SCORE_CFG, prom, boost)]
+        finals = [{c.record.id.raw: c.final_score for c in r.candidates}
+                  for r in got]
+        assert finals[0]["Q1"] != finals[1]["Q1"]
+        assert finals[0]["P2047"] != finals[2]["P2047"]
+
+
+def test_scored_memo_keeps_cell_and_header_mode_apart():
+    index = Index([rec("P2047", "duration", sitelinks=3)])
+    shared = build_closure([])
+    for mode in ("cell", "header", "cell", "header"):
+        got = link("duration", mode, index, shared, SCORE_CFG)
+        assert got == _fresh_link("duration", mode, index, SCORE_CFG)
+        assert got.chosen.boosts == (0.10 if mode == "header" else 0.0)
+
+
+def test_scored_memo_keys_hand_built_candidates_by_every_field():
+    alpha = rec("Q1", "alpha", types=["Q120"], sitelinks=5)
+    other = rec("Q1", "alpha", sitelinks=5)
+    pools = [[RawCandidate(alpha, "exact_label", 1.0)],
+             [RawCandidate(alpha, "exact_alias", 1.0)],
+             [RawCandidate(alpha, "partial", 0.5)],
+             [RawCandidate(alpha, "partial", 1.0)],
+             [RawCandidate(other, "exact_label", 1.0)],
+             [RawCandidate(other, "partial", 0.5),
+              RawCandidate(alpha, "exact_alias", 1.0),
+              RawCandidate(rec("Q2", "alpha", sitelinks=9), "exact_label", 1.0)]]
+    shared = build_closure([])
+    results = []
+    for _ in range(2):
+        for pool in pools:
+            got = link_from_candidates(" Alpha ", pool, "cell", None, None,
+                                       shared, MEMO_CFG)
+            assert got == o_link_from_candidates(" Alpha ", pool, "cell", None,
+                                                 None, build_closure([]),
+                                                 MEMO_CFG)
+            results.append(got)
+    assert len({r.candidates[0].final_score for r in results[:5]}) == 5
+    assert results[6:] == results[:6]
+
+
+def test_link_from_candidates_matches_the_oracle_twice_on_a_tie_heavy_kb():
+    # Labels share a handful of tokens and sitelinks take three values, so
+    # pools are long, ties are common and the second pass is served from
+    # the memo.
+    rng = random.Random(28)
+    words = ["virus", "protein", "strain", "gene", "alpha", "beta"]
+    types = ["Q100", "Q110", "Q120", "Q140", "Q500", "Q600"]
+    records = [rec(("P" if i % 7 == 0 else "Q") + str(i + 1),
+                   " ".join(rng.sample(words, rng.randint(1, 3))),
+                   [" ".join(rng.sample(words, 2))] if i % 5 == 0 else [],
+                   description=rng.choice(["", "greek letter", "virus strain"]),
+                   types=rng.sample(types, rng.randint(0, 2)),
+                   sitelinks=rng.choice((0, 3, 3, 8)),
+                   flagged=["P900"] if i % 4 == 0 else [])
+               for i in range(300)]
+    index = Index(records)
+    edges = [TypeEdge(q("Q500"), q("Q120"), "subclass_of"),
+             TypeEdge(q("Q600"), q("Q140"), "subclass_of")]
+    shared = build_closure(edges)
+    cases = [(" ".join(rng.sample(words, rng.randint(1, 3))),
+              rng.choice(("cell", "header")),
+              rng.choice((None, None, "greek letter")),
+              rng.choice((None, None, ["target-type"], ["miss-type"])))
+             for _ in range(150)]
+    memo_hits = 0
+    for second in (False, True):
+        for mention, mode, context, expected in cases:
+            raw = search(index, mention, TIER_CFG.params.k)
+            for config in (TIER_CFG, MEMO_CFG):
+                got = link_from_candidates(mention, raw, mode, context,
+                                           expected, shared, config)
+                want = o_link_from_candidates(mention, raw, mode, context,
+                                              expected, build_closure(edges),
+                                              config)
+                assert got == want, (mention, mode, context, expected)
+                if second and context is None:
+                    again = link_from_candidates(mention, raw, mode, None,
+                                                 expected, shared, config)
+                    memo_hits += len(raw) > 1 and all(
+                        a is b for a, b in zip(again.candidates, got.candidates))
+    assert memo_hits > 50
 
 
 def test_prevalence_header_vs_cell():

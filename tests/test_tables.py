@@ -268,6 +268,12 @@ def test_column_type_vote_tie_goes_to_lowest_id():
         (_vote_candidate("Q2", 0.5, ["Q200"]),),
     ]
     assert column_type_vote(sets, 0.5) == q("Q200")
+    # A lighter type with a lower id loses to the tie above it, and a
+    # heavier type wins over lower ids.
+    sets.append((_vote_candidate("Q3", 0.25, ["Q100"]),))
+    assert column_type_vote(sets, 0.3) == q("Q200")
+    sets.append((_vote_candidate("Q4", 0.75, ["Q900"]),))
+    assert column_type_vote(sets, 0.25) == q("Q900")
 
 
 def _lineage_setup():
