@@ -12,7 +12,7 @@ what it runs and a name always reads the submodule's current attribute.
 from importlib import import_module
 
 _PUBLIC = {
-    "closure": "TypeClosure build_closure has_type read_closure write_closure",
+    "closure": "TypeClosure build_closure read_closure write_closure",
     "errors": "BadWeights ConfigError EmptyMention GoldMismatch IndexUnavailable "
               "InvalidEntityId ParseError TablinkError TierConflict "
               "UnresolvedTypeName",

@@ -226,6 +226,10 @@ def _build_parser() -> _Parser:
     parser.add_argument("--manifest", metavar="PATH",
                         help="write the run manifest to PATH instead of standard error")
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
+    # The inputs of every command that links: link, link-table and bench.
+    linking = argparse.ArgumentParser(add_help=False)
+    for name in ("--index", "--closure", "--config"):
+        linking.add_argument(name, required=True)
 
     p = sub.add_parser("ingest", help="parse an entity dump into records and edges")
     p.add_argument("--dump", required=True)
@@ -250,24 +254,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_index)
 
-    p = sub.add_parser("link", help="link one mention string")
+    p = sub.add_parser("link", parents=[linking], help="link one mention string")
     p.add_argument("--mention", required=True)
     p.add_argument("--mode", choices=["cell", "header"], default="cell")
     p.add_argument("--context")
     p.add_argument("--expect", help="comma-separated expected type names")
-    p.add_argument("--index", required=True)
-    p.add_argument("--closure", required=True)
-    p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_link)
 
-    p = sub.add_parser("link-table", help="annotate a whole table")
+    p = sub.add_parser("link-table", parents=[linking], help="annotate a whole table")
     p.add_argument("--table", required=True, help="table JSON, or CSV by suffix")
     p.add_argument("--has-header", action="store_true",
                    help="CSV input: first row is the header row")
-    p.add_argument("--index", required=True)
-    p.add_argument("--closure", required=True)
-    p.add_argument("--config", required=True)
     p.add_argument("--cache", help=argparse.SUPPRESS)
     p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out")
@@ -280,11 +278,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("bench", help="time offline linking against a modeled online backend")
+    p = sub.add_parser("bench", help="time offline linking against a modeled online backend",
+                       parents=[linking])
     p.add_argument("--mentions", required=True, help="one mention per line")
-    p.add_argument("--index", required=True)
-    p.add_argument("--closure", required=True)
-    p.add_argument("--config", required=True)
     p.add_argument("--online-latency", default="12,18",
                    help="online candidate,type stage latencies in seconds")
     p.add_argument("--projection", help="tables,cells_per_table: project corpus "

@@ -17,7 +17,6 @@ from pathlib import Path
 from .errors import ParseError
 from .kb import (
     EntityId,
-    ItemRecord,
     TypeEdge,
     ValidatedConfig,
     _id_parser,
@@ -127,11 +126,6 @@ def build_closure(edges: Iterable[TypeEdge],
         seen.discard(node)
         ancestors[node] = frozenset(seen)
     return TypeClosure(ancestors, tuple(rejected))
-
-
-def has_type(record: ItemRecord, type_id: EntityId, closure: TypeClosure) -> bool:
-    """True iff type_id is a direct type of the record or an ancestor of one."""
-    return type_id in closure.types_of(record.direct_types)
 
 
 def write_closure(path: str | Path, closure: TypeClosure) -> int:

@@ -150,6 +150,16 @@ class LinkResult(NamedTuple):
     diagnostics: Diagnostics = Diagnostics()
 
 
+def _ranked(entries: list, mention: str, mode: str, retrieved: int,
+            rejected_bad: int) -> LinkResult:
+    """Rank entries stably by key, then NIL if the head is below threshold."""
+    if len(entries) > 1:
+        entries.sort(key=_SORT_KEY)
+    chosen = entries[0][2] if entries and not entries[0][1] else None
+    return LinkResult(mention, mode, chosen, tuple(map(_SCORED, entries)),
+                      Diagnostics(retrieved, rejected_bad, sum(map(_BELOW, entries))))
+
+
 def link_from_candidates(mention: str,
                          raw_candidates: list[RawCandidate],
                          mode: str,
@@ -211,15 +221,25 @@ def link_from_candidates(mention: str,
             entry = memo[cand] = (scored_sort_key(c),
                                   c.final_score < params.min_link_score, c)
         entries.append(entry)
+    return _ranked(entries,
+                   normalize(mention) if normalized is None else normalized,
+                   mode, len(raw_candidates), len(raw_candidates) - len(survivors))
 
-    if len(entries) > 1:
-        entries.sort(key=_SORT_KEY)
-    chosen = entries[0][2] if entries and not entries[0][1] else None
-    return LinkResult(normalize(mention) if normalized is None else normalized,
-                      mode, chosen, tuple(map(_SCORED, entries)),
-                      Diagnostics(len(raw_candidates),
-                                  len(raw_candidates) - len(survivors),
-                                  sum(map(_BELOW, entries))))
+
+def boost(result: LinkResult, hit: Callable[[ScoredCandidate], bool],
+          amount: float, min_link_score: float) -> LinkResult:
+    """result with amount added to the boosts of the candidates hit accepts,
+    ranked again; result itself when hit accepts none."""
+    hits = list(map(hit, result.candidates))
+    if not any(hits):
+        return result
+    entries = []
+    for c, h in zip(result.candidates, hits):
+        if h:
+            c = new_scored((*c[:9], b := c.boosts + amount, c.weighted_base,
+                            c.weighted_base + b))
+        entries.append((scored_sort_key(c), c.final_score < min_link_score, c))
+    return _ranked(entries, result.mention, result.mode, *result.diagnostics[:2])
 
 
 def link(mention: str,

@@ -21,7 +21,7 @@ from pathlib import Path
 from .evalbench import GoldRecord, write_gold
 from .ingest import ingest_dump
 from .kb import EntityId, dump_json_line, parse_config_obj, save_config, write_json
-from .tables import Table, classify_orientation, table_to_obj
+from .tables import EMPTY_MARKERS, Table, classify_orientation, table_to_obj
 from .text import STOPWORDS
 
 _CONSONANTS = "bdfhjklmprsvwyz"
@@ -34,8 +34,6 @@ MIN_TYPES = 60
 
 WATCH_GOOD = "P50001"
 WATCH_OK = "P50002"
-
-_EMPTY_TOKENS = ("", "-", "–", "N/A")
 
 
 class WordGen:
@@ -457,7 +455,7 @@ class _Builder:
                     break
                 j = rng.choice(plain_cols)
                 r = rng.randrange(n_rows)
-                col_cells[j][r + 1] = rng.choice(_EMPTY_TOKENS)
+                col_cells[j][r + 1] = rng.choice(EMPTY_MARKERS)
                 col_gold[j][r + 1] = None
 
             table_id = f"t{t_i:03d}"

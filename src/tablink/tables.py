@@ -14,7 +14,7 @@ on every way to build one.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from itertools import chain, compress
 from operator import attrgetter
 from pathlib import Path
@@ -38,9 +38,8 @@ from .linker import (
     LinkCache,
     LinkResult,
     ScoredCandidate,
+    boost,
     cached_link,
-    new_scored,
-    scored_sort_key,
 )
 from .text import tokenize
 
@@ -50,6 +49,9 @@ DATE = "DATE"
 SEQUENCE = "SEQUENCE"
 CLINICAL_TRIAL_ID = "CLINICAL_TRIAL_ID"
 EMPTY = "EMPTY"
+
+# The cell strings that mean "no value", matched in any case.
+EMPTY_MARKERS = ("", "-", "–", "N/A")
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -70,7 +72,7 @@ def detect_literal(cell: str) -> str | None:
     entity linker. The kinds are tried in a fixed order and the first hit
     wins, so e.g. a bare year is a NUMBER, never a DATE."""
     s = cell.strip()
-    if s in ("", "-", "–") or s.upper() == "N/A":
+    if s.upper() in EMPTY_MARKERS:
         return EMPTY
     m = _LITERAL_RE.fullmatch(s)
     return m and m.lastgroup
@@ -316,24 +318,6 @@ def read_annotation(path: str | Path) -> TableAnnotation:
     return read_json(path, annotation_from_obj)
 
 
-def _boost(result: LinkResult, hit: Callable[[ScoredCandidate], bool],
-           boost: float, min_link_score: float) -> LinkResult:
-    """result with boost added to every candidate hit accepts, re-ranked and
-    with the NIL threshold re-applied to the new head; result itself when
-    hit accepts none."""
-    hits = list(map(hit, result.candidates))
-    if not any(hits):
-        return result
-    boosted = [new_scored((*c[:9], c.boosts + boost, c.weighted_base,
-                           c.weighted_base + (c.boosts + boost)))
-               if h else c for c, h in zip(result.candidates, hits)]
-    boosted.sort(key=scored_sort_key)
-    head = boosted[0]
-    return result._replace(
-        chosen=head if head.final_score >= min_link_score else None,
-        candidates=tuple(boosted))
-
-
 def link_table(table: Table,
                index: Index,
                closure: TypeClosure,
@@ -347,10 +331,10 @@ def link_table(table: Table,
     that is not a literal (each distinct string is tested once, for the
     orientation too) in cell mode and every header in header mode (context =
     caption plus sibling headers). Pass 2 votes a dominant direct type per
-    column from up to sample_size linked cells, then re-ranks that column's
-    cells and header with the configured boosts and re-applies the NIL
-    threshold. Per-cell linker errors mark the cell NIL and never abort the
-    table.
+    column from up to sample_size linked cells, then boosts that column's
+    cells and header through linker.boost(), which ranks them again with the
+    NIL threshold. Per-cell linker errors mark the cell NIL and never abort
+    the table.
     """
     params = config.params
     orientation, kinds = _orientation(table)
@@ -385,14 +369,14 @@ def link_table(table: Table,
         if dominant is None:
             continue
         for i in linked:
-            results[i, j] = _boost(
+            results[i, j] = boost(
                 results[i, j],
                 lambda c: dominant in closure.types_of(c.record.direct_types),
                 params.column_type_boost, params.min_link_score)
         record = index.get(dominant)
         tokens = frozenset(tokenize(record.label)) if record else frozenset()
         if (0, j) in results and tokens:
-            results[0, j] = _boost(
+            results[0, j] = boost(
                 results[0, j],
                 lambda c: not tokens.isdisjoint(
                     tokenize(c.record.label + " " + c.record.description)),
@@ -410,7 +394,7 @@ def link_table(table: Table,
         if result is None:
             return CellAnnotation(row, col, mention, "nil", None, None, None,
                                   None, (), notes[i, j])
-        candidates = tuple(c.record.id for c in result.candidates)
+        candidates = tuple(map(attrgetter("record.id"), result.candidates))
         chosen = result.chosen
         if chosen is None:
             return CellAnnotation(row, col, mention, "nil", None, None, None,

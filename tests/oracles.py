@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from tablink import EmptyMention, EntityId, ParseError
-from tablink.closure import has_type
 from tablink.linker import (
     BAD,
     CELL,
@@ -449,7 +448,8 @@ def o_link_table(table, index, closure, config, cache=None) -> TableAnnotation:
             continue
         for i in linked:
             results[i, j] = _o_boost(
-                results[i, j], lambda c: has_type(c.record, dominant, closure),
+                results[i, j],
+                lambda c: dominant in closure.types_of(c.record.direct_types),
                 params.column_type_boost, params.min_link_score)
         record = index.get(dominant)
         tokens = frozenset(tokenize(record.label)) if record else frozenset()

@@ -6,10 +6,8 @@ import pytest
 from tablink import (
     ParseError,
     EntityId,
-    ItemRecord,
     TypeEdge,
     build_closure,
-    has_type,
     read_closure,
     write_closure,
 )
@@ -91,17 +89,6 @@ def test_write_read_round_trip(tmp_path):
     assert again.nodes() == closure.nodes()
     for node in closure.nodes():
         assert again.ancestors_of(node) == closure.ancestors_of(node)
-
-
-def test_has_type_direct_and_inherited():
-    closure = build_closure([edge("Q10", "Q20"), edge("Q20", "Q30")])
-    record = ItemRecord(id=q("Q1"), label="x", direct_types=(q("Q10"),))
-    assert has_type(record, q("Q10"), closure)
-    assert has_type(record, q("Q20"), closure)
-    assert has_type(record, q("Q30"), closure)
-    assert not has_type(record, q("Q99"), closure)
-    untyped = ItemRecord(id=q("Q2"), label="y")
-    assert not has_type(untyped, q("Q10"), closure)
 
 
 def test_types_of_is_direct_types_plus_their_ancestors():

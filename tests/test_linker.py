@@ -24,7 +24,15 @@ from tablink import (
     parse_config_obj,
 )
 from tablink.index import RawCandidate, search
-from tablink.linker import LinkCache, ScoredCandidate, cached_link, scored_sort_key
+from tablink.linker import (
+    Diagnostics,
+    LinkCache,
+    LinkResult,
+    ScoredCandidate,
+    boost,
+    cached_link,
+    scored_sort_key,
+)
 
 from fixture_kb import near_miss_fixture, prevalence_fixture, virus_fixture
 from oracles import o_link_from_candidates
@@ -271,6 +279,66 @@ def test_sort_key_tie_breaks():
     assert _head(item_before_property, 0.25).record.id.raw == "Q9"
     assert _head([], 0.25) is None
     assert _head([_hand_candidate("Q1", 0.2, 0)], 0.25) is None
+
+
+def _pass1_result(*candidates, min_link_score=0.25):
+    """A LinkResult as link_from_candidates() returns it for candidates,
+    with 7 retrieved and 2 rejected as BAD."""
+    ranked = tuple(sorted(candidates, key=scored_sort_key))
+    below = sum(c.final_score < min_link_score for c in ranked)
+    return LinkResult("x", "header", _head(ranked, min_link_score), ranked,
+                      Diagnostics(7, 2, below))
+
+
+def _ids(result):
+    return [c.record.id.raw for c in result.candidates]
+
+
+def test_boost_that_hits_no_candidate_returns_the_result_itself():
+    result = _pass1_result(_hand_candidate("Q1", 0.5, 0),
+                           _hand_candidate("Q2", 0.1, 0))
+    assert boost(result, lambda c: False, 0.2, 0.25) is result
+
+
+def test_boost_counts_below_threshold_again():
+    result = _pass1_result(_hand_candidate("Q1", 0.5, 0),
+                           _hand_candidate("Q2", 0.125, 0),
+                           _hand_candidate("Q3", 0.0625, 0))
+    assert result.diagnostics == Diagnostics(7, 2, 2)
+    boosted = boost(result, lambda c: c.record.id.raw == "Q2", 0.25, 0.25)
+    assert boosted.diagnostics == Diagnostics(7, 2, 1)
+    assert (boosted.mention, boosted.mode) == ("x", "header")
+    assert boosted.chosen.record.id.raw == "Q1"
+    q2 = boosted.candidates[1]
+    assert (q2.record.id.raw, q2.boosts, q2.weighted_base, q2.final_score) \
+        == ("Q2", 0.25, 0.125, 0.375)
+
+
+def test_boost_lifting_the_head_over_min_link_score_chooses_it():
+    result = _pass1_result(_hand_candidate("Q1", 0.2, 0),
+                           _hand_candidate("Q2", 0.125, 0))
+    assert result.chosen is None
+    boosted = boost(result, lambda c: c.record.id.raw == "Q2", 0.25, 0.25)
+    assert _ids(boosted) == ["Q2", "Q1"]
+    assert boosted.chosen is boosted.candidates[0]
+    assert boosted.chosen.final_score == 0.375
+    assert boosted.diagnostics == Diagnostics(7, 2, 1)
+    # Boosted below min_link_score, the head stays NIL.
+    assert boost(result, lambda c: True, 0.03125, 0.25).chosen is None
+
+
+def test_boost_keeps_exact_ties_in_sort_key_order():
+    # Q9 and P1 are boosted from 0.25 to exactly the 0.5 of the others.
+    result = _pass1_result(_hand_candidate("Q8", 0.5, 3),
+                           _hand_candidate("Q2", 0.5, 3),
+                           _hand_candidate("Q5", 0.5, 9),
+                           _hand_candidate("Q9", 0.25, 3),
+                           _hand_candidate("P1", 0.25, 3))
+    boosted = boost(result, lambda c: c.final_score == 0.25, 0.25, 0.25)
+    assert {c.final_score for c in boosted.candidates} == {0.5}
+    assert _ids(boosted) == ["Q5", "Q2", "Q8", "Q9", "P1"]
+    assert list(boosted.candidates) == sorted(boosted.candidates,
+                                              key=scored_sort_key)
 
 
 def test_virus_disambiguation():

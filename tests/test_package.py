@@ -20,7 +20,7 @@ PUBLIC = """
     TypeEdge UnresolvedTypeName ValidatedConfig Weights __version__ bench
     build_closure cached_link classify_orientation classify_type_tier
     column_type_vote context_similarity detect_literal evaluate
-    generate_synthetic_kb has_type infer_domain_types ingest_dump link
+    generate_synthetic_kb infer_domain_types ingest_dump link
     link_from_candidates link_table load_config load_index normalize
     parse_config_obj parse_entity_doc project_corpus_days read_annotation
     read_closure read_edges read_gold read_records read_table read_table_csv

@@ -409,6 +409,26 @@ def test_pass2_rescues_below_threshold_cells():
     assert header.final_score == pytest.approx(0.54)
 
 
+def test_pass2_counts_a_boosted_result_below_threshold_again(monkeypatch):
+    index, closure, _, table = _lineage_setup()
+    config = _strict_config(0.5)
+    pairs = []
+
+    def boost(result, *args):
+        pairs.append((result, tablink.linker.boost(result, *args)))
+        return pairs[-1][1]
+
+    monkeypatch.setattr(tablink.tables, "boost", boost)
+    link_table(table, index, closure, config)
+    rescued = 0
+    for before, after in pairs:
+        assert after.diagnostics == before.diagnostics._replace(
+            below_threshold=sum(c.final_score < 0.5 for c in after.candidates))
+        rescued += before.chosen is None and after.chosen is not None
+    # The three variant cells and the header, as in the test above.
+    assert rescued == 4
+
+
 def test_link_table_vertical_coordinates():
     index, closure, config, _ = _lineage_setup()
     table = Table("v", "circulating variants",
