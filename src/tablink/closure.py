@@ -18,7 +18,6 @@ from .errors import ParseError
 from .kb import (
     EntityId,
     TypeEdge,
-    ValidatedConfig,
     _id_parser,
     decode_lines,
 )
@@ -29,7 +28,7 @@ _NO_IDS: frozenset[EntityId] = frozenset()
 class TypeClosure:
     """Immutable ancestor map. Self is excluded even inside cycles; members
     of a cycle are mutual ancestors. No cross-kind ancestry by construction.
-    It keeps its types_of() answers and the linker's tier_memo() tables."""
+    It keeps its types_of() answers, and memo holds the linker's tables."""
 
     def __init__(self, ancestors: Mapping[EntityId, frozenset[EntityId]],
                  rejected_edges: tuple[TypeEdge, ...] = ()):
@@ -37,7 +36,7 @@ class TypeClosure:
         self.rejected_edges = rejected_edges
         # types_of() answers, by direct-types tuple.
         self._types: dict[tuple[EntityId, ...], frozenset[EntityId]] = {}
-        self._tiers: dict[tuple[str, tuple[str, ...]], tuple[dict, dict]] = {}
+        self.memo: dict = {}
 
     def __contains__(self, type_id: EntityId) -> bool:
         return type_id in self._ancestors
@@ -61,14 +60,6 @@ class TypeClosure:
                 *[self._ancestors.get(t, ()) for t in direct_types])
             self._types[direct_types] = types
         return types
-
-    def tier_memo(self, config: ValidatedConfig,
-                  expected: tuple[str, ...]) -> tuple[dict, dict]:
-        """The linker's tables per sorted expected types and config
-        content_hash (equal configs share them): (type tier, inferred names,
-        tier score) by (direct_types, flagged_props), and the context-free
-        ranking entries by (pool sitelinks maximum, mode), then RawCandidate."""
-        return self._tiers.setdefault((config.content_hash, expected), ({}, {}))
 
     def lines(self) -> Iterator[str]:
         """Canonical text form, one line per node: the node id, then its

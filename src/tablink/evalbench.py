@@ -29,7 +29,7 @@ from .kb import (
     write_jsonl,
 )
 from .linker import CELL, link_from_candidates
-from .tables import TableAnnotation
+from .tables import CellAnnotation, TableAnnotation
 
 log = logging.getLogger(__name__)
 
@@ -111,14 +111,11 @@ def evaluate(annotations: Iterable[TableAnnotation],
     Two annotations of one table are refused: which one to score is not
     defined.
     """
-    by_coord: dict[tuple[str, int, int], object] = {}
-    tables: set[str] = set()
+    by_table: dict[str, dict[tuple[int, int], CellAnnotation]] = {}
     for ann in annotations:
-        if ann.table_id in tables:
+        if ann.table_id in by_table:
             raise GoldMismatch(f"two annotations of table {ann.table_id!r}")
-        tables.add(ann.table_id)
-        for cell in ann.headers + ann.cells:
-            by_coord[(ann.table_id, cell.row, cell.col)] = cell
+        by_table[ann.table_id] = ann.by_coord()
 
     seen: set[tuple[str, int, int]] = set()
     per_table: dict[str, TableScore] = {}
@@ -127,7 +124,7 @@ def evaluate(annotations: Iterable[TableAnnotation],
         if key in seen:
             raise GoldMismatch(f"duplicate gold coordinate {key}")
         seen.add(key)
-        cell = by_coord.get(key)
+        cell = by_table.get(g.table_id, {}).get((g.row, g.col))
         if cell is None:
             raise GoldMismatch(f"gold coordinate {key} absent from annotations")
         if g.expected is None:

@@ -298,7 +298,7 @@ def search(index: Index, mention: str, k: int, *,
     """
     norm = normalize(mention) if normalized is None else normalized
     tokens = split_tokens(norm)
-    if not norm or not tokens:
+    if not tokens:
         raise EmptyMention(f"mention {mention!r} normalizes to nothing linkable")
 
     if k < 1:

@@ -432,12 +432,12 @@ class ValidatedConfig(Checked, _ConfigFields, args=6):
     comes from the expected types through resolve_names() and NEAR_MISS
     from near_miss_ids.
 
-    The first six fields are the configuration. Construction resolves its
-    type names, refuses an id under bad and a positive tier and
-    renormalizes the weights, in that order, and derives the other fields:
-    the id and name sets, and content_hash, the sha256 of to_obj()'s
-    canonical JSON. They are not arguments, so a copy never keeps a stale
-    hash.
+    The first six fields are the configuration. Construction refuses
+    property ids as types and item ids as rules' if_property, resolves its
+    type names, refuses an id under bad and a positive tier, renormalizes
+    the weights, in that order, and derives the other fields: the id and
+    name sets, and content_hash, the sha256 of to_obj()'s canonical JSON.
+    They are not arguments, so a copy never keeps a stale hash.
     """
 
     __slots__ = ()
@@ -454,6 +454,15 @@ class ValidatedConfig(Checked, _ConfigFields, args=6):
                         f"{where} references unknown type name {name!r}")
             return frozenset().union(*(type_dictionary[name] for name in names))
 
+        for name, type_ids in type_dictionary.items():
+            for i in type_ids:
+                if not i.is_item:
+                    raise ConfigError(f"type_dictionary[{name!r}]: {i} is not an item id")
+        property_inference = tuple(property_inference)
+        for rule in property_inference:
+            if not rule.if_property.is_property:
+                raise ConfigError(f"property_inference.if_property "
+                                  f"{rule.if_property} is not a property id")
         # The near-miss map's keys and the rules' type names are resolved
         # only to refuse unknown names.
         ids = {tier: resolve(tiers.get(tier, ()), f"tiers.{tier}")
@@ -461,7 +470,6 @@ class ValidatedConfig(Checked, _ConfigFields, args=6):
         resolve(near_miss_map, "near_miss_map")
         near_miss_ids = {name: resolve(vals, f"near_miss_map[{name!r}]")
                          for name, vals in near_miss_map.items()}
-        property_inference = tuple(property_inference)
         for rule in property_inference:
             resolve([rule.then_type_name],
                     f"property_inference rule for {rule.if_property}")
@@ -610,10 +618,10 @@ def parse_config_obj(obj: Mapping) -> ValidatedConfig:
     """Strictly parse and validate the external config document.
 
     Unknown keys are rejected everywhere; missing sections fall back to
-    empty/default values. Every structural check runs first, then type
-    names are resolved, then the bad tier is checked against the positive
-    ones, and last the weights are renormalized; the last three are
-    ValidatedConfig's own checks.
+    empty/default values. Every structural check runs first, then the id
+    kinds are checked, then type names are resolved, then the bad tier is
+    checked against the positive ones, and last the weights are
+    renormalized; the last four are ValidatedConfig's own checks.
     """
     _require_keys(obj, ("type_dictionary", "tiers", "near_miss_map",
                         "property_inference", "weights", "params"),
@@ -623,10 +631,7 @@ def parse_config_obj(obj: Mapping) -> ValidatedConfig:
     for name, raws in _section(obj, "type_dictionary").items():
         if not isinstance(raws, list):
             raise ConfigError(f"type_dictionary[{name!r}] must be a list of ids")
-        type_dictionary[str(name)] = type_ids = parse_id_list(raws)
-        for i in type_ids:
-            if not i.is_item:
-                raise ConfigError(f"type_dictionary[{name!r}]: {i} is not an item id")
+        type_dictionary[str(name)] = parse_id_list(raws)
 
     tiers_obj = _section(obj, "tiers")
     _require_keys(tiers_obj, TIER_NAMES, "tiers")
@@ -641,8 +646,6 @@ def parse_config_obj(obj: Mapping) -> ValidatedConfig:
         if "if_property" not in entry or "then_type_name" not in entry:
             raise ConfigError("property_inference rule needs if_property and then_type_name")
         pid = EntityId.parse(entry["if_property"])
-        if not pid.is_property:
-            raise ConfigError(f"property_inference.if_property {pid} is not a property id")
         if not isinstance(entry["then_type_name"], str):
             raise ConfigError("property_inference.then_type_name must be a type name")
         rules.append(InferenceRule(pid, entry["then_type_name"]))

@@ -73,7 +73,7 @@ def classify_type_tier(record: ItemRecord,
     BAD is absolute and tested first. TARGET/NEAR_MISS need expected_types;
     GOOD and OK match either the tier's ids or an inferred domain type name
     listed in that tier; inferred, when given, is infer_domain_types()'s.
-    The linker calls it once per TypeClosure.tier_memo() entry, not per hit.
+    link_from_candidates() calls it once per memo entry, not per hit.
     """
     types = closure.types_of(record.direct_types)
     if not types.isdisjoint(config.bad_ids):
@@ -171,14 +171,17 @@ def link_from_candidates(mention: str,
     """Score an already-retrieved candidate list and select the link.
 
     Split out from link() so the benchmark can time the ranking phase on its
-    own. Through closure.tier_memo(config, expected types), a candidate's
-    type tier is classified once per (direct_types, flagged_props) and, with
-    no context tokens, its ScoredCandidate made once per (pool sitelinks
-    maximum, mode, RawCandidate, its record compared by value). Ranking is a
-    stable sort by scored_sort_key, whose keys the memo holds.
+    own. closure.memo keeps its tables per (config content_hash, sorted
+    expected types), which equal configs share: (type tier, inferred names,
+    tier score) by (direct_types, flagged_props), and context-free ranking
+    entries by (pool sitelinks maximum, mode), then RawCandidate, its record
+    compared by value. Ranking is a stable sort by scored_sort_key.
     """
     expected = tuple(sorted(set(expected_types))) if expected_types else ()
-    tiers, scored = closure.tier_memo(config, expected)
+    memo_key = (config.content_hash, expected)
+    if (tables := closure.memo.get(memo_key)) is None:
+        tables = closure.memo[memo_key] = ({}, {})
+    tiers, scored = tables
     survivors, s_max = [], 0
     for cand in raw_candidates:
         record = cand[0]
@@ -198,8 +201,10 @@ def link_from_candidates(mention: str,
     # 0.0 + keeps a configured -0.0 boost at 0.0.
     header_boost = 0.0 + params.header_property_boost if mode == HEADER else 0.0
     ctx_tokens = tokenize(context) if context and survivors else None
-    # Entries scored against a context live for this call only.
-    memo = {} if ctx_tokens else scored.setdefault((s_max, mode), {})
+    if ctx_tokens:
+        memo = {}  # entries scored against a context live for this call only
+    elif (memo := scored.get((s_max, mode))) is None:
+        memo = scored[s_max, mode] = {}
     entries = []
     for cand in survivors:
         if (entry := memo.get(cand)) is None:

@@ -94,9 +94,13 @@ class Table(Checked, _TableFields):
                 rows: Iterable[Iterable[str]]):
         header_row = tuple(header_row)
         rows = tuple(map(tuple, rows))
+        if not all(isinstance(h, str) for h in header_row):
+            raise TypeError("headers must be a list of strings")
         if not header_row:
             raise ValueError(f"table {table_id}: empty header row")
         for i, row in enumerate(rows):
+            if not all(isinstance(c, str) for c in row):
+                raise TypeError(f"row {i} must be a list of strings")
             if len(row) != len(header_row):
                 raise ValueError(
                     f"table {table_id}: row {i} has {len(row)} cells, "
@@ -110,8 +114,8 @@ def table_to_obj(table: Table) -> dict:
             "rows": [list(r) for r in table.rows]}
 
 
-def _strings(value, what: str) -> list[str]:
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+def _strings(value, what: str) -> list:
+    if not isinstance(value, list):
         raise TypeError(f"{what} must be a list of strings")
     return value
 
@@ -129,11 +133,10 @@ def read_table(path: str | Path) -> Table:
     return read_json(path, table_from_obj)
 
 
-def read_table_csv(path: str | Path, has_header: bool = True,
-                   table_id: str | None = None) -> Table:
-    """A file that is not UTF-8 CSV, that is empty, or whose header row is
-    blank raises ParseError naming the file. A leading byte-order mark is
-    dropped."""
+def read_table_csv(path: str | Path, has_header: bool = True) -> Table:
+    """The table in a CSV file, with the file's stem as its id. A file that
+    is not UTF-8 CSV, that is empty, or whose header row is blank raises
+    ParseError naming the file. A leading byte-order mark is dropped."""
     import csv
 
     try:
@@ -149,7 +152,7 @@ def read_table_csv(path: str | Path, has_header: bool = True,
             header, rows = grid[0], grid[1:]
         else:
             header, rows = tuple(f"col{i}" for i in range(width)), grid
-        return Table(table_id or Path(path).stem, "", header, tuple(rows))
+        return Table(Path(path).stem, "", header, tuple(rows))
     except (csv.Error, ValueError) as exc:
         raise ParseError(f"{path}: bad document "
                          f"({type(exc).__name__}: {exc})") from exc
@@ -197,7 +200,7 @@ def column_type_vote(candidate_sets: list[tuple[ScoredCandidate, ...]],
             score = cand.final_score
             for t in cand.record.direct_types:
                 weights[t] = weights.get(t, 0.0) + score
-    if not weights or not candidate_sets:
+    if not weights:
         return None
     # The lowest id among the types whose weight equals the largest.
     top = max(weights.values())

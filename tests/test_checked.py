@@ -4,11 +4,18 @@ trip all refuse an invalid value and derive the derived fields again."""
 
 import copy
 import pickle
+import re
 
 import pytest
 
 from tablink import ConfigError, EntityId, ItemRecord, UnresolvedTypeName
-from tablink.kb import Checked, Params, ValidatedConfig, parse_config_obj
+from tablink.kb import (
+    Checked,
+    InferenceRule,
+    Params,
+    ValidatedConfig,
+    parse_config_obj,
+)
 from tablink.tables import Table
 
 q = EntityId.parse
@@ -18,26 +25,40 @@ CONFIG = parse_config_obj({
     "tiers": {"good": ["virus"], "bad": ["place"]},
 })
 
-# type -> (a valid instance, a valid change, an invalid change, the error
-# and message the invalid change raises).
+# type -> (a valid instance, a valid change).
 CASES = {
-    ItemRecord: (
-        ItemRecord(q("Q1"), "Alpha", ("alpha", "Beta")),
-        ("label", "Gamma"),
-        ("label", "   "), ValueError, "label must be non-empty"),
-    Params: (
-        Params(),
-        ("k", 7),
-        ("k", 0), ConfigError, "params.k must be >= 1"),
+    ItemRecord: (ItemRecord(q("Q1"), "Alpha", ("alpha", "Beta")),
+                 ("label", "Gamma")),
+    Params: (Params(), ("k", 7)),
     ValidatedConfig: (
         CONFIG,
-        ("type_dictionary", {"virus": (q("Q10"), q("Q11")), "place": (q("Q20"),)}),
-        ("tiers", {"good": ("nowhere",)}), UnresolvedTypeName,
+        ("type_dictionary", {"virus": (q("Q10"), q("Q11")), "place": (q("Q20"),)})),
+    Table: (Table("t1", "caption", ("a", "b"), (("1", "2"),)),
+            ("caption", "other")),
+}
+
+# id -> (type, an invalid change to its CASES instance, the error and
+# message that change raises).
+INVALID = {
+    "record-blank-label": (ItemRecord, ("label", "   "), ValueError,
+                           "label must be non-empty"),
+    "params-k": (Params, ("k", 0), ConfigError, "params.k must be >= 1"),
+    "config-unknown-name": (
+        ValidatedConfig, ("tiers", {"good": ("nowhere",)}), UnresolvedTypeName,
         "tiers.good references unknown type name 'nowhere'"),
-    Table: (
-        Table("t1", "caption", ("a", "b"), (("1", "2"),)),
-        ("caption", "other"),
-        ("rows", (("1",),)), ValueError, "row 0 has 1 cells, header has 2"),
+    "config-property-type-id": (
+        ValidatedConfig,
+        ("type_dictionary", {"virus": (q("Q10"), q("P31")), "place": (q("Q20"),)}),
+        ConfigError, "type_dictionary['virus']: P31 is not an item id"),
+    "config-item-if-property": (
+        ValidatedConfig, ("property_inference", (InferenceRule(q("Q31"), "virus"),)),
+        ConfigError, "property_inference.if_property Q31 is not a property id"),
+    "table-short-row": (Table, ("rows", (("1",),)), ValueError,
+                        "row 0 has 1 cells, header has 2"),
+    "table-numeric-header": (Table, ("header_row", ("a", 5)), TypeError,
+                             "headers must be a list of strings"),
+    "table-numeric-cell": (Table, ("rows", (("1", 2),)), TypeError,
+                           "row 0 must be a list of strings"),
 }
 
 COPIES = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
@@ -52,7 +73,8 @@ def _unchecked(cls, fields):
                                        key=lambda c: c.__name__))
 def test_every_way_to_build_runs_the_check(cls):
     assert set(Checked.__subclasses__()) == set(CASES)
-    good, (name, value), (bad_name, bad_value), error, message = CASES[cls]
+    assert {c for c, *_ in INVALID.values()} == set(CASES)
+    good, (name, value) = CASES[cls]
     n = cls._args
     derived = cls._fields[n:]
     args = good[:n]
@@ -75,7 +97,16 @@ def test_every_way_to_build_runs_the_check(cls):
         with pytest.raises(ValueError, match=f"derived field.* {field} "):
             good._replace(**{field: getattr(good, field)})
 
-    # An invalid argument is refused by every way to build one.
+    with pytest.raises(TypeError, match="Expected"):
+        cls._make(tuple(good)[:-1])
+
+
+@pytest.mark.parametrize("case", sorted(INVALID))
+def test_every_way_to_build_refuses_an_invalid_value(case):
+    cls, (bad_name, bad_value), error, message = INVALID[case]
+    good = CASES[cls][0]
+    n = cls._args
+    message = re.escape(message)
     bad_fields = tuple(bad_value if f == bad_name else v
                        for f, v in zip(cls._fields, good))
     bad = _unchecked(cls, bad_fields)
@@ -88,6 +119,3 @@ def test_every_way_to_build_runs_the_check(cls):
     for make_copy in COPIES:
         with pytest.raises(error, match=message):
             make_copy(bad)
-
-    with pytest.raises(TypeError, match="Expected"):
-        cls._make(tuple(good)[:-1])

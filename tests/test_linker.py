@@ -447,11 +447,9 @@ def test_tier_memo_keeps_configs_expected_types_and_closures_apart():
     cases = [(MEMO_CFG, None), (twin, None), (second, None), (copy, None),
              (MEMO_CFG, ["target-type"]), (MEMO_CFG, ["miss-type"])]
     shared = closure_a()
-    # One table per content_hash: an equal copy shares the original's.
-    assert shared.tier_memo(copy, ()) is shared.tier_memo(MEMO_CFG, ())
-    assert len({id(shared.tier_memo(c, ())) for c in (MEMO_CFG, twin, second)}) == 3
+    assert shared.memo == {}
     seen = []
-    for _ in range(2):
+    for pass_number in range(2):
         for config, expected in cases:
             got = link("alpha", "cell", index, shared, config,
                        expected_types=expected)
@@ -459,15 +457,33 @@ def test_tier_memo_keeps_configs_expected_types_and_closures_apart():
                         expected_types=expected)
             assert got == want
             seen.append(got)
+        if pass_number == 0:
+            first_tables = dict(shared.memo)
+    # The linker keeps its tables by (content_hash, sorted expected types):
+    # an equal copy shares the original's, the _replace twin and the second
+    # config each get their own, and a repeat finds the same tables.
+    assert shared.memo.keys() == {
+        (MEMO_CFG.content_hash, ()), (twin.content_hash, ()),
+        (second.content_hash, ()), (MEMO_CFG.content_hash, ("target-type",)),
+        (MEMO_CFG.content_hash, ("miss-type",))}
+    assert copy.content_hash == MEMO_CFG.content_hash
+    assert len({id(shared.memo[c.content_hash, ()])
+                for c in (MEMO_CFG, twin, second)}) == 3
+    assert all(shared.memo[key] is tables
+               for key, tables in first_tables.items())
     tiers = [{c.record.id.raw: c.type_tier for c in r.candidates}
              for r in seen[:len(cases)]]
     assert tiers[0] != tiers[1] != tiers[2] != tiers[0] == tiers[3]
     assert tiers[4]["Q1"] == "TARGET" and tiers[5]["Q1"] == "NEAR_MISS"
 
     other = closure_b()
+    assert other.memo == {}
     got = link("alpha", "cell", index, other, MEMO_CFG)
     assert got == link("alpha", "cell", index, closure_b(), MEMO_CFG)
     assert got != seen[0]
+    key = (MEMO_CFG.content_hash, ())
+    assert other.memo.keys() == {key}
+    assert other.memo[key] is not shared.memo[key]
 
 
 def test_configs_loaded_twice_from_one_file_share_one_tier_table(tmp_path):
@@ -486,9 +502,9 @@ def test_configs_loaded_twice_from_one_file_share_one_tier_table(tmp_path):
         fresh = link("alpha", "cell", index, build_closure(edges), again,
                      expected_types=expected)
         assert got == [fresh, fresh]
-        key = tuple(expected or ())
-        assert shared.tier_memo(first, key) is shared.tier_memo(again, key)
-    assert len(shared._tiers) == 2
+    # Both loads key one table per expected types.
+    assert shared.memo.keys() == {(first.content_hash, ()),
+                                  (again.content_hash, ("target-type",))}
 
 
 def test_a_config_copy_gets_its_own_hash_and_cached_links():

@@ -187,8 +187,8 @@ def test_read_table_csv(tmp_path):
     assert table.header_row == ("Name", "Count")
     assert table.rows == (("alpha", "1"), ("beta", ""))  # short row padded
 
-    headerless = read_table_csv(path, has_header=False, table_id="t1")
-    assert headerless.table_id == "t1"
+    headerless = read_table_csv(path, has_header=False)
+    assert headerless.table_id == "grid"
     assert headerless.header_row == ("col0", "col1")
     assert len(headerless.rows) == 3
 
@@ -203,8 +203,8 @@ def test_read_table_csv_drops_a_byte_order_mark(tmp_path):
     plain.write_bytes(b"Name,Count\nalpha,1\n")
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     for has_header in (True, False):
-        assert (read_table_csv(marked, has_header, "t")
-                == read_table_csv(plain, has_header, "t"))
+        assert (read_table_csv(marked, has_header)[1:]
+                == read_table_csv(plain, has_header)[1:])
     assert read_table_csv(marked).header_row == ("Name", "Count")
 
 
