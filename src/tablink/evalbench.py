@@ -30,6 +30,7 @@ from .kb import (
 )
 from .linker import CELL, link_from_candidates
 from .tables import CellAnnotation, TableAnnotation
+from .text import normalize
 
 log = logging.getLogger(__name__)
 
@@ -205,13 +206,15 @@ def bench(mentions: Iterable[str],
         if not mention.strip():
             continue
         t0 = time.perf_counter()
+        norm = normalize(mention)
         try:
-            raw = search(index, mention, config.params.k)
+            raw = search(index, mention, config.params.k, normalized=norm)
         except EmptyMention:
             skipped += 1
             continue
         t1 = time.perf_counter()
-        link_from_candidates(mention, raw, CELL, None, None, closure, config)
+        link_from_candidates(mention, raw, CELL, None, None, closure, config,
+                             normalized=norm)
         t2 = time.perf_counter()
         cand_times.append(t1 - t0)
         type_times.append(t2 - t1)

@@ -228,7 +228,8 @@ class Index:
             try:
                 fields = marshal.loads(data)
                 if tuple(map(type, fields)) != _ROW_TYPES or not all(
-                        type(n) is int for n in fields[3] + fields[5]):
+                        type(n) is int and n >= 0
+                        for n in fields[3] + fields[5]):
                     raise TypeError("not a row")
                 label, aliases, description, types, sitelinks, flagged = fields
                 record = ItemRecord(

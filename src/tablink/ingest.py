@@ -117,7 +117,7 @@ def parse_entity_doc(doc: Mapping,
         alias_entries = typed_field(doc.get("aliases") or {}, "en", list, default=())
         aliases = tuple(a["value"] for a in alias_entries if a.get("value"))
         desc_entry = typed_field(doc.get("descriptions") or {}, "en", dict, default={})
-        description = typed_field(desc_entry, "value", str, default="")
+        description = desc_entry.get("value", "")
 
         direct_types = tuple(_claim_targets(claims["P31"], "item")) if "P31" in claims else ()
         # A watched property's statements are checked as P31's are.

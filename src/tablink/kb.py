@@ -91,6 +91,16 @@ def item_types(ids: Iterable[EntityId]) -> tuple[EntityId, ...]:
     return types
 
 
+def must_be(value, name: str, *types: type):
+    """value, refused with TypeError unless its type is one of types (a
+    bool is no int): the one wording of a field of the wrong type."""
+    if type(value) not in types:
+        raise TypeError(f"{name} must be "
+                        f"{' or '.join(t.__name__ for t in types)}, "
+                        f"not {type(value).__name__}")
+    return value
+
+
 class Checked:
     """Base of a named tuple whose __new__ checks it: _make, _replace, copy
     and pickle all build through that __new__. A subclass lists Checked
@@ -135,9 +145,10 @@ class _ItemRecordFields(NamedTuple):
 class ItemRecord(Checked, _ItemRecordFields, args=7):
     """One knowledge-base entity (item or property) as kept by the index.
 
-    Construction enforces the record invariants: the label is non-empty,
-    aliases are deduplicated by normalized form and never repeat the label,
-    direct types are item ids, flagged props are property ids.
+    Construction checks that the id is an EntityId, the label a non-empty
+    str, the description a str and the sitelinks count a non-negative int;
+    it dedupes aliases by normalized form, never repeating the label, and
+    checks that direct types are item ids and flagged props property ids.
 
     surfaces is the normalized label, then each kept alias's normalized
     form: what the alias dedupe computes and the index is built from. It is
@@ -151,7 +162,11 @@ class ItemRecord(Checked, _ItemRecordFields, args=7):
                 direct_types: Iterable[EntityId] = (),
                 sitelinks_count: int = 0,
                 flagged_props: Iterable[EntityId] = frozenset()):
-        label_norm = label and normalize(label)
+        must_be(id, "id", EntityId)
+        must_be(label, "label", str)
+        must_be(description, "description", str)
+        must_be(sitelinks_count, "sitelinks_count", int)
+        label_norm = normalize(label)
         if not label_norm:
             raise ValueError(f"{id}: record label must be non-empty")
         if sitelinks_count < 0:
@@ -187,36 +202,32 @@ _REQUIRED = object()
 
 
 def typed_field(obj: Mapping, name: str, *types: type, default=_REQUIRED):
-    """obj[name], refused with TypeError unless its JSON type is one of
-    types; a bool is never a number. An absent name gives default, or a
-    KeyError when there is none."""
+    """obj[name], refused as must_be() refuses it unless its JSON type is
+    one of types. An absent name gives default, or a KeyError when there is
+    none."""
     value = obj.get(name, _REQUIRED)
     if value is _REQUIRED:
         if default is _REQUIRED:
             raise KeyError(name)
         return default
-    if type(value) not in types:
-        raise TypeError(f"{name} must be "
-                        f"{' or '.join(t.__name__ for t in types)}, "
-                        f"not {type(value).__name__}")
-    return value
+    return must_be(value, name, *types)
 
 
 def record_from_obj(obj: Mapping,
                     parse_id: Callable[[str], EntityId] = EntityId.parse,
                     ) -> ItemRecord:
-    """A field of the wrong JSON type is refused, never coerced; list
-    elements are checked by normalize() and parse_id(), EntityId.parse or
-    one that gives the same ids."""
+    """A field of the wrong JSON type is refused, never coerced: a list
+    here, a scalar by ItemRecord; list elements are checked by normalize()
+    and parse_id(), EntityId.parse or one that gives the same ids."""
     return ItemRecord(
         id=EntityId.parse(obj["id"]),
-        label=typed_field(obj, "label", str),
+        label=obj["label"],
         aliases=tuple(typed_field(obj, "aliases", list, default=())),
-        description=typed_field(obj, "description", str, default=""),
+        description=obj.get("description", ""),
         # ItemRecord refuses a direct type that is not an item id.
         direct_types=tuple(map(parse_id, typed_field(
             obj, "direct_types", list, default=()))),
-        sitelinks_count=typed_field(obj, "sitelinks_count", int, default=0),
+        sitelinks_count=obj.get("sitelinks_count", 0),
         flagged_props=frozenset(map(parse_id, typed_field(
             obj, "flagged_props", list, default=()))),
     )
@@ -432,12 +443,13 @@ class ValidatedConfig(Checked, _ConfigFields, args=6):
     comes from the expected types through resolve_names() and NEAR_MISS
     from near_miss_ids.
 
-    The first six fields are the configuration. Construction refuses
-    property ids as types and item ids as rules' if_property, resolves its
-    type names, refuses an id under bad and a positive tier, renormalizes
-    the weights, in that order, and derives the other fields: the id and
-    name sets, and content_hash, the sha256 of to_obj()'s canonical JSON.
-    They are not arguments, so a copy never keeps a stale hash.
+    The first six fields are the configuration. Construction refuses tier
+    names but good, ok and bad, property ids as types and item ids as
+    rules' if_property, resolves its type names, refuses an id under bad
+    and a positive tier, renormalizes the weights, in that order, and
+    derives the other fields: tiers under exactly the three names, the id
+    and name sets, and content_hash, the sha256 of to_obj()'s canonical
+    JSON. They are not arguments, so a copy never keeps a stale hash.
     """
 
     __slots__ = ()
@@ -454,6 +466,8 @@ class ValidatedConfig(Checked, _ConfigFields, args=6):
                         f"{where} references unknown type name {name!r}")
             return frozenset().union(*(type_dictionary[name] for name in names))
 
+        _require_keys(tiers, TIER_NAMES, "tiers")
+        tiers = {tier: tuple(tiers.get(tier, ())) for tier in TIER_NAMES}
         for name, type_ids in type_dictionary.items():
             for i in type_ids:
                 if not i.is_item:
@@ -465,8 +479,8 @@ class ValidatedConfig(Checked, _ConfigFields, args=6):
                                   f"{rule.if_property} is not a property id")
         # The near-miss map's keys and the rules' type names are resolved
         # only to refuse unknown names.
-        ids = {tier: resolve(tiers.get(tier, ()), f"tiers.{tier}")
-               for tier in TIER_NAMES}
+        ids = {tier: resolve(names, f"tiers.{tier}")
+               for tier, names in tiers.items()}
         resolve(near_miss_map, "near_miss_map")
         near_miss_ids = {name: resolve(vals, f"near_miss_map[{name!r}]")
                          for name, vals in near_miss_map.items()}
@@ -481,8 +495,8 @@ class ValidatedConfig(Checked, _ConfigFields, args=6):
 
         fields = (type_dictionary, tiers, near_miss_map, property_inference,
                   _renormalized(weights), params, ids["good"], ids["ok"],
-                  ids["bad"], frozenset(tiers.get("good", ())),
-                  frozenset(tiers.get("ok", ())), near_miss_ids)
+                  ids["bad"], frozenset(tiers["good"]),
+                  frozenset(tiers["ok"]), near_miss_ids)
         canonical = json.dumps(tuple.__new__(cls, (*fields, "")).to_obj(),
                                sort_keys=True, separators=(",", ":"))
         return tuple.__new__(cls, (
@@ -505,7 +519,7 @@ class ValidatedConfig(Checked, _ConfigFields, args=6):
                 name: [i.raw for i in sorted(ids)]
                 for name, ids in sorted(self.type_dictionary.items())
             },
-            "tiers": {tier: sorted(self.tiers.get(tier, ())) for tier in TIER_NAMES},
+            "tiers": {tier: sorted(names) for tier, names in self.tiers.items()},
             "near_miss_map": {
                 name: sorted(vals) for name, vals in sorted(self.near_miss_map.items())
             },
@@ -618,10 +632,9 @@ def parse_config_obj(obj: Mapping) -> ValidatedConfig:
     """Strictly parse and validate the external config document.
 
     Unknown keys are rejected everywhere; missing sections fall back to
-    empty/default values. Every structural check runs first, then the id
-    kinds are checked, then type names are resolved, then the bad tier is
-    checked against the positive ones, and last the weights are
-    renormalized; the last four are ValidatedConfig's own checks.
+    empty/default values. Every structural check runs first, then
+    ValidatedConfig's own, in its order: so a document with an unknown
+    tier name and another structural fault reports the other fault.
     """
     _require_keys(obj, ("type_dictionary", "tiers", "near_miss_map",
                         "property_inference", "weights", "params"),
@@ -633,10 +646,8 @@ def parse_config_obj(obj: Mapping) -> ValidatedConfig:
             raise ConfigError(f"type_dictionary[{name!r}] must be a list of ids")
         type_dictionary[str(name)] = parse_id_list(raws)
 
-    tiers_obj = _section(obj, "tiers")
-    _require_keys(tiers_obj, TIER_NAMES, "tiers")
-    tiers = {tier: _type_names(tiers_obj.get(tier, []), f"tiers[{tier!r}]")
-             for tier in TIER_NAMES}
+    tiers = {tier: _type_names(names, f"tiers[{tier!r}]")
+             for tier, names in _section(obj, "tiers").items()}
     near_miss_map = {str(name): _type_names(vals, f"near_miss_map[{name!r}]")
                      for name, vals in _section(obj, "near_miss_map").items()}
 

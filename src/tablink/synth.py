@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 
 from .evalbench import GoldRecord, write_gold
@@ -107,9 +108,10 @@ class _Builder:
         self.entities: list[_Entity] = []
         self.by_id: dict[str, _Entity] = {}
         self.groups: dict[str, dict] = {}
-        self.next_type = 1_000_000
-        self.next_item = 2_000_000
-        self.next_prop = 200
+        # Each id series: prefix, kind and the numbers its ids take in turn.
+        self.series = {"item": ("Q", "item", count(2_000_000)),
+                       "type": ("Q", "item", count(1_000_000)),
+                       "property": ("P", "property", count(200))}
         self.plants: list[dict] = []
         self.adversarial: list[str] = []
         self.table_pool: list[_Entity] = []
@@ -120,29 +122,21 @@ class _Builder:
         self.by_id[ent.id] = ent
         return ent
 
-    def new_item(self, **kw) -> _Entity:
-        eid = f"Q{self.next_item}"
-        self.next_item += 1
-        return self._add(_Entity(id=eid, kind="item", **kw))
-
-    def new_prop(self, **kw) -> _Entity:
-        eid = f"P{self.next_prop}"
-        self.next_prop += 1
-        return self._add(_Entity(id=eid, kind="property", **kw))
+    def new(self, series: str, **kw) -> _Entity:
+        """An entity with the next id of series: item, type or property."""
+        prefix, kind, nums = self.series[series]
+        return self._add(_Entity(id=f"{prefix}{next(nums)}", kind=kind, **kw))
 
     def _plant(self, label: str, type_id: str, sitelinks: int) -> _Entity:
         """An item of one type with a four-word description."""
-        return self.new_item(label=label, types=[type_id], sitelinks=sitelinks,
-                             description=self.words.phrase(4))
+        return self.new("item", label=label, types=[type_id],
+                        sitelinks=sitelinks, description=self.words.phrase(4))
 
     # type hierarchy ------------------------------------------------------
 
     def _new_type(self, parents: list[str]) -> str:
-        eid = f"Q{self.next_type}"
-        self.next_type += 1
-        self._add(_Entity(id=eid, label=self.words.next(), parents=parents,
-                          sitelinks=self.rng.randint(0, 3)))
-        return eid
+        return self.new("type", label=self.words.next(), parents=parents,
+                        sitelinks=self.rng.randint(0, 3)).id
 
     def build_group(self, name: str, size: int, n_reserved: int) -> None:
         """One isolated subclass subtree. Reserved leaves hang directly off
@@ -192,8 +186,8 @@ class _Builder:
             parents = []
             if prop_ids and i >= 6 and self.rng.random() < 0.5:
                 parents = [self.rng.choice(prop_ids)]
-            prop_ids.append(self.new_prop(label=self.words.next(),
-                                          parents=parents).id)
+            prop_ids.append(self.new("property", label=self.words.next(),
+                                     parents=parents).id)
         self._add(_Entity(id=WATCH_GOOD, label=self.words.next(),
                           kind="property"))
         self._add(_Entity(id=WATCH_OK, label=self.words.next(),
@@ -227,10 +221,10 @@ class _Builder:
                 fam_size = rng.randint(2, 4)
                 for member in range(fam_size + 1):
                     label = f"{shared} {self.words.next()}" if member else shared
-                    self.new_item(label=label,
-                                  types=self.random_type_pick("neutral"),
-                                  sitelinks=rng.randint(0, 30),
-                                  description=self.words.phrase(rng.randint(3, 6)))
+                    self.new("item", label=label,
+                             types=self.random_type_pick("neutral"),
+                             sitelinks=rng.randint(0, 30),
+                             description=self.words.phrase(rng.randint(3, 6)))
                 i += fam_size + 1
                 continue
             r = rng.random()
@@ -238,8 +232,8 @@ class _Builder:
             r = rng.random()
             n_alias = 0 if r < 0.70 else (1 if r < 0.90 else 2)
             group = rng.choices(group_names, weights=group_weights)[0]
-            ent = self.new_item(
-                label=self.words.phrase(n_words),
+            ent = self.new(
+                "item", label=self.words.phrase(n_words),
                 aliases=[self.words.next() for _ in range(n_alias)],
                 types=[] if rng.random() < 0.10 else self.random_type_pick(group),
                 flagged=[rng.choice([WATCH_GOOD, WATCH_OK])]
@@ -347,10 +341,10 @@ class _Builder:
             if len(ent.label.split()) <= 2:
                 out.append(ent)
         while len(out) < n:
-            out.append(self.new_item(label=self.words.next(),
-                                     types=self.random_type_pick("neutral"),
-                                     sitelinks=self.rng.randint(0, 40),
-                                     description=self.words.phrase(4)))
+            out.append(self.new("item", label=self.words.next(),
+                                types=self.random_type_pick("neutral"),
+                                sitelinks=self.rng.randint(0, 40),
+                                description=self.words.phrase(4)))
         return out
 
     def _entity_column(self, sub: str, n_rows: int
@@ -429,8 +423,9 @@ class _Builder:
                         # Item and property sharing a label; header mode must
                         # prefer the property. Zero sitelinks on both keep
                         # prominence out of the margin.
-                        fq = self.new_item(label=self.words.next(), sitelinks=0)
-                        fp = self.new_prop(label=fq.label, sitelinks=0)
+                        fq = self.new("item", label=self.words.next(),
+                                      sitelinks=0)
+                        fp = self.new("property", label=fq.label, sitelinks=0)
                         header, header_id = fq.label, fp.id
                         self.plants.append({"pattern": "header_prop",
                                             "label": fq.label, "gold": fp.id,
@@ -439,10 +434,10 @@ class _Builder:
                     elif sub == "number" and rng.random() < 0.4:
                         header, header_id = str(rng.randint(2015, 2024)), None
                     else:
-                        prop = self.new_prop(label=self.words.next())
+                        prop = self.new("property", label=self.words.next())
                         header, header_id = prop.label, prop.id
                 else:
-                    prop = self.new_prop(label=self.words.next())
+                    prop = self.new("property", label=self.words.next())
                     header, header_id = prop.label, prop.id
                     cells, golds = self._entity_column(sub, n_rows)
                 col_cells.append([header, *cells])

@@ -27,6 +27,7 @@ from .kb import (
     Checked,
     EntityId,
     ValidatedConfig,
+    must_be,
     parse_id_list,
     read_json,
     typed_field,
@@ -92,6 +93,8 @@ class Table(Checked, _TableFields):
 
     def __new__(cls, table_id: str, caption: str, header_row: Iterable[str],
                 rows: Iterable[Iterable[str]]):
+        must_be(table_id, "table_id", str)
+        must_be(caption, "caption", str)
         header_row = tuple(header_row)
         rows = tuple(map(tuple, rows))
         if not all(isinstance(h, str) for h in header_row):
@@ -122,8 +125,7 @@ def _strings(value, what: str) -> list:
 
 def table_from_obj(obj: Mapping) -> Table:
     """A field of the wrong JSON type is refused, never coerced."""
-    return Table(typed_field(obj, "table_id", str),
-                 typed_field(obj, "caption", str, default=""),
+    return Table(obj["table_id"], obj.get("caption", ""),
                  _strings(obj["headers"], "headers"),
                  [_strings(row, f"row {i}")
                   for i, row in enumerate(typed_field(obj, "rows", list))])

@@ -1,5 +1,9 @@
 import pytest
 
+import tablink.evalbench
+import tablink.index
+import tablink.linker
+import tablink.text
 from tablink import (
     EntityId,
     Index,
@@ -113,6 +117,21 @@ def test_backend_results_match_direct_link_calls():
     for mention in MENTIONS[:5]:
         result = link(mention, "cell", index, CLOSURE, CONFIG)
         assert result.chosen is not None
+
+
+def test_bench_normalizes_each_mention_once(monkeypatch):
+    # search and link_from_candidates both take the one normalize(mention),
+    # as in link; a skipped mention is normalized once too.
+    calls = []
+    real = tablink.text.normalize
+    counting = lambda text: calls.append(text) or real(text)  # noqa: E731
+    for module in (tablink.evalbench, tablink.index, tablink.linker):
+        monkeypatch.setattr(module, "normalize", counting, raising=False)
+    mentions = [*MENTIONS[:3], "of the"]
+    report = bench(mentions, make_index(), CLOSURE, CONFIG,
+                   online_latencies=(0.0, 0.0))
+    assert (report.mentions_timed, report.skipped) == (3, 1)
+    assert calls == mentions
 
 
 def test_project_corpus_days_values():

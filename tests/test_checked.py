@@ -14,6 +14,7 @@ from tablink.kb import (
     InferenceRule,
     Params,
     ValidatedConfig,
+    Weights,
     parse_config_obj,
 )
 from tablink.tables import Table
@@ -42,10 +43,23 @@ CASES = {
 INVALID = {
     "record-blank-label": (ItemRecord, ("label", "   "), ValueError,
                            "label must be non-empty"),
+    "record-text-id": (ItemRecord, ("id", "Q1"), TypeError,
+                       "id must be EntityId, not str"),
+    "record-numeric-label": (ItemRecord, ("label", 5), TypeError,
+                             "label must be str, not int"),
+    "record-numeric-description": (ItemRecord, ("description", 5), TypeError,
+                                   "description must be str, not int"),
+    "record-float-sitelinks": (ItemRecord, ("sitelinks_count", 3.0), TypeError,
+                               "sitelinks_count must be int, not float"),
+    "record-bool-sitelinks": (ItemRecord, ("sitelinks_count", True), TypeError,
+                              "sitelinks_count must be int, not bool"),
     "params-k": (Params, ("k", 0), ConfigError, "params.k must be >= 1"),
     "config-unknown-name": (
         ValidatedConfig, ("tiers", {"good": ("nowhere",)}), UnresolvedTypeName,
         "tiers.good references unknown type name 'nowhere'"),
+    "config-unknown-tier": (
+        ValidatedConfig, ("tiers", {"target": ("nowhere",)}), ConfigError,
+        "unknown key(s) in tiers: target"),
     "config-property-type-id": (
         ValidatedConfig,
         ("type_dictionary", {"virus": (q("Q10"), q("P31")), "place": (q("Q20"),)}),
@@ -55,6 +69,10 @@ INVALID = {
         ConfigError, "property_inference.if_property Q31 is not a property id"),
     "table-short-row": (Table, ("rows", (("1",),)), ValueError,
                         "row 0 has 1 cells, header has 2"),
+    "table-numeric-id": (Table, ("table_id", 5), TypeError,
+                         "table_id must be str, not int"),
+    "table-null-caption": (Table, ("caption", None), TypeError,
+                           "caption must be str, not NoneType"),
     "table-numeric-header": (Table, ("header_row", ("a", 5)), TypeError,
                              "headers must be a list of strings"),
     "table-numeric-cell": (Table, ("rows", (("1", 2),)), TypeError,
@@ -119,3 +137,13 @@ def test_every_way_to_build_refuses_an_invalid_value(case):
     for make_copy in COPIES:
         with pytest.raises(error, match=message):
             make_copy(bad)
+
+
+def test_a_config_keeps_its_tiers_under_exactly_the_three_names():
+    # So a config built directly equals the one parsed from the same
+    # document, as their one content_hash says.
+    direct = ValidatedConfig(dict(CONFIG.type_dictionary),
+                             {"good": ["virus"], "bad": ("place",)}, {}, (),
+                             Weights(), Params())
+    assert direct.tiers == {"good": ("virus",), "ok": (), "bad": ("place",)}
+    assert direct == CONFIG

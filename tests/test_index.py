@@ -422,6 +422,11 @@ def _loads(index):
                  id="row-with-a-bytes-label"),
     pytest.param(_row_zero(("measles", (), "", ("5",), 80, ())), _record_zero,
                  id="row-with-a-text-type-number"),
+    # Q-5 and P-7 are ids EntityId.parse refuses.
+    pytest.param(_row_zero(("measles", (), "", (-5,), 80, ())), _record_zero,
+                 id="row-with-a-negative-type-number"),
+    pytest.param(_row_zero(("measles", (), "", (), 80, (-7,))), _record_zero,
+                 id="row-with-a-negative-property-number"),
     pytest.param(_row_zero((" ", (), "", (), 80, ())), _record_zero,
                  id="row-with-a-blank-label"),
     pytest.param(_row_zero(("measles", (), "", (), -1, ())), _record_zero,
