@@ -402,12 +402,13 @@ class _ParamsFields(NamedTuple):
 
 
 class Params(Checked, _ParamsFields):
-    """Linking parameters. Construction refuses out-of-range values."""
+    """Linking parameters, each checked and converted as the parser does."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        self = tuple.__new__(cls, _numbers(
+            cls, super().__new__(cls, *args, **kwargs), "params"))
         if self.k < 1:
             raise ConfigError("params.k must be >= 1")
         if self.sample_size < 1:
@@ -443,20 +444,22 @@ class ValidatedConfig(Checked, _ConfigFields, args=6):
     comes from the expected types through resolve_names() and NEAR_MISS
     from near_miss_ids.
 
-    The first six fields are the configuration. Construction refuses tier
-    names but good, ok and bad, property ids as types and item ids as
-    rules' if_property, resolves its type names, refuses an id under bad
-    and a positive tier, renormalizes the weights, in that order, and
-    derives the other fields: tiers under exactly the three names, the id
-    and name sets, and content_hash, the sha256 of to_obj()'s canonical
-    JSON. They are not arguments, so a copy never keeps a stale hash.
+    The first six fields are the configuration, stored as to_obj() writes
+    it: name and id lists as sorted tuples (cfg.tiers["good"] reads back
+    sorted), mappings in name order, tiers under exactly good, ok and bad,
+    rules sorted, numbers as their parse gives them. Construction refuses,
+    with the parser's messages, other tier names, names that are not str,
+    values that are not lists or tuples of names or item EntityIds, item ids
+    as if_property, unknown names, an id under bad and a positive tier, and
+    bad weights, which it renormalizes. It derives the id and name sets and
+    content_hash, the sha256 of to_obj()'s JSON: one hash, one config.
     """
 
     __slots__ = ()
 
-    def __new__(cls, type_dictionary: Mapping[str, tuple[EntityId, ...]],
-                tiers: Mapping[str, tuple[str, ...]],
-                near_miss_map: Mapping[str, tuple[str, ...]],
+    def __new__(cls, type_dictionary: Mapping[str, Iterable[EntityId]],
+                tiers: Mapping[str, Iterable[str]],
+                near_miss_map: Mapping[str, Iterable[str]],
                 property_inference: Iterable[InferenceRule],
                 weights: Weights, params: Params):
         def resolve(names: Iterable[str], where: str) -> frozenset[EntityId]:
@@ -467,16 +470,22 @@ class ValidatedConfig(Checked, _ConfigFields, args=6):
             return frozenset().union(*(type_dictionary[name] for name in names))
 
         _require_keys(tiers, TIER_NAMES, "tiers")
-        tiers = {tier: tuple(tiers.get(tier, ())) for tier in TIER_NAMES}
+        checked = _by_name(type_dictionary, "type_dictionary", EntityId, "ids")
         for name, type_ids in type_dictionary.items():
             for i in type_ids:
                 if not i.is_item:
                     raise ConfigError(f"type_dictionary[{name!r}]: {i} is not an item id")
+        type_dictionary = checked
+        tiers = {tier: _sorted(tiers.get(tier, ()), f"tiers[{tier!r}]")
+                 for tier in TIER_NAMES}
+        near_miss_map = _by_name(near_miss_map, "near_miss_map")
         property_inference = tuple(property_inference)
         for rule in property_inference:
             if not rule.if_property.is_property:
                 raise ConfigError(f"property_inference.if_property "
                                   f"{rule.if_property} is not a property id")
+            _name(rule.then_type_name, "property_inference.then_type_name")
+        property_inference = tuple(sorted(property_inference))
         # The near-miss map's keys and the rules' type names are resolved
         # only to refuse unknown names.
         ids = {tier: resolve(names, f"tiers.{tier}")
@@ -512,33 +521,48 @@ class ValidatedConfig(Checked, _ConfigFields, args=6):
         return frozenset(ids)
 
     def to_obj(self) -> dict:
-        """Canonical JSON-ready form; feeding it back through
-        parse_config_obj yields an equal config."""
+        """The fields as JSON-ready values, in the order they are stored;
+        feeding it back through parse_config_obj yields an equal config."""
         return {
-            "type_dictionary": {
-                name: [i.raw for i in sorted(ids)]
-                for name, ids in sorted(self.type_dictionary.items())
-            },
-            "tiers": {tier: sorted(names) for tier, names in self.tiers.items()},
-            "near_miss_map": {
-                name: sorted(vals) for name, vals in sorted(self.near_miss_map.items())
-            },
+            "type_dictionary": {name: [i.raw for i in ids]
+                                for name, ids in self.type_dictionary.items()},
+            "tiers": {tier: list(names) for tier, names in self.tiers.items()},
+            "near_miss_map": {name: list(vals)
+                              for name, vals in self.near_miss_map.items()},
             "property_inference": [
                 {"if_property": r.if_property.raw, "then_type_name": r.then_type_name}
-                for r in sorted(self.property_inference,
-                                key=lambda r: (r.if_property, r.then_type_name))
-            ],
+                for r in self.property_inference],
             "weights": self.weights._asdict(),
             "params": self.params._asdict(),
         }
 
 
+def _name(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a type name")
+    return value
+
+
+def _sorted(value, where: str, kind: type = str, what: str = "type names"):
+    """value, a list or tuple of kind, as a sorted tuple."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, kind) for v in value):
+        raise ConfigError(f"{where} must be a list of {what}")
+    return tuple(sorted(value))
+
+
+def _by_name(mapping: Mapping, where: str, *kind) -> dict[str, tuple]:
+    """mapping in name order, keys checked by _name(), values by _sorted()."""
+    return dict(sorted({_name(name, f"{where} key {name!r}"):
+                        _sorted(value, f"{where}[{name!r}]", *kind)
+                        for name, value in mapping.items()}.items()))
+
+
 def _require_keys(obj: Mapping, allowed: Iterable[str], where: str) -> None:
     if not isinstance(obj, Mapping):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(obj) - set(allowed)
+    unknown = sorted(map(str, set(obj) - set(allowed)))
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
 def _section(obj: Mapping, key: str, kind: type = Mapping):
@@ -571,28 +595,24 @@ def _number(value, kind: type, where: str) -> int | float:
         raise ConfigError(f"{where} is out of range") from None
 
 
-def _type_names(value, where: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{where} must be a list of type names")
-    return tuple(value)
+def _numbers(cls, values: Iterable, where: str) -> tuple:
+    """values, cls's fields (Weights or Params), checked as _number() does."""
+    return tuple(_number(value, type(default), f"{where}.{name}")
+                 for (name, default), value
+                 in zip(cls._field_defaults.items(), values))
 
 
 def _parse_fields(cls, obj: Mapping, key: str, *, require_all: bool):
-    """An instance of cls (Weights or Params) from the section under key,
-    field by field; each field is of its default's type. An absent or null
-    section gives the defaults; otherwise fields it leaves out keep their
-    defaults unless require_all."""
-    if obj.get(key) is None:
+    """An instance of cls (Weights or Params) from the section under key.
+    An absent or null section gives the defaults; otherwise fields it leaves
+    out keep their defaults unless require_all."""
+    if (section := obj.get(key)) is None:
         return cls()
-    section = obj[key]
-    fields = cls._fields
-    _require_keys(section, fields, key)
-    missing = [name for name in fields if name not in section]
+    _require_keys(section, cls._fields, key)
+    missing = [name for name in cls._fields if name not in section]
     if require_all and missing:
         raise ConfigError(f"{key} missing: {', '.join(missing)}")
-    return cls(**{name: _number(section[name], type(cls._field_defaults[name]),
-                                f"{key}.{name}")
-                  for name in fields if name in section})
+    return cls(**section)
 
 
 def _total(values: Iterable[float]) -> float:
@@ -604,7 +624,7 @@ def _total(values: Iterable[float]) -> float:
 
 
 def _renormalized(weights: Weights) -> Weights:
-    values = tuple(weights)
+    values = _numbers(Weights, weights, "weights")
     if any(w < 0 for w in values):
         raise BadWeights(f"negative weight in {values}")
     total = _total(values)
@@ -632,40 +652,29 @@ def parse_config_obj(obj: Mapping) -> ValidatedConfig:
     """Strictly parse and validate the external config document.
 
     Unknown keys are rejected everywhere; missing sections fall back to
-    empty/default values. Every structural check runs first, then
-    ValidatedConfig's own, in its order: so a document with an unknown
-    tier name and another structural fault reports the other fault.
+    empty/default values. It checks the document's shape and parses ids;
+    Params and ValidatedConfig check and store every value.
     """
     _require_keys(obj, ("type_dictionary", "tiers", "near_miss_map",
                         "property_inference", "weights", "params"),
                   "config document")
-
-    type_dictionary = {}
-    for name, raws in _section(obj, "type_dictionary").items():
-        if not isinstance(raws, list):
-            raise ConfigError(f"type_dictionary[{name!r}] must be a list of ids")
-        type_dictionary[str(name)] = parse_id_list(raws)
-
-    tiers = {tier: _type_names(names, f"tiers[{tier!r}]")
-             for tier, names in _section(obj, "tiers").items()}
-    near_miss_map = {str(name): _type_names(vals, f"near_miss_map[{name!r}]")
-                     for name, vals in _section(obj, "near_miss_map").items()}
+    # ValidatedConfig refuses a value that is not a list.
+    type_dictionary = {
+        name: parse_id_list(raws) if isinstance(raws, list) else raws
+        for name, raws in _section(obj, "type_dictionary").items()}
 
     rules = []
     for entry in _section(obj, "property_inference", list):
         _require_keys(entry, ("if_property", "then_type_name"), "property_inference rule")
         if "if_property" not in entry or "then_type_name" not in entry:
             raise ConfigError("property_inference rule needs if_property and then_type_name")
-        pid = EntityId.parse(entry["if_property"])
-        if not isinstance(entry["then_type_name"], str):
-            raise ConfigError("property_inference.then_type_name must be a type name")
-        rules.append(InferenceRule(pid, entry["then_type_name"]))
+        rules.append(InferenceRule(EntityId.parse(entry["if_property"]),
+                                   entry["then_type_name"]))
 
-    weights = _parse_fields(Weights, obj, "weights", require_all=True)
-    params = _parse_fields(Params, obj, "params", require_all=False)
-
-    return ValidatedConfig(type_dictionary, tiers, near_miss_map, rules,
-                           weights, params)
+    return ValidatedConfig(
+        type_dictionary, _section(obj, "tiers"), _section(obj, "near_miss_map"),
+        rules, _parse_fields(Weights, obj, "weights", require_all=True),
+        _parse_fields(Params, obj, "params", require_all=False))
 
 
 def load_config(path: str | Path) -> ValidatedConfig:

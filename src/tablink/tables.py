@@ -300,11 +300,11 @@ def _column_number(key: str) -> int:
 
 def annotation_from_obj(obj: Mapping) -> TableAnnotation:
     """A missing field or a value of the wrong JSON type is refused, never
-    coerced."""
+    coerced, and so is a (row, col) that two cells share."""
     orientation = obj["orientation"]
     if orientation not in (HORIZONTAL, VERTICAL):
         raise ValueError(f"unknown orientation {orientation!r}")
-    return TableAnnotation(
+    ann = TableAnnotation(
         table_id=typed_field(obj, "table_id", str),
         orientation=orientation,
         dominant_types={
@@ -313,6 +313,9 @@ def annotation_from_obj(obj: Mapping) -> TableAnnotation:
         headers=tuple(map(_cell_from_obj, typed_field(obj, "headers", list))),
         cells=tuple(map(_cell_from_obj, typed_field(obj, "cells", list))),
     )
+    if len(ann.by_coord()) < len(ann.headers) + len(ann.cells):
+        raise ValueError("two cells share one (row, col)")
+    return ann
 
 
 def write_annotation(path: str | Path, ann: TableAnnotation) -> None:

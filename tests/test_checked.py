@@ -3,13 +3,16 @@ constructor, _make, _replace, copy.copy, copy.deepcopy and a pickle round
 trip all refuse an invalid value and derive the derived fields again."""
 
 import copy
+import json
 import pickle
+import random
 import re
 
 import pytest
 
 from tablink import ConfigError, EntityId, ItemRecord, UnresolvedTypeName
 from tablink.kb import (
+    TIER_NAMES,
     Checked,
     InferenceRule,
     Params,
@@ -54,6 +57,35 @@ INVALID = {
     "record-bool-sitelinks": (ItemRecord, ("sitelinks_count", True), TypeError,
                               "sitelinks_count must be int, not bool"),
     "params-k": (Params, ("k", 0), ConfigError, "params.k must be >= 1"),
+    "params-fractional-k": (Params, ("k", 2.5), ConfigError,
+                            "params.k must be an integer, not 2.5"),
+    "params-bool-k": (Params, ("k", True), ConfigError,
+                      "params.k must be a number, not True"),
+    "config-numeric-name": (
+        ValidatedConfig, ("type_dictionary", {5: (q("Q10"),), "virus": (q("Q10"),),
+                                              "place": (q("Q20"),)}),
+        ConfigError, "type_dictionary key 5 must be a type name"),
+    "config-numeric-tier-name": (
+        ValidatedConfig, ("tiers", {"good": ("virus", 5)}), ConfigError,
+        "tiers['good'] must be a list of type names"),
+    "config-numeric-tier": (
+        ValidatedConfig, ("tiers", {5: ("virus",)}), ConfigError,
+        "unknown key(s) in tiers: 5"),
+    "config-string-near-miss": (
+        ValidatedConfig, ("near_miss_map", {"virus": "place"}), ConfigError,
+        "near_miss_map['virus'] must be a list of type names"),
+    "config-numeric-near-miss-key": (
+        ValidatedConfig, ("near_miss_map", {5: ("place",)}), ConfigError,
+        "near_miss_map key 5 must be a type name"),
+    "config-text-ids": (
+        ValidatedConfig, ("type_dictionary", {"virus": ("Q10",), "place": (q("Q20"),)}),
+        ConfigError, "type_dictionary['virus'] must be a list of ids"),
+    "config-numeric-rule-name": (
+        ValidatedConfig, ("property_inference", (InferenceRule(q("P31"), 5),)),
+        ConfigError, "property_inference.then_type_name must be a type name"),
+    "config-bool-weight": (
+        ValidatedConfig, ("weights", Weights(True, 0.0, 0.0, 0.0)), ConfigError,
+        "weights.w_type must be a number, not True"),
     "config-unknown-name": (
         ValidatedConfig, ("tiers", {"good": ("nowhere",)}), UnresolvedTypeName,
         "tiers.good references unknown type name 'nowhere'"),
@@ -147,3 +179,95 @@ def test_a_config_keeps_its_tiers_under_exactly_the_three_names():
                              Weights(), Params())
     assert direct.tiers == {"good": ("virus",), "ok": (), "bad": ("place",)}
     assert direct == CONFIG
+
+
+NAMES = ("a", "b", "c", "d")
+# a and b name ids from the first pair, c and d from the second.
+IDS = ((q("Q1"), q("Q2")), (q("Q3"), q("Q4")))
+RULE_PROPS = (q("P1"), q("P2"))
+WEIGHTS = ((0.45, 0.25, 0.15, 0.15), (1, 0, 0, 0), (0.5, 0.5, 0, 0))
+PARAMS = ({}, {"k": 3}, {"min_link_score": 1},
+          {"support_threshold": 1, "sample_size": 2})
+
+
+def _draw_config_args(rng) -> tuple:
+    """ValidatedConfig's six arguments, drawn from pools small enough that
+    draws repeat a content."""
+    def some(pool, most):
+        return rng.sample(pool, rng.randint(0, most))
+
+    type_dictionary = {name: some(IDS[name > "b"], 2) for name in NAMES}
+    # The positive tier names only a and b, bad only c: no draw conflicts.
+    tiers = {rng.choice(["good", "ok"]): some(NAMES[:2], 2),
+             "bad": some(NAMES[2:3], 1)}
+    near_miss_map = {name: some(NAMES, 2) for name in some(NAMES[:2], 2)}
+    rules = [InferenceRule(p, rng.choice(NAMES)) for p in some(RULE_PROPS, 2)]
+    return (type_dictionary, tiers, near_miss_map, rules,
+            rng.choice(WEIGHTS), rng.choice(PARAMS))
+
+
+def _written(rng, args) -> tuple:
+    """args in a random form: mappings in any key order, each list in any
+    order as a list or a tuple, an empty tier given or left out, and each
+    integral number as an int or a float."""
+    def form(values):
+        values = rng.sample(list(values), len(values))
+        return values if rng.random() < 0.5 else tuple(values)
+
+    def mapping(m):
+        return {key: form(m[key]) for key in form(m)
+                if m[key] or key not in TIER_NAMES or rng.random() < 0.5}
+
+    def number(x):
+        return rng.choice([int(x), float(x)]) if x == int(x) else x
+
+    type_dictionary, tiers, near_miss_map, rules, weights, params = args
+    return (mapping(type_dictionary), mapping(tiers), mapping(near_miss_map),
+            form(rules), Weights(*map(number, weights)),
+            Params(**{name: number(v) for name, v in params.items()}))
+
+
+def _every_way(rng, args, other: ValidatedConfig) -> list[ValidatedConfig]:
+    """The config of args, each time written anew, built through the
+    constructor, _make, _replace of another config, copy, deepcopy, pickle
+    and parse_config_obj(to_obj())."""
+    def stale():
+        return tuple.__new__(ValidatedConfig, (*_written(rng, args), *(None,) * 7))
+
+    made = ValidatedConfig(*_written(rng, args))
+    return [made, ValidatedConfig._make(stale()),
+            other._replace(**dict(zip(ValidatedConfig._fields, _written(rng, args)))),
+            stale()._replace(), *(make_copy(stale()) for make_copy in COPIES),
+            parse_config_obj(json.loads(json.dumps(made.to_obj())))]
+
+
+def test_generated_configs_are_equal_exactly_when_their_hashes_are():
+    rng = random.Random(0xC0DE)
+    by_hash: dict[str, ValidatedConfig] = {}
+    other = ValidatedConfig(*_written(rng, _draw_config_args(rng)))
+    built = 0
+    for _ in range(300):
+        args = _draw_config_args(rng)
+        configs = _every_way(rng, args, other)
+        # A _replace twin: one field of the last config changed.
+        field = rng.randrange(6)
+        written = _written(rng, args)
+        configs.append(other._replace(**{other._fields[field]: written[field]}))
+        twin_args = list(other[:6])
+        twin_args[field] = written[field]
+        assert configs[-1] == ValidatedConfig(*twin_args)
+        assert all(c == configs[0] for c in configs[1:-1])
+        for cfg in configs:
+            built += 1
+            # The to_obj() round trip is the identity, number types included.
+            obj = cfg.to_obj()
+            again = parse_config_obj(json.loads(json.dumps(obj)))
+            assert again == cfg and repr(again[:6]) == repr(cfg[:6])
+            assert again.to_obj() == obj
+            # One hash, one config, stored in one form. (Equal configs share
+            # a hash, which is one of their fields.)
+            first = by_hash.setdefault(cfg.content_hash, cfg)
+            assert cfg == first and repr(cfg[:6]) == repr(first[:6])
+        other = configs[0]
+    # Some contents were drawn more than once.
+    assert built == 300 * 9 and 100 <= len(by_hash) < 2 * 300

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from collections import Counter
@@ -471,6 +472,20 @@ def test_annotation_column_numbers_round_trip_past_nine():
     ann = annotation_from_obj(obj)
     assert ann.dominant_types == {0: None, 9: q("Q1"), 10: q("Q2"), 11: None}
     assert annotation_to_obj(ann) == obj
+
+
+@pytest.mark.parametrize("section", ["cells", "headers"])
+def test_annotation_refuses_two_cells_at_one_coordinate(tmp_path, section):
+    # by_coord() would keep the last of the two, and eval would score it.
+    index, closure, config, table = _lineage_setup()
+    obj = annotation_to_obj(link_table(table, index, closure, config))
+    obj["cells"].append(dict(obj[section][0], outcome={"kind": "nil"}))
+    path = tmp_path / "ann.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    message = (f"{path}: bad document "
+               "(ValueError: two cells share one (row, col))")
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        read_annotation(path)
 
 
 @pytest.mark.parametrize("key", ["1_0", "01", "+1", "1 ", "\u0661"],
