@@ -81,8 +81,10 @@ class _Tables(NamedTuple):
     column X is cut into entries by X_ends: entry i is X[ends[i - 1]:ends[i]],
     from 0 for entry 0. Row r's fields are entry r of records, and key i's
     rows of each kind are entry i of label_rows, alias_rows and token_rows,
-    empty where the key is not of that kind. Each entry's rows ascend, so it
-    lists its records best-ranked first. Every view but records is uint32."""
+    empty where the key is not of that kind. No row is in both a key's label
+    and alias entries, as ItemRecord keeps no alias that normalizes to its
+    label. Each entry's rows ascend, so it lists its records best-ranked
+    first. Every view but records is uint32."""
 
     header: tuple[int, str, str]
     duplicate_ids: int
@@ -307,8 +309,7 @@ def search(index: Index, mention: str, k: int, *,
     t = index._tables
     at = _find(t.keys, norm)
     labels = _entry(t.label_rows, t.label_ends, at)[:k]
-    aliases = [row for row in _entry(t.alias_rows, t.alias_ends, at)
-               if row not in labels][:k - len(labels)]
+    aliases = _entry(t.alias_rows, t.alias_ends, at)[:k - len(labels)]
     partials = ()
     if len(labels) + len(aliases) < k:
         distinct = list(dict.fromkeys(tokens))

@@ -429,20 +429,13 @@ class _ConfigFields(NamedTuple):
     property_inference: tuple[InferenceRule, ...]
     weights: Weights
     params: Params
-    good_ids: frozenset[EntityId]
-    ok_ids: frozenset[EntityId]
-    bad_ids: frozenset[EntityId]
-    good_names: frozenset[str]
-    ok_names: frozenset[str]
-    near_miss_ids: Mapping[str, frozenset[EntityId]]
     content_hash: str
 
 
 class ValidatedConfig(Checked, _ConfigFields, args=6):
-    """The domain configuration: every type name resolved to id sets and all
-    invariants checked. Immutable; safe to share across threads. TARGET
-    comes from the expected types through resolve_names() and NEAR_MISS
-    from near_miss_ids.
+    """The domain configuration, all invariants checked. Immutable; safe to
+    share across threads. Its type names resolve to ids through
+    resolve_names() alone, as classify_type_tier() uses them.
 
     The first six fields are the configuration, stored as to_obj() writes
     it: name and id lists as sorted tuples (cfg.tiers["good"] reads back
@@ -451,8 +444,9 @@ class ValidatedConfig(Checked, _ConfigFields, args=6):
     with the parser's messages, other tier names, names that are not str,
     values that are not lists or tuples of names or item EntityIds, item ids
     as if_property, unknown names, an id under bad and a positive tier, and
-    bad weights, which it renormalizes. It derives the id and name sets and
-    content_hash, the sha256 of to_obj()'s JSON: one hash, one config.
+    bad weights, which it renormalizes; as must_be() does, weights, params
+    and rules of another type. The last field, content_hash, is the sha256
+    of to_obj()'s JSON: one hash, one config.
     """
 
     __slots__ = ()
@@ -481,18 +475,20 @@ class ValidatedConfig(Checked, _ConfigFields, args=6):
         near_miss_map = _by_name(near_miss_map, "near_miss_map")
         property_inference = tuple(property_inference)
         for rule in property_inference:
-            if not rule.if_property.is_property:
+            must_be(rule, "property_inference rule", InferenceRule)
+            if not must_be(rule.if_property, "property_inference.if_property",
+                           EntityId).is_property:
                 raise ConfigError(f"property_inference.if_property "
                                   f"{rule.if_property} is not a property id")
             _name(rule.then_type_name, "property_inference.then_type_name")
         property_inference = tuple(sorted(property_inference))
-        # The near-miss map's keys and the rules' type names are resolved
-        # only to refuse unknown names.
+        # The tiers' ids serve only to refuse a conflict; every other name
+        # is resolved only to refuse unknown names.
         ids = {tier: resolve(names, f"tiers.{tier}")
                for tier, names in tiers.items()}
         resolve(near_miss_map, "near_miss_map")
-        near_miss_ids = {name: resolve(vals, f"near_miss_map[{name!r}]")
-                         for name, vals in near_miss_map.items()}
+        for name, vals in near_miss_map.items():
+            resolve(vals, f"near_miss_map[{name!r}]")
         for rule in property_inference:
             resolve([rule.then_type_name],
                     f"property_inference rule for {rule.if_property}")
@@ -503,9 +499,8 @@ class ValidatedConfig(Checked, _ConfigFields, args=6):
             raise TierConflict(f"id(s) under bad and a positive tier: {raws}")
 
         fields = (type_dictionary, tiers, near_miss_map, property_inference,
-                  _renormalized(weights), params, ids["good"], ids["ok"],
-                  ids["bad"], frozenset(tiers["good"]),
-                  frozenset(tiers["ok"]), near_miss_ids)
+                  _renormalized(must_be(weights, "weights", Weights)),
+                  must_be(params, "params", Params))
         canonical = json.dumps(tuple.__new__(cls, (*fields, "")).to_obj(),
                                sort_keys=True, separators=(",", ":"))
         return tuple.__new__(cls, (

@@ -50,14 +50,11 @@ BAD = "BAD"
 TIER_SCORES = {TARGET: 1.0, NEAR_MISS: 0.8, GOOD: 0.6, OK: 0.4, UNKNOWN: 0.2}
 
 _MATCH_SCORES = {EXACT_LABEL: 1.0, EXACT_ALIAS: 0.8}
-_NO_NAMES: frozenset[str] = frozenset()
 
 
 def infer_domain_types(record: ItemRecord,
                        rules: Iterable[InferenceRule]) -> frozenset[str]:
     """Type names implied by the record's watched properties."""
-    if not record.flagged_props:
-        return _NO_NAMES
     return frozenset(r.then_type_name for r in rules
                      if r.if_property in record.flagged_props)
 
@@ -73,26 +70,25 @@ def classify_type_tier(record: ItemRecord,
     BAD is absolute and tested first. TARGET/NEAR_MISS need expected_types;
     GOOD and OK match either the tier's ids or an inferred domain type name
     listed in that tier; inferred, when given, is infer_domain_types()'s.
+    Every name resolves through config.resolve_names() on each call;
     link_from_candidates() calls it once per memo entry, not per hit.
     """
     types = closure.types_of(record.direct_types)
-    if not types.isdisjoint(config.bad_ids):
+    if not types.isdisjoint(config.resolve_names(config.tiers["bad"])):
         return BAD
     if expected_types:
         expected = tuple(expected_types)
         if not types.isdisjoint(config.resolve_names(expected)):
             return TARGET
-        if any(not types.isdisjoint(config.near_miss_ids.get(name, ()))
-               for name in expected):
+        if any(not types.isdisjoint(config.resolve_names(
+                config.near_miss_map.get(name, ()))) for name in expected):
             return NEAR_MISS
     if inferred is None:
         inferred = infer_domain_types(record, config.property_inference)
-    if not (types.isdisjoint(config.good_ids)
-            and inferred.isdisjoint(config.good_names)):
-        return GOOD
-    if not (types.isdisjoint(config.ok_ids)
-            and inferred.isdisjoint(config.ok_names)):
-        return OK
+    for tier, label in (("good", GOOD), ("ok", OK)):
+        if not (types.isdisjoint(config.resolve_names(config.tiers[tier]))
+                and inferred.isdisjoint(config.tiers[tier])):
+            return label
     return UNKNOWN
 
 

@@ -198,8 +198,14 @@ def o_has_type(record, type_id: EntityId, ancestors: dict) -> bool:
                for d in record.direct_types)
 
 
+def o_ids(config, names: Iterable[str]) -> set[EntityId]:
+    """The ids the type names stand for, read from the config's dictionary."""
+    return {i for name in names for i in config.type_dictionary.get(name, ())}
+
+
 def o_tier(record, config, ancestors: dict, expected) -> str:
-    if any(o_has_type(record, b, ancestors) for b in config.bad_ids):
+    if any(o_has_type(record, b, ancestors)
+           for b in o_ids(config, config.tiers["bad"])):
         return "BAD"
     if expected:
         if any(o_has_type(record, t, ancestors)
@@ -207,16 +213,15 @@ def o_tier(record, config, ancestors: dict, expected) -> str:
             return "TARGET"
         for name in expected:
             if any(o_has_type(record, t, ancestors)
-                   for t in config.near_miss_ids.get(name, ())):
+                   for t in o_ids(config, config.near_miss_map.get(name, ()))):
                 return "NEAR_MISS"
     inferred = {r.then_type_name for r in config.property_inference
                 if r.if_property in record.flagged_props}
-    if (inferred & set(config.good_names)
-            or any(o_has_type(record, t, ancestors) for t in config.good_ids)):
-        return "GOOD"
-    if (inferred & set(config.ok_names)
-            or any(o_has_type(record, t, ancestors) for t in config.ok_ids)):
-        return "OK"
+    for tier in ("good", "ok"):
+        if (inferred & set(config.tiers[tier])
+                or any(o_has_type(record, t, ancestors)
+                       for t in o_ids(config, config.tiers[tier]))):
+            return tier.upper()
     return "UNKNOWN"
 
 

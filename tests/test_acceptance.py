@@ -13,6 +13,7 @@ import json
 import random
 import time
 from collections import Counter
+from itertools import chain
 from types import SimpleNamespace
 
 import pytest
@@ -27,6 +28,7 @@ import oracles
 from oracles import (
     OracleKB,
     o_has_type,
+    o_ids,
     o_link,
     o_link_from_candidates,
     o_link_table,
@@ -351,9 +353,11 @@ def test_type_tiers_agree_with_the_oracle(big_kb, big_ancestors):
             id=Q(f"Q{90_000_000 + i}"), label="probe",
             direct_types=tuple(direct), flagged_props=frozenset(
                 rng.sample(watch, rng.randint(0, len(watch))))))
-    configured = sorted(config.bad_ids | config.resolve_names(["location"])
-                        | config.good_ids | config.ok_ids
-                        | set().union(*config.near_miss_ids.values()))
+    configured = sorted(o_ids(config, config.tiers["bad"])
+                        | config.resolve_names(["location"])
+                        | o_ids(config, config.tiers["good"])
+                        | o_ids(config, config.tiers["ok"])
+                        | o_ids(config, chain(*config.near_miss_map.values())))
 
     tiers = Counter()
     for record in records:
@@ -609,10 +613,10 @@ def test_property_bad_rejection_is_absolute(small_kb):
     pairs = [(e.child, e.parent) for e in small_kb.edges]
     nodes = {n for pair in pairs for n in pair}
     nodes.update(t for r in small_kb.records for t in r.direct_types)
-    nodes.update(config.bad_ids)
+    bad_types = o_ids(config, config.tiers["bad"])
+    nodes.update(bad_types)
     ancestors = squaring_ancestors(nodes, pairs)
-    reaches_bad = lambda t: any(
-        b == t or b in ancestors[t] for b in config.bad_ids)
+    reaches_bad = lambda t: any(b == t or b in ancestors[t] for b in bad_types)
     # Only item ids can appear as direct types; property nodes exist in the
     # hierarchy for subproperty edges but never type a record.
     item_nodes = [t for t in sorted(nodes) if t.is_item]

@@ -99,6 +99,19 @@ INVALID = {
     "config-item-if-property": (
         ValidatedConfig, ("property_inference", (InferenceRule(q("Q31"), "virus"),)),
         ConfigError, "property_inference.if_property Q31 is not a property id"),
+    # Unchecked, three weights would take w_ctx's default and sum to 1.15.
+    "config-tuple-weights": (
+        ValidatedConfig, ("weights", (0.5, 0.3, 0.2)), TypeError,
+        "weights must be Weights, not tuple"),
+    "config-dict-params": (
+        ValidatedConfig, ("params", {"k": 3}), TypeError,
+        "params must be Params, not dict"),
+    "config-tuple-rule": (
+        ValidatedConfig, ("property_inference", ((q("P31"), "virus"),)), TypeError,
+        "property_inference rule must be InferenceRule, not tuple"),
+    "config-text-if-property": (
+        ValidatedConfig, ("property_inference", (InferenceRule("P31", "virus"),)),
+        TypeError, "property_inference.if_property must be EntityId, not str"),
     "table-short-row": (Table, ("rows", (("1",),)), ValueError,
                         "row 0 has 1 cells, header has 2"),
     "table-numeric-id": (Table, ("table_id", 5), TypeError,
@@ -232,7 +245,7 @@ def _every_way(rng, args, other: ValidatedConfig) -> list[ValidatedConfig]:
     constructor, _make, _replace of another config, copy, deepcopy, pickle
     and parse_config_obj(to_obj())."""
     def stale():
-        return tuple.__new__(ValidatedConfig, (*_written(rng, args), *(None,) * 7))
+        return tuple.__new__(ValidatedConfig, (*_written(rng, args), None))
 
     made = ValidatedConfig(*_written(rng, args))
     return [made, ValidatedConfig._make(stale()),

@@ -51,11 +51,11 @@ def minimal_obj():
 def test_minimal_config_validates_and_resolves():
     cfg = parse_config_obj(minimal_obj())
     q = EntityId.parse
-    assert cfg.good_ids == frozenset({q("Q12136")})
-    assert cfg.ok_ids == frozenset({q("Q16521")})
-    assert cfg.bad_ids == frozenset({q("Q386724")})
-    assert cfg.near_miss_ids["place"] == frozenset({q("Q1496967")})
-    assert cfg.good_names == frozenset({"disease"})
+    assert cfg.resolve_names(cfg.tiers["good"]) == frozenset({q("Q12136")})
+    assert cfg.resolve_names(cfg.tiers["ok"]) == frozenset({q("Q16521")})
+    assert cfg.resolve_names(cfg.tiers["bad"]) == frozenset({q("Q386724")})
+    assert cfg.resolve_names(cfg.near_miss_map["place"]) == frozenset({q("Q1496967")})
+    assert cfg.tiers["good"] == ("disease",)
     assert cfg.content_hash
 
 
@@ -253,9 +253,16 @@ def test_config_ids_that_are_not_strings_are_refused(section):
      "unknown key(s) in tiers: near_miss, target"),
     ('{"type_dictionary": {"a": ["P31"]}, "tiers": {"good": ["a"]}}',
      ConfigError, "type_dictionary['a']: P31 is not an item id"),
+    ('{"weights": {"w_type": 1}}', ConfigError,
+     "weights missing: w_match, w_prom, w_ctx"),
+    ('{"property_inference": [{"if_property": "P1"}]}', ConfigError,
+     "property_inference rule needs if_property and then_type_name"),
+    # An int too large for a float.
+    ('{"params": {"min_link_score": 1' + "0" * 400 + '}}', ConfigError,
+     "params.min_link_score is out of range"),
 ], ids=["non-finite", "param-range", "unresolved-name", "tier-conflict",
         "bad-weights", "target-tier", "target-and-near-miss-tiers",
-        "property-type-id"])
+        "property-type-id", "missing-weights", "half-rule", "huge-param"])
 def test_cli_reports_a_bad_config_value(tmp_path, capsys, text, error, message):
     """Every refusal names the file and keeps its ConfigError class."""
     save_index(Index([ItemRecord(EntityId.parse("Q1"), "alpha")]),

@@ -716,7 +716,7 @@ def test_every_row_list_is_a_read_only_view_of_one_flat_column(tmp_path,
     ("direct_types", ["P5"], "direct types must be item ids"),
     ("flagged_props", [7], "not a Q/P identifier: 7"),
 ])
-def test_records_and_direct_types_refuse_bad_ids_alike(tmp_path, field, value,
+def test_records_and_direct_types_refuse_malformed_ids_alike(tmp_path, field, value,
                                                        message):
     good = {"id": "Q1", "label": "a", "direct_types": ["Q5"]}
     path = tmp_path / "records.jsonl"
@@ -730,3 +730,20 @@ def test_records_and_direct_types_refuse_bad_ids_alike(tmp_path, field, value,
             list(read_direct_types(path))
     else:
         assert list(read_direct_types(path)) == [(q("Q5"),)] * 2
+
+
+def test_no_row_is_in_both_a_keys_label_and_alias_entries(small_kb):
+    # search() takes a key's alias rows without checking them against its
+    # label rows; this invariant is what makes that safe.
+    t = small_kb.index._tables
+    entry = tablink.index._entry
+    both = 0
+    for at, key in enumerate(t.keys):
+        labels = set(entry(t.label_rows, t.label_ends, at))
+        aliases = set(entry(t.alias_rows, t.alias_ends, at))
+        assert labels.isdisjoint(aliases), key
+        both += bool(labels and aliases)
+    assert both
+    # It holds because a record keeps no alias that normalizes to its label.
+    index = Index([ItemRecord(q("Q1"), "Alpha", ("ALPHA", " alpha "))])
+    assert [c.match_tier for c in search(index, "alpha", 5)] == ["exact_label"]

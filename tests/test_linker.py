@@ -513,7 +513,7 @@ def test_a_config_copy_gets_its_own_hash_and_cached_links():
     closure = build_closure([])
     twin = MEMO_CFG._replace(type_dictionary={**MEMO_CFG.type_dictionary,
                                               "bad-type": (q("Q100"),)})
-    assert twin.bad_ids == {q("Q100")}
+    assert twin.resolve_names(twin.tiers["bad"]) == {q("Q100")}
     assert twin.content_hash == cfg(twin.to_obj()).content_hash
     assert twin.content_hash != MEMO_CFG.content_hash
     assert pickle.loads(pickle.dumps(twin)) == twin
@@ -525,8 +525,8 @@ def test_a_config_copy_gets_its_own_hash_and_cached_links():
             assert got == link("alpha", "cell", index, closure, config)
             assert got.chosen.record.id.raw == want
     assert (cache.hits, cache.misses) == (2, 2)
-    with pytest.raises(ValueError, match="derived field.* bad_ids"):
-        MEMO_CFG._replace(bad_ids=frozenset())
+    with pytest.raises(ValueError, match="derived field.* content_hash"):
+        MEMO_CFG._replace(content_hash="")
 
 
 # The scored-candidate memo: each test below fails against a memo whose key

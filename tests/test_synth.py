@@ -1,4 +1,5 @@
 import hashlib
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -201,9 +202,9 @@ def test_mentions_file_nonempty_and_mixed(small_kb):
 
 def test_config_resolves_against_generated_types(small_kb):
     config = small_kb.config
-    assert config.bad_ids
-    assert config.good_ids
+    assert config.resolve_names(config.tiers["bad"])
+    assert config.resolve_names(config.tiers["good"])
     for name in ("location", "facility", "organization"):
         assert config.resolve_names([name])
-    for tid in config.bad_ids | config.good_ids | config.ok_ids:
+    for tid in config.resolve_names(chain(*config.tiers.values())):
         assert tid in small_kb.closure
