@@ -119,8 +119,7 @@ def _cmd_ingest(args) -> dict:
     watchlist = [EntityId.parse(p) for p in _comma_list(args.watchlist)]
     stats = ingest_dump(args.dump, args.out_records, args.out_edges,
                         watchlist=watchlist)
-    from dataclasses import asdict
-    _emit(asdict(stats), None)
+    _emit(stats._asdict(), None)
     return {}
 
 

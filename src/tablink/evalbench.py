@@ -8,14 +8,13 @@ without touching a rate-limited public API or sleeping through its latency.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import median
+from typing import NamedTuple
 
 from .closure import TypeClosure
 from .errors import EmptyMention, GoldMismatch
@@ -37,8 +36,7 @@ log = logging.getLogger(__name__)
 SECONDS_PER_DAY = 86400.0
 
 
-@dataclass(frozen=True)
-class GoldRecord:
+class GoldRecord(NamedTuple):
     """Expected annotation for one cell; header cells use row -1. expected
     None means the cell should not link (literal or no suitable entity)."""
 
@@ -48,11 +46,8 @@ class GoldRecord:
     expected: EntityId | None
 
 
-_GOLD_KEYS = frozenset(("table_id", "row", "col", "expected"))
-
-
 def _gold_from_obj(obj: dict) -> GoldRecord:
-    unknown = obj.keys() - _GOLD_KEYS
+    unknown = obj.keys() - GoldRecord._fields
     if unknown:
         raise ValueError(f"unknown key(s) {sorted(unknown)}")
     expected = typed_field(obj, "expected", str, type(None), default=None)
@@ -62,42 +57,38 @@ def _gold_from_obj(obj: dict) -> GoldRecord:
 
 
 def read_gold(path: str | Path) -> list[GoldRecord]:
-    """The gold lines of path. A line with a key other than _GOLD_KEYS, or
-    with a repeated key, is refused as read_lines() refuses a line."""
+    """The gold lines of path. A line with a key that is not a GoldRecord
+    field, or with a repeated key, is refused as read_lines() refuses a line."""
     return list(read_lines(path, lambda line: _gold_from_obj(
         json.loads(line, object_pairs_hook=_unique_keys))))
 
 
 def _gold_obj(g: GoldRecord) -> dict:
-    return {"table_id": g.table_id, "row": g.row, "col": g.col,
-            "expected": g.expected.raw if g.expected else None}
+    return {**g._asdict(), "expected": g.expected.raw if g.expected else None}
 
 
 def write_gold(path: str | Path, gold: Iterable[GoldRecord]) -> int:
     return write_jsonl(path, map(_gold_obj, gold))
 
 
-@dataclass
-class TableScore:
+class TableScore(NamedTuple):
     cells_with_gold: int = 0
     recall_hits: int = 0
     precision_hits: int = 0
     linked_cells: int = 0
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     cells_with_gold: int
     linked_cells: int
     candidate_recall: float
     precision: float
-    degenerate: bool = False
-    per_table: dict[str, TableScore] = field(default_factory=dict)
+    degenerate: bool
+    per_table: dict[str, TableScore]
 
     def to_obj(self) -> dict:
-        obj = dataclasses.asdict(self)
-        obj["per_table"] = dict(sorted(obj["per_table"].items()))
-        return obj
+        return {**self._asdict(), "per_table": {
+            t: s._asdict() for t, s in sorted(self.per_table.items())}}
 
 
 def evaluate(annotations: Iterable[TableAnnotation],
@@ -130,32 +121,30 @@ def evaluate(annotations: Iterable[TableAnnotation],
             raise GoldMismatch(f"gold coordinate {key} absent from annotations")
         if g.expected is None:
             continue
-        t = per_table.setdefault(g.table_id, TableScore())
-        t.cells_with_gold += 1
-        if g.expected in cell.candidates:
-            t.recall_hits += 1
-        if cell.kind == "entity":
-            t.linked_cells += 1
-            if cell.entity_id == g.expected:
-                t.precision_hits += 1
+        t = per_table.get(g.table_id, TableScore())
+        entity = cell.kind == "entity"
+        per_table[g.table_id] = TableScore(
+            cells_with_gold=t.cells_with_gold + 1,
+            recall_hits=t.recall_hits + (g.expected in cell.candidates),
+            precision_hits=t.precision_hits + (entity and cell.entity_id == g.expected),
+            linked_cells=t.linked_cells + entity)
 
     # A table is scored only once it has a cell with gold.
     if not per_table:
         log.warning("no gold cells with expected annotations; metrics degenerate")
-        return EvalReport(0, 0, 0.0, 0.0, degenerate=True)
-    cells_with_gold, recall_hits, precision_hits, linked = map(
-        sum, zip(*map(dataclasses.astuple, per_table.values())))
+        return EvalReport(0, 0, 0.0, 0.0, degenerate=True, per_table={})
+    total = TableScore(*map(sum, zip(*per_table.values())))
     return EvalReport(
-        cells_with_gold=cells_with_gold,
-        linked_cells=linked,
-        candidate_recall=recall_hits / cells_with_gold,
-        precision=precision_hits / cells_with_gold,
+        cells_with_gold=total.cells_with_gold,
+        linked_cells=total.linked_cells,
+        candidate_recall=total.recall_hits / total.cells_with_gold,
+        precision=total.precision_hits / total.cells_with_gold,
+        degenerate=False,
         per_table=per_table,
     )
 
 
-@dataclass(frozen=True)
-class BackendTimes:
+class BackendTimes(NamedTuple):
     """One backend's median seconds per mention, per stage and in total, and
     the corpus projection at that total (None without a projection)."""
 
@@ -165,8 +154,7 @@ class BackendTimes:
     projected_days: float | None = None
 
 
-@dataclass(frozen=True)
-class LatencyReport:
+class LatencyReport(NamedTuple):
     mentions_timed: int
     skipped: int
     offline: BackendTimes
@@ -174,7 +162,8 @@ class LatencyReport:
     speedup: float
 
     def to_obj(self) -> dict:
-        return dataclasses.asdict(self)
+        return {**self._asdict(), "offline": self.offline._asdict(),
+                "online": self.online._asdict()}
 
 
 def project_corpus_days(tables: int, cells_per_table: int,
@@ -196,9 +185,15 @@ def bench(mentions: Iterable[str],
     seconds. Since median(x + c) = median(x) + c, each online median is the
     offline median plus that stage's latency, so nothing sleeps. projection,
     (tables, cells_per_table), turns each backend's median total into corpus
-    days.
+    days. Raises ValueError, before anything is timed, for a latency that is
+    negative or not finite, or a projection that is not two positive numbers.
     """
     d_cand, d_type = online_latencies
+    if not all(0 <= d < float("inf") for d in online_latencies):
+        raise ValueError("online_latencies must be finite, non-negative "
+                         f"seconds, not {online_latencies!r}")
+    if projection is not None and (len(projection) != 2 or min(projection) <= 0):
+        raise ValueError(f"projection must be two positive numbers, not {projection!r}")
     cand_times: list[float] = []
     type_times: list[float] = []
     skipped = 0

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import EmptyMention, IndexUnavailable, ParseError
-from .kb import ITEM, PROPERTY, EntityId, ItemRecord, read_json, write_json
+from .kb import ITEM, PROPERTY, EntityId, ItemRecord, must_be, read_json, write_json
 
 # Unused here; tablink.index.read_records stays a name because the
 # perfbench tracer wraps it.
@@ -426,12 +426,6 @@ def _checked(data, record_count) -> _Tables:
     return t
 
 
-def _json_object(obj: object) -> dict:
-    if type(obj) is not dict:
-        raise TypeError("the document is not an object")
-    return obj
-
-
 def load_index(index_dir: str | Path) -> Index:
     """The index saved in index_dir. Checks the manifest's version pins,
     then the blob's hash against the build_id, then the loaded tables'
@@ -442,7 +436,7 @@ def load_index(index_dir: str | Path) -> Index:
     if not manifest_path.is_file() or not blob_path.is_file():
         raise IndexUnavailable(f"{path} is not an index directory")
     try:
-        manifest = read_json(manifest_path, _json_object)
+        manifest = read_json(manifest_path, lambda obj: must_be(obj, "manifest", dict))
     except ParseError as exc:
         raise IndexUnavailable(
             f"index {path}: {MANIFEST_NAME} is not a valid JSON object ({exc})") from exc

@@ -12,8 +12,8 @@ import json
 import os
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InvalidEntityId, ParseError
 from .kb import (
@@ -29,13 +29,12 @@ from .kb import (
 )
 
 
-@dataclass
-class IngestStats:
-    docs_seen: int = 0
-    records_emitted: int = 0
-    skipped_no_label: int = 0
-    edges_emitted: int = 0
-    parse_errors: int = 0
+class IngestStats(NamedTuple):
+    docs_seen: int
+    records_emitted: int
+    skipped_no_label: int
+    edges_emitted: int
+    parse_errors: int
 
     def check(self) -> None:
         if self.docs_seen != self.records_emitted + self.skipped_no_label + self.parse_errors:
@@ -194,7 +193,7 @@ def ingest_dump(dump_path: str | Path,
 def _ingest_lines(lines: Iterable[bytes], rec_fp, edge_fp,
                   watch: frozenset[EntityId]) -> IngestStats:
     """Parse dump lines, writing each record and edge as it is read."""
-    stats = IngestStats()
+    docs_seen = records_emitted = skipped_no_label = edges_emitted = parse_errors = 0
     for raw in lines:
         try:
             body = strip_decoration(raw.decode("utf-8"))
@@ -202,23 +201,24 @@ def _ingest_lines(lines: Iterable[bytes], rec_fp, edge_fp,
             body = None  # decoration is ASCII, so the line held a document
         if body == "":
             continue
-        stats.docs_seen += 1
+        docs_seen += 1
         try:
             if body is None:
                 raise ParseError("dump line is not UTF-8")
             record, edges = parse_entity_doc(json.loads(body), watch)
         except (json.JSONDecodeError, ParseError):
-            stats.parse_errors += 1
+            parse_errors += 1
             continue
         for edge in edges:
             edge_fp.write(dump_json_line(edge_to_obj(edge)))
-        stats.edges_emitted += len(edges)
+        edges_emitted += len(edges)
         if record is None:
-            stats.skipped_no_label += 1
+            skipped_no_label += 1
         else:
             rec_fp.write(dump_json_line(record_to_obj(record)))
-            stats.records_emitted += 1
-    return stats
+            records_emitted += 1
+    return IngestStats(docs_seen, records_emitted, skipped_no_label,
+                       edges_emitted, parse_errors)
 
 
 @contextmanager
@@ -279,8 +279,8 @@ def _ingest_sharded(dump_path, dump_fp, points: list[int], out_records,
                 pids[i] = _fork(dump_path, points[i], points[i + 1],
                                 _parts(tmp, i), watch)
             with _outputs(out_records, out_edges) as outs:
-                counts = [astuple(_ingest_lines(
-                    _lines_in(dump_fp, 0, points[1]), *outs, watch))]
+                counts = [_ingest_lines(
+                    _lines_in(dump_fp, 0, points[1]), *outs, watch)]
                 for i in list(pids):
                     _, status = os.waitpid(pids[i], 0)
                     del pids[i]
@@ -323,7 +323,7 @@ def _fork(dump_path, start: int, end: int, parts: tuple[Path, Path, Path],
             with open(dump_path, "rb") as dump_fp, _outputs(*parts[:2]) as outs:
                 stats = _ingest_lines(_lines_in(dump_fp, start, end), *outs,
                                       watch)
-            status, report = 0, " ".join(map(str, ["ok", *astuple(stats)]))
+            status, report = 0, " ".join(map(str, ["ok", *stats]))
         except BaseException as exc:
             # Reported to the parent, not raised: the child leaves only
             # through os._exit.

@@ -171,8 +171,11 @@ def link_from_candidates(mention: str,
     expected types), which equal configs share: (type tier, inferred names,
     tier score) by (direct_types, flagged_props), and context-free ranking
     entries by (pool sitelinks maximum, mode), then RawCandidate, its record
-    compared by value. Ranking is a stable sort by scored_sort_key.
+    compared by value. Ranking is a stable sort by scored_sort_key. Raises
+    ValueError for a mode other than CELL and HEADER.
     """
+    if mode not in (CELL, HEADER):
+        raise ValueError(f"mode must be {CELL!r} or {HEADER!r}, not {mode!r}")
     expected = tuple(sorted(set(expected_types))) if expected_types else ()
     memo_key = (config.content_hash, expected)
     if (tables := closure.memo.get(memo_key)) is None:

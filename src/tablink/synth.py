@@ -18,10 +18,11 @@ import random
 from dataclasses import dataclass, field
 from itertools import count
 from pathlib import Path
+from typing import NamedTuple
 
 from .evalbench import GoldRecord, write_gold
 from .ingest import ingest_dump
-from .kb import EntityId, dump_json_line, parse_config_obj, save_config, write_json
+from .kb import EntityId, dump_json_line, must_be, parse_config_obj, save_config, write_json
 from .tables import EMPTY_MARKERS, Table, classify_orientation, table_to_obj
 from .text import STOPWORDS
 
@@ -77,8 +78,7 @@ class _Entity:
     novalue_type_claim: bool = False
 
 
-@dataclass
-class SynthResult:
+class SynthResult(NamedTuple):
     out_dir: Path
     dump_path: Path
     records_path: Path
@@ -91,7 +91,7 @@ class SynthResult:
     labeled: int
     unlabeled: int
     malformed: int
-    truth: dict = field(default_factory=dict)
+    truth: dict
 
 
 class _Builder:
@@ -621,10 +621,14 @@ def generate_synthetic_kb(out_dir: str | Path,
     Deterministic: the same arguments produce byte-identical files. The
     records/edges files are exactly what ingesting the emitted dump produces;
     generation fails loudly if its own bookkeeping disagrees with the ingest
-    stats. Raises ValueError when n_types is below MIN_TYPES.
+    stats. Before any write, raises TypeError when n_items or n_tables is
+    not an int, and ValueError when one is negative or n_types < MIN_TYPES.
     """
     if n_types < MIN_TYPES:
         raise ValueError(f"n_types must be at least {MIN_TYPES}, not {n_types}")
+    for name, n in (("n_items", n_items), ("n_tables", n_tables)):
+        if must_be(n, name, int) < 0:
+            raise ValueError(f"{name} must be non-negative, not {n}")
     out = Path(out_dir)
     tables_dir = out / "tables"
     tables_dir.mkdir(parents=True, exist_ok=True)

@@ -109,6 +109,24 @@ def test_report_obj_shape():
         100 * (1.0 + obj["offline"]["total_s"]) / 86400)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"online_latencies": (-12, -18)}, "online_latencies"),
+    ({"online_latencies": (12.0, float("nan"))}, "online_latencies"),
+    ({"online_latencies": (float("inf"), 0.0)}, "online_latencies"),
+    ({"projection": (-10, 5)}, "projection"),
+    ({"projection": (10, 0)}, "projection"),
+    ({"projection": (10, 10, 10)}, "projection"),
+])
+def test_bench_refuses_bad_latencies_and_projections_before_timing(
+        kwargs, message):
+    def mentions():
+        raise AssertionError("bench read a mention")
+        yield
+
+    with pytest.raises(ValueError, match=message):
+        bench(mentions(), make_index(), CLOSURE, CONFIG, **kwargs)
+
+
 def test_backend_results_match_direct_link_calls():
     index = make_index()
     report = bench(MENTIONS, index, CLOSURE, CONFIG,

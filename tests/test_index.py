@@ -275,6 +275,16 @@ def test_load_refuses_a_manifest_that_is_not_a_json_object(tmp_path, small_index
         load_index(index_dir)
 
 
+def test_a_manifest_of_the_wrong_type_is_refused_in_the_field_wording(
+        tmp_path, small_index):
+    index_dir = tmp_path / "idx"
+    save_index(small_index, index_dir)
+    (index_dir / "manifest.json").write_text("[1, 2]", encoding="utf-8")
+    with pytest.raises(IndexUnavailable, match=r"TypeError: manifest must be "
+                       r"dict, not list\)\)$"):
+        load_index(index_dir)
+
+
 def _edit_manifest(index_dir, **fields):
     manifest_path = index_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))

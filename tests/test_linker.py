@@ -229,6 +229,18 @@ def test_header_property_boost_mode_and_kind_gated():
     assert as_header.chosen.record.id.raw == "P2047"  # boost flips it
 
 
+@pytest.mark.parametrize("mode", ["foo", "Cell", "", None])
+def test_an_unknown_mode_is_refused(mode):
+    index = Index([rec("Q1", "duration")])
+    closure = build_closure([])
+    with pytest.raises(ValueError, match="mode must be 'cell' or 'header'"):
+        link("duration", mode, index, closure, SCORE_CFG)
+    with pytest.raises(ValueError, match="mode must be 'cell' or 'header'"):
+        link_from_candidates("duration", search(index, "duration", 5), mode,
+                             None, None, closure, SCORE_CFG)
+    assert closure.memo == {}
+
+
 def test_nil_below_threshold():
     index = Index([rec("Q1", "gamma delta")])
     result = link("gamma epsilon", "cell", index, EMPTY_CLOSURE, SCORE_CFG)

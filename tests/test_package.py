@@ -64,6 +64,19 @@ def test_linking_commands_do_not_import_dataclasses_or_logging():
     assert json.loads(proc.stdout) == []
 
 
+@pytest.mark.parametrize("module", ["tablink.ingest", "tablink.evalbench"])
+def test_ingest_eval_and_bench_do_not_import_dataclasses(module):
+    # Their result types are named tuples; evalbench's degenerate-gold
+    # warning may still load logging.
+    code = (f"import sys, json\nimport {module}\n"
+            "print(json.dumps([m for m in ('dataclasses', 'inspect') "
+            "if m in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_public_names_are_sorted_and_complete():
     assert PUBLIC == sorted(PUBLIC)
     assert tablink.__all__ == PUBLIC

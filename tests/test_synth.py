@@ -92,6 +92,21 @@ def test_generation_refuses_too_few_types(tmp_path, n_types):
     assert not (tmp_path / "kb").exists()
 
 
+@pytest.mark.parametrize("size", [{"n_items": -5}, {"n_tables": -2},
+                                  {"n_items": -1, "n_tables": -1}])
+def test_generation_refuses_a_negative_size_before_any_write(tmp_path, size):
+    with pytest.raises(ValueError, match="must be non-negative"):
+        generate_synthetic_kb(tmp_path / "kb", n_types=60, **size)
+    assert not (tmp_path / "kb").exists()
+
+
+@pytest.mark.parametrize("size", [{"n_items": 2.5}, {"n_tables": True}])
+def test_generation_refuses_a_size_that_is_not_an_int(tmp_path, size):
+    with pytest.raises(TypeError, match="must be int, not"):
+        generate_synthetic_kb(tmp_path / "kb", n_types=60, **size)
+    assert not (tmp_path / "kb").exists()
+
+
 def test_truth_counts_match_files(small_kb):
     truth = small_kb.truth
     counts = truth["counts"]
