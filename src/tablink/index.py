@@ -310,23 +310,23 @@ def search(index: Index, mention: str, k: int, *,
     at = _find(t.keys, norm)
     labels = _entry(t.label_rows, t.label_ends, at)[:k]
     aliases = _entry(t.alias_rows, t.alias_ends, at)[:k - len(labels)]
-    partials = ()
-    if len(labels) + len(aliases) < k:
-        distinct = list(dict.fromkeys(tokens))
-        n = len(distinct)
-        # A one-token mention is its own token: its probe is reused.
-        spots = [at] if distinct == [norm] else [_find(t.keys, token)
-                                                 for token in distinct]
-        lists = [_entry(t.token_rows, t.token_ends, spot) for spot in spots]
-        partials = _partial(lists, {*labels, *aliases},
-                            k - len(labels) - len(aliases))
     memo, record_at, new = index._memo, index.record_at, new_raw
-    return ([new((memo.get(row) or record_at(row), EXACT_LABEL, 1.0))
-             for row in labels]
-            + [new((memo.get(row) or record_at(row), EXACT_ALIAS, 1.0))
-               for row in aliases]
-            + [new((memo.get(row) or record_at(row), PARTIAL, covered / n))
-               for row, covered in partials])
+    found = []
+    for tier, rows in ((EXACT_LABEL, labels), (EXACT_ALIAS, aliases)):
+        for row in rows:
+            found.append(new((memo.get(row) or record_at(row), tier, 1.0)))
+    if len(found) < k:
+        # A one-token mention is its own token: its probe is reused.
+        own = tokens == [norm]
+        distinct = tokens if own else dict.fromkeys(tokens)
+        n = len(distinct)
+        spots = [at] if own else [_find(t.keys, token) for token in distinct]
+        lists = [_entry(t.token_rows, t.token_ends, spot) for spot in spots]
+        for row, covered in _partial(lists, {*labels, *aliases},
+                                     k - len(found)):
+            found.append(new((memo.get(row) or record_at(row), PARTIAL,
+                              covered / n)))
+    return found
 
 
 def _holds(rows: Sequence[int], row: int) -> bool:

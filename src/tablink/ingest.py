@@ -29,6 +29,9 @@ from .kb import (
 )
 
 
+_OBJECT = (dict, Mapping)  # a dict, as json.loads makes, skips the ABC check
+
+
 class IngestStats(NamedTuple):
     docs_seen: int
     records_emitted: int
@@ -47,7 +50,7 @@ def _live_claims(statements) -> list[EntityId | None]:
     datavalue type. Raises ParseError on a malformed statement."""
     claims = []
     for st in statements:
-        if not isinstance(st, Mapping):
+        if not isinstance(st, _OBJECT):
             raise ParseError("statement is not an object")
         if st.get("rank") == "deprecated":
             continue
@@ -56,13 +59,13 @@ def _live_claims(statements) -> list[EntityId | None]:
 
 
 def _claim_target(snak) -> EntityId | None:
-    if not isinstance(snak, Mapping) or snak.get("snaktype") != "value":
+    if not isinstance(snak, _OBJECT) or snak.get("snaktype") != "value":
         return None
     dv = snak.get("datavalue")
-    if not isinstance(dv, Mapping) or dv.get("type") != "wikibase-entityid":
+    if not isinstance(dv, _OBJECT) or dv.get("type") != "wikibase-entityid":
         return None
     value = dv.get("value")
-    if not isinstance(value, Mapping):
+    if not isinstance(value, _OBJECT):
         raise ParseError("entityid datavalue without an object value")
     if "id" in value:
         return EntityId.parse(value["id"])
@@ -93,11 +96,11 @@ def parse_entity_doc(doc: Mapping,
     malformed document.
     """
     try:
-        if not isinstance(doc, Mapping):
+        if not isinstance(doc, _OBJECT):
             raise ParseError("document is not an object")
         entity_id = EntityId.parse(doc["id"])
         claims = doc.get("claims") or {}
-        if not isinstance(claims, Mapping):
+        if not isinstance(claims, _OBJECT):
             raise ParseError("claims is not an object")
 
         edges = []
@@ -123,7 +126,7 @@ def parse_entity_doc(doc: Mapping,
         flagged = frozenset(p for p in watchlist
                             if p.raw in claims and _live_claims(claims[p.raw]))
         sitelinks = doc.get("sitelinks") or {}
-        if not isinstance(sitelinks, Mapping):
+        if not isinstance(sitelinks, _OBJECT):
             raise ParseError("sitelinks is not an object")
 
         record = ItemRecord(
@@ -158,6 +161,10 @@ def strip_decoration(line: str) -> str:
 # A sharded ingest gives each range at least this many bytes of the dump.
 _MIN_RANGE = 1 << 20
 
+# Compressed formats a dump ships in: magic number, name, decompressor.
+_COMPRESSED = ((b"\x1f\x8b", "gzip", "zcat"), (b"BZh", "bzip2", "bzcat"),
+               (b"\xfd7zXZ\x00", "xz", "xzcat"))
+
 
 def ingest_dump(dump_path: str | Path,
                 out_records: str | Path,
@@ -171,14 +178,20 @@ def ingest_dump(dump_path: str | Path,
     the first; a forked child parses each other range into temporary files
     next to out_records, which are then appended in range order. The files
     and the stats are byte for byte those of one pass over the dump. A
-    watchlist id that is not a property id is refused before any file is
-    opened.
+    watchlist id that is not a property id, or a dump that starts with a
+    gzip, bzip2 or xz magic number, is refused before any output is opened.
     """
     watch = frozenset(watchlist)
     for eid in sorted(watch):
         if not eid.is_property:
             raise InvalidEntityId(f"watchlist id {eid} is not a property id")
     with open(dump_path, "rb") as dump_fp:
+        head = dump_fp.peek(6)[:6]  # peek leaves a pipe's bytes unread
+        for magic, name, tool in _COMPRESSED:
+            if head.startswith(magic):
+                raise ParseError(f"{dump_path}: a {name}-compressed dump; "
+                                 f"decompress it first, for example: {tool} "
+                                 f"{dump_path} | tablink ingest --dump /dev/stdin")
         points = _split_points(dump_fp)
         if len(points) < 3:
             with _outputs(out_records, out_edges) as outs:

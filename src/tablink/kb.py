@@ -241,9 +241,13 @@ def _id_parser() -> Callable[[object], EntityId]:
     return lambda raw: parse(raw) if type(raw) is str else EntityId.parse(raw)
 
 
+# json.dumps() would build an encoder on every call that passes options.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def dump_json_line(obj: Mapping) -> str:
     """The one JSON Lines encoder: compact, non-ASCII kept, newline ended."""
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+    return _LINE_ENCODER.encode(obj) + "\n"
 
 
 def write_jsonl(path: str | Path, objs: Iterable[Mapping]) -> int:

@@ -35,7 +35,7 @@ from .kb import (
     ValidatedConfig,
     record_to_obj,
 )
-from .text import normalize, tf_cosine, tokenize
+from .text import counts_cosine, normalize, term_counts, tokenize
 
 CELL = "cell"
 HEADER = "header"
@@ -92,16 +92,21 @@ def classify_type_tier(record: ItemRecord,
     return UNKNOWN
 
 
+def record_terms(record: ItemRecord) -> tuple[dict, int]:
+    """term_counts() of the record's label, description, and aliases."""
+    return term_counts(tokenize(
+        " ".join([record.label, record.description, *record.aliases])))
+
+
 def context_similarity(context: str | None, record: ItemRecord, *,
-                       tokens: list[str] | None = None) -> float:
+                       counts: tuple[dict, int] | None = None,
+                       terms: tuple[dict, int] | None = None) -> float:
     """Term-frequency cosine between the context and the record's label,
-    description, and aliases. tokens, when given, is tokenize(context)."""
-    if tokens is None:
-        tokens = tokenize(context) if context else []
-    if not tokens:
-        return 0.0
-    rec_tokens = tokenize(" ".join([record.label, record.description, *record.aliases]))
-    return tf_cosine(tokens, rec_tokens)
+    description, and aliases. counts, when given, is
+    term_counts(tokenize(context)), and terms is record_terms(record)."""
+    if counts is None:
+        counts = term_counts(tokenize(context) if context else ())
+    return counts_cosine(counts, record_terms(record) if terms is None else terms)
 
 
 class ScoredCandidate(NamedTuple):
@@ -152,8 +157,11 @@ def _ranked(entries: list, mention: str, mode: str, retrieved: int,
     if len(entries) > 1:
         entries.sort(key=_SORT_KEY)
     chosen = entries[0][2] if entries and not entries[0][1] else None
-    return LinkResult(mention, mode, chosen, tuple(map(_SCORED, entries)),
-                      Diagnostics(retrieved, rejected_bad, sum(map(_BELOW, entries))))
+    # Both made from their fields, as new_scored makes a ScoredCandidate.
+    diagnostics = tuple.__new__(Diagnostics, (retrieved, rejected_bad,
+                                              sum(map(_BELOW, entries))))
+    return tuple.__new__(LinkResult, (mention, mode, chosen,
+                                      tuple(map(_SCORED, entries)), diagnostics))
 
 
 def link_from_candidates(mention: str,
@@ -171,16 +179,17 @@ def link_from_candidates(mention: str,
     expected types), which equal configs share: (type tier, inferred names,
     tier score) by (direct_types, flagged_props), and context-free ranking
     entries by (pool sitelinks maximum, mode), then RawCandidate, its record
-    compared by value. Ranking is a stable sort by scored_sort_key. Raises
-    ValueError for a mode other than CELL and HEADER.
+    compared by value, and record_terms() by record. Ranking is a stable
+    sort by scored_sort_key. Raises ValueError for a mode other than CELL
+    and HEADER.
     """
     if mode not in (CELL, HEADER):
         raise ValueError(f"mode must be {CELL!r} or {HEADER!r}, not {mode!r}")
     expected = tuple(sorted(set(expected_types))) if expected_types else ()
     memo_key = (config.content_hash, expected)
     if (tables := closure.memo.get(memo_key)) is None:
-        tables = closure.memo[memo_key] = ({}, {})
-    tiers, scored = tables
+        tables = closure.memo[memo_key] = ({}, {}, {})
+    tiers, scored, terms = tables
     survivors, s_max = [], 0
     for cand in raw_candidates:
         record = cand[0]
@@ -202,6 +211,7 @@ def link_from_candidates(mention: str,
     ctx_tokens = tokenize(context) if context and survivors else None
     if ctx_tokens:
         memo = {}  # entries scored against a context live for this call only
+        counts = term_counts(ctx_tokens)
     elif (memo := scored.get((s_max, mode))) is None:
         memo = scored[s_max, mode] = {}
     entries = []
@@ -213,9 +223,12 @@ def link_from_candidates(mention: str,
             match_score = (0.4 * overlap if match_tier == PARTIAL
                            else _MATCH_SCORES[match_tier])
             prominence = record.sitelinks_count / s_max if s_max else 0.0
-            context_sim = (context_similarity(context, record,
-                                              tokens=ctx_tokens)
-                           if ctx_tokens else 0.0)
+            context_sim = 0.0
+            if ctx_tokens:
+                if (rec_terms := terms.get(record)) is None:
+                    rec_terms = terms[record] = record_terms(record)
+                context_sim = context_similarity(context, record, counts=counts,
+                                                 terms=rec_terms)
             boosts = header_boost if record.id.is_property else 0.0
             base = (w_type * type_score + w_match * match_score
                     + w_prom * prominence + w_ctx * context_sim)

@@ -14,9 +14,9 @@ on every way to build one.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, compress
-from operator import attrgetter
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -165,20 +165,18 @@ def _orientation(table: Table) -> tuple[str, dict[str, str | None]]:
     cell string, the header's too."""
     kinds = {cell: detect_literal(cell)
              for cell in set(chain(table.header_row, *table.rows))}
-
-    def mean_modal_fraction(lanes: Iterable[tuple[str, ...]]) -> float:
-        fractions = []
-        for lane in lanes:
-            lane_kinds = list(map(kinds.__getitem__, lane))
-            fractions.append(max(map(lane_kinds.count, set(lane_kinds)))
-                             / len(lane))
-        return sum(fractions) / len(fractions)
-
     if not table.rows:
         return HORIZONTAL, kinds
-    col_mean = mean_modal_fraction(zip(*table.rows))
-    row_mean = mean_modal_fraction(table.rows)
+    grid = [list(map(kinds.__getitem__, row)) for row in table.rows]
+    col_mean = _mean_modal_fraction(zip(*grid))
+    row_mean = _mean_modal_fraction(grid)
     return HORIZONTAL if col_mean >= row_mean else VERTICAL, kinds
+
+
+def _mean_modal_fraction(lanes: Iterable[Sequence]) -> float:
+    """The mean over lanes of the share of a lane's most common kind."""
+    fractions = [max(map(lane.count, set(lane))) / len(lane) for lane in lanes]
+    return sum(fractions) / len(fractions)
 
 
 def classify_orientation(table: Table) -> str:
@@ -207,12 +205,8 @@ def column_type_vote(candidate_sets: list[tuple[ScoredCandidate, ...]],
     # The lowest id among the types whose weight equals the largest.
     top = max(weights.values())
     winner = min(compress(weights, map(top.__eq__, weights.values())))
-    support = 0
-    for cands in candidate_sets:
-        for cand in cands:
-            if winner in cand.record.direct_types:
-                support += 1
-                break
+    support = sum(any(winner in cand.record.direct_types for cand in cands)
+                  for cands in candidate_sets)
     if support / len(candidate_sets) >= threshold:
         return winner
     return None
@@ -335,91 +329,91 @@ def link_table(table: Table,
 
     The table is worked as one grid, the header row followed by the rows,
     transposed when the table is vertical; grid row 0 is the working header
-    row and dominant types are keyed by grid column. Pass 1 links every cell
-    that is not a literal (each distinct string is tested once, for the
-    orientation too) in cell mode and every header in header mode (context =
-    caption plus sibling headers). Pass 2 votes a dominant direct type per
-    column from up to sample_size linked cells, then boosts that column's
-    cells and header through linker.boost(), which ranks them again with the
-    NIL threshold. Per-cell linker errors mark the cell NIL and never abort
-    the table.
+    row and dominant types are keyed by grid column. Column by column, pass
+    1 links every cell that is not a literal (each distinct string is tested
+    once, for the orientation too) in cell mode and the header in header
+    mode (context = caption plus sibling headers); pass 2 votes a dominant
+    direct type from up to sample_size linked cells, then boosts the
+    column's cells and header through linker.boost(), which ranks them again
+    with the NIL threshold. Per-cell linker errors mark the cell NIL and
+    never abort the table. Annotations are made in output order.
     """
     params = config.params
     orientation, kinds = _orientation(table)
-    grid = [table.header_row, *table.rows]
-    if orientation == VERTICAL:
-        grid = list(zip(*grid))
-
-    results: dict[tuple[int, int], LinkResult] = {}
-    notes: dict[tuple[int, int], str] = {}
-    for i, row in enumerate(grid):
-        for j, mention in enumerate(row):
-            if kinds[mention] is not None:
-                continue
-            context = None
-            if i == 0:
-                parts = [table.caption, *grid[0][:j], *grid[0][j + 1:]]
-                context = " ".join(p for p in parts if p)
-            try:
-                results[i, j] = cached_link(
-                    mention, HEADER if i == 0 else CELL, index, closure,
-                    config, context=context, cache=cache)
-            except EmptyMention as exc:
-                notes[i, j] = str(exc)
+    # The grid's columns: lane[0] is in the working header row.
+    horizontal = orientation == HORIZONTAL
+    lanes = (list(zip(table.header_row, *table.rows)) if horizontal
+             else [table.header_row, *table.rows])
+    heads = [lane[0] for lane in lanes]
 
     dominant_types: dict[int, EntityId | None] = {}
-    for j in range(len(grid[0])):
-        linked = [i for i in range(1, len(grid)) if (i, j) in results]
-        dominant = column_type_vote(
-            [results[i, j].candidates for i in linked[:params.sample_size]],
+    annotated = []  # per grid column, its cells' annotations by grid row
+    for j, lane in enumerate(lanes):
+        outcomes: list = []  # per grid row: LinkResult, EmptyMention or None
+        linked = []  # the grid rows below the header with a LinkResult
+        context = " ".join(p for p in (table.caption, *heads[:j],
+                                       *heads[j + 1:]) if p)
+        for i, mention in enumerate(lane):
+            outcome = None
+            if kinds[mention] is None:
+                try:
+                    outcome = cached_link(mention, CELL if i else HEADER,
+                                          index, closure, config,
+                                          None if i else context, None, cache)
+                    if i:
+                        linked.append(i)
+                except EmptyMention as exc:
+                    outcome = exc
+            outcomes.append(outcome)
+
+        dominant = dominant_types[j] = column_type_vote(
+            [outcomes[i].candidates for i in linked[:params.sample_size]],
             params.support_threshold)
-        dominant_types[j] = dominant
-        if dominant is None:
-            continue
-        for i in linked:
-            results[i, j] = boost(
-                results[i, j],
-                lambda c: dominant in closure.types_of(c.record.direct_types),
-                params.column_type_boost, params.min_link_score)
-        record = index.get(dominant)
-        tokens = frozenset(tokenize(record.label)) if record else frozenset()
-        if (0, j) in results and tokens:
-            results[0, j] = boost(
-                results[0, j],
-                lambda c: not tokens.isdisjoint(
-                    tokenize(c.record.label + " " + c.record.description)),
-                params.header_column_boost, params.min_link_score)
+        if dominant is not None:
+            for i in linked:
+                outcomes[i] = boost(
+                    outcomes[i],
+                    lambda c: dominant in closure.types_of(c.record.direct_types),
+                    params.column_type_boost, params.min_link_score)
+            record = index.get(dominant)
+            tokens = frozenset(tokenize(record.label)) if record else frozenset()
+            if tokens and type(outcomes[0]) is LinkResult:
+                outcomes[0] = boost(
+                    outcomes[0],
+                    lambda c: not tokens.isdisjoint(
+                        tokenize(c.record.label + " " + c.record.description)),
+                    params.header_column_boost, params.min_link_score)
+        annotated.append([
+            _annotate((i - 1, j) if horizontal else (j - 1, i), mention,
+                      kinds[mention], outcome)
+            for i, (mention, outcome) in enumerate(zip(lane, outcomes))])
 
-    def annotate(i: int, j: int, mention: str) -> CellAnnotation:
-        """Grid cell (i, j) at its original (row, col); the header row is
-        -1."""
-        row, col = (i - 1, j) if orientation == HORIZONTAL else (j - 1, i)
-        literal = kinds[mention]
-        if literal is not None:
-            return CellAnnotation(row, col, mention, "literal", None, None,
-                                  None, literal)
-        result = results.get((i, j))
-        if result is None:
-            return CellAnnotation(row, col, mention, "nil", None, None, None,
-                                  None, (), notes[i, j])
-        candidates = tuple(map(attrgetter("record.id"), result.candidates))
-        chosen = result.chosen
-        if chosen is None:
-            return CellAnnotation(row, col, mention, "nil", None, None, None,
-                                  None, candidates)
-        record = chosen.record
-        return CellAnnotation(row, col, mention, "entity", record.id,
-                              record.label, chosen.final_score, None,
-                              candidates)
+    # In (row, col) order, cells below grid row 0 run along the grid's rows
+    # when horizontal and along its columns when vertical.
+    grid_rows = list(zip(*annotated))
+    cells = grid_rows[1:] if horizontal else (lane[1:] for lane in annotated)
+    return TableAnnotation(table.table_id, orientation, dominant_types,
+                           grid_rows[0], tuple(chain.from_iterable(cells)))
 
-    grid_annotations = [[annotate(i, j, m) for j, m in enumerate(row)]
-                        for i, row in enumerate(grid)]
-    by_coord = attrgetter("row", "col")
-    return TableAnnotation(
-        table_id=table.table_id,
-        orientation=orientation,
-        dominant_types=dominant_types,
-        headers=tuple(sorted(grid_annotations[0], key=by_coord)),
-        cells=tuple(sorted((a for row in grid_annotations[1:] for a in row),
-                           key=by_coord)),
-    )
+
+# A CellAnnotation from its ten fields, made as linker.new_scored is.
+_new_cell = partial(tuple.__new__, CellAnnotation)
+
+
+def _annotate(place: tuple[int, int], mention: str, literal: str | None,
+              outcome: LinkResult | EmptyMention | None) -> CellAnnotation:
+    """A cell's annotation at place, its original (row, col), the header row
+    -1, from its literal kind or else its pass-2 outcome."""
+    if literal is not None:
+        return _new_cell(place + (mention, "literal", None, None, None,
+                                  literal, (), ""))
+    if type(outcome) is not LinkResult:
+        return _new_cell(place + (mention, "nil", None, None, None, None, (),
+                                  str(outcome)))
+    candidates = tuple([c[0][0] for c in outcome.candidates])  # record.id
+    if (chosen := outcome.chosen) is None:
+        return _new_cell(place + (mention, "nil", None, None, None, None,
+                                  candidates, ""))
+    record = chosen.record
+    return _new_cell(place + (mention, "entity", record.id, record.label,
+                              chosen.final_score, None, candidates, ""))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
-from collections import Counter
 from collections.abc import Iterable
 
 NORMALIZATION_VERSION = "nfc-lower-ws/1"
@@ -49,18 +48,25 @@ def split_tokens(norm: str) -> list[str]:
     return [t for t in norm.split(" ") if t and t not in STOPWORDS]
 
 
+def term_counts(tokens: Iterable[str]) -> tuple[dict[str, int], int]:
+    """The term frequencies of tokens, and their squared norm."""
+    counts: dict[str, int] = {}
+    for t in tokens:
+        counts[t] = counts.get(t, 0) + 1
+    return counts, sum(n * n for n in counts.values())
+
+
 def tf_cosine(a_tokens: Iterable[str], b_tokens: Iterable[str]) -> float:
     """Cosine similarity of integer term-frequency vectors.
 
     Exact 1.0 for identical token multisets: counts are integers, so the
     norm product is a perfect square and the square root is exact.
     """
-    ca, cb = Counter(a_tokens), Counter(b_tokens)
-    if not ca or not cb:
-        return 0.0
-    dot = sum(n * cb[t] for t, n in ca.items())
-    if dot == 0:
-        return 0.0
-    na = sum(n * n for n in ca.values())
-    nb = sum(n * n for n in cb.values())
-    return min(1.0, dot / math.sqrt(na * nb))
+    return counts_cosine(term_counts(a_tokens), term_counts(b_tokens))
+
+
+def counts_cosine(a: tuple[dict, int], b: tuple[dict, int]) -> float:
+    """tf_cosine() of two token lists given as their term_counts()."""
+    (ca, na), (cb, nb) = (a, b) if len(a[0]) <= len(b[0]) else (b, a)
+    dot = sum(n * cb[t] for t, n in ca.items() if t in cb)  # an exact int
+    return min(1.0, dot / math.sqrt(na * nb)) if dot else 0.0

@@ -1,4 +1,8 @@
+import bz2
+import contextlib
+import gzip
 import json
+import lzma
 import os
 import threading
 import tracemalloc
@@ -373,6 +377,40 @@ def test_an_item_id_in_the_watchlist_is_refused(tmp_path, capsys):
                  "--out-edges", str(tmp_path / "e.jsonl"),
                  "--watchlist", "Q5,P50001"]) == 1
     assert "error: watchlist id Q5 is not a property id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module, name, tool", [
+    (gzip, "gzip", "zcat"), (bz2, "bzip2", "bzcat"), (lzma, "xz", "xzcat")])
+@pytest.mark.parametrize("through_fifo", [False, True])
+def test_a_compressed_dump_is_refused_before_any_output(
+        tmp_path, capsys, small_kb, module, name, tool, through_fifo):
+    data = module.compress(small_kb.result.dump_path.read_bytes())
+    dump = tmp_path / "dump.jsonl.z"
+    writer = None
+    if through_fifo:
+        os.mkfifo(dump)
+        writer = threading.Thread(target=_feed, args=(dump, data))
+        writer.start()
+    else:
+        dump.write_bytes(data)
+    try:
+        assert main(["ingest", "--dump", str(dump),
+                     "--out-records", str(tmp_path / "r.jsonl"),
+                     "--out-edges", str(tmp_path / "e.jsonl")]) == 1
+    finally:
+        if writer:
+            writer.join(timeout=60)
+    assert capsys.readouterr().err == (
+        f"error: {dump}: a {name}-compressed dump; decompress it first, "
+        f"for example: {tool} {dump} | tablink ingest --dump /dev/stdin\n")
+    assert not (tmp_path / "r.jsonl").exists()
+    assert not (tmp_path / "e.jsonl").exists()
+
+
+def _feed(fifo, data):
+    """Write data into fifo; the reader may close it before it is read."""
+    with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fp:
+        fp.write(data)
 
 
 # --- sharded ingest -----------------------------------------------------------

@@ -147,6 +147,54 @@ def test_context_similarity_values():
     assert context_similarity("zulu words only", record) == 0.0
 
 
+def test_memoized_context_scores_equal_a_fresh_cosine():
+    """Header links through one closure keep each record's term counts;
+    every context_sim must still equal tf_cosine of freshly tokenized text,
+    exactly."""
+    rng = random.Random(36)
+    words = ["alpha", "beta", "gamma", "delta", "virus", "strain", "Café",
+             "cafe\u0301", "CAFÉ", "Ærø", "ærø"]
+    stop = ["the", "of", "and", "in"]
+
+    def text(n):
+        return " ".join(rng.choice(words + stop) for _ in range(n))
+
+    records = [
+        # Repeated tokens in the label, the description and the aliases.
+        rec("Q1", "alpha alpha", ["beta alpha", "ALPHA  beta"],
+            "alpha of the alpha"),
+        # One label, two descriptions: each record keeps its own counts.
+        rec("Q2", "gamma", description="virus strain"),
+        rec("Q3", "gamma", description="delta delta delta"),
+        # Case and NFC variants of one word.
+        rec("Q4", "Café", ["cafe\u0301 delta"], "CAFÉ strain"),
+        *(rec(f"Q{10 + i}", text(rng.randint(1, 3)), [text(2)], text(4))
+          for i in range(12)),
+    ]
+    index = Index(records)
+    closure = build_closure([])
+    contexts = ["", "the of and", "in the", "alpha alpha alpha",
+                "CAFE\u0301 café Café", "gamma virus", "ÆRØ ærø"]
+    contexts += [text(rng.randint(1, 8)) for _ in range(40)]
+    mentions = sorted({r.label for r in records})
+    checked = set()
+    for context in contexts:
+        for mention in mentions:
+            result = link(mention, "header", index, closure, SCORE_CFG,
+                          context=context)
+            for c in result.candidates:
+                r = c.record
+                assert c.context_sim == tablink.text.tf_cosine(
+                    tablink.text.tokenize(context), tablink.text.tokenize(
+                        r.label + " " + r.description + " "
+                        + " ".join(r.aliases))), (context, r.id)
+                checked.add(r.id)
+    assert {q("Q1"), q("Q2"), q("Q3"), q("Q4")} <= checked
+    # The counts were kept, once per record, by the closure's linker tables.
+    (terms,) = [tables[2] for tables in closure.memo.values()]
+    assert set(terms) == {index.get(eid) for eid in checked}
+
+
 SCORE_CFG = cfg({
     "type_dictionary": {"good-type": ["Q100"]},
     "tiers": {"good": ["good-type"]},
