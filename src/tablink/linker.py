@@ -15,7 +15,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from collections.abc import Callable, Iterable
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -251,11 +251,12 @@ def boost(result: LinkResult, hit: Callable[[ScoredCandidate], bool],
     if not any(hits):
         return result
     entries = []
+    # By position: c[9:] is boosts, weighted_base, final_score, and the key
+    # is scored_sort_key(c).
     for c, h in zip(result.candidates, hits):
         if h:
-            c = new_scored((*c[:9], b := c.boosts + amount, c.weighted_base,
-                            c.weighted_base + b))
-        entries.append((scored_sort_key(c), c.final_score < min_link_score, c))
+            c = new_scored((*c[:9], b := c[9] + amount, c[10], c[10] + b))
+        entries.append(((-c[11], -c[0][5], c[0][0]), c[11] < min_link_score, c))
     return _ranked(entries, result.mention, result.mode, *result.diagnostics[:2])
 
 
@@ -303,8 +304,10 @@ class LinkCache:
     """Memoizes link results in memory; threads may share one cache.
 
     Keys cover everything the result depends on, so a hit is always safe to
-    return verbatim. cache_dir, when given, is created if it can be and
-    nothing is ever written to it: results are kept in memory only.
+    return verbatim. A cache normalizes each distinct raw string once (two
+    threads that miss on one string together may both do it, to one value).
+    cache_dir, when given, is created if it can be and nothing is ever
+    written to it: results are kept in memory only.
     """
 
     def __init__(self, cache_dir: str | Path | None = None):
@@ -312,6 +315,7 @@ class LinkCache:
             with contextlib.suppress(OSError):
                 Path(cache_dir).mkdir(parents=True, exist_ok=True)
         self._memory: dict[tuple, LinkResult] = {}
+        self._normalize = lru_cache(maxsize=None)(normalize)
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -354,9 +358,11 @@ def cached_link(mention: str,
     if cache is None:
         return link(mention, mode, index, closure, config, context,
                     expected_types)
-    key = LinkCache.key(mention, mode, context, expected_types, config,
-                        index.build_id, closure)
-    # The key starts with normalize(mention), which link() then reuses.
-    return cache.get_or_compute(
-        key, lambda: link(mention, mode, index, closure, config, context,
-                          expected_types, key[0]))
+    # LinkCache.key(...) through this cache's normalize(); expected_types is
+    # read once, so a one-shot iterable reaches link() as well.
+    norm = cache._normalize
+    expected = tuple(sorted(set(expected_types))) if expected_types else ()
+    key = (norm(mention), mode, norm(context) if context else "", expected,
+           config.content_hash, index.build_id, closure.digest)
+    return cache.get_or_compute(key, partial(
+        link, mention, mode, index, closure, config, context, expected, key[0]))

@@ -59,13 +59,15 @@ VERTICAL = "vertical"
 
 _NUM = r"(?:[+-]?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|[+-]?\.\d+)"
 # One alternative per literal kind, named after it and tried in order; a
-# number range is a NUMBER.
+# number range is a NUMBER. The lookahead refuses at once a string whose
+# first character can start no kind, as most entity strings are.
 _LITERAL_RE = re.compile(
-    rf"(?P<{CLINICAL_TRIAL_ID}>NCT\d{{8}})"
+    r"(?=[\d+.-]|(?i:[ACGTUN]))"
+    rf"(?:(?P<{CLINICAL_TRIAL_ID}>NCT\d{{8}})"
     rf"|(?P<{SEQUENCE}>(?i:[ACGTUN]{{8,}}))"
     rf"|(?P<{PERCENT}>{_NUM}\s*%)"
     rf"|(?P<{NUMBER}>{_NUM}(?:\s*[-–]\s*{_NUM})?)"
-    rf"|(?P<{DATE}>\d{{4}}-\d{{2}}-\d{{2}}|\d{{4}}|\d{{2}}-\d{{4}})")
+    rf"|(?P<{DATE}>\d{{4}}-\d{{2}}-\d{{2}}|\d{{4}}|\d{{2}}-\d{{4}}))")
 
 
 def detect_literal(cell: str) -> str | None:
@@ -195,21 +197,25 @@ def column_type_vote(candidate_sets: list[tuple[ScoredCandidate, ...]],
     fraction of the sampled cells' candidate sets.
     """
     weights: dict[EntityId, float] = {}
+    get = weights.get
+    # By position: cand[11] is final_score, cand[0][4] record.direct_types.
     for cands in candidate_sets:
         for cand in cands:
-            score = cand.final_score
-            for t in cand.record.direct_types:
-                weights[t] = weights.get(t, 0.0) + score
+            score = cand[11]
+            for t in cand[0][4]:
+                weights[t] = get(t, 0.0) + score
     if not weights:
         return None
     # The lowest id among the types whose weight equals the largest.
     top = max(weights.values())
     winner = min(compress(weights, map(top.__eq__, weights.values())))
-    support = sum(any(winner in cand.record.direct_types for cand in cands)
-                  for cands in candidate_sets)
-    if support / len(candidate_sets) >= threshold:
-        return winner
-    return None
+    support = 0
+    for cands in candidate_sets:
+        for cand in cands:
+            if winner in cand[0][4]:
+                support += 1
+                break
+    return winner if support / len(candidate_sets) >= threshold else None
 
 
 class CellAnnotation(NamedTuple):
@@ -338,7 +344,7 @@ def link_table(table: Table,
     with the NIL threshold. Per-cell linker errors mark the cell NIL and
     never abort the table. Annotations are made in output order.
     """
-    params = config.params
+    params, types_of = config.params, closure.types_of
     orientation, kinds = _orientation(table)
     # The grid's columns: lane[0] is in the working header row.
     horizontal = orientation == HORIZONTAL
@@ -370,10 +376,10 @@ def link_table(table: Table,
             [outcomes[i].candidates for i in linked[:params.sample_size]],
             params.support_threshold)
         if dominant is not None:
+            # c[0][4] is a candidate's record.direct_types.
             for i in linked:
                 outcomes[i] = boost(
-                    outcomes[i],
-                    lambda c: dominant in closure.types_of(c.record.direct_types),
+                    outcomes[i], lambda c: dominant in types_of(c[0][4]),
                     params.column_type_boost, params.min_link_score)
             record = index.get(dominant)
             tokens = frozenset(tokenize(record.label)) if record else frozenset()

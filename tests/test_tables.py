@@ -24,7 +24,13 @@ from tablink import (
     read_table_csv,
     write_annotation,
 )
-from tablink.linker import ScoredCandidate
+from tablink.linker import (
+    Diagnostics,
+    LinkResult,
+    ScoredCandidate,
+    boost,
+    scored_sort_key,
+)
 from tablink.tables import annotation_from_obj, annotation_to_obj, table_from_obj, table_to_obj
 
 from fixture_kb import lineage_fixture
@@ -275,6 +281,91 @@ def test_column_type_vote_tie_goes_to_lowest_id():
     assert column_type_vote(sets, 0.3) == q("Q200")
     sets.append((_vote_candidate("Q4", 0.75, ["Q900"]),))
     assert column_type_vote(sets, 0.25) == q("Q900")
+
+
+def _by_name_vote(candidate_sets, threshold):
+    """column_type_vote's rule read by field name."""
+    weights = {}
+    for cands in candidate_sets:
+        for cand in cands:
+            for t in cand.record.direct_types:
+                weights[t] = weights.get(t, 0.0) + cand.final_score
+    if not weights:
+        return None
+    top = max(weights.values())
+    winner = min(t for t, w in weights.items() if w == top)
+    support = sum(any(winner in c.record.direct_types for c in cands)
+                  for cands in candidate_sets)
+    return winner if support / len(candidate_sets) >= threshold else None
+
+
+def _by_name_boost(result, hit, amount, min_link_score):
+    """linker.boost's rule read by field name."""
+    if not any(map(hit, result.candidates)):
+        return result
+    ranked = sorted(
+        (c._replace(boosts=c.boosts + amount,
+                    final_score=c.weighted_base + (c.boosts + amount))
+         if hit(c) else c for c in result.candidates),
+        key=lambda c: (-c.final_score, -c.record.sitelinks_count, c.record.id))
+    below = sum(c.final_score < min_link_score for c in ranked)
+    chosen = ranked[0] if ranked and ranked[0].final_score >= min_link_score \
+        else None
+    return LinkResult(result.mention, result.mode, chosen, tuple(ranked),
+                      Diagnostics(*result.diagnostics[:2], below))
+
+
+def _pool_candidate(n, types, base, boosts, sitelinks=0):
+    return ScoredCandidate(
+        record=ItemRecord(id=q(f"Q{n}"), label="x",
+                          direct_types=tuple(q(t) for t in types),
+                          sitelinks_count=sitelinks),
+        match_tier="exact_label", type_tier="UNKNOWN",
+        inferred_type_names=frozenset(), token_overlap=1.0, type_score=0.2,
+        match_score=1.0, prominence=0.0, context_sim=0.0, boosts=boosts,
+        weighted_base=base, final_score=base + boosts)
+
+
+def test_column_type_vote_sums_in_candidate_order():
+    # Q200's 0.1, 0.2, 0.3 sum to 0.6000000000000001 left to right and to
+    # 0.6 right to left, where Q100's 0.6 would win the tie on its id.
+    sets = [(_pool_candidate(1, ["Q200"], 0.1, 0.0),),
+            (_pool_candidate(2, ["Q200"], 0.2, 0.0),),
+            (_pool_candidate(3, ["Q200"], 0.3, 0.0),
+             _pool_candidate(4, ["Q100"], 0.6, 0.0))]
+    assert column_type_vote(sets, 0.5) == _by_name_vote(sets, 0.5) == q("Q200")
+
+
+def test_positional_pass2_equals_the_by_name_rules():
+    rng = random.Random(37)
+    # Eighths tie often and tenths round; a candidate has zero to three
+    # direct types out of six, which its pool's other candidates share.
+    scores = [i / 8 for i in range(9)] + [i / 10 for i in range(1, 10)]
+    types = [f"Q{100 + i}" for i in range(6)]
+    for _ in range(300):
+        candidate_sets = [
+            tuple(sorted((_pool_candidate(
+                n, rng.sample(types, rng.randint(0, 3)), rng.choice(scores),
+                rng.choice([0.0, 0.1, 0.3]), rng.choice([0, 1, 5]))
+                for n in rng.sample(range(1, 40), rng.randint(0, 6))),
+                key=scored_sort_key))
+            for _ in range(rng.randint(1, 6))]
+        threshold = rng.choice([0.0, 0.25, 0.5, 1.0])
+        dominant = column_type_vote(candidate_sets, threshold)
+        assert dominant == _by_name_vote(candidate_sets, threshold)
+        hit_type = dominant or q(rng.choice(types))
+        amount, min_score = rng.choice(scores), rng.choice([0.25, 0.5, 0.75])
+        for cands in candidate_sets:
+            result = LinkResult("x", "cell", None, cands, Diagnostics(9, 3, 0))
+
+            def hit(c):
+                return hit_type in c.record.direct_types
+            got = boost(result, hit, amount, min_score)
+            want = _by_name_boost(result, hit, amount, min_score)
+            # Equal floats, down to their sign, and ties in id order.
+            assert got == want
+            assert [list(map(repr, c)) for c in got.candidates] == \
+                [list(map(repr, c)) for c in want.candidates]
 
 
 def _lineage_setup():
