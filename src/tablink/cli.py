@@ -186,8 +186,6 @@ def _cmd_eval(args) -> dict:
 
 def _cmd_bench(args) -> dict:
     from .evalbench import bench
-    mentions = list(read_lines(args.mentions, str))
-    index, closure, config, manifest = _load_kb(args)
     latencies = _numbers(args.online_latency, (float, float),
                          lambda d: 0 <= d < float("inf"),
                          "--online-latency needs two comma-separated, finite, "
@@ -196,6 +194,8 @@ def _cmd_bench(args) -> dict:
                            "--projection needs tables,cells_per_table, "
                            "two positive whole numbers")
                   if args.projection else None)
+    mentions = list(read_lines(args.mentions, str))
+    index, closure, config, manifest = _load_kb(args)
     report = bench(mentions, index, closure, config,
                    online_latencies=latencies, projection=projection)
     _emit(report.to_obj(), args.out)

@@ -137,6 +137,14 @@ def scored_sort_key(c: ScoredCandidate) -> tuple:
 _SORT_KEY, _BELOW, _SCORED = map(itemgetter, range(3))
 
 
+def _entry(c: ScoredCandidate, min_link_score: float) -> tuple:
+    return scored_sort_key(c), c.final_score < min_link_score, c
+
+
+def _expected_key(expected_types: Iterable[str] | None) -> tuple[str, ...]:
+    return tuple(sorted(set(expected_types))) if expected_types else ()
+
+
 class Diagnostics(NamedTuple):
     retrieved: int = 0
     rejected_bad: int = 0
@@ -185,14 +193,14 @@ def link_from_candidates(mention: str,
     """
     if mode not in (CELL, HEADER):
         raise ValueError(f"mode must be {CELL!r} or {HEADER!r}, not {mode!r}")
-    expected = tuple(sorted(set(expected_types))) if expected_types else ()
+    expected = _expected_key(expected_types)
     memo_key = (config.content_hash, expected)
     if (tables := closure.memo.get(memo_key)) is None:
         tables = closure.memo[memo_key] = ({}, {}, {})
     tiers, scored, terms = tables
     survivors, s_max = [], 0
     for cand in raw_candidates:
-        record = cand[0]
+        record = cand.record
         key = (record.direct_types, record.flagged_props)
         if (tiered := tiers.get(key)) is None:
             names = infer_domain_types(record, config.property_inference)
@@ -235,8 +243,7 @@ def link_from_candidates(mention: str,
             c = new_scored((record, match_tier, tier, inferred, overlap,
                             type_score, match_score, prominence, context_sim,
                             boosts, base, base + boosts))
-            entry = memo[cand] = (scored_sort_key(c),
-                                  c.final_score < params.min_link_score, c)
+            entry = memo[cand] = _entry(c, params.min_link_score)
         entries.append(entry)
     return _ranked(entries,
                    normalize(mention) if normalized is None else normalized,
@@ -251,12 +258,11 @@ def boost(result: LinkResult, hit: Callable[[ScoredCandidate], bool],
     if not any(hits):
         return result
     entries = []
-    # By position: c[9:] is boosts, weighted_base, final_score, and the key
-    # is scored_sort_key(c).
     for c, h in zip(result.candidates, hits):
-        if h:
-            c = new_scored((*c[:9], b := c[9] + amount, c[10], c[10] + b))
-        entries.append(((-c[11], -c[0][5], c[0][0]), c[11] < min_link_score, c))
+        if h:  # c[:9] is every field before boosts
+            c = new_scored((*c[:9], b := c.boosts + amount, c.weighted_base,
+                            c.weighted_base + b))
+        entries.append(_entry(c, min_link_score))
     return _ranked(entries, result.mention, result.mode, *result.diagnostics[:2])
 
 
@@ -320,15 +326,13 @@ class LinkCache:
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def key(mention: str, mode: str, context: str | None,
-            expected_types: Iterable[str] | None,
-            config: ValidatedConfig, build_id: str,
-            closure: TypeClosure) -> tuple:
-        return (normalize(mention), mode,
-                normalize(context) if context else "",
-                tuple(sorted(set(expected_types))) if expected_types else (),
-                config.content_hash, build_id, closure.digest)
+    def key(self, mention: str, mode: str, context: str | None,
+            expected_types: Iterable[str] | None, config: ValidatedConfig,
+            build_id: str, closure: TypeClosure) -> tuple:
+        norm = self._normalize
+        return (norm(mention), mode, norm(context) if context else "",
+                _expected_key(expected_types), config.content_hash, build_id,
+                closure.digest)
 
     def get_or_compute(self, key: tuple,
                        compute: Callable[[], LinkResult]) -> LinkResult:
@@ -358,11 +362,8 @@ def cached_link(mention: str,
     if cache is None:
         return link(mention, mode, index, closure, config, context,
                     expected_types)
-    # LinkCache.key(...) through this cache's normalize(); expected_types is
-    # read once, so a one-shot iterable reaches link() as well.
-    norm = cache._normalize
-    expected = tuple(sorted(set(expected_types))) if expected_types else ()
-    key = (norm(mention), mode, norm(context) if context else "", expected,
-           config.content_hash, index.build_id, closure.digest)
+    # link() gets the key's normalize(mention) and its one read of expected_types.
+    key = cache.key(mention, mode, context, expected_types, config,
+                    index.build_id, closure)
     return cache.get_or_compute(key, partial(
-        link, mention, mode, index, closure, config, context, expected, key[0]))
+        link, mention, mode, index, closure, config, context, key[3], key[0]))

@@ -198,11 +198,10 @@ def column_type_vote(candidate_sets: list[tuple[ScoredCandidate, ...]],
     """
     weights: dict[EntityId, float] = {}
     get = weights.get
-    # By position: cand[11] is final_score, cand[0][4] record.direct_types.
     for cands in candidate_sets:
         for cand in cands:
-            score = cand[11]
-            for t in cand[0][4]:
+            score = cand.final_score
+            for t in cand.record.direct_types:
                 weights[t] = get(t, 0.0) + score
     if not weights:
         return None
@@ -212,7 +211,7 @@ def column_type_vote(candidate_sets: list[tuple[ScoredCandidate, ...]],
     support = 0
     for cands in candidate_sets:
         for cand in cands:
-            if winner in cand[0][4]:
+            if winner in cand.record.direct_types:
                 support += 1
                 break
     return winner if support / len(candidate_sets) >= threshold else None
@@ -376,10 +375,10 @@ def link_table(table: Table,
             [outcomes[i].candidates for i in linked[:params.sample_size]],
             params.support_threshold)
         if dominant is not None:
-            # c[0][4] is a candidate's record.direct_types.
             for i in linked:
                 outcomes[i] = boost(
-                    outcomes[i], lambda c: dominant in types_of(c[0][4]),
+                    outcomes[i],
+                    lambda c: dominant in types_of(c.record.direct_types),
                     params.column_type_boost, params.min_link_score)
             record = index.get(dominant)
             tokens = frozenset(tokenize(record.label)) if record else frozenset()
@@ -416,7 +415,7 @@ def _annotate(place: tuple[int, int], mention: str, literal: str | None,
     if type(outcome) is not LinkResult:
         return _new_cell(place + (mention, "nil", None, None, None, None, (),
                                   str(outcome)))
-    candidates = tuple([c[0][0] for c in outcome.candidates])  # record.id
+    candidates = tuple([c.record.id for c in outcome.candidates])
     if (chosen := outcome.chosen) is None:
         return _new_cell(place + (mention, "nil", None, None, None, None,
                                   candidates, ""))

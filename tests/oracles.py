@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written from the documented behavior, not from the package
-internals: search is a linear scan over all records, closure is matrix
+internals: search is a linear scan over all records (o_search_all scans
+once for a pool of mentions, o_search once per mention), closure is matrix
 reachability, and the end-to-end link oracle rebuilds the scoring formula
 step by step. Only data (the stopword list) and plain value types (EntityId,
 ItemRecord, config objects) are shared with the package. Four references
@@ -94,23 +95,23 @@ class OracleKB:
             self.token_sets.append(frozenset(toks))
 
 
-def o_search(kb: OracleKB, mention: str, k: int):
-    """Linear scan over every record; returns ranked (record, tier, overlap)
-    triples, or None when the mention is empty after normalization."""
+def _o_query(mention: str):
+    """(normalized mention, its distinct tokens in order), or None when the
+    mention is empty after normalization."""
     norm = o_normalize(mention)
     toks: list[str] = []
     for t in o_tokens(mention):
         if t not in toks:
             toks.append(t)
-    if not norm or not toks:
-        return None
+    return (norm, toks) if norm and toks else None
+
+
+def _o_rank(kb: OracleKB, norm: str, toks: list[str], hits: Iterable[int],
+            k: int):
+    """The ranked (record, tier, overlap) triples of the records numbered
+    hits, ascending, that the query matches, cut at k."""
     needed = math.ceil(len(toks) / 2)
     tokset = frozenset(toks)
-
-    hits = [i for i, (label, aliases, tset)
-            in enumerate(zip(kb.labels, kb.alias_sets, kb.token_sets))
-            if norm == label or norm in aliases or not tokset.isdisjoint(tset)]
-
     out = []
     records = kb.records
     for i in hits:
@@ -125,6 +126,41 @@ def o_search(kb: OracleKB, mention: str, k: int):
     out.sort(key=lambda h: (-MATCH_RANK[h[1]], -h[2], -h[0].sitelinks_count,
                             o_id_key(h[0].id)))
     return out[:k]
+
+
+def o_search(kb: OracleKB, mention: str, k: int):
+    """Linear scan over every record; returns ranked (record, tier, overlap)
+    triples, or None when the mention is empty after normalization."""
+    query = _o_query(mention)
+    if query is None:
+        return None
+    norm, toks = query
+    tokset = frozenset(toks)
+    hits = [i for i, (label, aliases, tset)
+            in enumerate(zip(kb.labels, kb.alias_sets, kb.token_sets))
+            if norm == label or norm in aliases or not tokset.isdisjoint(tset)]
+    return _o_rank(kb, norm, toks, hits, k)
+
+
+def o_search_all(kb: OracleKB, mentions: Iterable[str], k: int) -> list:
+    """[o_search(kb, m, k) for m in mentions], from one scan over every
+    record: each record's tokens look up the mentions they hit in a map
+    from the mentions' tokens. A mention equal to a record's label or alias
+    has that text's tokens, at least one, so the tokens find every hit."""
+    queries = list(map(_o_query, mentions))
+    by_token: dict[str, list[int]] = {}
+    for n, query in enumerate(queries):
+        for t in query[1] if query else ():
+            by_token.setdefault(t, []).append(n)
+    hits: list[list[int]] = [[] for _ in queries]
+    for i, tset in enumerate(kb.token_sets):
+        found = set()
+        for t in tset:
+            found.update(by_token.get(t, ()))
+        for n in found:
+            hits[n].append(i)
+    return [None if query is None else _o_rank(kb, *query, rows, k)
+            for query, rows in zip(queries, hits)]
 
 
 def warshall_ancestors(n: int, edge_pairs) -> list[set[int]]:
@@ -243,15 +279,16 @@ def o_context_sim(context, record) -> float:
     return min(1.0, dot / math.sqrt(na * nb))
 
 
-def o_link(kb: OracleKB, ancestors: dict, config, mention: str, mode: str,
-           context=None, expected=None):
-    """Brute-force pipeline: linear-scan retrieval, tier classification,
-    scoring, argmax with documented tie-breaks, NIL threshold.
+def o_link(raw, ancestors: dict, config, mode: str, context=None,
+           expected=None):
+    """Brute-force pipeline: tier classification, scoring, argmax with
+    documented tie-breaks, NIL threshold, over raw, the mention's linear-scan
+    retrieval: o_search(kb, mention, config.params.k), or its entry in
+    o_search_all's answer.
 
     Returns the chosen record id (or None for NIL), or the string "EMPTY"
     when the mention has no searchable content.
     """
-    raw = o_search(kb, mention, config.params.k)
     if raw is None:
         return "EMPTY"
     expected = tuple(sorted(set(expected))) if expected else ()

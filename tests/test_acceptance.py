@@ -33,6 +33,7 @@ from oracles import (
     o_link_from_candidates,
     o_link_table,
     o_search,
+    o_search_all,
     o_tier,
     o_tokens,
     squaring_ancestors,
@@ -51,16 +52,18 @@ from tablink import (
     classify_type_tier,
     detect_literal,
     evaluate,
+    ingest_dump,
     link,
     link_from_candidates,
     link_table,
     parse_config_obj,
     project_corpus_days,
+    read_records,
     read_table,
     search,
 )
 from tablink.tables import Table, annotation_to_obj
-from kb_bundles import SKEW_NOUNS, build_bundle
+from kb_bundles import SKEW_NOUNS, build_bundle, skew_dump
 from test_cli import quiet_run
 
 Q = EntityId.parse
@@ -136,13 +139,12 @@ def test_search_agrees_with_linear_scan_at_scale(big_kb, big_oracle):
     pool = _search_mention_pool(rng, big_kb.records, big_kb.truth)
 
     agreed = 0
-    for mention in pool:
+    for mention, want in zip(pool, o_search_all(big_oracle, pool, 20)):
         try:
             got = [(c.record.id, c.match_tier, c.token_overlap)
                    for c in search(big_kb.index, mention, 20)]
         except EmptyMention:
             got = None
-        want = o_search(big_oracle, mention, 20)
         if want is not None:
             want = [(r.id, tier, overlap) for r, tier, overlap in want]
         assert got == want, f"search disagreement for mention {mention!r}"
@@ -188,10 +190,9 @@ def test_search_agrees_with_linear_scan_under_skew(skew_kb):
     assert all(sizes[n] >= 30 for n in (1, 2, 3, 4)), sizes
 
     long_pools = 0
-    for mention in pool:
-        # o_search ranks every hit before cutting at k, so one full ranking
-        # gives its answer for every k.
-        ranked = o_search(oracle, mention, len(records))
+    # The oracle ranks every hit before cutting at k, so one full ranking
+    # gives its answer for every k.
+    for mention, ranked in zip(pool, o_search_all(oracle, pool, len(records))):
         long_pools += len(ranked) > 20
         for k in (1, 5, 20):
             got = [(c.record.id, c.match_tier, c.token_overlap)
@@ -248,13 +249,14 @@ def test_link_agrees_with_bruteforce_pipeline(big_kb, big_oracle, big_ancestors)
     rng = random.Random(0xAC02)
     cases = _link_case_pool(rng, big_kb.records, big_kb.config)
 
+    hits = o_search_all(big_oracle, [case[0] for case in cases],
+                        big_kb.config.params.k)
     agreed = 0
-    for mention, mode, ctx, expected in cases:
+    for (mention, mode, ctx, expected), raw in zip(cases, hits):
         got = _chosen(lambda: link(mention, mode, big_kb.index, big_kb.closure,
                                    big_kb.config, context=ctx,
                                    expected_types=expected))
-        want = o_link(big_oracle, big_ancestors, big_kb.config,
-                      mention, mode, ctx, expected)
+        want = o_link(raw, big_ancestors, big_kb.config, mode, ctx, expected)
         assert got == want, (f"link disagreement for {mention!r} "
                              f"mode={mode} ctx={ctx!r} expected={expected!r}")
         agreed += 1
@@ -262,6 +264,29 @@ def test_link_agrees_with_bruteforce_pipeline(big_kb, big_oracle, big_ancestors)
     assert agreed == 1000
     print("PASS link-oracle: 1000/1000 mixed-mode mentions match the "
           "brute-force pipeline decision")
+
+
+def test_batch_search_oracle_equals_the_per_mention_scan(small_kb, tmp_path):
+    """o_search_all, which the three oracle tests above scan with, answers
+    as o_search does for every mention the tests' pools draw, blanks and
+    unseen tokens included: on small_kb at the link oracle's k, and on its
+    skewed dump with full rankings."""
+    skew_dump(small_kb.result.dump_path, tmp_path / "dump.jsonl", seed=1)
+    ingest_dump(tmp_path / "dump.jsonl", tmp_path / "records.jsonl",
+                tmp_path / "edges.jsonl")
+    skewed = list(read_records(tmp_path / "records.jsonl"))
+    rng = random.Random(0xAC04)
+    # small_kb has 25 plants, and the search pool draws 50.
+    plain = _search_mention_pool(rng, small_kb.records,
+                                 {"plants": small_kb.truth["plants"] * 2})
+    plain += [case[0] for case in _link_case_pool(rng, small_kb.records,
+                                                  small_kb.config)]
+    for records, pool, k in (
+            (small_kb.records, plain, small_kb.config.params.k),
+            (skewed, _skew_mention_pool(rng, skewed), len(skewed))):
+        oracle = OracleKB(records)
+        assert o_search_all(oracle, pool, k) == \
+            [o_search(oracle, mention, k) for mention in pool]
 
 
 def test_link_from_candidates_agrees_with_the_per_hit_scorer(big_kb,

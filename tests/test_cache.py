@@ -71,36 +71,36 @@ def test_no_cache_passthrough():
 
 def test_key_normalizes_inputs():
     index = make_index()
-    base = LinkCache.key("alpha", "cell", None, None, CONFIG, index.build_id, CLOSURE)
-    assert LinkCache.key(" ALPHA ", "cell", None, None, CONFIG,
-                         index.build_id, CLOSURE) == base
-    assert LinkCache.key("alpha", "cell", "", None, CONFIG,
-                         index.build_id, CLOSURE) == base
-    assert LinkCache.key("alpha", "cell", None, [], CONFIG,
-                         index.build_id, CLOSURE) == base
-    a = LinkCache.key("alpha", "cell", None, ["x", "y"], CONFIG, index.build_id, CLOSURE)
-    b = LinkCache.key("alpha", "cell", None, ["y", "x", "x"], CONFIG,
-                      index.build_id, CLOSURE)
+    key = LinkCache().key
+    base = key("alpha", "cell", None, None, CONFIG, index.build_id, CLOSURE)
+    assert key(" ALPHA ", "cell", None, None, CONFIG,
+               index.build_id, CLOSURE) == base
+    assert key("alpha", "cell", "", None, CONFIG,
+               index.build_id, CLOSURE) == base
+    assert key("alpha", "cell", None, [], CONFIG,
+               index.build_id, CLOSURE) == base
+    a = key("alpha", "cell", None, ["x", "y"], CONFIG, index.build_id, CLOSURE)
+    b = key("alpha", "cell", None, ["y", "x", "x"], CONFIG,
+            index.build_id, CLOSURE)
     assert a == b
 
 
 def test_key_separates_every_input():
     index = make_index()
-    base = LinkCache.key("alpha", "cell", None, None, CONFIG, index.build_id, CLOSURE)
+    key = LinkCache().key
+    base = key("alpha", "cell", None, None, CONFIG, index.build_id, CLOSURE)
     variants = [
-        LinkCache.key("beta", "cell", None, None, CONFIG, index.build_id, CLOSURE),
-        LinkCache.key("alpha", "header", None, None, CONFIG, index.build_id, CLOSURE),
-        LinkCache.key("alpha", "cell", "some context", None, CONFIG,
-                      index.build_id, CLOSURE),
-        LinkCache.key("alpha", "cell", None, ["good-type"], CONFIG,
-                      index.build_id, CLOSURE),
-        LinkCache.key("alpha", "cell", None, None, CONFIG, "other-build",
-                      CLOSURE),
-        LinkCache.key("alpha", "cell", None, None,
-                      cfg({"min_link_score": 0.5}), index.build_id, CLOSURE),
-        LinkCache.key("alpha", "cell", None, None, CONFIG, index.build_id,
-                      build_closure([TypeEdge(q("Q200"), q("Q100"),
-                                              "subclass_of")])),
+        key("beta", "cell", None, None, CONFIG, index.build_id, CLOSURE),
+        key("alpha", "header", None, None, CONFIG, index.build_id, CLOSURE),
+        key("alpha", "cell", "some context", None, CONFIG,
+            index.build_id, CLOSURE),
+        key("alpha", "cell", None, ["good-type"], CONFIG,
+            index.build_id, CLOSURE),
+        key("alpha", "cell", None, None, CONFIG, "other-build", CLOSURE),
+        key("alpha", "cell", None, None,
+            cfg({"min_link_score": 0.5}), index.build_id, CLOSURE),
+        key("alpha", "cell", None, None, CONFIG, index.build_id,
+            build_closure([TypeEdge(q("Q200"), q("Q100"), "subclass_of")])),
     ]
     assert len({base, *variants}) == 8
 
@@ -269,7 +269,7 @@ def test_shared_cache_is_transparent_across_random_changes():
                           expected, cache=cache)
         assert got == link(mention, mode, index, closure, cfg_, context,
                            expected)
-        keys.add(LinkCache.key(mention, mode, context, expected, cfg_,
-                               index.build_id, closure))
+        keys.add(cache.key(mention, mode, context, expected, cfg_,
+                           index.build_id, closure))
     # Every lookup after a key's first is a hit.
     assert cache.hits == 600 - len(keys)

@@ -349,11 +349,19 @@ def test_bench_rejects_bad_latency_argument(pipeline, tmp_path):
                                          ("--projection", "0,10"),
                                          ("--projection", "-120000,10"),
                                          ("--projection", "120000,-1")])
-def test_bench_rejects_non_numeric_arguments(pipeline, tmp_path, flag, value):
+@pytest.mark.parametrize("inputs", ["present", "missing"])
+def test_bench_rejects_non_numeric_arguments(pipeline, tmp_path, flag, value,
+                                             inputs):
+    # Both flags are checked before any input is read, so a missing mentions
+    # file and index do not hide the usage error.
     mentions = tmp_path / "m.txt"
-    mentions.write_text("whatever\n", encoding="utf-8")
-    code, _, err = quiet_run(["bench", "--mentions", str(mentions),
-                              *common(pipeline), f"{flag}={value}"])
+    kb = common(pipeline)
+    if inputs == "present":
+        mentions.write_text("whatever\n", encoding="utf-8")
+    else:
+        kb[kb.index("--index") + 1] = str(tmp_path / "noidx")
+    code, _, err = quiet_run(["bench", "--mentions", str(mentions), *kb,
+                              f"{flag}={value}"])
     assert code == 1
     assert f"error: {flag}" in err
 

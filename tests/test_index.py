@@ -37,7 +37,7 @@ from tablink.cli import main
 from tablink.kb import read_direct_types
 from tablink.text import normalize
 
-from oracles import OracleKB, o_search
+from oracles import OracleKB, o_search_all
 
 q = EntityId.parse
 
@@ -548,11 +548,11 @@ def test_search_matches_linear_scan_oracle(small_kb):
         toks = r.label.split()
         if len(toks) >= 2:
             mentions.append(f"{toks[0]} {rng.choice(toks)}")
-    for mention in mentions:
+    for mention, ranked in zip(mentions, o_search_all(oracle, mentions, 20)):
         got = [(c.record.id.raw, c.match_tier, round(c.token_overlap, 9))
                for c in search(small_kb.index, mention, k=20)]
         want = [(r.id.raw, tier, round(overlap, 9))
-                for r, tier, overlap in o_search(oracle, mention, 20)]
+                for r, tier, overlap in ranked]
         assert got == want, f"mismatch for {mention!r}"
 
 
@@ -586,15 +586,16 @@ def test_search_cuts_large_pools_at_k_like_the_oracle(monkeypatch):
     monkeypatch.setattr(tablink.index, "new_raw",
                         lambda fields: built.append(fields) or RawCandidate(*fields))
     big_pools = ties_at_cut = 0
-    for mention in mentions:
-        full = o_search(oracle, mention, len(records))
+    # The oracle ranks every hit before cutting at k, so its answer at k is
+    # the full ranking's first k.
+    for mention, full in zip(mentions,
+                             o_search_all(oracle, mentions, len(records))):
         big_pools += len(full) > 20
         for k in (1, 5, 20):
             built.clear()
             got = [(c.record.id, c.match_tier, c.token_overlap)
                    for c in search(index, mention, k)]
-            want = [(r.id, tier, overlap)
-                    for r, tier, overlap in o_search(oracle, mention, k)]
+            want = [(r.id, tier, overlap) for r, tier, overlap in full[:k]]
             assert got == want, f"mismatch for {mention!r} at k={k}"
             assert len(built) == len(got)
             if len(full) > k:

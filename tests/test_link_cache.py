@@ -1,6 +1,6 @@
 """What one LinkCache lookup computes: each distinct raw string is
-normalized once per cache, every lookup's key is LinkCache.key(...) of its
-raw inputs, and expected types are read once, so a one-shot iterable means
+normalized once per cache, every lookup's key is cache.key(...) of its raw
+inputs, and expected types are read once, so a one-shot iterable means
 what a list means."""
 
 import tablink.linker
@@ -73,8 +73,10 @@ def test_keys_are_link_cache_key_of_the_raw_inputs(monkeypatch):
     assert sorted(calls) == sorted(
         ["Virus", " virus ", "VIRUS", "virus",
          "Agents  host", " agents host ", "AGENTS\thost"])
-    assert keys == [LinkCache.key(mention, mode, context, None, config,
-                                  index.build_id, closure)
+    # A fresh cache's key() of the raw inputs.
+    key = LinkCache().key
+    assert keys == [key(mention, mode, context, None, config, index.build_id,
+                        closure)
                     for mention, mode, context in lookups]
     # The four mentions share one normalized form, and so do the three
     # contexts: two distinct keys, every other lookup a hit.

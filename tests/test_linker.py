@@ -14,6 +14,7 @@ from tablink import (
     Index,
     ItemRecord,
     TypeEdge,
+    Weights,
     build_closure,
     classify_type_tier,
     context_similarity,
@@ -399,6 +400,29 @@ def test_boost_keeps_exact_ties_in_sort_key_order():
     assert _ids(boosted) == ["Q5", "Q2", "Q8", "Q9", "P1"]
     assert list(boosted.candidates) == sorted(boosted.candidates,
                                               key=scored_sort_key)
+
+
+@pytest.mark.parametrize("weights", [None, Weights(0.6, 0.25, 0.0, 0.15)])
+def test_boost_ranks_as_link_from_candidates_does(small_kb, weights):
+    # A zero boost to every candidate rebuilds and ranks again each result
+    # link() gives, which must then come back equal, in the same order. With
+    # no prominence weight, equal scores fall to the sitelinks tie-break.
+    index, closure, config = small_kb.index, small_kb.closure, small_kb.config
+    if weights:
+        config = config._replace(weights=weights)
+    results = []
+    for mention in small_kb.mentions:
+        for mode in ("cell", "header"):
+            try:
+                results.append(link(mention, mode, index, closure, config))
+            except EmptyMention:
+                pass
+    assert sum(len(r.candidates) > 1 for r in results) >= 50
+    for result in results:
+        boosted = boost(result, lambda c: True, 0.0, config.params.min_link_score)
+        assert boosted == result
+        assert _ids(boosted) == _ids(result)
+        assert boosted.chosen == result.chosen
 
 
 def test_virus_disambiguation():

@@ -283,8 +283,9 @@ def test_column_type_vote_tie_goes_to_lowest_id():
     assert column_type_vote(sets, 0.25) == q("Q900")
 
 
-def _by_name_vote(candidate_sets, threshold):
-    """column_type_vote's rule read by field name."""
+def _reference_vote(candidate_sets, threshold):
+    """column_type_vote's rule, written plainly: a sum per type, then a
+    generator over every candidate set for the support."""
     weights = {}
     for cands in candidate_sets:
         for cand in cands:
@@ -299,8 +300,9 @@ def _by_name_vote(candidate_sets, threshold):
     return winner if support / len(candidate_sets) >= threshold else None
 
 
-def _by_name_boost(result, hit, amount, min_link_score):
-    """linker.boost's rule read by field name."""
+def _reference_boost(result, hit, amount, min_link_score):
+    """linker.boost's rule, written plainly: _replace and a sort by the
+    sort key's fields, with no shared ranking step."""
     if not any(map(hit, result.candidates)):
         return result
     ranked = sorted(
@@ -333,10 +335,10 @@ def test_column_type_vote_sums_in_candidate_order():
             (_pool_candidate(2, ["Q200"], 0.2, 0.0),),
             (_pool_candidate(3, ["Q200"], 0.3, 0.0),
              _pool_candidate(4, ["Q100"], 0.6, 0.0))]
-    assert column_type_vote(sets, 0.5) == _by_name_vote(sets, 0.5) == q("Q200")
+    assert column_type_vote(sets, 0.5) == _reference_vote(sets, 0.5) == q("Q200")
 
 
-def test_positional_pass2_equals_the_by_name_rules():
+def test_column_type_vote_and_boost_equal_their_reference_rules():
     rng = random.Random(37)
     # Eighths tie often and tenths round; a candidate has zero to three
     # direct types out of six, which its pool's other candidates share.
@@ -352,7 +354,7 @@ def test_positional_pass2_equals_the_by_name_rules():
             for _ in range(rng.randint(1, 6))]
         threshold = rng.choice([0.0, 0.25, 0.5, 1.0])
         dominant = column_type_vote(candidate_sets, threshold)
-        assert dominant == _by_name_vote(candidate_sets, threshold)
+        assert dominant == _reference_vote(candidate_sets, threshold)
         hit_type = dominant or q(rng.choice(types))
         amount, min_score = rng.choice(scores), rng.choice([0.25, 0.5, 0.75])
         for cands in candidate_sets:
@@ -361,7 +363,7 @@ def test_positional_pass2_equals_the_by_name_rules():
             def hit(c):
                 return hit_type in c.record.direct_types
             got = boost(result, hit, amount, min_score)
-            want = _by_name_boost(result, hit, amount, min_score)
+            want = _reference_boost(result, hit, amount, min_score)
             # Equal floats, down to their sign, and ties in id order.
             assert got == want
             assert [list(map(repr, c)) for c in got.candidates] == \
