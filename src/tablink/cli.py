@@ -44,11 +44,6 @@ from .tables import (
 )
 from .version import FORMAT_VERSION, __version__
 
-# The commands whose code can log a warning (build_closure, the index build,
-# evaluate). Only they configure logging, so no other command imports it.
-_WARNING_COMMANDS = frozenset({"closure", "build-index", "eval"})
-
-
 class _UsageError(Exception):
     pass
 
@@ -137,7 +132,8 @@ def _cmd_closure(args) -> dict:
 def _cmd_build_index(args) -> dict:
     index = Index(read_records(args.records))
     save_index(index, args.out)
-    _emit({"build_id": index.build_id, "record_count": len(index)}, None)
+    _emit({"build_id": index.build_id, "record_count": len(index),
+           "duplicate_ids": index.duplicate_ids}, None)
     return {"index_build_id": index.build_id}
 
 
@@ -311,11 +307,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.version:
         sys.stdout.write(f"tablink {__version__} (format {FORMAT_VERSION})\n")
         return 0
-
-    if args.command in _WARNING_COMMANDS:
-        import logging
-        logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
-                            format="%(levelname)s %(name)s: %(message)s")
 
     if not getattr(args, "func", None):
         sys.stderr.write(parser.format_usage())

@@ -81,7 +81,7 @@ def build_closure(edges: Iterable[TypeEdge],
                   extra_nodes: Iterable[EntityId] = ()) -> TypeClosure:
     """Compute full reachability over the kind-consistent edges.
 
-    Cross-kind or unknown-relation edges are logged and skipped, never fatal.
+    Cross-kind or unknown-relation edges are skipped into rejected_edges.
     extra_nodes (typically every direct_types target seen in the records) are
     included with whatever ancestry the edges give them, or none.
     """
@@ -95,12 +95,6 @@ def build_closure(edges: Iterable[TypeEdge],
         nodes.add(edge.child)
         nodes.add(edge.parent)
         parents.setdefault(edge.child, set()).add(edge.parent)
-    if rejected:
-        # Imported here: no linking command builds a closure.
-        import logging
-        logging.getLogger(__name__).warning(
-            "skipped %d cross-kind or unknown-relation type edge(s)",
-            len(rejected))
 
     ancestors: dict[EntityId, frozenset[EntityId]] = {}
     for node in nodes:

@@ -9,7 +9,6 @@ without touching a rate-limited public API or sleeping through its latency.
 from __future__ import annotations
 
 import json
-import logging
 import time
 from collections.abc import Iterable
 from pathlib import Path
@@ -30,8 +29,6 @@ from .kb import (
 from .linker import CELL, link_from_candidates
 from .tables import CellAnnotation, TableAnnotation
 from .text import normalize
-
-log = logging.getLogger(__name__)
 
 SECONDS_PER_DAY = 86400.0
 
@@ -101,7 +98,7 @@ def evaluate(annotations: Iterable[TableAnnotation],
     are excluded from both denominators; linked_cells reports how many of the
     scored cells actually got a link, since the two denominators differ.
     Two annotations of one table are refused: which one to score is not
-    defined.
+    defined. Gold with no scorable cell gives zeros and degenerate=True.
     """
     by_table: dict[str, dict[tuple[int, int], CellAnnotation]] = {}
     for ann in annotations:
@@ -131,7 +128,6 @@ def evaluate(annotations: Iterable[TableAnnotation],
 
     # A table is scored only once it has a cell with gold.
     if not per_table:
-        log.warning("no gold cells with expected annotations; metrics degenerate")
         return EvalReport(0, 0, 0.0, 0.0, degenerate=True, per_table={})
     total = TableScore(*map(sum, zip(*per_table.values())))
     return EvalReport(

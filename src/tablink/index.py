@@ -161,16 +161,12 @@ def _compile(records: list[ItemRecord], duplicate_ids: int) -> _Tables:
 
 def _build(records: Iterable[ItemRecord]) -> _Tables:
     """The tables of the distinct records in rank order; of records with
-    one id the last wins."""
+    one id the last wins, and Index.duplicate_ids counts the others."""
     by_id: dict[EntityId, ItemRecord] = {}
     duplicate_ids = 0
     for record in records:
         if record.id in by_id:
             duplicate_ids += 1
-            # Imported here: no linking command builds an index.
-            import logging
-            logging.getLogger(__name__).warning(
-                "duplicate record id %s: last one wins", record.id)
         by_id[record.id] = record
     ordered = sorted(by_id.values(), key=lambda r: (-r.sitelinks_count, r.id))
     return _compile(ordered, duplicate_ids)

@@ -39,7 +39,7 @@ SUBPROPERTY_OF = "subproperty_of"
 
 TIER_NAMES = ("good", "ok", "bad")
 
-_ID_RE = re.compile(r"^([QP])(0|[1-9][0-9]*)$")
+_ID_RE = re.compile(r"([QP])(0|[1-9][0-9]*)")
 
 T = TypeVar("T")
 
@@ -54,7 +54,7 @@ class EntityId(NamedTuple):
 
     @classmethod
     def parse(cls, raw: str) -> "EntityId":
-        m = _ID_RE.match(raw) if isinstance(raw, str) else None
+        m = _ID_RE.fullmatch(raw) if isinstance(raw, str) else None
         if m is None:
             raise InvalidEntityId(f"not a Q/P identifier: {raw!r}")
         return cls(ITEM if m.group(1) == "Q" else PROPERTY, int(m.group(2)))

@@ -13,7 +13,6 @@ LinkResult, ScoredCandidate and Diagnostics are typing.NamedTuples.
 from __future__ import annotations
 
 import contextlib
-import threading
 from collections.abc import Callable, Iterable
 from functools import lru_cache, partial
 from operator import itemgetter
@@ -307,11 +306,10 @@ def result_to_obj(result: LinkResult) -> dict:
 
 
 class LinkCache:
-    """Memoizes link results in memory; threads may share one cache.
+    """Memoizes link results in memory, for one thread.
 
     Keys cover everything the result depends on, so a hit is always safe to
-    return verbatim. A cache normalizes each distinct raw string once (two
-    threads that miss on one string together may both do it, to one value).
+    return verbatim. A cache normalizes each distinct raw string once.
     cache_dir, when given, is created if it can be and nothing is ever
     written to it: results are kept in memory only.
     """
@@ -322,7 +320,6 @@ class LinkCache:
                 Path(cache_dir).mkdir(parents=True, exist_ok=True)
         self._memory: dict[tuple, LinkResult] = {}
         self._normalize = lru_cache(maxsize=None)(normalize)
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
@@ -337,15 +334,11 @@ class LinkCache:
     def get_or_compute(self, key: tuple,
                        compute: Callable[[], LinkResult]) -> LinkResult:
         """The cached result for key, else compute()'s, which is kept."""
-        with self._lock:
-            cached = self._memory.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-        result = compute()
-        with self._lock:
-            self._memory[key] = result
+        if (cached := self._memory.get(key)) is not None:
+            self.hits += 1
+            return cached
+        self.misses += 1
+        result = self._memory[key] = compute()
         return result
 
 

@@ -99,12 +99,13 @@ class _Builder:
     reordering two draws from one stream changes the corpus (its bytes are
     pinned in tests/test_synth.py)."""
 
-    def __init__(self, seed: int, n_items: int, n_types: int, n_tables: int):
+    def __init__(self, seed: int, n_items: int, n_types: int,
+                 table_ids: list[str]):
         self.rng = random.Random(seed)
         self.words = WordGen()
         self.n_items = n_items
         self.n_types = n_types
-        self.n_tables = n_tables
+        self.table_ids = table_ids
         self.entities: list[_Entity] = []
         self.by_id: dict[str, _Entity] = {}
         self.groups: dict[str, dict] = {}
@@ -391,7 +392,7 @@ class _Builder:
         tables_meta = []
         gold: list[GoldRecord] = []
 
-        for t_i in range(self.n_tables):
+        for t_i, table_id in enumerate(self.table_ids):
             n_rows = rng.randint(5, 7)
             specs = [("entity", amb_cycle[t_i % len(amb_cycle)]),
                      ("entity", "plain"),
@@ -453,7 +454,6 @@ class _Builder:
                 col_cells[j][r + 1] = rng.choice(EMPTY_MARKERS)
                 col_gold[j][r + 1] = None
 
-            table_id = f"t{t_i:03d}"
             # Row by row the working grid is [headers, *body]. A vertical
             # table emits its transpose: working cell (r, j) lands at
             # (j - 1, r + 1).
@@ -622,7 +622,8 @@ def generate_synthetic_kb(out_dir: str | Path,
     records/edges files are exactly what ingesting the emitted dump produces;
     generation fails loudly if its own bookkeeping disagrees with the ingest
     stats. Before any write, raises TypeError when n_items or n_tables is
-    not an int, and ValueError when one is negative or n_types < MIN_TYPES.
+    not an int, ValueError when one is negative or n_types < MIN_TYPES, and
+    FileExistsError when tables/ holds a *.json file it would not write.
     """
     if n_types < MIN_TYPES:
         raise ValueError(f"n_types must be at least {MIN_TYPES}, not {n_types}")
@@ -631,9 +632,15 @@ def generate_synthetic_kb(out_dir: str | Path,
             raise ValueError(f"{name} must be non-negative, not {n}")
     out = Path(out_dir)
     tables_dir = out / "tables"
+    # A table's id, with ".json", names its file.
+    table_ids = [f"t{t_i:03d}" for t_i in range(n_tables)]
+    stale = sorted({p.stem for p in tables_dir.glob("*.json")} - set(table_ids))
+    if stale:
+        raise FileExistsError(f"{tables_dir} holds {len(stale)} table file(s) "
+                              f"this run would not write, {stale[0]}.json first")
     tables_dir.mkdir(parents=True, exist_ok=True)
 
-    b = _Builder(seed, n_items, n_types, n_tables)
+    b = _Builder(seed, n_items, n_types, table_ids)
     b.build_types()
     b.build_items()
     b.plant_twins()

@@ -1,7 +1,5 @@
 import hashlib
 import random
-import sys
-import threading
 
 from tablink import (
     EntityId,
@@ -180,39 +178,6 @@ def test_files_left_in_the_cache_dir_are_neither_read_nor_changed(tmp_path):
         assert (cache.hits, cache.misses) == (0, len(LOOKUPS))
     assert old.read_text(encoding="utf-8") == '{"key": "any", "chosen": "Q3"}\n'
     assert [f.name for f in tmp_path.iterdir()] == ["links.jsonl"]
-
-
-def test_threads_share_one_cache():
-    index = make_index()
-    want = {(mention, mode): link(mention, mode, index, CLOSURE, CONFIG)
-            for mention, mode in LOOKUPS}
-    cache = LinkCache()
-    wrong = []
-
-    def work():
-        for _ in range(50):
-            for mention, mode in LOOKUPS:
-                got = cached_link(mention, mode, index, CLOSURE, CONFIG,
-                                  cache=cache)
-                if got != want[mention, mode]:
-                    wrong.append((mention, mode))
-
-    threads = [threading.Thread(target=work) for _ in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not wrong
-    assert cache.hits + cache.misses == 4 * 50 * len(LOOKUPS)
-    misses = cache.misses
-    link_all(index, cache)
-    assert cache.misses == misses
 
 
 def test_shared_cache_is_transparent_across_random_changes():

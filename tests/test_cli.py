@@ -10,6 +10,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from tablink import (
+    CellAnnotation,
+    GoldRecord,
+    TableAnnotation,
+    write_annotation,
+    write_gold,
+)
 from tablink.cli import main
 from tablink.closure import read_closure
 
@@ -608,6 +615,27 @@ def test_gen_kb_cli_is_deterministic(tmp_path):
     assert a == b
 
 
+def test_gen_kb_refuses_an_out_with_tables_it_would_not_write(tmp_path):
+    out = tmp_path / "g"
+    argv = ["gen-kb", "--out", str(out), "--items", "300", "--types", "60"]
+
+    def files():
+        return {p.relative_to(out): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}
+
+    assert quiet_run(argv + ["--tables", "3"])[0] == 0
+    first = files()
+    # The same arguments again write the same bytes.
+    assert quiet_run(argv + ["--tables", "3"])[0] == 0
+    assert files() == first
+    # Fewer tables would leave t001 and t002 beside a truth of one table.
+    code, stdout, err = quiet_run(argv + ["--tables", "1"])
+    assert (code, stdout) == (2, "")
+    assert err == (f"error: {out / 'tables'} holds 2 table file(s) this run "
+                   "would not write, t001.json first\n")
+    assert files() == first
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "tablink.cli", "--version"],
                           capture_output=True, text=True, timeout=60)
@@ -677,23 +705,33 @@ def test_the_process_writes_and_exits_as_main_returns(pipeline, tmp_path,
     assert 0 < len(stdout[1]) < 8192
 
 
-def test_closure_and_build_index_log_their_warnings(tmp_path):
+def test_tolerated_input_faults_are_counted_in_the_payload(tmp_path):
+    # Each fault is counted in the command's payload, and standard error
+    # holds the manifest alone.
     edges = tmp_path / "edges.jsonl"
     edges.write_text(
         '{"child":"Q1","parent":"P2","relation":"subclass_of"}\n'
         '{"child":"Q1","parent":"Q2","relation":"subclass_of"}\n',
         encoding="utf-8")
-    code, _, err = _as_process(["closure", "--edges", str(edges),
-                                "--out", str(tmp_path / "closure.txt")])
-    assert code == 0
-    assert err.splitlines()[:-1] == [
-        "WARNING tablink.closure: skipped 1 cross-kind or unknown-relation "
-        "type edge(s)"]
     records = tmp_path / "records.jsonl"
     records.write_text('{"id":"Q1","label":"alpha"}\n{"id":"Q2","label":"beta"}\n'
                        '{"id":"Q1","label":"gamma"}\n', encoding="utf-8")
-    code, _, err = _as_process(["build-index", "--records", str(records),
-                                "--out", str(tmp_path / "index")])
-    assert code == 0
-    assert err.splitlines()[:-1] == [
-        "WARNING tablink.index: duplicate record id Q1: last one wins"]
+    write_annotation(tmp_path / "t1.json", TableAnnotation(
+        "t1", "horizontal", {}, (),
+        (CellAnnotation(0, 0, "alpha", "nil"),)))
+    gold = tmp_path / "gold.jsonl"
+    write_gold(gold, [GoldRecord("t1", 0, 0, None)])
+    runs = [
+        (["closure", "--edges", str(edges), "--out", str(tmp_path / "closure.txt")],
+         "rejected_edges", 1),
+        (["build-index", "--records", str(records), "--out", str(tmp_path / "index")],
+         "duplicate_ids", 1),
+        (["eval", "--annotations", str(tmp_path / "t1.json"), "--gold", str(gold)],
+         "degenerate", True),
+    ]
+    for argv, field, value in runs:
+        code, out, err = _as_process(argv)
+        assert code == 0, err
+        assert json.loads(out)[field] == value
+        [manifest] = _without_wall_time(err)
+        assert manifest["subcommand"] == argv[0]

@@ -1,8 +1,22 @@
+import json
 import random
 
 import pytest
 
-from tablink import EntityId, InvalidEntityId, ItemRecord, TypeEdge
+from tablink import (
+    ConfigError,
+    EntityId,
+    InvalidEntityId,
+    ItemRecord,
+    ParseError,
+    TypeEdge,
+    ingest_dump,
+    load_config,
+    read_annotation,
+    read_edges,
+    read_gold,
+    read_records,
+)
 from tablink.kb import (
     edge_from_obj,
     edge_to_obj,
@@ -18,7 +32,8 @@ def test_parse_and_raw_round_trip():
 
 
 @pytest.mark.parametrize("bad", ["", "Q", "P", "q5", "Q-1", "Q01", "X5",
-                                 "Q1.5", " Q1", "Q1 ", "QP1", "1", "Q1a"])
+                                 "Q1.5", " Q1", "Q1 ", "QP1", "1", "Q1a",
+                                 "Q1\n", "P1\r\n"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(InvalidEntityId):
         EntityId.parse(bad)
@@ -87,3 +102,37 @@ def test_edge_obj_round_trip():
     q = EntityId.parse
     edge = TypeEdge(q("Q5"), q("Q215627"), "subclass_of")
     assert edge_from_obj(edge_to_obj(edge)) == edge
+
+
+@pytest.mark.parametrize("name, text", [
+    ("records.jsonl", '{"id": "Q1\\n", "label": "x"}'),
+    ("records.jsonl", '{"id": "Q1", "label": "x", "direct_types": ["Q5\\n"]}'),
+    ("edges.jsonl", '{"child": "Q1", "parent": "Q2\\n", "relation": "subclass_of"}'),
+    ("config.json", '{"type_dictionary": {"place": ["Q5\\n"]}}'),
+    ("gold.jsonl", '{"table_id": "t", "row": 0, "col": 0, "expected": "Q1\\n"}'),
+    ("annotation.json", json.dumps({
+        "table_id": "t", "orientation": "horizontal", "dominant_types": {},
+        "headers": [], "cells": [{"row": 0, "col": 0, "mention": "x",
+                                  "outcome": {"kind": "nil"},
+                                  "candidates": ["Q1\n"]}]})),
+])
+def test_readers_refuse_an_id_with_a_trailing_newline(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text + "\n", encoding="utf-8")
+    reader = {"records.jsonl": lambda p: list(read_records(p)),
+              "edges.jsonl": lambda p: list(read_edges(p)),
+              "config.json": load_config, "gold.jsonl": read_gold,
+              "annotation.json": read_annotation}[name]
+    with pytest.raises((ParseError, ConfigError),
+                       match=r"not a Q/P identifier: '[QP][0-9]\\n'"):
+        reader(path)
+
+
+def test_ingest_counts_an_id_with_a_trailing_newline_as_a_parse_error(tmp_path):
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(
+        json.dumps({"id": "Q1", "labels": {"en": {"value": "alpha"}}}) + "\n"
+        + json.dumps({"id": "Q2\n", "labels": {"en": {"value": "beta"}}}) + "\n",
+        encoding="utf-8")
+    stats = ingest_dump(dump, tmp_path / "r.jsonl", tmp_path / "e.jsonl")
+    assert (stats.records_emitted, stats.parse_errors) == (1, 1)

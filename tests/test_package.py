@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -66,15 +67,23 @@ def test_linking_commands_do_not_import_dataclasses_or_logging():
 
 @pytest.mark.parametrize("module", ["tablink.ingest", "tablink.evalbench"])
 def test_ingest_eval_and_bench_do_not_import_dataclasses(module):
-    # Their result types are named tuples; evalbench's degenerate-gold
-    # warning may still load logging.
+    # Their result types are named tuples, and they count what they
+    # tolerate in their results instead of logging it.
     code = (f"import sys, json\nimport {module}\n"
-            "print(json.dumps([m for m in ('dataclasses', 'inspect') "
+            "print(json.dumps([m for m in ('dataclasses', 'inspect', 'logging') "
             "if m in sys.modules]))")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_no_module_logs_or_locks():
+    # A command counts each input fault it tolerates in its payload instead
+    # of logging it, and no object is meant to be shared across threads.
+    for path in sorted(Path(tablink.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "logging" not in text and "threading" not in text, path.name
 
 
 def test_public_names_are_sorted_and_complete():
