@@ -9,9 +9,10 @@ normalized labels, aliases and tokens are tuples of strings, probed by
 bisection; every list of rows is a slice of a flat uint32 column, and each
 row's fields a slice of one bytes column, decoded on first use. Loading
 therefore builds no hash table, no per-key container and no record until
-one is asked for. Persistence is a directory holding the tables as one
-marshalled blob plus a manifest that pins the blob's hash and what it
-depends on, so a loaded index always matches what was built.
+one is asked for; searches then keep each key and record they read, so a
+repeated probe costs a dict lookup. Persistence is a directory holding the
+tables as one marshalled blob plus a manifest that pins the blob's hash and
+what it depends on, so a loaded index always matches what was built.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ class _Tables(NamedTuple):
     rows of each kind are entry i of label_rows, alias_rows and token_rows,
     empty where the key is not of that kind. No row is in both a key's label
     and alias entries, as ItemRecord keeps no alias that normalizes to its
-    label. Each entry's rows ascend, so it lists its records best-ranked
-    first. Every view but records is uint32."""
+    label. Each entry's rows ascend strictly, so it lists its records
+    best-ranked first. Every view but records is uint32."""
 
     header: tuple[int, str, str]
     duplicate_ids: int
@@ -184,11 +185,14 @@ class Index:
     object from a saved blob, and save_index marshals either again. A label,
     alias, token or id is found by bisection, and each list of rows is a
     read-only slice of a flat uint32 column, so a load makes no dict and no
-    per-key container. Every ItemRecord the index hands out is decoded from
-    its row's bytes by record_at, the first time it is asked for, and
-    memoized, so each row is decoded at most once per Index and equals the
-    record it was built from. Searches may run concurrently: two that
-    decode the same row at once both store an equal record.
+    per-key container. `_found` keeps each key a search or postings finds,
+    as the index's own string, with its label, alias and token rows as
+    tuples: at most one entry per key, as a string that is no key is
+    bisected on each probe and never kept. `_memo` keeps each ItemRecord
+    record_at decodes from its row's bytes, so a row is decoded at most
+    once per Index and equals the record it was built from. Each entry is
+    checked when first read and refused, unkept, if malformed; a key's rows
+    must ascend strictly. Concurrent searches store equal entries.
     """
 
     def __init__(self, records: Iterable[ItemRecord]):
@@ -206,6 +210,7 @@ class Index:
 
     def _adopt(self, tables: _Tables, build_id: str) -> Index:
         self._tables = tables
+        self._found: dict[str, tuple[tuple[int, ...], ...]] = {}
         self._memo: dict[int, ItemRecord] = {}
         self.build_id = build_id
         self.duplicate_ids = tables.duplicate_ids
@@ -260,22 +265,27 @@ class Index:
         return self.record_at(t.id_order[i]) if found else None
 
     def postings(self, token: str) -> tuple[int, ...]:
-        t = self._tables
-        return tuple(_entry(t.token_rows, t.token_ends, _find(t.keys, token)))
+        return self._rows(token)[2]
+
+    def _rows(self, key: str) -> tuple[tuple[int, ...], ...]:
+        """key's label, alias and token rows; all empty if it is no key."""
+        rows = self._found.get(key)
+        if rows is None:
+            t = self._tables
+            at = bisect_left(t.keys, key)
+            if at == len(t.keys) or t.keys[at] != key:
+                return ((), (), ())
+            rows = tuple(tuple(_entry(flat, ends, at)) for flat, ends in (
+                (t.label_rows, t.label_ends), (t.alias_rows, t.alias_ends),
+                (t.token_rows, t.token_ends)))
+            if not all(map(_ascends, rows)):
+                raise _malformed(f"column entry {at}")
+            self._found[t.keys[at]] = rows
+        return rows
 
 
-def _find(keys: tuple[str, ...], key: str) -> int | None:
-    """The position of key in the ascending keys, or None."""
-    i = bisect_left(keys, key)
-    return i if i < len(keys) and keys[i] == key else None
-
-
-def _entry(flat: memoryview, ends: memoryview,
-           at: int | None) -> Sequence[int]:
-    """Entry at of flat, () for None; refused unless its ends lie within
-    flat."""
-    if at is None:
-        return ()
+def _entry(flat: memoryview, ends: memoryview, at: int) -> Sequence[int]:
+    """Entry at of flat; refused unless its ends lie within flat."""
     start = ends[at - 1] if at else 0
     end = ends[at]
     if start <= end <= len(flat):
@@ -302,10 +312,9 @@ def search(index: Index, mention: str, k: int, *,
 
     if k < 1:
         return []
-    t = index._tables
-    at = _find(t.keys, norm)
-    labels = _entry(t.label_rows, t.label_ends, at)[:k]
-    aliases = _entry(t.alias_rows, t.alias_ends, at)[:k - len(labels)]
+    label_rows, alias_rows, own_rows = index._rows(norm)
+    labels = label_rows[:k]
+    aliases = alias_rows[:k - len(labels)]
     memo, record_at, new = index._memo, index.record_at, new_raw
     found = []
     for tier, rows in ((EXACT_LABEL, labels), (EXACT_ALIAS, aliases)):
@@ -313,16 +322,26 @@ def search(index: Index, mention: str, k: int, *,
             found.append(new((memo.get(row) or record_at(row), tier, 1.0)))
     if len(found) < k:
         # A one-token mention is its own token: its probe is reused.
-        own = tokens == [norm]
-        distinct = tokens if own else dict.fromkeys(tokens)
-        n = len(distinct)
-        spots = [at] if own else [_find(t.keys, token) for token in distinct]
-        lists = [_entry(t.token_rows, t.token_ends, spot) for spot in spots]
-        for row, covered in _partial(lists, {*labels, *aliases},
-                                     k - len(found)):
+        lists = [own_rows] if tokens == [norm] else sorted(
+            [index._rows(token)[2] for token in dict.fromkeys(tokens)],
+            key=len)
+        taken = {*labels, *aliases}
+        if _settled(lists, taken):
+            return found
+        n = len(lists)
+        for row, covered in _partial(lists, taken, k - len(found)):
             found.append(new((memo.get(row) or record_at(row), PARTIAL,
                               covered / n)))
     return found
+
+
+def _settled(lists: list[Sequence[int]], taken: set[int]) -> bool:
+    """Whether the partial tier is proved empty without building it, given
+    the posting lists of the n distinct tokens in ascending length: a row
+    covering ceil(n/2) tokens is in one of any n - ceil(n/2) + 1 of the
+    lists, so none is left if the shortest that many lie within taken."""
+    return all(len(rows) <= len(taken) and taken.issuperset(rows)
+               for rows in lists[:len(lists) // 2 + 1])
 
 
 def _holds(rows: Sequence[int], row: int) -> bool:
@@ -333,14 +352,13 @@ def _holds(rows: Sequence[int], row: int) -> bool:
 def _partial(lists: list[Sequence[int]], taken: set[int],
              want: int) -> list[tuple[int, int]]:
     """The best `want` (row, tokens covered) pairs of the partial tier,
-    given the posting lists of the n distinct tokens and leaving out the
-    rows in taken: rows covering at least ceil(n/2) tokens, more coverage
-    first, then row order. Only the shortest posting lists are read whole;
-    the others are read up to their head or probed by bisection."""
+    given the n distinct tokens' posting lists, shortest first, and leaving
+    out the rows in taken: rows covering at least ceil(n/2) tokens, more
+    coverage first, then row order. Only the shortest posting lists are
+    read whole; the others are read up to their head or probed by bisection."""
     if len(lists) == 1:
         return [(row, 1) for row in lists[0][:want + len(taken)]
                 if row not in taken][:want]
-    lists = sorted(lists, key=len)
     if len(lists) == 2:
         # Either token reaches the bar. Rows holding both come first, then
         # the rest of the union in row order, whose first m rows outside
@@ -399,7 +417,7 @@ def save_index(index: Index, out_dir: str | Path) -> None:
     write_json(out / MANIFEST_NAME, manifest, sort_keys=True)
 
 
-def _ascends(values: Sequence[str]) -> bool:
+def _ascends(values: Sequence) -> bool:
     return all(map(operator.lt, values, islice(values, 1, None)))
 
 

@@ -184,9 +184,10 @@ def link_from_candidates(mention: str,
     Split out from link() so the benchmark can time the ranking phase on its
     own. closure.memo keeps its tables per (config content_hash, sorted
     expected types), which equal configs share: (type tier, inferred names,
-    tier score) by (direct_types, flagged_props), and context-free ranking
-    entries by (pool sitelinks maximum, mode), then RawCandidate, its record
-    compared by value, and record_terms() by record. Ranking is a stable
+    tier score) by (direct_types, flagged_props), and again with the record
+    by id(record); context-free ranking entries by (pool sitelinks maximum,
+    mode), then (id(record), match tier, overlap); and record_terms() by
+    record. So no memo probe hashes a record's fields. Ranking is a stable
     sort by scored_sort_key. Raises ValueError for a mode other than CELL
     and HEADER.
     """
@@ -200,14 +201,18 @@ def link_from_candidates(mention: str,
     survivors, s_max = [], 0
     for cand in raw_candidates:
         record = cand.record
-        key = (record.direct_types, record.flagged_props)
-        if (tiered := tiers.get(key)) is None:
-            names = infer_domain_types(record, config.property_inference)
-            tier = classify_type_tier(record, config, closure, expected,
-                                      inferred=names)
-            tiered = tiers[key] = (tier, names, TIER_SCORES.get(tier))
+        # Keyed by identity as well: the entry holds the record, so no other
+        # object can take its id while the entry lives.
+        if (tiered := tiers.get(id(record))) is None:
+            key = (record.direct_types, record.flagged_props)
+            if (tiered := tiers.get(key)) is None:
+                names = infer_domain_types(record, config.property_inference)
+                tier = classify_type_tier(record, config, closure, expected,
+                                          inferred=names)
+                tiered = tiers[key] = (tier, names, TIER_SCORES.get(tier))
+            tiered = tiers[id(record)] = (*tiered, record)
         if tiered[0] != BAD:
-            survivors.append(cand)
+            survivors.append((cand, tiered))
             if record.sitelinks_count > s_max:
                 s_max = record.sitelinks_count
 
@@ -222,11 +227,11 @@ def link_from_candidates(mention: str,
     elif (memo := scored.get((s_max, mode))) is None:
         memo = scored[s_max, mode] = {}
     entries = []
-    for cand in survivors:
-        if (entry := memo.get(cand)) is None:
-            record, match_tier, overlap = cand
-            tier, inferred, type_score = tiers[record.direct_types,
-                                               record.flagged_props]
+    for cand, tiered in survivors:
+        record, match_tier, overlap = cand
+        # The entry holds the record, as the tier entry does.
+        if (entry := memo.get(key := (id(record), match_tier, overlap))) is None:
+            tier, inferred, type_score, _ = tiered
             match_score = (0.4 * overlap if match_tier == PARTIAL
                            else _MATCH_SCORES[match_tier])
             prominence = record.sitelinks_count / s_max if s_max else 0.0
@@ -242,7 +247,7 @@ def link_from_candidates(mention: str,
             c = new_scored((record, match_tier, tier, inferred, overlap,
                             type_score, match_score, prominence, context_sim,
                             boosts, base, base + boosts))
-            entry = memo[cand] = _entry(c, params.min_link_score)
+            entry = memo[key] = _entry(c, params.min_link_score)
         entries.append(entry)
     return _ranked(entries,
                    normalize(mention) if normalized is None else normalized,

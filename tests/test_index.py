@@ -35,7 +35,7 @@ from tablink import (
 from tablink.cli import main
 
 from tablink.kb import read_direct_types
-from tablink.text import normalize
+from tablink.text import normalize, split_tokens
 
 from oracles import OracleKB, o_search_all
 
@@ -455,6 +455,30 @@ def test_load_rejects_a_malformed_blob_even_with_its_hash(tmp_path, small_index,
         probe(load_index(tmp_path / "idx"))
 
 
+def _swap_first_two_measles_token_rows(rows, t):
+    start = t.token_ends[_measles_at(t) - 1]
+    rows[start], rows[start + 1] = rows[start + 1], rows[start]
+
+
+def test_an_entry_out_of_order_is_refused_when_a_search_first_reads_it(
+        tmp_path, small_index):
+    # "measles" is a token of rows 0 (Q1), 2, 3, 4 and 6; with its first
+    # two rows swapped, bisection misses row 0 there, and Q1 would rank as
+    # covering one token of "rubeola measles" where it covers both.
+    assert search(small_index, "rubeola measles", 5)[0][1:] == ("partial", 1.0)
+    blob = marshal.dumps(tuple(_edited(
+        "token_rows", _swap_first_two_measles_token_rows)(small_index._tables)), 2)
+    save_index(small_index, tmp_path / "idx")
+    (tmp_path / "idx" / "index.marshal").write_bytes(blob)
+    _edit_manifest(tmp_path / "idx", build_id=hashlib.sha256(blob).hexdigest())
+    index = load_index(tmp_path / "idx")  # a load reads no entry
+    assert [c.record.id.raw for c in search(index, "rubeola", 5)] == ["Q1", "Q6"]
+    for _ in range(2):  # refused, and never kept
+        with pytest.raises(IndexUnavailable, match="malformed; rebuild"):
+            search(index, "rubeola measles", 5)
+    assert "measles" not in index._found
+
+
 def test_link_names_a_malformed_row_and_exits_1(tmp_path, small_index,
                                                 capsys):
     blob = marshal.dumps(tuple(_row_zero((1, 2))(small_index._tables)), 2)
@@ -758,3 +782,42 @@ def test_no_row_is_in_both_a_keys_label_and_alias_entries(small_kb):
     # It holds because a record keeps no alias that normalizes to its label.
     index = Index([ItemRecord(q("Q1"), "Alpha", ("ALPHA", " alpha "))])
     assert [c.match_tier for c in search(index, "alpha", 5)] == ["exact_label"]
+
+
+def test_search_keeps_each_key_it_finds_and_no_other_string(small_kb):
+    # "qxq" holds a q, which gen-kb's words never do, so it is no key.
+    index = Index(small_kb.records)
+    pool = [m for m in small_kb.mentions if split_tokens(normalize(m))]
+    pool += [m + " qxq" for m in pool[:40]] + ["qxq", "qxq zz"]
+    first = [search(index, m, 10) for m in pool]
+    t = index._tables
+    at = {key: i for i, key in enumerate(t.keys)}
+    found = dict(index._found)
+    assert found and "qxq" not in found and index.postings("qxq") == ()
+    for key, rows in found.items():
+        assert key in at
+        assert rows == tuple(tuple(tablink.index._entry(flat, ends, at[key]))
+                             for flat, ends in ((t.label_rows, t.label_ends),
+                                                (t.alias_rows, t.alias_ends),
+                                                (t.token_rows, t.token_ends)))
+    assert [search(index, m, 10) for m in pool] == first
+    assert index._found == found
+
+
+def test_the_partial_tier_is_proved_empty_only_when_it_is():
+    settled, partial = tablink.index._settled, tablink.index._partial
+    rng = random.Random(7)
+    proved = beyond_the_prefix = 0
+    for _ in range(4000):
+        universe = range(rng.randint(1, 12))
+        lists = sorted((tuple(sorted(rng.sample(universe, rng.randint(
+            0, len(universe))))) for _ in range(rng.randint(1, 6))), key=len)
+        taken = set(rng.sample(universe, rng.randint(0, len(universe))))
+        taken.update(*rng.sample(lists, rng.randint(0, len(lists))))
+        if settled(lists, taken):
+            proved += 1
+            beyond_the_prefix += not all(map(taken.issuperset, lists))
+            assert partial(lists, taken, 20) == [], (lists, taken)
+    # The proof is used often, and often where some longer list reaches
+    # past taken.
+    assert proved > 500 and beyond_the_prefix > 100

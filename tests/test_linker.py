@@ -621,7 +621,7 @@ def _fresh_link(mention, mode, index, config):
     return link(mention, mode, index, build_closure([]), config)
 
 
-def test_scored_memo_compares_records_by_value_across_indexes():
+def test_scored_memo_keeps_the_records_of_each_index_apart():
     # Row 0 is Q2 and row 1 is Q1 in every index; Q1's fields, or the pool's
     # sitelinks maximum, differ from the first index's.
     def index(q1_types=("Q120",), q1_sitelinks=10, q2_sitelinks=20):
@@ -635,9 +635,10 @@ def test_scored_memo_compares_records_by_value_across_indexes():
     assert got == [_fresh_link("alpha", "cell", i, MEMO_CFG) for i in indexes]
     q1 = [{c.record.id.raw: c for c in r.candidates}["Q1"] for r in got]
     assert len({(c.prominence, c.type_tier) for c in q1[:4]}) == 4
-    # An equal record from another index is served the first one's entry.
-    assert q1[4] is q1[0] and q1[4].record is not indexes[4].get(q("Q1"))
-    assert q1[4].record == indexes[4].get(q("Q1"))
+    # The memo keys a record by identity: an equal record from another
+    # index gets an equal entry of its own, which holds that index's record.
+    assert q1[4] == q1[0] and q1[4] is not q1[0]
+    assert q1[4].record is indexes[4].get(q("Q1"))
 
 
 def test_scored_memo_keeps_configs_differing_in_one_weight_or_boost_apart():
