@@ -267,6 +267,10 @@ class Index:
     def postings(self, token: str) -> tuple[int, ...]:
         return self._rows(token)[2]
 
+    def found(self, key: str) -> tuple[tuple[int, ...], ...] | None:
+        """key's kept rows if a search or postings found it, else None."""
+        return self._found.get(key)
+
     def _rows(self, key: str) -> tuple[tuple[int, ...], ...]:
         """key's label, alias and token rows; all empty if it is no key."""
         rows = self._found.get(key)

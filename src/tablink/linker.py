@@ -8,6 +8,9 @@ normalize() is not idempotent, so a link normalizes its mention once and
 hands that string on: link(), link_from_candidates() and index.search()
 take it as normalized=, which must be normalize(mention).
 LinkResult, ScoredCandidate and Diagnostics are typing.NamedTuples.
+closure.memo keeps the linker's tables, one holding the context-free
+LinkResult of each key the index has found, per mode, so such a link repeats
+at dict cost. Concurrent links store equal entries.
 """
 
 from __future__ import annotations
@@ -144,6 +147,14 @@ def _expected_key(expected_types: Iterable[str] | None) -> tuple[str, ...]:
     return tuple(sorted(set(expected_types))) if expected_types else ()
 
 
+def _tables(closure: TypeClosure, config: ValidatedConfig,
+            expected: tuple[str, ...]) -> tuple[dict, dict, dict, dict]:
+    """closure.memo's tier, scored, terms and ranked tables, made on first use."""
+    if (tables := closure.memo.get(key := (config.content_hash, expected))) is None:
+        tables = closure.memo[key] = ({}, {}, {}, {})
+    return tables
+
+
 class Diagnostics(NamedTuple):
     retrieved: int = 0
     rejected_bad: int = 0
@@ -187,17 +198,17 @@ def link_from_candidates(mention: str,
     tier score) by (direct_types, flagged_props), and again with the record
     by id(record); context-free ranking entries by (pool sitelinks maximum,
     mode), then (id(record), match tier, overlap); and record_terms() by
-    record. So no memo probe hashes a record's fields. Ranking is a stable
-    sort by scored_sort_key. Raises ValueError for a mode other than CELL
-    and HEADER.
+    id(record); link() keeps each context-free LinkResult by
+    (id(index.found(normalized)), mode), at most one per found key and mode.
+    An identity-keyed entry holds its record or rows, and no memo probe
+    hashes a record's fields. Concurrent links store equal entries. Ranking
+    is a stable sort by scored_sort_key. Raises ValueError for a mode other
+    than CELL and HEADER.
     """
     if mode not in (CELL, HEADER):
         raise ValueError(f"mode must be {CELL!r} or {HEADER!r}, not {mode!r}")
     expected = _expected_key(expected_types)
-    memo_key = (config.content_hash, expected)
-    if (tables := closure.memo.get(memo_key)) is None:
-        tables = closure.memo[memo_key] = ({}, {}, {})
-    tiers, scored, terms = tables
+    tiers, scored, terms, _ = _tables(closure, config, expected)
     survivors, s_max = [], 0
     for cand in raw_candidates:
         record = cand.record
@@ -237,10 +248,10 @@ def link_from_candidates(mention: str,
             prominence = record.sitelinks_count / s_max if s_max else 0.0
             context_sim = 0.0
             if ctx_tokens:
-                if (rec_terms := terms.get(record)) is None:
-                    rec_terms = terms[record] = record_terms(record)
+                if (kept := terms.get(id(record))) is None:
+                    kept = terms[id(record)] = (record_terms(record), record)
                 context_sim = context_similarity(context, record, counts=counts,
-                                                 terms=rec_terms)
+                                                 terms=kept[0])
             boosts = header_boost if record.id.is_property else 0.0
             base = (w_type * type_score + w_match * match_score
                     + w_prom * prominence + w_ctx * context_sim)
@@ -282,9 +293,19 @@ def link(mention: str,
     normalizes to nothing searchable; returns NIL when nothing scores above
     min_link_score."""
     norm = normalize(mention) if normalized is None else normalized
+    expected = _expected_key(expected_types)
+    # A context-free link of a found key keeps its result, by its rows' id.
+    rows = None if context else index.found(norm)
+    if rows is not None and (tables := closure.memo.get(
+            (config.content_hash, expected))) and (
+            kept := tables[3].get((id(rows), mode))):
+        return kept[1]
     raw = search(index, mention, config.params.k, normalized=norm)
-    return link_from_candidates(mention, raw, mode, context, expected_types,
-                                closure, config, normalized=norm)
+    result = link_from_candidates(mention, raw, mode, context, expected,
+                                  closure, config, normalized=norm)
+    if not context and (rows := index.found(norm)) is not None:
+        _tables(closure, config, expected)[3][id(rows), mode] = (rows, result)
+    return result
 
 
 # Every field of ScoredCandidate except the record, in declaration order.

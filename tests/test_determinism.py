@@ -5,8 +5,9 @@ determinism.json.
 
 Each workload is ingested, its closure built over the records' direct
 types (as the benchmark's `tablink closure --records` does) and its index
-built, all in process; then its 120 tables are linked once without a cache
-and once through one LinkCache, which must agree byte for byte. The two
+built, all in process; then its 120 tables are linked once without a cache,
+once through one LinkCache and once more without a cache through the now
+warm closure, and all three must agree byte for byte. The two
 skewed workloads share one dump, generated and set up once. build_id
 hashes a marshal blob, whose bytes may differ between Python minor
 versions, so it is pinned per minor version and checked only where one is
@@ -109,6 +110,10 @@ def observe(work: Path) -> tuple[dict, dict]:
         cache = LinkCache()
         cached = _annotations_digest(tables, kb, cache, scratch)
         assert cached == plain, f"{name}: annotations differ through a LinkCache"
+        # Once more without a cache: the closure's linker tables, warm now,
+        # serve the repeats, and must give the same bytes.
+        steady = _annotations_digest(tables, kb, None, scratch)
+        assert steady == plain, f"{name}: annotations differ in steady state"
         observed[name] = {**digests, "tables": len(tables), "annotations": plain,
                           "cache_hits": cache.hits, "cache_misses": cache.misses}
         build_ids[name] = index.build_id

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import pickle
 import random
@@ -191,9 +192,12 @@ def test_memoized_context_scores_equal_a_fresh_cosine():
                         + " ".join(r.aliases))), (context, r.id)
                 checked.add(r.id)
     assert {q("Q1"), q("Q2"), q("Q3"), q("Q4")} <= checked
-    # The counts were kept, once per record, by the closure's linker tables.
+    # The counts were kept, once per record, by the closure's linker tables,
+    # keyed by the record's identity, each entry holding its record.
     (terms,) = [tables[2] for tables in closure.memo.values()]
-    assert set(terms) == {index.get(eid) for eid in checked}
+    records = [index.get(eid) for eid in checked]
+    assert set(terms) == {id(r) for r in records}
+    assert all(terms[id(r)][1] is r for r in records)
 
 
 SCORE_CFG = cfg({
@@ -693,6 +697,137 @@ def test_scored_memo_keys_hand_built_candidates_by_every_field():
             results.append(got)
     assert len({r.candidates[0].final_score for r in results[:5]}) == 5
     assert results[6:] == results[:6]
+
+
+def test_terms_memo_keeps_the_records_of_each_index_apart():
+    # Two indexes hold equal Q1 records; header links with a context score
+    # both through one closure.
+    indexes = [Index([rec("Q1", "alpha", description="greek letter")])
+               for _ in range(2)]
+    shared = build_closure([])
+    got = [link("alpha", "header", i, shared, SCORE_CFG,
+                context="greek letter") for i in indexes]
+    records = [i.get(q("Q1")) for i in indexes]
+    assert records[0] == records[1] and records[0] is not records[1]
+    assert got[0] == got[1] and got[0].chosen.context_sim > 0
+    # The memo keys a record by identity: the equal record gets an entry of
+    # its own, which holds that index's record.
+    (terms,) = [tables[2] for tables in shared.memo.values()]
+    assert set(terms) == {id(r) for r in records}
+    assert all(terms[id(r)][1] is r for r in records)
+
+
+# The ranked memo: link() keeps the context-free LinkResult of each key the
+# index has found, per mode, in the fourth of the closure's linker tables.
+
+def _ranked(closure):
+    """Every ranked-memo entry of closure, over all configs and types."""
+    return {key: entry for tables in closure.memo.values()
+            for key, entry in tables[3].items()}
+
+
+def _closure_of(kb):
+    return build_closure(kb.edges, extra_nodes=sorted(
+        {t for r in kb.records for t in r.direct_types}))
+
+
+def _link_pool(kb, index, closure, mentions, **kw):
+    """link() of each mention in cell and header mode, by (mention, mode);
+    a mention that normalizes to nothing is left out."""
+    got = {}
+    for mention in mentions:
+        for mode in ("cell", "header"):
+            with contextlib.suppress(EmptyMention):
+                got[mention, mode] = link(mention, mode, index, closure,
+                                          kb.config, **kw)
+    return got
+
+
+@pytest.mark.parametrize("typed", [False, True])
+def test_ranked_memo_serves_each_repeat_equal_to_a_fresh_link(
+        small_kb, monkeypatch, typed):
+    expected = sorted(small_kb.config.type_dictionary)[:3] if typed else None
+    index, shared = Index(small_kb.records), _closure_of(small_kb)
+    first = _link_pool(small_kb, index, shared, small_kb.mentions,
+                       expected_types=expected)
+    searched = []
+    monkeypatch.setattr(tablink.linker, "search",
+                        lambda i, m, *a, **kw: searched.append(m)
+                        or search(i, m, *a, **kw))
+    second = _link_pool(small_kb, index, shared, small_kb.mentions,
+                        expected_types=expected)
+    monkeypatch.undo()
+    ranked, fresh, kept = _ranked(shared), _closure_of(small_kb), set()
+    for (mention, mode), got in second.items():
+        fresh.memo.clear()
+        assert got == link(mention, mode, index, fresh, small_kb.config,
+                           expected_types=expected), (mention, mode)
+        if (rows := index.found(tablink.text.normalize(mention))) is not None:
+            # Served from the table: the first pass's result, kept there.
+            assert got is first[mention, mode]
+            assert ranked[id(rows), mode] == (rows, got)
+            kept.add(mention)
+    # Only mentions that are no key were searched again.
+    assert len(kept) > 800 and set(searched) == set(small_kb.mentions) - kept
+    assert len(searched) == 2 * len(set(searched))
+
+
+def test_link_reads_one_shot_expected_types_once():
+    index = Index([rec("Q1", "alpha", types=["Q110"], sitelinks=10),
+                   rec("Q2", "alpha", types=["Q100"], sitelinks=9)])
+    want = link("alpha", "cell", index, build_closure([]), MEMO_CFG,
+                expected_types=["target-type"])
+    assert want.chosen.record.id.raw == "Q2"
+    assert want.chosen.type_tier == "TARGET"
+    shared = build_closure([])
+    cold = link("alpha", "cell", index, shared, MEMO_CFG,
+                expected_types=iter(["target-type"]))
+    warm = link("alpha", "cell", index, shared, MEMO_CFG,
+                expected_types=iter(["target-type"]))
+    assert cold == want and warm == want and warm is cold
+
+
+def test_ranked_memo_keeps_the_results_of_each_index_apart():
+    # Q1's types differ between the first two indexes; the third equals the
+    # first.
+    def index(q1_types=("Q120",)):
+        return Index([rec("Q1", "alpha", types=q1_types, sitelinks=10),
+                      rec("Q2", "alpha", sitelinks=20)])
+
+    indexes = [index(), index(q1_types=()), index()]
+    shared = build_closure([])
+    for _ in range(2):
+        got = [link("alpha", "cell", i, shared, MEMO_CFG) for i in indexes]
+        assert got == [_fresh_link("alpha", "cell", i, MEMO_CFG)
+                       for i in indexes]
+    assert got[0] != got[1] and got[2] == got[0]
+    # Each index's result holds that index's records.
+    assert all(c.record is i.get(c.record.id)
+               for r, i in zip(got, indexes) for c in r.candidates)
+    assert len(_ranked(shared)) == 3
+
+
+def test_ranked_memo_holds_only_found_keys_linked_without_a_context(small_kb):
+    index, shared = Index(small_kb.records), _closure_of(small_kb)
+    mentions = small_kb.mentions
+    # Every fourth mention is linked with a context only; each mention also
+    # gets a word that is no key, which makes it a partial-tier search.
+    alone, with_context = mentions[1::4], mentions[::4]
+    _link_pool(small_kb, index, shared, [m for m in mentions
+                                         if m not in set(with_context)])
+    _link_pool(small_kb, index, shared, with_context, context="dokelo foli")
+    _link_pool(small_kb, index, shared, [m + " zzqx" for m in alone])
+    found = list(index._found.values())
+    ranked = _ranked(shared)
+    assert len(ranked) > 1000
+    for (rows_id, mode), (rows, result) in ranked.items():
+        assert rows_id == id(rows) and any(rows is f for f in found)
+        assert index.found(result.mention) is rows and result.mode == mode
+    keys = {result.mention for _, result in ranked.values()}
+    normalize = tablink.text.normalize
+    assert not keys & {normalize(m) for m in with_context} - {
+        normalize(m) for m in mentions if m not in set(with_context)}
+    assert not keys & {normalize(m + " zzqx") for m in alone}
 
 
 def test_link_from_candidates_matches_the_oracle_twice_on_a_tie_heavy_kb():
